@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -130,13 +131,16 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         fh.write("step,accumulated_reward\n")
         for k, v in enumerate(trace):
             fh.write(f"{k},{float(v)!r}\n")
+    # A one-vehicle team receives nothing, so it has no delivery rate;
+    # JSON has no NaN, so that is written as null.
+    delivery = result.comm_log.delivery_rate()
     summary = {
         "seed": seed,
         "variant": cfg.variant,
         "mission_duration_s": result.duration,
         "final_accumulated_reward": float(trace[-1]),
         "mid_accumulated_reward": float(trace[len(trace) // 2]),
-        "comm_delivery_rate": result.comm_log.delivery_rate(),
+        "comm_delivery_rate": delivery if math.isfinite(delivery) else None,
         "plan_bound_failures": result.plan_bound_failures,
         "merged_belief_sizes": [len(d) for d in result.agent_data],
     }
@@ -152,7 +156,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.compare:
-        report = compare_methods(config, seeds, threads=args.threads)
+        report = compare_methods(config, seeds)
         with open(out / "comparison.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -164,11 +168,13 @@ def cmd_run(args) -> int:
         return EXIT_OK
     for seed in seeds:
         summary = _run_one_seed(config, seed, out / f"seed_{seed}")
+        rate = summary["comm_delivery_rate"]
+        delivery = "n/a" if rate is None else f"{rate:.2f}"
         print(
             f"seed {seed}: final reward "
             f"{summary['final_accumulated_reward']:.2f}, "
             f"duration {summary['mission_duration_s']:.0f}s, "
-            f"delivery {summary['comm_delivery_rate']:.2f}"
+            f"delivery {delivery}"
         )
     return EXIT_OK
 
@@ -195,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", default="0", help="seed list, e.g. 0,1,2 or 0-19"
     )
     run_p.add_argument("--out", default="runs", help="output directory")
-    run_p.add_argument(
-        "--threads", type=int, default=1, help="worker threads for --compare"
-    )
     run_p.add_argument(
         "--compare",
         action="store_true",

@@ -84,10 +84,6 @@ class Packet:
         )
         object.__setattr__(self, "measurements", meas)
 
-    @property
-    def state_tuple(self) -> tuple[float, float, float]:
-        return (self.heading, self.north, self.east)
-
 
 def measurement_capacity(n_actions: int) -> int:
     """Measurement triples that fit alongside a plan of n_actions."""
@@ -198,7 +194,6 @@ class TdmaSchedule:
 
     slot_duration: float
     team_size: int
-    epoch_start: float = 0.0
 
     def __post_init__(self):
         if self.slot_duration <= 0:
@@ -208,30 +203,7 @@ class TdmaSchedule:
 
     def owner(self, t: float) -> int:
         """Agent index owning the slot containing time t."""
-        return int(
-            math.floor((t - self.epoch_start) / self.slot_duration)
-        ) % self.team_size
-
-    def slot_start(self, t: float) -> float:
-        k = math.floor((t - self.epoch_start) / self.slot_duration)
-        return self.epoch_start + k * self.slot_duration
-
-    def next_slot_of(self, agent: int, t: float) -> float:
-        """Start time of the first slot at or after t owned by agent."""
-        if not 0 <= agent < self.team_size:
-            raise ValueError("agent outside the team")
-        k = math.floor((t - self.epoch_start) / self.slot_duration)
-        for j in range(self.team_size + 1):
-            if (k + j) % self.team_size == agent:
-                start = self.epoch_start + (k + j) * self.slot_duration
-                if start >= t or j > 0:
-                    return start
-        raise AssertionError("unreachable")
-
-
-def tdma_active_agent(t: float, schedule: TdmaSchedule) -> int:
-    """Agent index that may transmit at time t."""
-    return schedule.owner(t)
+        return int(math.floor(t / self.slot_duration)) % self.team_size
 
 
 @dataclass

@@ -41,19 +41,6 @@ class OperationalArea:
             self.max_corner[1] - self.min_corner[1],
         )
 
-    def contains(self, point, margin: float = 0.0) -> bool:
-        """True when the point lies inside the area grown by ``margin``."""
-        n, e = float(point[0]), float(point[1])
-        return (
-            self.min_corner[0] - margin <= n <= self.max_corner[0] + margin
-            and self.min_corner[1] - margin <= e <= self.max_corner[1] + margin
-        )
-
-    def clamp(self, point) -> tuple[float, float]:
-        n = min(max(float(point[0]), self.min_corner[0]), self.max_corner[0])
-        e = min(max(float(point[1]), self.min_corner[1]), self.max_corner[1])
-        return (n, e)
-
 
 class AnalyticBathymetry:
     """Truth depth defined by a closed-form function of position."""
@@ -163,11 +150,6 @@ class GriddedBathymetry:
         if np.any(np.isnan(depths)):
             raise ConfigurationError("bathymetry CSV is missing lattice nodes")
         return cls(norths, easts, depths)
-
-
-def depth_at(bathymetry, point) -> float:
-    """Truth depth at a single location."""
-    return bathymetry.depth_at(point)
 
 
 _LAKE_FAMILIES = ("plane", "gaussian-basin", "two-basin", "ridge")

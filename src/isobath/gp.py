@@ -17,12 +17,17 @@ rather than by mission length. Second, predictions may be formed from the
 local subset of samples within a cutoff radius of the query; the
 truncation error vanishes as the radius grows and the truncated variance
 always bounds the full-data variance from above.
+
+:class:`Belief` is the one implementation of these equations. It factors
+the data Gram matrix once, at construction. Every prediction in this
+module, in the risk objective and in the planner's episode evaluator
+conditions through such a factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -110,7 +115,6 @@ class DataSet:
         self.min_spacing = float(min_spacing)
         self._locs = np.empty((0, 2), dtype=float)
         self._vals = np.empty((0,), dtype=float)
-        self.version = 0
         for s in samples:
             self.insert(s)
 
@@ -146,20 +150,13 @@ class DataSet:
                 return False
         self._locs = np.vstack([self._locs, loc[None, :]])
         self._vals = np.append(self._vals, float(sample.value))
-        self.version += 1
         return True
 
     def copy(self) -> "DataSet":
         out = DataSet(self.min_spacing)
         out._locs = self._locs.copy()
         out._vals = self._vals.copy()
-        out.version = self.version
         return out
-
-
-def sparse_insert(data: DataSet, sample: Sample) -> bool:
-    """Functional alias for :meth:`DataSet.insert`."""
-    return data.insert(sample)
 
 
 def local_subset(data: DataSet, query, d_eps: float) -> DataSet:
@@ -171,7 +168,18 @@ def local_subset(data: DataSet, query, d_eps: float) -> DataSet:
     mask = np.sum((data.locations - q) ** 2, axis=1) <= d_eps**2
     out._locs = data.locations[mask].copy()
     out._vals = data.values[mask].copy()
-    out.version = 1
+    return out
+
+
+def _with_planned(data: DataSet, planned: np.ndarray) -> DataSet:
+    """``data`` plus zero-valued samples at ``planned``, density rule bypassed.
+
+    Only variances are read from a belief on the result: they do not
+    depend on sample values, so the placeholder zeros never enter them.
+    """
+    out = DataSet(0.0)
+    out._locs = np.vstack([data.locations, planned])
+    out._vals = np.concatenate([data.values, np.zeros(planned.shape[0])])
     return out
 
 
@@ -256,32 +264,54 @@ def _chol_with_jitter(gram: np.ndarray, kernel: KernelSpec, n: int) -> np.ndarra
     return low
 
 
-def _predict_arrays(
-    kernel: KernelSpec,
-    locations: np.ndarray,
-    values: np.ndarray,
-    prior_mean: float,
-    queries: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized conditioning; returns (means, variances) arrays."""
-    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-    n = locations.shape[0]
-    if n == 0:
-        means = np.full(queries.shape[0], float(prior_mean))
-        varis = np.full(queries.shape[0], kernel.signal_variance)
+class Belief:
+    """A kernel and constant prior mean conditioned on a data set.
+
+    The data Gram matrix ``K + sn^2 I`` is factored once, at
+    construction, as ``L L^T``. The belief conditions on the samples
+    ``data`` holds at that moment; later inserts are not seen, so build
+    a new belief after the data changes. With no data every prediction
+    is the prior: (prior_mean, signal_variance).
+    """
+
+    def __init__(self, kernel: KernelSpec, prior_mean: float, data: DataSet):
+        self.kernel = kernel
+        self.prior_mean = prior_mean
+        self.data = data
+        self._locs = data.locations
+        n = len(data)
+        gram = kernel(self._locs, self._locs) + kernel.noise_std**2 * np.eye(n)
+        self._low = _chol_with_jitter(gram, kernel, n) if n else np.empty((0, 0))
+        self._alpha = solve_triangular(
+            self._low.T, self.solve(data.values - prior_mean),
+            lower=False, check_finite=False,
+        )
+
+    def solve(self, k_sx: np.ndarray) -> np.ndarray:
+        """``L^-1 k_sx`` for a block with one row per data sample."""
+        return solve_triangular(self._low, k_sx, lower=True, check_finite=False)
+
+    def project(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(means, variances, ``L^-1 k(S, queries)``) at the query locations.
+
+        The third block is what a low-rank update on added locations
+        needs; ``predict_arrays`` drops it.
+        """
+        queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+        kstar = self.kernel(self._locs, queries)  # (n, q)
+        means = self.prior_mean + kstar.T @ self._alpha
+        half = self.solve(kstar)  # (n, q)
+        varis = self.kernel.signal_variance - np.sum(half**2, axis=0)
+        return means, np.maximum(varis, 0.0), half
+
+    def predict_arrays(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """(means, variances) arrays at the query locations."""
+        means, varis, _ = self.project(queries)
         return means, varis
-    gram = kernel(locations, locations) + kernel.noise_std**2 * np.eye(n)
-    low = _chol_with_jitter(gram, kernel, n)
-    resid = values - prior_mean
-    alpha = solve_triangular(
-        low.T, solve_triangular(low, resid, lower=True, check_finite=False),
-        lower=False, check_finite=False,
-    )
-    kstar = kernel(locations, queries)  # (n, q)
-    means = prior_mean + kstar.T @ alpha
-    half = solve_triangular(low, kstar, lower=True, check_finite=False)  # (n, q)
-    varis = kernel.signal_variance - np.sum(half**2, axis=0)
-    return means, np.maximum(varis, 0.0)
+
+    def predict(self, queries) -> list[Prediction]:
+        means, varis = self.predict_arrays(queries)
+        return [Prediction(float(m), float(v)) for m, v in zip(means, varis)]
 
 
 def posterior_predict(
@@ -291,25 +321,18 @@ def posterior_predict(
 
     With no data this returns the prior: (prior_mean, signal_variance).
     """
-    means, varis = _predict_arrays(
-        kernel, data.locations, data.values, prior_mean, queries
-    )
-    return [Prediction(float(m), float(v)) for m, v in zip(means, varis)]
+    return Belief(kernel, prior_mean, data).predict(queries)
 
 
 def posterior_predict_local(
     kernel: KernelSpec, data: DataSet, prior_mean: float, queries, d_eps: float
 ) -> list[Prediction]:
     """Per-query prediction from the local subset within ``d_eps``."""
-    out = []
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-    for q in queries:
-        sub = local_subset(data, q, d_eps)
-        means, varis = _predict_arrays(
-            kernel, sub.locations, sub.values, prior_mean, q[None, :]
-        )
-        out.append(Prediction(float(means[0]), float(varis[0])))
-    return out
+    return [
+        Belief(kernel, prior_mean, local_subset(data, q, d_eps)).predict(q)[0]
+        for q in queries
+    ]
 
 
 @dataclass(frozen=True)
@@ -342,68 +365,10 @@ def variance_reduction(
     """
     query = np.asarray(query, dtype=float).reshape(1, 2)
     planned = np.asarray(planned_locations, dtype=float).reshape(-1, 2)
-    means_s, vars_s = _predict_arrays(
-        kernel, data.locations, data.values, prior_mean, query
-    )
+    means_s, vars_s = Belief(kernel, prior_mean, data).predict_arrays(query)
     if planned.shape[0] == 0:
         return VarianceReduction(float(means_s[0]), 0.0, float(vars_s[0]))
-    aug_locs = np.vstack([data.locations, planned])
-    aug_vals = np.concatenate([data.values, np.zeros(planned.shape[0])])
-    _, vars_q = _predict_arrays(kernel, aug_locs, aug_vals, prior_mean, query)
+    augmented = Belief(kernel, prior_mean, _with_planned(data, planned))
+    _, vars_q = augmented.predict_arrays(query)
     sigma_mu_sq = max(float(vars_s[0]) - float(vars_q[0]), 0.0)
     return VarianceReduction(float(means_s[0]), sigma_mu_sq, float(vars_q[0]))
-
-
-@dataclass
-class Belief:
-    """A kernel, a constant prior mean, and the data conditioning them.
-
-    Caches the Gram factorization between inserts so repeated prediction
-    against an unchanged data set costs one triangular solve per query
-    batch.
-    """
-
-    kernel: KernelSpec
-    prior_mean: float
-    data: DataSet
-    _cache_version: int = field(default=-1, repr=False)
-    _low: np.ndarray | None = field(default=None, repr=False)
-    _alpha: np.ndarray | None = field(default=None, repr=False)
-
-    def _refresh(self):
-        if self._cache_version == self.data.version:
-            return
-        n = len(self.data)
-        if n == 0:
-            self._low = None
-            self._alpha = None
-        else:
-            gram = self.kernel(self.data.locations, self.data.locations)
-            gram += self.kernel.noise_std**2 * np.eye(n)
-            self._low = _chol_with_jitter(gram, self.kernel, n)
-            resid = self.data.values - self.prior_mean
-            self._alpha = solve_triangular(
-                self._low.T,
-                solve_triangular(self._low, resid, lower=True, check_finite=False),
-                lower=False, check_finite=False,
-            )
-        self._cache_version = self.data.version
-
-    def predict_arrays(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """(means, variances) arrays at the query locations."""
-        queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-        self._refresh()
-        if self._low is None:
-            return (
-                np.full(queries.shape[0], self.prior_mean),
-                np.full(queries.shape[0], self.kernel.signal_variance),
-            )
-        kstar = self.kernel(self.data.locations, queries)
-        means = self.prior_mean + kstar.T @ self._alpha
-        half = solve_triangular(self._low, kstar, lower=True, check_finite=False)
-        varis = self.kernel.signal_variance - np.sum(half**2, axis=0)
-        return means, np.maximum(varis, 0.0)
-
-    def predict(self, queries) -> list[Prediction]:
-        means, varis = self.predict_arrays(queries)
-        return [Prediction(float(m), float(v)) for m, v in zip(means, varis)]

@@ -39,6 +39,7 @@ from .comms import (
     decode_packet,
     encode_packet,
     measurement_capacity,
+    select_measurements,
 )
 from .coordination import (
     JointPlanSnapshot,
@@ -54,7 +55,7 @@ from .environment import (
     synthetic_lake,
 )
 from .errors import ConfigurationError
-from .gp import Belief, DataSet, KernelSpec, Sample
+from .gp import DataSet, KernelSpec, Sample
 from .motion import (
     ACTION_SET,
     AgentState,
@@ -65,7 +66,7 @@ from .motion import (
     step,
 )
 from .planner import PlanConfig, PlanContext
-from .risk import LossParams, RiskField, bayes_risk_batch
+from .risk import LossParams, RiskField, bayes_risk_batch, risk_field
 
 VARIANTS = ("terminal", "plain", "lawnmower")
 
@@ -167,7 +168,6 @@ class MissionConfig:
     def plan_config(self) -> PlanConfig:
         return PlanConfig(
             horizon=self.horizon,
-            total_length=self.total_length,
             use_terminal_reward=self.variant == "terminal",
             mcts_iterations=self.mcts_iterations,
             exploration=self.exploration,
@@ -368,12 +368,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         owner = agents[schedule.owner(t)]
         n_actions = len(owner.plan_actions)
         capacity = measurement_capacity(n_actions)
-        n_queued = len(owner.queue)
-        if n_queued and capacity:
-            stride = math.ceil(n_queued / capacity)
-            chosen = list(range(0, n_queued, stride))
-        else:
-            chosen = []
+        chosen = select_measurements(range(len(owner.queue)), capacity)
         triples = tuple(owner.queue[i] for i in chosen)
         taken = set(chosen)
         owner.queue = [q for i, q in enumerate(owner.queue) if i not in taken]
@@ -521,12 +516,6 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     return data
 
 
-def _risk_values(config: MissionConfig, data: DataSet, points) -> np.ndarray:
-    belief = Belief(config.kernel(), config.prior_mean, data)
-    means, variances = belief.predict_arrays(points)
-    return bayes_risk_batch(means, variances, config.loss())
-
-
 def risk_snapshot(
     result: MissionResult,
     agent: int | None = None,
@@ -571,7 +560,9 @@ def risk_snapshot(
                         data.insert(Sample((north, east), value))
         else:
             data = result.agent_data[agent]
-    return RiskField(points, _risk_values(config, data, points))
+    return risk_field(
+        config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
+    )
 
 
 def accumulated_reward_trace(
@@ -604,7 +595,9 @@ def accumulated_reward_trace(
         for e in samples:
             if e["step"] <= k:
                 data.insert(Sample((e["north"], e["east"]), e["value"]))
-        risk = float(np.sum(_risk_values(config, data, points)))
+        risk = float(np.sum(risk_field(
+            config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
+        ).values))
         trace[k] = prior - risk
     return trace
 
@@ -624,16 +617,13 @@ def compare_methods(
     base_config: MissionConfig,
     seeds,
     variants: dict[str, dict] | None = None,
-    threads: int = 1,
 ) -> dict:
     """Run each planner variant over the seeds and summarize.
 
     ``variants`` maps a name to MissionConfig field overrides; the
     default compares the terminal-reward planner, the plain short-horizon
     planner, and the lawnmower baseline. Returns per-variant final
-    accumulated rewards and mean traces. ``threads`` bounds worker
-    threads; mission runs release the interpreter lock only in the
-    linear algebra, so speedups on one core are modest.
+    accumulated rewards and mean traces.
     """
     from dataclasses import replace as dc_replace
 
@@ -655,13 +645,7 @@ def compare_methods(
         trace = accumulated_reward_trace(result)
         return name, seed, trace, result.plan_bound_failures
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, jobs))
-    else:
-        rows = [run_one(j) for j in jobs]
+    rows = [run_one(j) for j in jobs]
 
     out: dict = {"seeds": [int(s) for s in seeds], "variants": {}}
     for name in variants:

@@ -27,7 +27,6 @@ import numpy as np
 
 ACTION_SET_DEG = (-90.0, -30.0, -20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0, 30.0, 90.0)
 ACTION_SET = tuple(math.radians(a) for a in ACTION_SET_DEG)
-STRAIGHT_INDEX = ACTION_SET_DEG.index(0.0)
 
 
 def wrap_heading(h: float) -> float:

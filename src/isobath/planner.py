@@ -8,12 +8,19 @@ optionally scored together with a deterministic boustrophedon completion
 from their final state (the terminal reward), which lets a short search
 horizon account for the rest of the mission.
 
-The evaluator built once per episode factors the agent's data a single
-time and applies planned measurements as low-rank variance updates
-(block Cholesky on the measurement-noise Schur complement), so scoring a
-candidate costs a few small matrix products rather than a fresh GP
-solve. Measurement locations that the density rule would reject are
-dropped before scoring; revisiting known ground earns nothing.
+The evaluator built once per episode conditions on the agent's data
+through one :class:`~isobath.gp.Belief` and applies planned measurements
+as low-rank variance updates (block Cholesky on the measurement-noise
+Schur complement), so scoring a candidate costs a few small matrix
+products rather than a fresh GP solve. Measurement locations that the
+density rule would reject are dropped before scoring; revisiting known
+ground earns nothing.
+
+A plan commits a vehicle to measurement locations in one way only:
+``plan_locations`` samples the short path and then its lawnmower
+completion. The planner's naive value, its final rescore and
+``augmented_reward`` use it, and so does a teammate reconstructing a
+broadcast plan, so a sender and a receiver score the same locations.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
-from .gp import DataSet, KernelSpec, _chol_with_jitter, admissible_locations
+from .gp import Belief, DataSet, KernelSpec, _chol_with_jitter, admissible_locations
 from .risk import LossParams, bayes_risk_batch, expected_bayes_risk_closed_batch
 from .motion import (
     ACTION_SET,
@@ -51,7 +58,6 @@ class PlanConfig:
     """Search-budget and objective switches for one planner."""
 
     horizon: int = 3
-    total_length: int = 100
     use_terminal_reward: bool = True
     mcts_iterations: int = 48
     exploration: float | None = None
@@ -60,8 +66,6 @@ class PlanConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.total_length < 1:
-            raise ValueError("total_length must be at least 1")
         if self.mcts_iterations < 1:
             raise ValueError("mcts_iterations must be at least 1")
         if self.rollout_policy not in ("straight-bias", "random"):
@@ -121,29 +125,9 @@ class EpisodeEvaluator:
         grid = context.eval_points
         self.grid = grid
         self.tree = cKDTree(grid) if grid.shape[0] else None
-        n = len(data)
-        self.n_data = n
         self.locs = data.locations
-        if n:
-            gram = kernel(self.locs, self.locs) + self.noise_var * np.eye(n)
-            self.low_s = _chol_with_jitter(gram, kernel, n)
-            resid = data.values - context.prior_mean
-            alpha = solve_triangular(
-                self.low_s.T,
-                solve_triangular(self.low_s, resid, lower=True, check_finite=False),
-                lower=False, check_finite=False,
-            )
-            k_sg = kernel(self.locs, grid)
-            self.v_s = solve_triangular(self.low_s, k_sg, lower=True, check_finite=False)
-            self.mu_s = context.prior_mean + k_sg.T @ alpha
-            self.var_s = np.maximum(
-                kernel.signal_variance - np.sum(self.v_s**2, axis=0), 0.0
-            )
-        else:
-            self.low_s = None
-            self.v_s = np.empty((0, grid.shape[0]))
-            self.mu_s = np.full(grid.shape[0], context.prior_mean)
-            self.var_s = np.full(grid.shape[0], kernel.signal_variance)
+        self.belief = Belief(kernel, context.prior_mean, data)
+        self.mu_s, self.var_s, self.v_s = self.belief.project(grid)
         self.risk_s = bayes_risk_batch(self.mu_s, self.var_s, context.loss)
 
         base = admissible_locations(
@@ -152,7 +136,7 @@ class EpisodeEvaluator:
         self.base = base
         nb = base.shape[0]
         if nb:
-            b_b = self._solve_s(kernel(self.locs, base))
+            b_b = self.belief.solve(kernel(self.locs, base))
             c_bb = kernel(base, base) + self.noise_var * np.eye(nb) - b_b.T @ b_b
             self.low_b = _chol_with_jitter(c_bb, kernel, nb)
             u_b = kernel(base, grid) - b_b.T @ self.v_s
@@ -162,18 +146,13 @@ class EpisodeEvaluator:
         else:
             self.low_b = None
             self.x_b = np.empty((0, grid.shape[0]))
-            self.b_b = np.empty((n, 0))
+            self.b_b = np.empty((len(data), 0))
             dvar_base = np.zeros(grid.shape[0])
         self.var_qbase = np.maximum(self.var_s - dvar_base, 0.0)
         self.e_base = expected_bayes_risk_closed_batch(
             self.mu_s, np.maximum(self.var_s - self.var_qbase, 0.0),
             self.var_qbase, context.loss,
         )
-
-    def _solve_s(self, k_sx: np.ndarray) -> np.ndarray:
-        if self.low_s is None:
-            return np.empty((0, k_sx.shape[1] if k_sx.ndim > 1 else 0))
-        return solve_triangular(self.low_s, k_sx, lower=True, check_finite=False)
 
     def admissible(self, locations) -> np.ndarray:
         """Candidate locations that survive the density rule, in order."""
@@ -204,13 +183,9 @@ class EpisodeEvaluator:
             return 0.0
         idx = np.asarray(idx, dtype=int)
 
-        b_a = self._solve_s(kernel(self.locs, added)) if self.n_data else np.empty((0, na))
-        c_aa = kernel(added, added) + self.noise_var * np.eye(na)
-        if self.n_data:
-            c_aa = c_aa - b_a.T @ b_a
-        u_a = kernel(added, self.grid[idx])
-        if self.n_data:
-            u_a = u_a - b_a.T @ self.v_s[:, idx]
+        b_a = self.belief.solve(kernel(self.locs, added))
+        c_aa = kernel(added, added) + self.noise_var * np.eye(na) - b_a.T @ b_a
+        u_a = kernel(added, self.grid[idx]) - b_a.T @ self.v_s[:, idx]
         if self.low_b is not None:
             c_ba = kernel(self.base, added) - self.b_b.T @ b_a
             m = solve_triangular(self.low_b, c_ba, lower=True, check_finite=False)
@@ -267,6 +242,41 @@ def _tail_eligible(locations: np.ndarray, context: PlanContext) -> bool:
     )
 
 
+def plan_locations(
+    path: Path,
+    tail_steps: int,
+    area,
+    motion: MotionParams,
+    spacing: float,
+    swath: float | None = None,
+) -> np.ndarray:
+    """Measurement locations a plan commits to: the path, then its sweep.
+
+    The path's own sample locations, followed by those of a
+    ``tail_steps``-step lawnmower completion grown from its final state
+    (that state's position appears once). With no tail steps this is
+    just the path's locations.
+    """
+    locs = sample_locations(path, spacing)
+    if tail_steps > 0:
+        tail = lawnmower_path(path.final, tail_steps, area, motion, swath)
+        locs = np.vstack([locs, sample_locations(tail, spacing)[1:]])
+    return locs
+
+
+def _completed_locations(short_path: Path, context: PlanContext) -> np.ndarray:
+    """``plan_locations`` of a short path, tail granted only when eligible."""
+    tail_steps = context.remaining_steps - len(short_path)
+    if tail_steps > 0 and not _tail_eligible(
+        sample_locations(short_path, context.sensor_spacing), context
+    ):
+        tail_steps = 0
+    return plan_locations(
+        short_path, tail_steps, context.area, context.motion,
+        context.sensor_spacing, context.swath,
+    )
+
+
 def augmented_reward(short_path: Path, context: PlanContext) -> float:
     """Reward of the short path extended by its boustrophedon completion.
 
@@ -278,13 +288,7 @@ def augmented_reward(short_path: Path, context: PlanContext) -> float:
     operational area (beyond the sweep policy's own turn-diameter apron)
     forfeits the completion credit and scores as the bare path.
     """
-    tail_steps = max(context.remaining_steps - len(short_path), 0)
-    locs = sample_locations(short_path, context.sensor_spacing)
-    if tail_steps > 0 and _tail_eligible(locs, context):
-        tail = _tail_path(short_path.final, tail_steps, context)
-        tail_locs = sample_locations(tail, context.sensor_spacing)
-        locs = np.vstack([locs, tail_locs[1:]])
-    return path_reward(locs, context)
+    return path_reward(_completed_locations(short_path, context), context)
 
 
 def bound_condition_check(jbar_n: float, jbar_n_minus: float) -> bool:
@@ -342,10 +346,10 @@ def plan_episode(
     straight = ACTION_SET.index(0.0)
 
     if config.use_terminal_reward:
-        naive_tail = _tail_path(start, context.remaining_steps, context)
-        naive_value = evaluator.marginal(
-            sample_locations(naive_tail, context.sensor_spacing)
-        )
+        naive_value = evaluator.marginal(plan_locations(
+            Path((start,), ()), context.remaining_steps, context.area,
+            context.motion, context.sensor_spacing, context.swath,
+        ))
     else:
         naive_value = 0.0
 
@@ -450,14 +454,7 @@ def plan_episode(
         short = rollout(
             start, [ACTION_SET[i] for i in best_actions], context.motion
         )
-        locs = sample_locations(short, context.sensor_spacing)
-        tail_steps = context.remaining_steps - len(short)
-        if tail_steps > 0 and _tail_eligible(locs, context):
-            tail = _tail_path(short.final, tail_steps, context)
-            locs = np.vstack(
-                [locs, sample_locations(tail, context.sensor_spacing)[1:]]
-            )
-        jbar = evaluator.marginal(locs)
+        jbar = evaluator.marginal(_completed_locations(short, context))
         evaluations += 1
         if jbar + BOUND_TOLERANCE < naive_value:
             # The search lost to the policy it extrapolates: keep that
@@ -467,55 +464,3 @@ def plan_episode(
     best_path = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
     bound_ok = bound_condition_check(jbar, naive_value)
     return PlanResult(best_path, jbar, naive_value, bound_ok, evaluations)
-
-
-def mcts_plan(
-    start: AgentState, context: PlanContext, config: PlanConfig, rng
-) -> Path:
-    """Best action sequence of length min(horizon, remaining steps)."""
-    return plan_episode(start, context, config, rng).path
-
-
-@dataclass
-class StepResult:
-    """Outcome of one receding-horizon step."""
-
-    action: float
-    state: AgentState
-    plan: PlanResult
-    samples: list
-
-
-def receding_horizon_step(
-    state: AgentState,
-    context: PlanContext,
-    config: PlanConfig,
-    rng,
-    *,
-    bathymetry=None,
-    sensor=None,
-    sensor_rng=None,
-) -> StepResult:
-    """Plan, execute the first action, and optionally collect samples.
-
-    When a bathymetry and sensor are supplied, measurements are drawn at
-    the sensor spacing along the traversed chord (the executed state's
-    position included once) and inserted into the context's data set
-    under the density rule. The samples are returned in collection order
-    whether or not they were retained.
-    """
-    from .environment import sample_depth
-
-    result = plan_episode(state, context, config, rng)
-    if len(result.path) == 0:
-        return StepResult(float("nan"), state, result, [])
-    action = result.path.actions[0]
-    segment = Path(result.path.states[:2], result.path.actions[:1])
-    samples = []
-    if bathymetry is not None and sensor is not None:
-        locs = sample_locations(segment, sensor.sample_spacing)[1:]
-        for loc in locs:
-            s = sample_depth(bathymetry, sensor, loc, sensor_rng)
-            context.data.insert(s)
-            samples.append(s)
-    return StepResult(action, segment.final, result, samples)

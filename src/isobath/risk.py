@@ -42,7 +42,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .errors import NumericalError
-from .gp import DataSet, KernelSpec, Sample, _chol_with_jitter, _predict_arrays
+from .gp import Belief, DataSet, KernelSpec, _chol_with_jitter, _with_planned
 
 # Exponential-quadratic erf surrogate: erf(x) ~ sign(x)(1 - exp(-(x^2 + B x))),
 # exact slope at zero and correct limits.
@@ -323,15 +323,6 @@ def expected_bayes_risk_closed(inputs, loss: LossParams) -> float:
     return min(val, peak)
 
 
-@dataclass(frozen=True)
-class ExpectedRiskInputs:
-    """Plain container for the expected-risk parameters."""
-
-    mu_mu: float
-    sigma_mu_sq: float
-    sigma_pq_sq: float
-
-
 def expected_bayes_risk_quadrature(
     inputs, loss: LossParams, *, epsabs: float = 1e-9
 ) -> float:
@@ -404,30 +395,14 @@ def expected_bayes_risk_mc(
     """
     query = np.asarray(query, dtype=float).reshape(1, 2)
     planned = np.asarray(planned_locations, dtype=float).reshape(-1, 2)
-    mean_q, var_q = _predict_arrays(
-        kernel, data.locations, data.values, prior_mean, query
-    )
+    belief = Belief(kernel, prior_mean, data)
+    mean_q, var_q, half_q = belief.project(query)
     if planned.shape[0] == 0:
         return bayes_risk(float(mean_q[0]), float(var_q[0]), loss), 0.0
 
-    locs = data.locations
-    vals = data.values
-    n = locs.shape[0]
-    means_v, _ = _predict_arrays(kernel, locs, vals, prior_mean, planned)
-    k_vv = kernel(planned, planned)
-    k_vq = kernel(planned, query)[:, 0]
-    if n:
-        gram = kernel(locs, locs) + kernel.noise_std**2 * np.eye(n)
-        low = _chol_with_jitter(gram, kernel, n)
-        k_sv = kernel(locs, planned)
-        k_sq = kernel(locs, query)
-        half_v = np.linalg.solve(low, k_sv)
-        half_q = np.linalg.solve(low, k_sq)
-        cov_v = k_vv - half_v.T @ half_v
-        cross = k_vq - half_v.T @ half_q[:, 0]
-    else:
-        cov_v = k_vv
-        cross = k_vq
+    means_v, _, half_v = belief.project(planned)
+    cov_v = kernel(planned, planned) - half_v.T @ half_v
+    cross = kernel(planned, query)[:, 0] - half_v.T @ half_q[:, 0]
 
     meas_cov = cov_v + kernel.noise_std**2 * np.eye(planned.shape[0])
     low_m = _chol_with_jitter(meas_cov, kernel, planned.shape[0])
@@ -461,19 +436,16 @@ def benefit_of_search(
     data can only help in expectation, but a realized benefit may be
     negative for surprising measurements.
     """
-    pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
-    means1, vars1 = _predict_arrays(
-        kernel, belief_data.locations, belief_data.values, prior_mean, pts
-    )
-    risk1 = float(np.sum(bayes_risk_batch(means1, vars1, loss)))
+    risk1 = float(np.sum(
+        risk_field(kernel, belief_data, eval_points, loss, prior_mean=prior_mean).values
+    ))
     merged = belief_data.copy()
     samples = new_data.samples() if isinstance(new_data, DataSet) else new_data
     for s in samples:
         merged.insert(s)
-    means2, vars2 = _predict_arrays(
-        kernel, merged.locations, merged.values, prior_mean, pts
-    )
-    risk2 = float(np.sum(bayes_risk_batch(means2, vars2, loss)))
+    risk2 = float(np.sum(
+        risk_field(kernel, merged, eval_points, loss, prior_mean=prior_mean).values
+    ))
     return risk1 - risk2
 
 
@@ -494,15 +466,12 @@ def expected_benefit_of_search(
     """
     pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
     planned = np.asarray(planned_locations, dtype=float).reshape(-1, 2)
-    means_s, vars_s = _predict_arrays(
-        kernel, belief_data.locations, belief_data.values, prior_mean, pts
-    )
+    means_s, vars_s = Belief(kernel, prior_mean, belief_data).predict_arrays(pts)
     risk_now = bayes_risk_batch(means_s, vars_s, loss)
     if planned.shape[0] == 0:
         return 0.0
-    aug_locs = np.vstack([belief_data.locations, planned])
-    aug_vals = np.concatenate([belief_data.values, np.zeros(planned.shape[0])])
-    _, vars_q = _predict_arrays(kernel, aug_locs, aug_vals, prior_mean, pts)
+    augmented = Belief(kernel, prior_mean, _with_planned(belief_data, planned))
+    _, vars_q = augmented.predict_arrays(pts)
     s2mu = np.maximum(vars_s - vars_q, 0.0)
     expected = expected_bayes_risk_closed_batch(means_s, s2mu, vars_q, loss)
     return float(np.sum(risk_now - expected))
@@ -532,7 +501,5 @@ def risk_field(
 ) -> RiskField:
     """Current conditional risk field under the given belief."""
     pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
-    means, varis = _predict_arrays(
-        kernel, data.locations, data.values, prior_mean, pts
-    )
+    means, varis = Belief(kernel, prior_mean, data).predict_arrays(pts)
     return RiskField(pts, bayes_risk_batch(means, varis, loss))

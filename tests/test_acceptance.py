@@ -21,7 +21,7 @@ from isobath.comms import (
     measurement_capacity,
 )
 from isobath.errors import DecodeError
-from isobath.gp import DataSet, KernelSpec, Sample, posterior_predict
+from isobath.gp import DataSet, KernelSpec, Sample, VarianceReduction, posterior_predict
 from isobath.mission import (
     MissionConfig,
     accumulated_reward_trace,
@@ -30,9 +30,8 @@ from isobath.mission import (
     write_jsonl,
 )
 from isobath.motion import ACTION_SET, AgentState, MotionParams, rollout, sample_locations
-from isobath.planner import PlanConfig, PlanContext, mcts_plan, path_reward
+from isobath.planner import PlanConfig, PlanContext, path_reward, plan_episode
 from isobath.risk import (
-    ExpectedRiskInputs,
     LossParams,
     bayes_risk_batch,
     benefit_of_search,
@@ -145,7 +144,7 @@ def test_acceptance_3_closed_form_fidelity():
     quad_vals = np.empty(len(cells))
     for k, (dmu, s_mu, s_q, (c1, c2)) in enumerate(cells):
         loss = LossParams(level, c1, c2)
-        inputs = ExpectedRiskInputs(level + dmu, s_mu**2, s_q**2)
+        inputs = VarianceReduction(level + dmu, s_mu**2, s_q**2)
         closed_vals[k] = expected_bayes_risk_closed(inputs, loss)
         quad_vals[k] = expected_bayes_risk_quadrature(inputs, loss)
         worst = max(worst, abs(closed_vals[k] - quad_vals[k]))
@@ -406,11 +405,10 @@ def test_acceptance_8_horizon1_matches_brute_force():
         )
         config = PlanConfig(
             horizon=1,
-            total_length=100,
             use_terminal_reward=False,
             mcts_iterations=40,
         )
-        path = mcts_plan(start, context, config, np.random.default_rng(case))
+        path = plan_episode(start, context, config, np.random.default_rng(case)).path
         brute = {
             a: path_reward(
                 sample_locations(rollout(start, [a], motion), context.sensor_spacing),

@@ -213,6 +213,27 @@ def test_run_writes_the_per_seed_products(config_file, tmp_path, capsys):
     assert risk_header.split(",")[:2] == ["north_m", "east_m"]
 
 
+def test_one_vehicle_summary_is_strict_json(tmp_path, capsys):
+    # A lone vehicle hears no broadcasts, so there is no delivery rate to
+    # report; the summary must still parse without NaN or Infinity.
+    path = tmp_path / "solo.json"
+    path.write_text(json.dumps(
+        {**MICRO, "speeds": [1.5], "starts": [[0.0, 50.0, 20.0]],
+         "variant": "lawnmower"}
+    ))
+    out = tmp_path / "runs"
+    code = main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)])
+    assert code == 0
+    assert "delivery n/a" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"summary.json holds non-standard JSON {name}")
+
+    text = (out / "seed_0" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary["comm_delivery_rate"] is None
+
+
 def test_run_respects_the_seed_list(config_file, tmp_path):
     out = tmp_path / "runs"
     assert main(

@@ -25,7 +25,6 @@ from isobath.comms import (
     encode_packet,
     measurement_capacity,
     select_measurements,
-    tdma_active_agent,
 )
 from isobath.errors import DecodeError, EncodeError
 from isobath.motion import ACTION_SET
@@ -222,28 +221,13 @@ class TestTdma:
         sched = TdmaSchedule(slot_duration=10.0, team_size=3)
         owners = [sched.owner(t) for t in (0.0, 5.0, 10.0, 15.0, 25.0, 30.0)]
         assert owners == [0, 0, 1, 1, 2, 0]
-        assert tdma_active_agent(12.0, sched) == 1
-
-    def test_slot_start_floors_to_slot_boundary(self):
-        sched = TdmaSchedule(slot_duration=10.0, team_size=3, epoch_start=2.0)
-        assert sched.slot_start(2.0) == 2.0
-        assert sched.slot_start(13.0) == 12.0
-
-    def test_next_slot_of_skips_partial_current_slot(self):
-        sched = TdmaSchedule(slot_duration=10.0, team_size=3)
-        assert sched.next_slot_of(0, 0.0) == 0.0
-        # Mid-slot, the agent's own slot has started; the next full one
-        # is a whole round later.
-        assert sched.next_slot_of(0, 5.0) == 30.0
-        assert sched.next_slot_of(2, 5.0) == 20.0
+        assert sched.owner(12.0) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TdmaSchedule(slot_duration=0.0, team_size=3)
         with pytest.raises(ValueError):
             TdmaSchedule(slot_duration=10.0, team_size=0)
-        with pytest.raises(ValueError):
-            TdmaSchedule(slot_duration=10.0, team_size=3).next_slot_of(3, 0.0)
 
     def test_each_agent_owns_one_slot_per_round(self):
         sched = TdmaSchedule(slot_duration=10.0, team_size=3)

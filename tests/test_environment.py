@@ -10,7 +10,6 @@ from isobath.environment import (
     GriddedBathymetry,
     OperationalArea,
     SensorModel,
-    depth_at,
     eval_grid,
     sample_depth,
     synthetic_lake,
@@ -27,17 +26,6 @@ AREA = OperationalArea((0.0, 0.0), (200.0, 300.0))
 
 def test_area_extent_and_containment():
     assert AREA.extent == (200.0, 300.0)
-    assert AREA.contains((0.0, 0.0))
-    assert AREA.contains((200.0, 300.0))
-    assert not AREA.contains((-0.1, 10.0))
-    assert not AREA.contains((10.0, 300.1))
-    assert AREA.contains((-0.1, 300.1), margin=0.2)
-
-
-def test_area_clamp_projects_onto_rectangle():
-    assert AREA.clamp((-5.0, 150.0)) == (0.0, 150.0)
-    assert AREA.clamp((250.0, 400.0)) == (200.0, 300.0)
-    assert AREA.clamp((50.0, 60.0)) == (50.0, 60.0)
 
 
 def test_area_rejects_degenerate_rectangle():
@@ -58,7 +46,7 @@ def test_analytic_depth_at_matches_grid_evaluation():
     assert grid.shape == (3,)
     for k, p in enumerate(pts):
         assert bathy.depth_at(p) == pytest.approx(grid[k], abs=0.0)
-    assert depth_at(bathy, (10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
+    assert bathy.depth_at((10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from isobath.gp import (
     local_subset,
     posterior_predict,
     posterior_predict_local,
-    sparse_insert,
     variance_reduction,
 )
 from isobath.errors import NumericalError
@@ -110,6 +109,15 @@ class TestPosterior:
         assert got[0].mean == 15.0
         assert got[0].variance == 25.0
 
+    def test_empty_belief_is_the_prior_with_an_empty_projection(self):
+        belief = Belief(KERNEL, 15.0, DataSet(30.0))
+        queries = [[10.0, 20.0], [300.0, -40.0], [0.0, 0.0]]
+        means, varis, half = belief.project(queries)
+        assert means.tolist() == [15.0] * 3
+        assert varis.tolist() == [KERNEL.signal_variance] * 3
+        assert half.shape == (0, 3)
+        assert belief.solve(np.empty((0, 4))).shape == (0, 4)
+
     def test_reverts_to_prior_far_from_data(self):
         data = DataSet(0.0, [Sample((0.0, 0.0), 22.0)])
         (p,) = posterior_predict(KERNEL, data, 15.0, [[5000.0, 5000.0]])
@@ -151,23 +159,6 @@ class TestPosterior:
         low = _chol_with_jitter(gram, KERNEL, 2)
         assert np.allclose(low @ low.T, gram)
 
-    def test_belief_cache_tracks_inserts(self):
-        rng = np.random.default_rng(3)
-        data = make_data(rng, 10, min_spacing=30.0)
-        belief = Belief(KERNEL, 15.0, data)
-        q = [[123.0, 45.0], [300.0, 399.0]]
-        first = belief.predict(q)
-        direct = posterior_predict(KERNEL, data, 15.0, q)
-        for a, b in zip(first, direct):
-            assert a.mean == pytest.approx(b.mean, rel=1e-12)
-            assert a.variance == pytest.approx(b.variance, rel=1e-12)
-        # Insert and make sure the cache does not serve stale answers.
-        data.insert(Sample((123.0, 45.0), 19.0))
-        second = belief.predict(q)
-        direct2 = posterior_predict(KERNEL, data, 15.0, q)
-        assert second[0].mean == pytest.approx(direct2[0].mean, rel=1e-12)
-        assert second[0].variance < first[0].variance
-
 
 class TestDensityFilter:
     def test_boundary_is_inclusive(self):
@@ -185,7 +176,7 @@ class TestDensityFilter:
     def test_first_writer_wins(self):
         data = DataSet(min_spacing=30.0)
         data.insert(Sample((0.0, 0.0), 1.0))
-        sparse_insert(data, Sample((1.0, 1.0), 99.0))
+        data.insert(Sample((1.0, 1.0), 99.0))
         assert data.values.tolist() == [1.0]
 
     def test_insertion_order_preserved(self):

@@ -292,7 +292,7 @@ class TestCompareMethods:
             assert len(v["final_rewards"]) == len(seeds)
             assert len(v["mean_trace"]) == cfg.total_length + 1
             assert isinstance(v["bound_failures"], int)
-        two = compare_methods(cfg, seeds, threads=2)
+        two = compare_methods(cfg, seeds)
         for name in one["variants"]:
             assert one["variants"][name]["final_rewards"] == pytest.approx(
                 two["variants"][name]["final_rewards"], rel=0, abs=0

@@ -1,6 +1,6 @@
 """Planner tests: marginal-objective algebra against a dense oracle,
-anytime/determinism properties of the search, and the receding-horizon
-step contract."""
+the plan-to-locations rule, and anytime/determinism properties of the
+search."""
 
 import math
 
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from isobath.environment import OperationalArea, SensorModel, eval_grid, synthetic_lake
+from isobath.environment import OperationalArea, eval_grid
 from isobath.gp import DataSet, KernelSpec, Sample, admissible_locations
 from isobath.motion import (
     ACTION_SET,
     AgentState,
     MotionParams,
+    Path,
     lawnmower_path,
     rollout,
     sample_locations,
@@ -22,13 +23,11 @@ from isobath.planner import (
     EpisodeEvaluator,
     PlanConfig,
     PlanContext,
-    PlanResult,
     augmented_reward,
     bound_condition_check,
-    mcts_plan,
     path_reward,
     plan_episode,
-    receding_horizon_step,
+    plan_locations,
 )
 from isobath.risk import LossParams, bayes_risk_batch, expected_bayes_risk_closed_batch
 
@@ -166,6 +165,22 @@ class TestMarginalObjective:
             assert d.min() >= ctx.data.min_spacing
 
 
+class TestPlanLocations:
+    @pytest.mark.parametrize("steps", [1, 7, 30])
+    def test_zero_action_path_is_the_bare_sweep(self, steps):
+        # The naive value scores a zero-action plan plus its tail; that
+        # must be exactly the sweep's own locations, start included once.
+        start = AgentState(0.4, 120.0, 35.0)
+        got = plan_locations(Path((start,), ()), steps, AREA, MOTION, 5.0)
+        want = sample_locations(lawnmower_path(start, steps, AREA, MOTION), 5.0)
+        assert np.array_equal(got, want)
+
+    def test_no_tail_steps_is_the_path_alone(self):
+        short = rollout(AgentState(0.0, 100.0, 50.0), [0.0, ACTION_SET[2]], MOTION)
+        got = plan_locations(short, 0, AREA, MOTION, 5.0)
+        assert np.array_equal(got, sample_locations(short, 5.0))
+
+
 class TestAugmentedReward:
     def test_equals_reward_of_concatenated_locations(self):
         rng = np.random.default_rng(5)
@@ -234,8 +249,7 @@ class TestBoundaryContainment:
 
 
 def plan_cfg(**kw):
-    base = dict(horizon=3, total_length=100, use_terminal_reward=True,
-                mcts_iterations=30)
+    base = dict(horizon=3, use_terminal_reward=True, mcts_iterations=30)
     base.update(kw)
     return PlanConfig(**base)
 
@@ -253,8 +267,8 @@ class TestPlanEpisode:
 
     def test_plan_length_clamped_to_remaining(self):
         ctx = make_context(np.random.default_rng(8), remaining=2)
-        path = mcts_plan(AgentState(0.0, 150.0, 30.0), ctx,
-                         plan_cfg(horizon=10), np.random.default_rng(0))
+        path = plan_episode(AgentState(0.0, 150.0, 30.0), ctx,
+                            plan_cfg(horizon=10), np.random.default_rng(0)).path
         assert len(path) == 2
 
     def test_value_never_below_naive_with_terminal_reward(self):
@@ -336,46 +350,9 @@ class TestBoundCheck:
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"horizon": 0},
-        {"total_length": 0},
         {"mcts_iterations": 0},
         {"rollout_policy": "spiral"},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             plan_cfg(**kw)
-
-
-class TestRecedingHorizonStep:
-    def test_executes_first_action_and_collects_samples(self):
-        lake = synthetic_lake(
-            "gaussian-basin",
-            {"background": 5.0, "center": (150.0, 200.0),
-             "radius": 120.0, "max_depth": 25.0},
-            AREA,
-        )
-        sensor = SensorModel(noise_std=0.5, sample_spacing=5.0)
-        ctx = make_context(np.random.default_rng(15), n_data=0, remaining=8)
-        start = AgentState(0.0, 150.0, 30.0)
-        out = receding_horizon_step(
-            start, ctx, plan_cfg(mcts_iterations=10), np.random.default_rng(2),
-            bathymetry=lake, sensor=sensor, sensor_rng=np.random.default_rng(3),
-        )
-        segment = rollout(start, [out.action], MOTION)
-        assert out.state == segment.states[1]
-        expected_locs = sample_locations(segment, sensor.sample_spacing)[1:]
-        assert len(out.samples) == expected_locs.shape[0]
-        got = np.array([s.location for s in out.samples])
-        np.testing.assert_allclose(got, expected_locs, atol=1e-9)
-        # The density rule admits at most what was collected.
-        assert 0 < len(ctx.data) <= len(out.samples)
-
-    def test_without_sensor_only_plans(self):
-        ctx = make_context(np.random.default_rng(16), n_data=3, remaining=5)
-        before = len(ctx.data)
-        out = receding_horizon_step(
-            AgentState(0.0, 100.0, 50.0), ctx, plan_cfg(mcts_iterations=6),
-            np.random.default_rng(4),
-        )
-        assert isinstance(out.plan, PlanResult)
-        assert out.samples == []
-        assert len(ctx.data) == before

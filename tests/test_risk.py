@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from isobath.gp import DataSet, KernelSpec, Sample, variance_reduction
+from isobath.gp import (
+    DataSet,
+    KernelSpec,
+    Sample,
+    VarianceReduction,
+    variance_reduction,
+)
 from isobath.risk import (
     _B,
     _ERF_CORRECTION,
-    ExpectedRiskInputs,
     LossParams,
     RiskField,
     bayes_estimate,
@@ -130,7 +135,7 @@ class TestExpectedRiskEvaluators:
     def test_closed_matches_quadrature(self):
         worst = 0.0
         for loss, mu, s2mu, s2q in self.grid():
-            inputs = ExpectedRiskInputs(mu, s2mu, s2q)
+            inputs = VarianceReduction(mu, s2mu, s2q)
             closed = expected_bayes_risk_closed(inputs, loss)
             quad = expected_bayes_risk_quadrature(inputs, loss)
             worst = max(worst, abs(closed - quad))
@@ -154,12 +159,12 @@ class TestExpectedRiskEvaluators:
             assert abs(closed - est) <= 3.0 * stderr + 1e-4
 
     def test_no_mean_spread_reduces_to_current_risk(self):
-        inputs = ExpectedRiskInputs(14.0, 0.0, 2.0)
+        inputs = VarianceReduction(14.0, 0.0, 2.0)
         want = bayes_risk(14.0, 2.0, EQUAL)
         assert expected_bayes_risk_closed(inputs, EQUAL) == pytest.approx(want)
 
     def test_fully_resolving_measurement_leaves_no_risk(self):
-        inputs = ExpectedRiskInputs(15.0, 4.0, 0.0)
+        inputs = VarianceReduction(15.0, 4.0, 0.0)
         assert expected_bayes_risk_closed(inputs, EQUAL) == pytest.approx(
             0.0, abs=1e-9
         )
@@ -171,7 +176,7 @@ class TestExpectedRiskEvaluators:
         s2mu = 1.0
         mu = 15.0
         for s2q in (1e-4, 1e-6):
-            inputs = ExpectedRiskInputs(mu, s2mu, s2q)
+            inputs = VarianceReduction(mu, s2mu, s2q)
             closed = expected_bayes_risk_closed(inputs, EQUAL)
             pdf = math.exp(0.0) / math.sqrt(2 * math.pi * s2mu)
             want = math.sqrt(s2q) * pdf * 20.0 / math.sqrt(2 * math.pi)
@@ -188,7 +193,7 @@ class TestExpectedRiskEvaluators:
     def test_closed_form_within_provable_range(self, dmu, s2mu, s2q, c1, c2):
         loss = LossParams(15.0, c1, c2)
         val = expected_bayes_risk_closed(
-            ExpectedRiskInputs(15.0 + dmu, s2mu, s2q), loss
+            VarianceReduction(15.0 + dmu, s2mu, s2q), loss
         )
         peak = c1 * c2 / (c1 + c2)
         assert -1e-12 <= val <= peak + 1e-9
@@ -200,7 +205,7 @@ class TestExpectedRiskEvaluators:
         prev = math.inf
         for s2mu in (0.5, 2.0, 5.0, 8.0, 8.999):
             val = expected_bayes_risk_closed(
-                ExpectedRiskInputs(15.7, s2mu, total - s2mu), EQUAL
+                VarianceReduction(15.7, s2mu, total - s2mu), EQUAL
             )
             assert val <= prev + 1e-9
             prev = val
