@@ -21,7 +21,8 @@ always bounds the full-data variance from above.
 :class:`Belief` is the one implementation of these equations. It factors
 the data Gram matrix once, at construction. Every prediction in this
 module, in the risk objective and in the planner's episode evaluator
-conditions through such a factor.
+conditions through such a factor, and every triangular solve against a
+factor is one LAPACK call through ``_tri_solve``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
@@ -192,7 +193,8 @@ def admissible_locations(
     ``min_spacing`` (inclusive) from all ``existing`` locations and all
     previously kept candidates. This predicts exactly which of a planned
     measurement sequence would survive insertion into a data set that
-    currently holds ``existing``.
+    currently holds ``existing``. Kept candidates are looked up in a hash
+    grid, so each test touches only the kept points nearby.
     """
     locations = np.asarray(locations, dtype=float).reshape(-1, 2)
     base = (
@@ -206,23 +208,34 @@ def admissible_locations(
         # so it can be applied in one vectorized pass up front.
         d2 = cdist(locations, base, "sqeuclidean").min(axis=1)
         locations = locations[d2 >= r2]
-    kept = np.empty_like(locations)
-    n_kept = 0
+    if r2 == 0.0 or locations.shape[0] < 2:
+        return locations.copy()
+    # Kept points are hashed into square cells a hair wider than
+    # min_spacing, so every kept point closer than min_spacing to a
+    # candidate lies in the 3x3 cells around it, even under rounding.
+    cell = min_spacing * (1.0 + 1e-6)
+    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    keep = []
     last_n = last_e = 0.0
-    for n_c, e_c in locations.tolist():
-        if n_kept:
+    for i, (n_c, e_c) in enumerate(locations.tolist()):
+        if keep:
             # Cheap sufficient rejection: too close to the last kept point
             # (the common case for points sampled densely along a path).
             dn, de = n_c - last_n, e_c - last_e
             if dn * dn + de * de < r2:
                 continue
-            if np.min(np.sum((kept[:n_kept] - (n_c, e_c)) ** 2, axis=1)) < r2:
-                continue
-        kept[n_kept, 0] = n_c
-        kept[n_kept, 1] = e_c
+        ci, cj = math.floor(n_c / cell), math.floor(e_c / cell)
+        if any(
+            (k_n - n_c) * (k_n - n_c) + (k_e - e_c) * (k_e - e_c) < r2
+            for a in (ci - 1, ci, ci + 1)
+            for b in (cj - 1, cj, cj + 1)
+            for k_n, k_e in cells.get((a, b), ())
+        ):
+            continue
+        cells.setdefault((ci, cj), []).append((n_c, e_c))
+        keep.append(i)
         last_n, last_e = n_c, e_c
-        n_kept += 1
-    return kept[:n_kept].copy() if n_kept else np.empty((0, 2))
+    return locations[keep]
 
 
 @dataclass(frozen=True)
@@ -264,6 +277,24 @@ def _chol_with_jitter(gram: np.ndarray, kernel: KernelSpec, n: int) -> np.ndarra
     return low
 
 
+def _tri_solve(low: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``L^-1 rhs`` (``L^-T rhs`` with ``transpose``) for a lower factor ``L``.
+
+    ``L`` is C-ordered, as ``_chol_with_jitter`` returns it. One LAPACK
+    ``dtrtrs`` call on the Fortran-ordered view ``L.T``, which is the
+    call SciPy's generic triangular solver makes for such a factor,
+    without that solver's per-call argument validation. An empty
+    right-hand side gives an empty result; a zero on the diagonal raises
+    NumericalError.
+    """
+    if rhs.size == 0:
+        return np.empty(rhs.shape)
+    x, info = dtrtrs(low.T, rhs, lower=0, trans=0 if transpose else 1)
+    if info:
+        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
 class Belief:
     """A kernel and constant prior mean conditioned on a data set.
 
@@ -282,14 +313,13 @@ class Belief:
         n = len(data)
         gram = kernel(self._locs, self._locs) + kernel.noise_std**2 * np.eye(n)
         self._low = _chol_with_jitter(gram, kernel, n) if n else np.empty((0, 0))
-        self._alpha = solve_triangular(
-            self._low.T, self.solve(data.values - prior_mean),
-            lower=False, check_finite=False,
+        self._alpha = _tri_solve(
+            self._low, self.solve(data.values - prior_mean), transpose=True
         )
 
     def solve(self, k_sx: np.ndarray) -> np.ndarray:
         """``L^-1 k_sx`` for a block with one row per data sample."""
-        return solve_triangular(self._low, k_sx, lower=True, check_finite=False)
+        return _tri_solve(self._low, k_sx)
 
     def project(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(means, variances, ``L^-1 k(S, queries)``) at the query locations.

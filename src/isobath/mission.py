@@ -55,7 +55,7 @@ from .environment import (
     synthetic_lake,
 )
 from .errors import ConfigurationError
-from .gp import DataSet, KernelSpec, Sample
+from .gp import CONDITION_CAP, DataSet, KernelSpec, Sample
 from .motion import (
     ACTION_SET,
     AgentState,
@@ -147,6 +147,54 @@ class MissionConfig:
             raise ConfigurationError("comm_latency must be non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if not self.sample_spacing > 0:
+            raise ConfigurationError("sample_spacing must be positive")
+        # Every Gram matrix the mission factors is a covariance of at most
+        # n points plus sn^2 on its diagonal, so its 2-norm condition
+        # number, which bounds the factor's estimate from above, is at most
+        # 1 + n sf^2 / sn^2.
+        n_max = self.gram_size_bound()
+        noise_var = self.noise_std**2
+        bound = (
+            1.0 + n_max * self.signal_variance / noise_var if noise_var > 0 else math.inf
+        )
+        if bound > CONDITION_CAP:
+            raise ConfigurationError(
+                f"noise_std {self.noise_std:g} is too small: with up to {n_max} "
+                f"samples in one Gram matrix (min_spacing {self.min_spacing:g}) its "
+                f"condition number may reach 1 + n*sf^2/sn^2 = {bound:.3g}, above "
+                f"the cap {CONDITION_CAP:.0e}; raise noise_std or min_spacing"
+            )
+
+    def gram_size_bound(self) -> int:
+        """Most points one Gram matrix of the mission can hold.
+
+        Data, admitted plans and their union are thinned to be pairwise
+        at least ``min_spacing`` apart, so disks of half that radius
+        around them are disjoint; while they stay within the box spanned
+        by the area and the starts, grown by the sweep's turn apron (two
+        turn radii), the disks fill at most that box grown by the half
+        spacing. Independently of where they lie, they number at most
+        every sample the team can take, twice over: the data, and the
+        plans scored against it.
+        """
+        longest_step = self.turn_radius * (
+            self.theta_max + 2.0 * max(abs(a) for a in ACTION_SET)
+        )
+        per_vehicle = 1 + self.total_length * (
+            math.floor(longest_step / self.sample_spacing) + 1
+        )
+        n_max = 2 * self.team_size * per_vehicle
+        if self.min_spacing > 0:
+            half = 0.5 * self.min_spacing
+            grow = 2.0 * self.turn_radius + half
+            norths = [0.0, self.area_max[0], *(s[1] for s in self.starts)]
+            easts = [0.0, self.area_max[1], *(s[2] for s in self.starts)]
+            box = (max(norths) - min(norths) + 2.0 * grow) * (
+                max(easts) - min(easts) + 2.0 * grow
+            )
+            n_max = min(n_max, math.floor(box / (math.pi * half * half)))
+        return n_max
 
     @property
     def team_size(self) -> int:

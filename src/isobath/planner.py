@@ -16,6 +16,15 @@ products rather than a fresh GP solve. Measurement locations that the
 density rule would reject are dropped before scoring; revisiting known
 ground earns nothing.
 
+A candidate is scored in one evaluator call. The search passes its
+short path and, when no tail from the same final state has been scored
+yet, its lawnmower tail as two location sets. Each set keeps its own
+thinning, Schur block and Cholesky factor; the closed-form expected
+risk then runs once over the sets' concatenated evaluation points, and
+each set's benefit is the sum over its own slice. That gives the same
+floats as scoring the sets one by one, at one set of per-call numpy
+overheads instead of two.
+
 A plan commits a vehicle to measurement locations in one way only:
 ``plan_locations`` samples the short path and then its lawnmower
 completion. The planner's naive value, its final rescore and
@@ -29,10 +38,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
-from .gp import Belief, DataSet, KernelSpec, _chol_with_jitter, admissible_locations
+from .gp import (
+    Belief,
+    DataSet,
+    KernelSpec,
+    _chol_with_jitter,
+    _tri_solve,
+    admissible_locations,
+)
 from .risk import LossParams, bayes_risk_batch, expected_bayes_risk_closed_batch
 from .motion import (
     ACTION_SET,
@@ -124,7 +139,6 @@ class EpisodeEvaluator:
         self.noise_var = kernel.noise_std**2
         grid = context.eval_points
         self.grid = grid
-        self.tree = cKDTree(grid) if grid.shape[0] else None
         self.locs = data.locations
         self.belief = Belief(kernel, context.prior_mean, data)
         self.mu_s, self.var_s, self.v_s = self.belief.project(grid)
@@ -134,13 +148,14 @@ class EpisodeEvaluator:
             context.preceding_planned, data.min_spacing, existing=self.locs
         )
         self.base = base
+        self.existing = np.vstack([self.locs, base])
         nb = base.shape[0]
         if nb:
             b_b = self.belief.solve(kernel(self.locs, base))
             c_bb = kernel(base, base) + self.noise_var * np.eye(nb) - b_b.T @ b_b
             self.low_b = _chol_with_jitter(c_bb, kernel, nb)
             u_b = kernel(base, grid) - b_b.T @ self.v_s
-            self.x_b = solve_triangular(self.low_b, u_b, lower=True, check_finite=False)
+            self.x_b = _tri_solve(self.low_b, u_b)
             self.b_b = b_b
             dvar_base = np.sum(self.x_b**2, axis=0)
         else:
@@ -156,52 +171,59 @@ class EpisodeEvaluator:
 
     def admissible(self, locations) -> np.ndarray:
         """Candidate locations that survive the density rule, in order."""
-        existing = (
-            np.vstack([self.locs, self.base]) if self.base.shape[0] else self.locs
-        )
         return admissible_locations(
-            locations, self.ctx.data.min_spacing, existing=existing
+            locations, self.ctx.data.min_spacing, existing=self.existing
         )
 
-    def marginal(self, locations) -> float:
-        """Marginal expected benefit of measuring at ``locations``.
+    def marginal(self, *location_sets) -> list[float]:
+        """Marginal expected benefit of measuring at each location set.
 
-        Locations are filtered by the density rule against the data and
-        the base plan; the benefit is summed over evaluation points
-        within ``d_eps`` of a surviving location.
+        Each set is scored on its own: its locations are filtered by the
+        density rule against the data and the base plan, and its benefit
+        is summed over evaluation points within ``d_eps`` of a surviving
+        location. The expected risk of every set is evaluated in one
+        closed-form call over their concatenated evaluation points.
         """
         kernel = self.ctx.kernel
-        added = self.admissible(locations)
-        na = added.shape[0]
-        if na == 0 or self.tree is None:
-            return 0.0
-        idx = sorted(
-            {j for hits in self.tree.query_ball_point(added, self.ctx.d_eps)
-             for j in hits}
-        )
-        if not idx:
-            return 0.0
-        idx = np.asarray(idx, dtype=int)
-
-        b_a = self.belief.solve(kernel(self.locs, added))
-        c_aa = kernel(added, added) + self.noise_var * np.eye(na) - b_a.T @ b_a
-        u_a = kernel(added, self.grid[idx]) - b_a.T @ self.v_s[:, idx]
-        if self.low_b is not None:
-            c_ba = kernel(self.base, added) - self.b_b.T @ b_a
-            m = solve_triangular(self.low_b, c_ba, lower=True, check_finite=False)
-            c_aa = c_aa - m.T @ m
-            u_a = u_a - m.T @ self.x_b[:, idx]
-        low_a = _chol_with_jitter(c_aa, kernel, na)
-        x_a = solve_triangular(low_a, u_a, lower=True, check_finite=False)
-        dvar = np.sum(x_a**2, axis=0)
-        var_qfull = np.maximum(self.var_qbase[idx] - dvar, 0.0)
+        near, moments = [], []
+        for locations in location_sets:
+            added = self.admissible(locations)
+            na = added.shape[0]
+            d2 = cdist(added, self.grid, "sqeuclidean")
+            idx = np.flatnonzero((d2 <= self.ctx.d_eps**2).any(axis=0))
+            near.append(idx)
+            if not idx.size:
+                continue
+            b_a = self.belief.solve(kernel(self.locs, added))
+            c_aa = kernel(added, added) + self.noise_var * np.eye(na) - b_a.T @ b_a
+            u_a = kernel(added, self.grid[idx]) - b_a.T @ self.v_s[:, idx]
+            if self.low_b is not None:
+                c_ba = kernel(self.base, added) - self.b_b.T @ b_a
+                m = _tri_solve(self.low_b, c_ba)
+                c_aa = c_aa - m.T @ m
+                u_a = u_a - m.T @ self.x_b[:, idx]
+            low_a = _chol_with_jitter(c_aa, kernel, na)
+            x_a = _tri_solve(low_a, u_a)
+            dvar = np.sum(x_a**2, axis=0)
+            var_qfull = np.maximum(self.var_qbase[idx] - dvar, 0.0)
+            moments.append((
+                self.mu_s[idx],
+                np.maximum(self.var_s[idx] - var_qfull, 0.0),
+                var_qfull,
+            ))
+        if not moments:
+            return [0.0] * len(near)
         e_full = expected_bayes_risk_closed_batch(
-            self.mu_s[idx],
-            np.maximum(self.var_s[idx] - var_qfull, 0.0),
-            var_qfull,
-            self.ctx.loss,
+            *(np.concatenate(parts) for parts in zip(*moments)), self.ctx.loss
         )
-        return float(np.sum(self.e_base[idx] - e_full))
+        values, start = [], 0
+        for idx in near:
+            stop = start + idx.size
+            values.append(
+                float(np.sum(self.e_base[idx] - e_full[start:stop])) if idx.size else 0.0
+            )
+            start = stop
+        return values
 
 
 def path_reward(path_locations, context: PlanContext) -> float:
@@ -211,7 +233,7 @@ def path_reward(path_locations, context: PlanContext) -> float:
     evaluation points within ``d_eps`` of the path. Revisiting only
     locations the density rule would reject earns zero.
     """
-    return EpisodeEvaluator(context).marginal(path_locations)
+    return EpisodeEvaluator(context).marginal(path_locations)[0]
 
 
 def _tail_path(final_state: AgentState, tail_steps: int, context: PlanContext) -> Path:
@@ -349,7 +371,7 @@ def plan_episode(
         naive_value = evaluator.marginal(plan_locations(
             Path((start,), ()), context.remaining_steps, context.area,
             context.motion, context.sensor_spacing, context.swath,
-        ))
+        ))[0]
     else:
         naive_value = 0.0
 
@@ -367,19 +389,23 @@ def plan_episode(
             return cached
         short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
         short_locs = sample_locations(short, context.sensor_spacing)
-        value = evaluator.marginal(short_locs)
+        # The short path and, on a tail-memo miss, its tail are scored in
+        # one call; a memo hit reuses the first tail scored at that state.
+        sets = [short_locs]
+        key = None
         if config.use_terminal_reward:
             tail_steps = max(context.remaining_steps - len(short), 0)
             if tail_steps > 0 and _tail_eligible(short_locs, context):
                 key = _quantize(short.final)
-                tail_value = tail_memo.get(key)
-                if tail_value is None:
+                if key not in tail_memo:
                     tail = _tail_path(short.final, tail_steps, context)
-                    tail_value = evaluator.marginal(
-                        sample_locations(tail, context.sensor_spacing)[1:]
-                    )
-                    tail_memo[key] = tail_value
-                value += tail_value
+                    sets.append(sample_locations(tail, context.sensor_spacing)[1:])
+        values = evaluator.marginal(*sets)
+        if len(values) > 1:
+            tail_memo[key] = values[1]
+        value = values[0]
+        if key is not None:
+            value += tail_memo[key]
         evaluations += 1
         value_memo[actions] = value
         return value
@@ -454,7 +480,7 @@ def plan_episode(
         short = rollout(
             start, [ACTION_SET[i] for i in best_actions], context.motion
         )
-        jbar = evaluator.marginal(_completed_locations(short, context))
+        jbar = evaluator.marginal(_completed_locations(short, context))[0]
         evaluations += 1
         if jbar + BOUND_TOLERANCE < naive_value:
             # The search lost to the policy it extrapolates: keep that

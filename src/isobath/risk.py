@@ -31,6 +31,12 @@ while keeping every term an erf or exponential of a quadratic to
 integrate, so the whole evaluation stays closed-form. An adaptive
 quadrature evaluator and a Monte Carlo evaluator provide two independent
 cross-checks.
+
+The batch evaluator keeps the powers, moments and terms of the
+correction as rows of 2-D arrays, so a call costs about the same for one
+element as for a few dozen. Each element's result is also independent
+of the batch it is evaluated in; the planner relies on that when it
+scores several location sets in one call.
 """
 
 from __future__ import annotations
@@ -69,6 +75,8 @@ def _fit_erf_correction(degree: int = _CORRECTION_DEGREE) -> np.ndarray:
 
 
 _ERF_CORRECTION = _fit_erf_correction()
+# Row q - 2 holds the factor q - 1 of the moment recursion in _branch_sum.
+_RECURSION_ROWS = np.arange(1.0, _CORRECTION_DEGREE)[:, None]
 # Binomial mixing matrix for the moment recombination in _branch_sum:
 # row j, column k holds C(j+k, j) * c_{j+k} (zero past the fit degree).
 _CORRECTION_BINOMIAL = np.array(
@@ -175,15 +183,25 @@ def _scaled_erfc(z, gpeak, gend):
     return out
 
 
-def _branch_sum(center, s2mu, s, x0, x1):
+def _powers(x, top):
+    """Rows 1, x, x*x, ... up to x**top, each row the previous times x."""
+    out = np.empty((top + 1, x.shape[0]))
+    out[0] = 1.0
+    out[1:] = x
+    return np.multiply.accumulate(out, axis=0, out=out)
+
+
+def _branch_sum(center, s2mu, s, x0, x1=None):
     """Sum_p c_p Integral_{x0}^{x1} N(v; center, s2mu) (s v)^p e^{-(sv)^2 - B s v} dv.
 
     The c_p are the fitted correction coefficients. All parameters are
-    same-length arrays; ``x1`` may be +inf. Completing the square gives
-    half-line Gaussian moments, evaluated by the usual two-term recursion
-    with boundary terms kept in overflow-safe scaled form; the binomial
+    same-length arrays; ``x1=None`` stands for +inf, where every upper
+    boundary term vanishes. Completing the square gives half-line
+    Gaussian moments, evaluated by the usual two-term recursion with
+    boundary terms kept in overflow-safe scaled form; the binomial
     recombination Sum_p c_p s^p (m + w)^p collapses to one constant
-    matrix applied to the powers of s*m.
+    matrix applied to the powers of s*m. Each power, moment and term is
+    a row of a 2-D array, so the cost hardly depends on the batch size.
     """
     p_coef = 1.0 / (2.0 * s2mu) + s * s
     q_coef = center / s2mu - _B * s
@@ -194,43 +212,43 @@ def _branch_sum(center, s2mu, s, x0, x1):
     def g_at(x):
         return -((x - center) ** 2) / (2.0 * s2mu) - (s * x) ** 2 - _B * s * x
 
+    degree = _CORRECTION_DEGREE
+    sqrt_p = np.sqrt(p_coef)
     g0 = g_at(x0)
     e0 = np.exp(g0)
-    sqrt_p = np.sqrt(p_coef)
-    z0 = sqrt_p * (x0 - m)
-    fin = np.isfinite(x1)
-    x1f = np.where(fin, x1, 0.0)
-    g1 = np.where(fin, g_at(x1f), -np.inf)
-    e1 = np.where(fin, np.exp(np.where(fin, g1, 0.0)), 0.0)
-    z1 = sqrt_p * (x1f - m)
+    scaled = _scaled_erfc(sqrt_p * (x0 - m), gpeak, g0)
+    # Row q - 2 is the boundary term of moment q; the powers d**(q - 1)
+    # come from sequential products.
+    edge = _powers(x0 - m, degree - 1)[1:] * e0
+    e_diff = e0
+    if x1 is not None:
+        g1 = g_at(x1)
+        e1 = np.exp(g1)
+        scaled = scaled - _scaled_erfc(sqrt_p * (x1 - m), gpeak, g1)
+        edge = edge - _powers(x1 - m, degree - 1)[1:] * e1
+        e_diff = e0 - e1
 
-    scaled0 = _scaled_erfc(z0, gpeak, g0)
-    scaled1 = np.where(fin, _scaled_erfc(z1, gpeak, np.where(fin, g1, 0.0)), 0.0)
+    moments = np.empty((degree + 1, center.shape[0]))
+    moments[0] = 0.5 * np.sqrt(np.pi / p_coef) * scaled
+    moments[1] = e_diff * inv2p
+    bound = edge * inv2p
+    factor = _RECURSION_ROWS * inv2p
+    # Even and odd moments form two independent chains, advanced together.
+    for q in range(2, degree + 1, 2):
+        hi = min(q + 2, degree + 1)
+        moments[q:hi] = bound[q - 2:hi - 2] + factor[q - 2:hi - 2] * moments[q - 2:hi - 2]
 
-    degree = _CORRECTION_DEGREE
-    n = center.shape[0]
-    moments = np.empty((degree + 1, n))
-    moments[0] = 0.5 * np.sqrt(np.pi / p_coef) * (scaled0 - scaled1)
-    d0, d1 = x0 - m, x1f - m
-    moments[1] = (e0 - e1) * inv2p
-    pow0, pow1 = d0.copy(), d1.copy()
-    for q in range(2, degree + 1):
-        moments[q] = (pow0 * e0 - pow1 * e1) * inv2p + (q - 1) * inv2p * moments[q - 2]
-        if q < degree:
-            pow0 *= d0
-            pow1 *= d1
-
-    u_pows = np.empty((degree + 1, n))
-    u_pows[0] = 1.0
-    u = s * m
-    for k in range(1, degree + 1):
-        u_pows[k] = u_pows[k - 1] * u
-    mixed = _CORRECTION_BINOMIAL @ u_pows
-    s_pow = np.ones(n)
-    total = moments[0] * mixed[0]
-    for j in range(1, degree + 1):
-        s_pow = s_pow * s
-        total += s_pow * moments[j] * mixed[j]
+    # BLAS takes a one-column product through gemv, which rounds unlike
+    # gemm; two columns keep each element's value independent of the
+    # batch it is evaluated in.
+    u_pows = _powers(s * m, degree)
+    if u_pows.shape[1] == 1:
+        mixed = (_CORRECTION_BINOMIAL @ np.tile(u_pows, 2))[:, :1]
+    else:
+        mixed = _CORRECTION_BINOMIAL @ u_pows
+    # Summed row by row, as a running sum: ``np.add.reduce`` turns to
+    # pairwise summation when the batch is narrow, which rounds otherwise.
+    total = np.add.accumulate(_powers(s, degree) * moments * mixed, axis=0)[-1]
     norm = 1.0 / np.sqrt(2.0 * np.pi * s2mu)
     return norm * total
 
@@ -246,16 +264,18 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
     mu_mu = np.asarray(mu_mu, dtype=float)
     s2mu = np.asarray(sigma_mu_sq, dtype=float)
     s2q = np.asarray(sigma_pq_sq, dtype=float)
-    mu_mu, s2mu, s2q = np.broadcast_arrays(mu_mu, s2mu, s2q)
+    if not mu_mu.shape == s2mu.shape == s2q.shape:
+        mu_mu, s2mu, s2q = np.broadcast_arrays(mu_mu, s2mu, s2q)
     c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
     level = loss.level
     out = np.zeros(mu_mu.shape)
 
     no_spread = s2mu <= 1e-300
-    out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
+    if no_spread.any():
+        out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
 
     live = ~no_spread & (s2q > 1e-300)
-    if not np.any(live):
+    if not live.any():
         return np.clip(out, 0.0, max(c1, c2))
 
     mm = mu_mu[live]
@@ -273,12 +293,12 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
     upper = np.minimum(ms, level)
     phi_u = _phi((upper - mm) / sd_mu)
     v0 = level - upper
-    sum_a = _branch_sum(level - mm, vmu, s, v0, np.full_like(mm, np.inf))
+    sum_a = _branch_sum(level - mm, vmu, s, v0)
     t_total = phi_u - sum_a
 
     # Deep side, present only when mu* exceeds the level.
     has_b = ms > level
-    if np.any(has_b):
+    if has_b.any():
         v1 = np.where(has_b, ms - level, 1.0)
         phi_ms = _phi((ms - mm) / sd_mu)
         phi_l = _phi((level - mm) / sd_mu)

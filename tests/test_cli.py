@@ -2,12 +2,15 @@
 codes, and the files a run writes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from isobath.cli import load_config, main, parse_seeds
 from isobath.errors import ConfigurationError, NumericalError
 from isobath.mission import MissionConfig
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 MICRO = dict(
     area_max=[200.0, 300.0],
@@ -141,6 +144,23 @@ def test_validate_config_file(config_file, capsys):
     assert main(["validate", "--config", str(config_file)]) == 0
     out = capsys.readouterr().out
     assert "2 vehicles" in out and "6 steps" in out
+
+
+def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, capsys):
+    # Noise-free samples 1 m apart make Gram matrices that no factor
+    # with bounded condition number can hold; ``isobath run`` used to
+    # fail on this config after 22 samples.
+    monkeypatch.setenv("ISOBATH_MIN_SPACING", "1.0")
+    monkeypatch.setenv("ISOBATH_NOISE_STD", "0.0")
+    monkeypatch.setenv("ISOBATH_TOTAL_LENGTH", "30")
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+    err = capsys.readouterr().err
+    assert "1 + n*sf^2/sn^2" in err and "1e+14" in err
+
+
+def test_default_config_file_validates(capsys):
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 3 vehicles")
 
 
 def test_configuration_problems_exit_two(tmp_path, capsys):

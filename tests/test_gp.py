@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from isobath.gp import (
     Belief,
@@ -208,7 +209,74 @@ class TestDensityFilter:
                 assert np.linalg.norm(kept[i] - kept[j]) >= spacing - 1e-9
 
 
+def greedy_thinning(locations, min_spacing, existing=None):
+    """The original per-point thinning loop, kept as the oracle."""
+    locations = np.asarray(locations, dtype=float).reshape(-1, 2)
+    base = (
+        np.asarray(existing, dtype=float).reshape(-1, 2)
+        if existing is not None
+        else np.empty((0, 2))
+    )
+    r2 = min_spacing**2
+    if base.shape[0] and locations.shape[0]:
+        d2 = cdist(locations, base, "sqeuclidean").min(axis=1)
+        locations = locations[d2 >= r2]
+    kept = np.empty_like(locations)
+    n_kept = 0
+    last_n = last_e = 0.0
+    for n_c, e_c in locations.tolist():
+        if n_kept:
+            dn, de = n_c - last_n, e_c - last_e
+            if dn * dn + de * de < r2:
+                continue
+            if np.min(np.sum((kept[:n_kept] - (n_c, e_c)) ** 2, axis=1)) < r2:
+                continue
+        kept[n_kept, 0] = n_c
+        kept[n_kept, 1] = e_c
+        last_n, last_e = n_c, e_c
+        n_kept += 1
+    return kept[:n_kept].copy() if n_kept else np.empty((0, 2))
+
+
+@st.composite
+def thinning_cases(draw):
+    """Candidates, spacing and optional existing points for the thinning."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    spacing = draw(st.sampled_from([0.0, 1.0, 7.3, 30.0]))
+    n = draw(st.integers(0, 80))
+    shape = draw(st.sampled_from(["walk", "lattice", "path"]))
+    if shape == "walk":
+        steps = rng.normal(0.0, rng.choice([1.0, 5.0, 20.0]), (n, 2))
+        pts = np.cumsum(steps, axis=0) + rng.uniform(-100.0, 100.0, 2)
+    elif shape == "lattice":
+        # Neighbours sit exactly min_spacing (or a fraction of it) apart,
+        # so the inclusive boundary decides.
+        unit = (spacing or 1.0) * rng.choice([1.0, 0.5, 1.0 / 3.0])
+        pts = rng.integers(-5, 5, (n, 2)) * unit
+    else:
+        heading = np.cumsum(rng.normal(0.0, 0.2, n))
+        pts = np.cumsum(5.0 * np.c_[np.cos(heading), np.sin(heading)], axis=0)
+    existing = None
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 20))
+        existing = (
+            rng.integers(-5, 5, (m, 2)) * (spacing or 1.0)
+            if shape == "lattice"
+            else rng.uniform(-150.0, 150.0, (m, 2))
+        )
+    return pts, spacing, existing
+
+
 class TestAdmissibleLocations:
+    @given(thinning_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_greedy_loop(self, case):
+        pts, spacing, existing = case
+        got = admissible_locations(pts, spacing, existing)
+        want = greedy_thinning(pts, spacing, existing)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
     @given(st.integers(0, 2**31 - 1), st.floats(5.0, 60.0))
     @settings(max_examples=40, deadline=None)
     def test_matches_sequential_insertion(self, seed, spacing):

@@ -150,6 +150,32 @@ class TestMarginalObjective:
             locs = rng.uniform((0, 0), (300, 400), size=(10, 2))
             assert path_reward(locs, ctx) >= -1e-9
 
+    @pytest.mark.parametrize("n_data,n_base", [(0, 0), (12, 0), (12, 6)])
+    def test_several_sets_score_as_separate_calls(self, n_data, n_base):
+        rng = np.random.default_rng(20 + n_data + n_base)
+        ctx = make_context(rng, n_data=n_data, n_base=n_base)
+        ev = EpisodeEvaluator(ctx)
+        start = AgentState(0.3, 80.0, 60.0)
+        short = sample_locations(rollout(start, [0.0, ACTION_SET[3]], MOTION), 5.0)
+        tail = sample_locations(lawnmower_path(start, 12, AREA, MOTION), 5.0)[1:]
+        sets = [
+            short,
+            np.empty((0, 2)),
+            ctx.data.locations.copy() if n_data else ev.base.copy(),
+            np.array([[5000.0, 5000.0], [6000.0, 6000.0]]),
+            tail,
+            rng.uniform((0, 0), (300, 400), size=(1, 2)),
+            # One evaluation point within d_eps: a one-element batch.
+            np.array([[-119.0, -1.0]]),
+            short,
+        ]
+        got = ev.marginal(*sets)
+        want = [ev.marginal(locs)[0] for locs in sets]
+        assert got == want
+        assert got[1] == got[2] == got[3] == 0.0
+        assert got[0] == got[-1] > 0.0
+        assert ev.marginal() == []
+
     def test_evaluator_admissible_respects_data_and_base(self):
         rng = np.random.default_rng(4)
         ctx = make_context(rng, n_data=10, n_base=5)
@@ -319,11 +345,10 @@ class TestPlanEpisode:
             start = AgentState(rng.uniform(-math.pi, math.pi),
                                rng.uniform(40, 260), rng.uniform(40, 360))
             ev = EpisodeEvaluator(ctx)
-            brute = [
-                ev.marginal(sample_locations(rollout(start, [a], MOTION),
-                                             ctx.sensor_spacing))
+            brute = ev.marginal(*(
+                sample_locations(rollout(start, [a], MOTION), ctx.sensor_spacing)
                 for a in ACTION_SET
-            ]
+            ))
             res = plan_episode(start, ctx,
                                plan_cfg(use_terminal_reward=False, horizon=1,
                                         mcts_iterations=40),

@@ -18,7 +18,11 @@ from isobath.gp import (
 )
 from isobath.risk import (
     _B,
+    _CORRECTION_BINOMIAL,
+    _CORRECTION_DEGREE,
     _ERF_CORRECTION,
+    _branch_sum,
+    _scaled_erfc,
     LossParams,
     RiskField,
     bayes_estimate,
@@ -209,6 +213,106 @@ class TestExpectedRiskEvaluators:
             )
             assert val <= prev + 1e-9
             prev = val
+
+
+def loop_branch_sum(center, s2mu, s, x0, x1):
+    """The original row-by-row loop of ``_branch_sum``, kept as the oracle."""
+    p_coef = 1.0 / (2.0 * s2mu) + s * s
+    q_coef = center / s2mu - _B * s
+    inv2p = 1.0 / (2.0 * p_coef)
+    m = q_coef * inv2p
+    gpeak = q_coef**2 * (0.5 * inv2p) - center**2 / (2.0 * s2mu)
+
+    def g_at(x):
+        return -((x - center) ** 2) / (2.0 * s2mu) - (s * x) ** 2 - _B * s * x
+
+    g0 = g_at(x0)
+    e0 = np.exp(g0)
+    sqrt_p = np.sqrt(p_coef)
+    z0 = sqrt_p * (x0 - m)
+    fin = np.isfinite(x1)
+    x1f = np.where(fin, x1, 0.0)
+    g1 = np.where(fin, g_at(x1f), -np.inf)
+    e1 = np.where(fin, np.exp(np.where(fin, g1, 0.0)), 0.0)
+    z1 = sqrt_p * (x1f - m)
+    scaled0 = _scaled_erfc(z0, gpeak, g0)
+    scaled1 = np.where(fin, _scaled_erfc(z1, gpeak, np.where(fin, g1, 0.0)), 0.0)
+
+    degree = _CORRECTION_DEGREE
+    n = center.shape[0]
+    moments = np.empty((degree + 1, n))
+    moments[0] = 0.5 * np.sqrt(np.pi / p_coef) * (scaled0 - scaled1)
+    d0, d1 = x0 - m, x1f - m
+    moments[1] = (e0 - e1) * inv2p
+    pow0, pow1 = d0.copy(), d1.copy()
+    for q in range(2, degree + 1):
+        moments[q] = (pow0 * e0 - pow1 * e1) * inv2p + (q - 1) * inv2p * moments[q - 2]
+        if q < degree:
+            pow0 *= d0
+            pow1 *= d1
+    u_pows = np.empty((degree + 1, n))
+    u_pows[0] = 1.0
+    u = s * m
+    for k in range(1, degree + 1):
+        u_pows[k] = u_pows[k - 1] * u
+    mixed = _CORRECTION_BINOMIAL @ u_pows
+    s_pow = np.ones(n)
+    total = moments[0] * mixed[0]
+    for j in range(1, degree + 1):
+        s_pow = s_pow * s
+        total += s_pow * moments[j] * mixed[j]
+    norm = 1.0 / np.sqrt(2.0 * np.pi * s2mu)
+    return norm * total
+
+
+class TestBranchSum:
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 60), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_row_by_row_loop(self, seed, n, finite):
+        # Batches of two or more: a one-column product rounds through
+        # BLAS gemv in the loop, which the flat version avoids on purpose.
+        rng = np.random.default_rng(seed)
+        center = rng.normal(0.0, 4.0, n)
+        s2mu = rng.exponential(3.0, n) + 1e-6
+        s = 1.0 / (np.sqrt(rng.exponential(3.0, n) + 1e-6) * math.sqrt(2.0))
+        x0 = rng.exponential(1.0, n) * (rng.random(n) < 0.5)
+        x1 = x0 + rng.exponential(2.0, n) if finite else np.full(n, np.inf)
+        flat = _branch_sum(center, s2mu, s, x0, x1 if finite else None)
+        assert np.array_equal(flat, loop_branch_sum(center, s2mu, s, x0, x1))
+
+
+class TestClosedBatchIsElementwise:
+    """Each element's expected risk does not depend on its batch.
+
+    The planner scores several location sets in one call over their
+    concatenated inputs and reads each set's values from its slice, so
+    a batch must return bit for bit what its parts return alone.
+    """
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.integers(0, 30), min_size=1, max_size=5),
+        st.sampled_from([EQUAL, SKEWED, LossParams(15.0, 13.0, 4.0)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_concatenation_equals_the_parts(self, seed, sizes, loss):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        mu = rng.normal(15.0, 4.0, n)
+        # Some elements have no mean spread or no residual variance, the
+        # two degenerate branches; some have a tiny residual variance.
+        s2mu = rng.exponential(3.0, n) * (rng.random(n) > 0.15)
+        s2q = rng.exponential(3.0, n) * (rng.random(n) > 0.15)
+        s2q = np.where(rng.random(n) < 0.1, rng.exponential(1e-6, n), s2q)
+        whole = expected_bayes_risk_closed_batch(mu, s2mu, s2q, loss)
+        cuts = np.cumsum(sizes)[:-1]
+        parts = [
+            expected_bayes_risk_closed_batch(m, a, q, loss)
+            for m, a, q in zip(
+                np.split(mu, cuts), np.split(s2mu, cuts), np.split(s2q, cuts)
+            )
+        ]
+        assert np.array_equal(whole, np.concatenate(parts))
 
 
 class TestBenefitOfSearch:
