@@ -8,176 +8,4 @@ teammates through a bandwidth-limited acoustic broadcast channel, and
 the whole mission runs on a deterministic event-driven simulator.
 """
 
-from .comms import (
-    CommEvent,
-    CommLog,
-    Packet,
-    TdmaSchedule,
-    decode_packet,
-    encode_packet,
-    measurement_capacity,
-    select_measurements,
-)
-from .coordination import (
-    JointPlanSnapshot,
-    PeerPlan,
-    TeamOrdering,
-    joint_reward,
-    plan_with_predecessors,
-)
-from .environment import (
-    AnalyticBathymetry,
-    GriddedBathymetry,
-    OperationalArea,
-    SensorModel,
-    eval_grid,
-    sample_depth,
-    synthetic_lake,
-)
-from .errors import (
-    ConfigurationError,
-    DecodeError,
-    DomainError,
-    EncodeError,
-    IsobathError,
-    NumericalError,
-)
-from .gp import (
-    Belief,
-    DataSet,
-    KernelSpec,
-    Prediction,
-    Sample,
-    admissible_locations,
-    local_subset,
-    posterior_predict,
-    posterior_predict_local,
-    variance_reduction,
-)
-from .mission import (
-    MissionConfig,
-    MissionResult,
-    accumulated_reward_trace,
-    compare_methods,
-    global_data,
-    risk_snapshot,
-    run_mission,
-    truth_grid,
-    write_jsonl,
-)
-from .motion import (
-    ACTION_SET,
-    AgentState,
-    MotionParams,
-    Path,
-    lawnmower_path,
-    rollout,
-    sample_locations,
-    step,
-    wrap_heading,
-)
-from .planner import (
-    EpisodeEvaluator,
-    PlanConfig,
-    PlanContext,
-    PlanResult,
-    augmented_reward,
-    bound_condition_check,
-    path_reward,
-    plan_episode,
-)
-from .risk import (
-    LossParams,
-    RiskField,
-    bayes_estimate,
-    bayes_risk,
-    bayes_risk_batch,
-    benefit_of_search,
-    expected_bayes_risk_closed,
-    expected_bayes_risk_closed_batch,
-    expected_bayes_risk_mc,
-    expected_bayes_risk_quadrature,
-    expected_benefit_of_search,
-    mu_star,
-    risk_field,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTION_SET",
-    "AgentState",
-    "AnalyticBathymetry",
-    "Belief",
-    "CommEvent",
-    "CommLog",
-    "ConfigurationError",
-    "DataSet",
-    "DecodeError",
-    "DomainError",
-    "EncodeError",
-    "EpisodeEvaluator",
-    "GriddedBathymetry",
-    "IsobathError",
-    "JointPlanSnapshot",
-    "KernelSpec",
-    "LossParams",
-    "MissionConfig",
-    "MissionResult",
-    "MotionParams",
-    "NumericalError",
-    "OperationalArea",
-    "Packet",
-    "Path",
-    "PeerPlan",
-    "PlanConfig",
-    "PlanContext",
-    "PlanResult",
-    "Prediction",
-    "RiskField",
-    "Sample",
-    "SensorModel",
-    "TdmaSchedule",
-    "TeamOrdering",
-    "accumulated_reward_trace",
-    "admissible_locations",
-    "augmented_reward",
-    "bayes_estimate",
-    "bayes_risk",
-    "bayes_risk_batch",
-    "benefit_of_search",
-    "bound_condition_check",
-    "compare_methods",
-    "decode_packet",
-    "encode_packet",
-    "eval_grid",
-    "expected_bayes_risk_closed",
-    "expected_bayes_risk_closed_batch",
-    "expected_bayes_risk_mc",
-    "expected_bayes_risk_quadrature",
-    "expected_benefit_of_search",
-    "global_data",
-    "joint_reward",
-    "lawnmower_path",
-    "local_subset",
-    "measurement_capacity",
-    "mu_star",
-    "path_reward",
-    "plan_episode",
-    "plan_with_predecessors",
-    "posterior_predict",
-    "posterior_predict_local",
-    "risk_field",
-    "risk_snapshot",
-    "rollout",
-    "run_mission",
-    "sample_depth",
-    "sample_locations",
-    "select_measurements",
-    "step",
-    "synthetic_lake",
-    "truth_grid",
-    "variance_reduction",
-    "wrap_heading",
-    "write_jsonl",
-]

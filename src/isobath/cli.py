@@ -8,12 +8,13 @@ one subdirectory per seed; with ``--compare`` it instead runs every
 planner variant over the seeds and writes a comparison summary.
 
 ``isobath validate`` checks that a configuration file is usable and
-exits without running anything.
+exits without running anything: it builds every part a mission builds.
 
 Configuration files are JSON objects whose keys are MissionConfig
 fields. Any field can also be overridden through the environment as
 ``ISOBATH_<FIELD>`` (upper-cased field name); values are parsed as JSON
-when possible and taken as literal strings otherwise.
+when possible and taken as literal strings otherwise. A file key or an
+``ISOBATH_`` variable that names no field is a configuration error.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 for runtime
 failures.
@@ -71,8 +72,11 @@ def load_config(path: str | None, env: dict[str, str] | None = None) -> MissionC
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     env = os.environ if env is None else env
-    for name in field_names:
-        key = ENV_PREFIX + name.upper()
+    env_names = {ENV_PREFIX + name.upper(): name for name in field_names}
+    unknown = sorted(k for k in env if k.startswith(ENV_PREFIX) and k not in env_names)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+    for key, name in env_names.items():
         if key in env:
             text = env[key]
             try:

@@ -87,18 +87,12 @@ class PeerPlan:
         )
 
     def planned_locations(
-        self,
-        motion: MotionParams,
-        sample_spacing: float,
-        area,
-        swath: float | None = None,
+        self, motion: MotionParams, sample_spacing: float, area
     ) -> np.ndarray:
         """Future measurement locations this plan commits the sender to."""
         actions = [ACTION_SET[i] for i in self.action_indices]
         path = rollout(self.state, actions, motion)
-        return plan_locations(
-            path, self.tail_steps, area, motion, sample_spacing, swath
-        )
+        return plan_locations(path, self.tail_steps, area, motion, sample_spacing)
 
 
 @dataclass
@@ -117,16 +111,13 @@ class JointPlanSnapshot:
         motion: MotionParams,
         sample_spacing: float,
         area,
-        swath: float | None = None,
     ) -> np.ndarray:
         """Planned locations of strictly-preceding agents, in team order."""
         blocks = []
         for peer in ordering.preceding(agent_id):
             plan = self.plans.get(peer)
             if plan is not None:
-                blocks.append(
-                    plan.planned_locations(motion, sample_spacing, area, swath)
-                )
+                blocks.append(plan.planned_locations(motion, sample_spacing, area))
         if not blocks:
             return np.empty((0, 2))
         return np.vstack(blocks)
@@ -154,7 +145,6 @@ def plan_with_predecessors(
         context.motion,
         context.sensor_spacing,
         context.area,
-        context.swath,
     )
     ctx = replace(context, preceding_planned=pre)
     return plan_episode(start, ctx, config, rng)

@@ -1,20 +1,17 @@
 """Operational area, bathymetry truth models, and the depth sensor.
 
 Coordinates are planar (north_m, east_m). Depths are positive-down
-meters. Truth fields come in two representations: analytic synthetic
-lakes for experiments, and gridded bathymetry with bilinear
-interpolation for replaying recorded surveys. Only the gridded form has
-a bounded domain; queries outside it raise DomainError.
+meters. The truth field is an analytic synthetic lake, one of a few
+closed-form families, defined everywhere on the plane.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .gp import Sample
 
 
@@ -56,100 +53,6 @@ class AnalyticBathymetry:
     def depth_grid(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         return np.asarray(self._fn(pts), dtype=float)
-
-
-class GriddedBathymetry:
-    """Depth on a regular lattice, bilinearly interpolated between nodes.
-
-    The lattice must be complete and evenly spaced on both axes. Queries
-    outside the lattice hull raise DomainError.
-    """
-
-    def __init__(self, norths: np.ndarray, easts: np.ndarray, depths: np.ndarray):
-        self.norths = np.asarray(norths, dtype=float)
-        self.easts = np.asarray(easts, dtype=float)
-        self.depths = np.asarray(depths, dtype=float)
-        if self.norths.ndim != 1 or self.easts.ndim != 1:
-            raise ConfigurationError("grid axes must be one-dimensional")
-        if self.depths.shape != (self.norths.size, self.easts.size):
-            raise ConfigurationError("depth grid shape must match its axes")
-        if self.norths.size < 2 or self.easts.size < 2:
-            raise ConfigurationError("grid needs at least 2 nodes per axis")
-        for ax in (self.norths, self.easts):
-            steps = np.diff(ax)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-6):
-                raise ConfigurationError("grid axes must be strictly regular")
-        if not np.all(np.isfinite(self.depths)):
-            raise ConfigurationError("grid depths must be finite")
-
-    def depth_at(self, point) -> float:
-        return float(self.depth_grid(np.asarray(point).reshape(1, 2))[0])
-
-    def depth_grid(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        n, e = pts[:, 0], pts[:, 1]
-        if (
-            np.any(n < self.norths[0] - 1e-9)
-            or np.any(n > self.norths[-1] + 1e-9)
-            or np.any(e < self.easts[0] - 1e-9)
-            or np.any(e > self.easts[-1] + 1e-9)
-        ):
-            raise DomainError("depth query outside the gridded bathymetry hull")
-        dn = self.norths[1] - self.norths[0]
-        de = self.easts[1] - self.easts[0]
-        fi = np.clip((n - self.norths[0]) / dn, 0, self.norths.size - 1 - 1e-12)
-        fj = np.clip((e - self.easts[0]) / de, 0, self.easts.size - 1 - 1e-12)
-        i = fi.astype(int)
-        j = fj.astype(int)
-        ti = fi - i
-        tj = fj - j
-        d00 = self.depths[i, j]
-        d10 = self.depths[i + 1, j]
-        d01 = self.depths[i, j + 1]
-        d11 = self.depths[i + 1, j + 1]
-        return (
-            d00 * (1 - ti) * (1 - tj)
-            + d10 * ti * (1 - tj)
-            + d01 * (1 - ti) * tj
-            + d11 * ti * tj
-        )
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("north_m,east_m,depth_m\n")
-            for i, n in enumerate(self.norths):
-                for j, e in enumerate(self.easts):
-                    fh.write(f"{float(n)!r},{float(e)!r},{float(self.depths[i, j])!r}\n")
-
-    @classmethod
-    def read_csv(cls, path) -> "GriddedBathymetry":
-        rows = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "north_m,east_m,depth_m":
-                raise ConfigurationError(f"unexpected bathymetry CSV header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ConfigurationError(f"malformed bathymetry CSV row: {line!r}")
-                rows.append(tuple(float(x) for x in parts))
-        if not rows:
-            raise ConfigurationError("bathymetry CSV holds no data rows")
-        norths = np.array(sorted({r[0] for r in rows}))
-        easts = np.array(sorted({r[1] for r in rows}))
-        if len(rows) != norths.size * easts.size:
-            raise ConfigurationError("bathymetry CSV is not a complete lattice")
-        depths = np.full((norths.size, easts.size), np.nan)
-        ni = {v: k for k, v in enumerate(norths)}
-        ei = {v: k for k, v in enumerate(easts)}
-        for n, e, d in rows:
-            depths[ni[n], ei[e]] = d
-        if np.any(np.isnan(depths)):
-            raise ConfigurationError("bathymetry CSV is missing lattice nodes")
-        return cls(norths, easts, depths)
 
 
 _LAKE_FAMILIES = ("plane", "gaussian-basin", "two-basin", "ridge")

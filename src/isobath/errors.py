@@ -13,10 +13,6 @@ class ConfigurationError(IsobathError):
     """A config file, parameter set, or scenario description is unusable."""
 
 
-class DomainError(ConfigurationError):
-    """A query fell outside the region where a field is defined."""
-
-
 class NumericalError(IsobathError):
     """A numerical routine failed to produce a trustworthy result."""
 

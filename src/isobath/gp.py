@@ -13,10 +13,10 @@ Two ingredients keep belief maintenance cheap enough for embedded-style
 planning loops. First, sample insertion is density-limited: a new sample
 is only accepted when it is at least ``min_spacing`` away from every
 retained sample, so the kernel-center count is bounded by area coverage
-rather than by mission length. Second, predictions may be formed from the
-local subset of samples within a cutoff radius of the query; the
-truncation error vanishes as the radius grows and the truncated variance
-always bounds the full-data variance from above.
+rather than by mission length. Second, planned measurements are scored
+as low-rank updates against one factor of the data (``Belief.solve`` and
+``Belief.project``), so a candidate plan costs a few small triangular
+solves rather than a fresh GP solve.
 
 :class:`Belief` is the one implementation of these equations. It factors
 the data Gram matrix once, at construction. Every prediction in this
@@ -160,18 +160,6 @@ class DataSet:
         return out
 
 
-def local_subset(data: DataSet, query, d_eps: float) -> DataSet:
-    """Samples within ``d_eps`` of ``query`` (inclusive), order preserved."""
-    q = np.asarray(query, dtype=float)
-    out = DataSet(data.min_spacing)
-    if len(data) == 0:
-        return out
-    mask = np.sum((data.locations - q) ** 2, axis=1) <= d_eps**2
-    out._locs = data.locations[mask].copy()
-    out._vals = data.values[mask].copy()
-    return out
-
-
 def _with_planned(data: DataSet, planned: np.ndarray) -> DataSet:
     """``data`` plus zero-valued samples at ``planned``, density rule bypassed.
 
@@ -236,18 +224,6 @@ def admissible_locations(
         keep.append(i)
         last_n, last_e = n_c, e_c
     return locations[keep]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Posterior mean and variance of the latent field at one location."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("prediction variance must be non-negative")
 
 
 def _chol_with_jitter(gram: np.ndarray, kernel: KernelSpec, n: int) -> np.ndarray:
@@ -338,31 +314,6 @@ class Belief:
         """(means, variances) arrays at the query locations."""
         means, varis, _ = self.project(queries)
         return means, varis
-
-    def predict(self, queries) -> list[Prediction]:
-        means, varis = self.predict_arrays(queries)
-        return [Prediction(float(m), float(v)) for m, v in zip(means, varis)]
-
-
-def posterior_predict(
-    kernel: KernelSpec, data: DataSet, prior_mean: float, queries
-) -> list[Prediction]:
-    """Condition the prior on ``data`` and predict at each query location.
-
-    With no data this returns the prior: (prior_mean, signal_variance).
-    """
-    return Belief(kernel, prior_mean, data).predict(queries)
-
-
-def posterior_predict_local(
-    kernel: KernelSpec, data: DataSet, prior_mean: float, queries, d_eps: float
-) -> list[Prediction]:
-    """Per-query prediction from the local subset within ``d_eps``."""
-    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-    return [
-        Belief(kernel, prior_mean, local_subset(data, q, d_eps)).predict(q)[0]
-        for q in queries
-    ]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path as FsPath
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .environment import (
     sample_depth,
     synthetic_lake,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EncodeError
 from .gp import CONDITION_CAP, DataSet, KernelSpec, Sample
 from .motion import (
     ACTION_SET,
@@ -96,7 +95,6 @@ class MissionConfig:
     signal_variance: float = 25.0
     noise_std: float = 0.5
     min_spacing: float = 30.0
-    d_eps: float | None = None
     # Vehicles.
     sample_spacing: float = 5.0
     turn_radius: float = 15.0
@@ -114,9 +112,6 @@ class MissionConfig:
     variant: str = "terminal"
     horizon: int = 3
     mcts_iterations: int = 48
-    exploration: float | None = None
-    rollout_policy: str = "straight-bias"
-    swath: float | None = None
     # Channel.
     slot_duration: float = 10.0
     comm_latency: float = 1.0
@@ -137,8 +132,6 @@ class MissionConfig:
             raise ConfigurationError("speeds and starts must match in length")
         if not self.speeds:
             raise ConfigurationError("the team must have at least one vehicle")
-        if any(s <= 0 for s in self.speeds):
-            raise ConfigurationError("speeds must be positive")
         if self.total_length < 1 or self.total_length > 255:
             raise ConfigurationError("total_length must be in 1..255")
         if self.drop_prob < 0 or self.drop_prob >= 1:
@@ -147,8 +140,33 @@ class MissionConfig:
             raise ConfigurationError("comm_latency must be non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        if not self.sample_spacing > 0:
-            raise ConfigurationError("sample_spacing must be positive")
+        # Build every part a mission builds, so that a config fails here,
+        # with the part's own message, rather than partway through a run.
+        try:
+            area = self.area()
+            self.kernel()
+            self.loss()
+            self.plan_config()
+            for agent in range(self.team_size):
+                AgentState(*self.starts[agent])
+                self.motion(agent)
+            SensorModel(self.noise_std, self.sample_spacing)
+            DataSet(self.min_spacing)
+            TdmaSchedule(self.slot_duration, self.team_size)
+            synthetic_lake(
+                self.bathymetry_family, self.bathymetry_params, area, level=self.level
+            )
+            for resolution in (
+                self.planning_resolution,
+                self.output_resolution,
+                self.trace_resolution,
+            ):
+                eval_grid(area, resolution)
+            if self.variant != "lawnmower":
+                # The longest plan a vehicle broadcasts must fit a packet.
+                measurement_capacity(min(self.horizon, self.total_length))
+        except (TypeError, ValueError, EncodeError) as exc:
+            raise ConfigurationError(str(exc)) from exc
         # Every Gram matrix the mission factors is a covariance of at most
         # n points plus sn^2 on its diagonal, so its 2-norm condition
         # number, which bounds the factor's estimate from above, is at most
@@ -218,8 +236,6 @@ class MissionConfig:
             horizon=self.horizon,
             use_terminal_reward=self.variant == "terminal",
             mcts_iterations=self.mcts_iterations,
-            exploration=self.exploration,
-            rollout_policy=self.rollout_policy,
         )
 
 
@@ -339,7 +355,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
             log(t, "done", agent=agent.id)
             return
         if config.variant == "lawnmower":
-            path = lawnmower_path(agent.state, 1, area, agent.motion, config.swath)
+            path = lawnmower_path(agent.state, 1, area, agent.motion)
             action = path.actions[0]
             agent.plan_state = agent.state
             agent.plan_epoch = agent.executed
@@ -365,9 +381,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 motion=agent.motion,
                 area=area,
                 remaining_steps=remaining,
-                d_eps=config.d_eps,
                 sensor_spacing=config.sample_spacing,
-                swath=config.swath,
             )
             result = plan_with_predecessors(
                 agent.state,
@@ -543,13 +557,6 @@ def write_jsonl(result: MissionResult, path) -> None:
             f.write(json.dumps(_jsonable(event), sort_keys=True) + "\n")
 
 
-def _own_sample_stream(result: MissionResult):
-    """All raw own-vehicle samples in global collection order."""
-    for e in result.events:
-        if e["kind"] == "sample":
-            yield e
-
-
 def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     """Team-wide data set: every vehicle's samples through one filter.
 
@@ -557,10 +564,9 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     only those taken during each vehicle's first ``upto_step`` steps.
     """
     data = DataSet(min_spacing=result.config.min_spacing)
-    for e in _own_sample_stream(result):
-        if upto_step is not None and e["step"] > upto_step:
-            continue
-        data.insert(Sample((e["north"], e["east"]), e["value"]))
+    for e in result.events:
+        if e["kind"] == "sample" and (upto_step is None or e["step"] <= upto_step):
+            data.insert(Sample((e["north"], e["east"]), e["value"]))
     return data
 
 
@@ -627,7 +633,6 @@ def accumulated_reward_trace(
     """
     config = result.config
     points = eval_grid(config.area(), resolution or config.trace_resolution)
-    samples = list(_own_sample_stream(result))
     prior = float(
         np.sum(
             bayes_risk_batch(
@@ -639,10 +644,7 @@ def accumulated_reward_trace(
     )
     trace = np.empty(config.total_length + 1)
     for k in range(config.total_length + 1):
-        data = DataSet(min_spacing=config.min_spacing)
-        for e in samples:
-            if e["step"] <= k:
-                data.insert(Sample((e["north"], e["east"]), e["value"]))
+        data = global_data(result, k)
         risk = float(np.sum(risk_field(
             config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
         ).values))

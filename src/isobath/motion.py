@@ -181,23 +181,19 @@ def _travel_direction(heading: float) -> np.ndarray:
 
 
 def lawnmower_path(
-    start: AgentState,
-    n_steps: int,
-    area,
-    params: MotionParams,
-    swath: float | None = None,
+    start: AgentState, n_steps: int, area, params: MotionParams
 ) -> Path:
     """Deterministic boustrophedon sweep built from the action set.
 
-    Straight runs parallel to the area's long axis; at the margins the
-    vehicle executes two successive 90-degree turns toward the side with
-    more remaining room, reversing direction onto the adjacent track.
-    ``swath`` sets the margin clearance that triggers turning (default
-    one turn diameter). The policy depends only on the current state, so
-    regenerating from any intermediate state reproduces the suffix.
+    Straight runs parallel to the area's long axis. A turn pair starts
+    one turn diameter inside the area's edge: when the next straight
+    step would end closer than that to either end of the lane (or
+    outside the area), the vehicle executes two successive 90-degree
+    turns toward the side with more remaining room, reversing direction
+    onto the adjacent track, and prefers turns that end within one turn
+    diameter of the area. The policy depends only on the current state,
+    so regenerating from any intermediate state reproduces the suffix.
     """
-    if swath is None:
-        swath = 2.0 * params.turn_radius
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     lo0, lo1 = float(area.min_corner[0]), float(area.min_corner[1])
@@ -208,9 +204,9 @@ def lawnmower_path(
     clo0, clo1, chi0, chi1 = lo0 - margin, lo1 - margin, hi0 + margin, hi1 + margin
     disp = {a: _body_displacement(a, params) for a in (0.0, quarter, -quarter)}
     if long_ax == 0:
-        lane_lo, lane_hi = lo0 + swath, hi0 - swath
+        lane_lo, lane_hi = lo0 + margin, hi0 - margin
     else:
-        lane_lo, lane_hi = lo1 + swath, hi1 - swath
+        lane_lo, lane_hi = lo1 + margin, hi1 - margin
 
     h, n, e = start.heading, start.north, start.east
     traj = [(h, n, e)]

@@ -75,16 +75,12 @@ class PlanConfig:
     horizon: int = 3
     use_terminal_reward: bool = True
     mcts_iterations: int = 48
-    exploration: float | None = None
-    rollout_policy: str = "straight-bias"
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.mcts_iterations < 1:
             raise ValueError("mcts_iterations must be at least 1")
-        if self.rollout_policy not in ("straight-bias", "random"):
-            raise ValueError(f"unknown rollout policy {self.rollout_policy!r}")
 
 
 @dataclass
@@ -94,7 +90,9 @@ class PlanContext:
     ``preceding_planned`` carries the planned measurement locations of
     strictly-preceding teammates (possibly stale); the agent's reward is
     marginal with respect to them. ``remaining_steps`` is the mission
-    length still ahead of the start state.
+    length still ahead of the start state. A planned measurement earns
+    benefit only at evaluation points within ``d_eps``, three length
+    scales, of it.
     """
 
     kernel: KernelSpec
@@ -108,17 +106,17 @@ class PlanContext:
     preceding_planned: np.ndarray = field(
         default_factory=lambda: np.empty((0, 2))
     )
-    d_eps: float | None = None
     sensor_spacing: float = 5.0
-    swath: float | None = None
 
     def __post_init__(self):
         self.eval_points = np.asarray(self.eval_points, dtype=float).reshape(-1, 2)
         self.preceding_planned = np.asarray(
             self.preceding_planned, dtype=float
         ).reshape(-1, 2)
-        if self.d_eps is None:
-            self.d_eps = 3.0 * self.kernel.length_scale
+
+    @property
+    def d_eps(self) -> float:
+        return 3.0 * self.kernel.length_scale
 
 
 class EpisodeEvaluator:
@@ -237,9 +235,7 @@ def path_reward(path_locations, context: PlanContext) -> float:
 
 
 def _tail_path(final_state: AgentState, tail_steps: int, context: PlanContext) -> Path:
-    return lawnmower_path(
-        final_state, tail_steps, context.area, context.motion, context.swath
-    )
+    return lawnmower_path(final_state, tail_steps, context.area, context.motion)
 
 
 def _tail_eligible(locations: np.ndarray, context: PlanContext) -> bool:
@@ -270,7 +266,6 @@ def plan_locations(
     area,
     motion: MotionParams,
     spacing: float,
-    swath: float | None = None,
 ) -> np.ndarray:
     """Measurement locations a plan commits to: the path, then its sweep.
 
@@ -281,7 +276,7 @@ def plan_locations(
     """
     locs = sample_locations(path, spacing)
     if tail_steps > 0:
-        tail = lawnmower_path(path.final, tail_steps, area, motion, swath)
+        tail = lawnmower_path(path.final, tail_steps, area, motion)
         locs = np.vstack([locs, sample_locations(tail, spacing)[1:]])
     return locs
 
@@ -294,8 +289,7 @@ def _completed_locations(short_path: Path, context: PlanContext) -> np.ndarray:
     ):
         tail_steps = 0
     return plan_locations(
-        short_path, tail_steps, context.area, context.motion,
-        context.sensor_spacing, context.swath,
+        short_path, tail_steps, context.area, context.motion, context.sensor_spacing
     )
 
 
@@ -370,7 +364,7 @@ def plan_episode(
     if config.use_terminal_reward:
         naive_value = evaluator.marginal(plan_locations(
             Path((start,), ()), context.remaining_steps, context.area,
-            context.motion, context.sensor_spacing, context.swath,
+            context.motion, context.sensor_spacing,
         ))[0]
     else:
         naive_value = 0.0
@@ -430,9 +424,7 @@ def plan_episode(
         visited = [root]
         # Selection: descend fully expanded nodes by UCB.
         while len(actions) < horizon and node.expanded == n_actions:
-            c_eff = config.exploration if config.exploration is not None else (
-                max(value_hi - value_lo, 1e-9) / math.sqrt(2.0)
-            )
+            c_eff = max(value_hi - value_lo, 1e-9) / math.sqrt(2.0)
             log_n = math.log(max(node.visits, 1))
             best_child, best_score = None, -np.inf
             for idx in node.action_order:
@@ -454,9 +446,9 @@ def plan_episode(
             node = child
             actions.append(idx)
             visited.append(node)
-        # Rollout to the horizon with the default policy.
+        # Rollout to the horizon: straight half the time, else uniform.
         while len(actions) < horizon:
-            if config.rollout_policy == "straight-bias" and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 actions.append(straight)
             else:
                 actions.append(int(rng.integers(n_actions)))

@@ -119,6 +119,28 @@ def test_unknown_keys_and_broken_files_are_configuration_errors(tmp_path):
         load_config(str(tmp_path / "missing.json"), env={})
 
 
+def test_misspelt_environment_overrides_are_configuration_errors():
+    with pytest.raises(ConfigurationError, match="ISOBATH_HORIZN"):
+        load_config(None, env={"ISOBATH_HORIZN": "5"})
+    with pytest.raises(ConfigurationError, match="ISOBATH_horizon"):
+        load_config(None, env={"ISOBATH_horizon": "5"})
+    # Other variables are none of the program's business.
+    assert load_config(None, env={"HORIZON": "5"}) == MissionConfig()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d_eps", 180.0),
+    ("exploration", 1.0),
+    ("rollout_policy", "straight-bias"),
+    ("swath", 30.0),
+])
+def test_removed_config_keys_are_configuration_errors(key, value, tmp_path, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**MICRO, key: value}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
 def test_invalid_field_values_are_configuration_errors():
     with pytest.raises(ConfigurationError):
         load_config(None, env={"ISOBATH_DROP_PROB": "2.0"})
@@ -156,6 +178,46 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
     assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
     err = capsys.readouterr().err
     assert "1 + n*sf^2/sn^2" in err and "1e+14" in err
+
+
+# Each config builds a part that refuses it (a zero or negative scale,
+# an isobath outside the lake, a lake family without its parameters, a
+# plan longer than a packet holds, a start pose without three numbers),
+# so ``isobath run`` would stop partway.
+@pytest.mark.parametrize("env", [
+    {"ISOBATH_HORIZON": "0"},
+    {"ISOBATH_MCTS_ITERATIONS": "0"},
+    {"ISOBATH_SLOT_DURATION": "0"},
+    {"ISOBATH_TURN_RADIUS": "0"},
+    {"ISOBATH_THETA_MAX": "0"},
+    {"ISOBATH_COST_DEEP_WRONG": "0"},
+    {"ISOBATH_LENGTH_SCALE": "0"},
+    {"ISOBATH_SIGNAL_VARIANCE": "0"},
+    {"ISOBATH_MIN_SPACING": "-1"},
+    {"ISOBATH_ROLLOUT_POLICY": '"spiral"'},
+    {"ISOBATH_PLANNING_RESOLUTION": "0"},
+    {"ISOBATH_LEVEL": "100"},
+    {"ISOBATH_BATHYMETRY_FAMILY": '"ridge"'},
+    {"ISOBATH_HORIZON": "240", "ISOBATH_TOTAL_LENGTH": "250"},
+    {"ISOBATH_STARTS": "[[0, 10], [0, 10], [0, 10]]"},
+    {"ISOBATH_STARTS": "[[0, 10, 10, 5], [0, 10, 10, 5], [0, 10, 10, 5]]"},
+], ids=lambda env: ",".join(f"{k[8:].lower()}={v}" for k, v in env.items()))
+def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_the_longest_plan_a_packet_holds_validates(monkeypatch):
+    # 252 bytes = 14 header + 237 actions + 1 terminator, no measurements.
+    monkeypatch.setenv("ISOBATH_TOTAL_LENGTH", "250")
+    monkeypatch.setenv("ISOBATH_HORIZON", "237")
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 0
+    monkeypatch.setenv("ISOBATH_HORIZON", "238")
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+    monkeypatch.setenv("ISOBATH_VARIANT", '"lawnmower"')
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 0
 
 
 def test_default_config_file_validates(capsys):

@@ -163,7 +163,7 @@ class TestPlanWithPredecessors:
         )
         from dataclasses import replace
         want_ctx = replace(ctx, preceding_planned=snap.preceding_locations(
-            order, 1, MOTION, ctx.sensor_spacing, AREA, ctx.swath))
+            order, 1, MOTION, ctx.sensor_spacing, AREA))
         want = plan_episode(AgentState(0.0, 100.0, 50.0), want_ctx, cfg,
                             np.random.default_rng(9))
         assert got.path.actions == want.path.actions

@@ -7,14 +7,13 @@ import pytest
 
 from isobath.environment import (
     AnalyticBathymetry,
-    GriddedBathymetry,
     OperationalArea,
     SensorModel,
     eval_grid,
     sample_depth,
     synthetic_lake,
 )
-from isobath.errors import ConfigurationError, DomainError
+from isobath.errors import ConfigurationError
 from isobath.gp import Sample
 
 AREA = OperationalArea((0.0, 0.0), (200.0, 300.0))
@@ -47,100 +46,6 @@ def test_analytic_depth_at_matches_grid_evaluation():
     for k, p in enumerate(pts):
         assert bathy.depth_at(p) == pytest.approx(grid[k], abs=0.0)
     assert bathy.depth_at((10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Gridded bathymetry
-
-
-def bilinear_fixture():
-    norths = np.arange(0.0, 101.0, 20.0)
-    easts = np.arange(0.0, 61.0, 10.0)
-    nn, ee = np.meshgrid(norths, easts, indexing="ij")
-    depths = 2.0 + 0.05 * nn + 0.025 * ee + 0.001 * nn * ee
-    return GriddedBathymetry(norths, easts, depths)
-
-
-def test_bilinear_interpolation_is_exact_for_bilinear_fields():
-    grid = bilinear_fixture()
-    rng = np.random.default_rng(7)
-    pts = np.column_stack(
-        [rng.uniform(0.0, 100.0, size=50), rng.uniform(0.0, 60.0, size=50)]
-    )
-    expected = 2.0 + 0.05 * pts[:, 0] + 0.025 * pts[:, 1] + 0.001 * pts[:, 0] * pts[:, 1]
-    np.testing.assert_allclose(grid.depth_grid(pts), expected, atol=1e-9)
-
-
-def test_grid_nodes_reproduce_exactly():
-    grid = bilinear_fixture()
-    for i, n in enumerate(grid.norths):
-        for j, e in enumerate(grid.easts):
-            assert grid.depth_at((n, e)) == pytest.approx(grid.depths[i, j], abs=1e-9)
-
-
-def test_queries_outside_hull_raise():
-    grid = bilinear_fixture()
-    with pytest.raises(DomainError):
-        grid.depth_at((-1.0, 30.0))
-    with pytest.raises(DomainError):
-        grid.depth_at((50.0, 60.5))
-    with pytest.raises(DomainError):
-        grid.depth_grid(np.array([[50.0, 30.0], [101.0, 30.0]]))
-
-
-def test_grid_validation_rejects_bad_lattices():
-    n = np.array([0.0, 10.0, 20.0])
-    e = np.array([0.0, 10.0])
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry(n, e, np.zeros((2, 2)))  # shape mismatch
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry(np.array([0.0]), e, np.zeros((1, 2)))  # too few nodes
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry(np.array([0.0, 10.0, 15.0]), e, np.zeros((3, 2)))  # uneven
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry(np.array([0.0, -10.0, -20.0]), e, np.zeros((3, 2)))
-    bad = np.zeros((3, 2))
-    bad[1, 1] = np.nan
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry(n, e, bad)
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(11)
-    norths = np.arange(0.0, 50.0, 12.5)
-    easts = np.arange(5.0, 40.0, 7.5)
-    depths = rng.uniform(1.0, 30.0, size=(norths.size, easts.size))
-    grid = GriddedBathymetry(norths, easts, depths)
-    path = tmp_path / "bathy.csv"
-    grid.write_csv(path)
-
-    header = path.read_text().splitlines()[0]
-    assert header == "north_m,east_m,depth_m"
-
-    back = GriddedBathymetry.read_csv(path)
-    np.testing.assert_array_equal(back.norths, grid.norths)
-    np.testing.assert_array_equal(back.easts, grid.easts)
-    np.testing.assert_array_equal(back.depths, grid.depths)
-
-
-def test_csv_rejects_bad_header_and_incomplete_lattice(tmp_path):
-    bad_header = tmp_path / "bad_header.csv"
-    bad_header.write_text("north,east,depth\n0.0,0.0,1.0\n")
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry.read_csv(bad_header)
-
-    holes = tmp_path / "holes.csv"
-    holes.write_text(
-        "north_m,east_m,depth_m\n"
-        "0.0,0.0,1.0\n0.0,10.0,2.0\n10.0,0.0,3.0\n"
-    )
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry.read_csv(holes)
-
-    empty = tmp_path / "empty.csv"
-    empty.write_text("north_m,east_m,depth_m\n")
-    with pytest.raises(ConfigurationError):
-        GriddedBathymetry.read_csv(empty)
 
 
 # ---------------------------------------------------------------------------

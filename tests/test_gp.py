@@ -15,9 +15,6 @@ from isobath.gp import (
     Sample,
     _chol_with_jitter,
     admissible_locations,
-    local_subset,
-    posterior_predict,
-    posterior_predict_local,
     variance_reduction,
 )
 from isobath.errors import NumericalError
@@ -96,19 +93,18 @@ class TestPosterior:
         rng = np.random.default_rng(1)
         data = make_data(rng, 40)
         queries = rng.uniform(0, 400, (25, 2))
-        got = posterior_predict(KERNEL, data, 15.0, queries)
+        got_m, got_v = Belief(KERNEL, 15.0, data).predict_arrays(queries)
         want_m, want_v = dense_reference(
             KERNEL, data.locations, data.values, 15.0, queries
         )
-        np.testing.assert_allclose([p.mean for p in got], want_m, rtol=1e-8)
-        np.testing.assert_allclose(
-            [p.variance for p in got], want_v, rtol=1e-7, atol=1e-10
-        )
+        np.testing.assert_allclose(got_m, want_m, rtol=1e-8)
+        np.testing.assert_allclose(got_v, want_v, rtol=1e-7, atol=1e-10)
 
     def test_empty_data_returns_prior(self):
-        got = posterior_predict(KERNEL, DataSet(30.0), 15.0, [[10.0, 20.0]])
-        assert got[0].mean == 15.0
-        assert got[0].variance == 25.0
+        belief = Belief(KERNEL, 15.0, DataSet(30.0))
+        means, varis = belief.predict_arrays([[10.0, 20.0]])
+        assert means[0] == 15.0
+        assert varis[0] == 25.0
 
     def test_empty_belief_is_the_prior_with_an_empty_projection(self):
         belief = Belief(KERNEL, 15.0, DataSet(30.0))
@@ -121,34 +117,32 @@ class TestPosterior:
 
     def test_reverts_to_prior_far_from_data(self):
         data = DataSet(0.0, [Sample((0.0, 0.0), 22.0)])
-        (p,) = posterior_predict(KERNEL, data, 15.0, [[5000.0, 5000.0]])
-        assert p.mean == pytest.approx(15.0, abs=1e-9)
-        assert p.variance == pytest.approx(25.0, abs=1e-9)
+        (mean,), (var,) = Belief(KERNEL, 15.0, data).predict_arrays([[5000.0, 5000.0]])
+        assert mean == pytest.approx(15.0, abs=1e-9)
+        assert var == pytest.approx(25.0, abs=1e-9)
 
     def test_variance_shrinks_at_observed_location(self):
         data = DataSet(0.0, [Sample((100.0, 100.0), 20.0)])
-        (p,) = posterior_predict(KERNEL, data, 15.0, [[100.0, 100.0]])
+        (mean,), (var,) = Belief(KERNEL, 15.0, data).predict_arrays([[100.0, 100.0]])
         # At the sample, residual variance is sf^2 sn^2 / (sf^2 + sn^2).
         want = 25.0 * 0.25 / 25.25
-        assert p.variance == pytest.approx(want, rel=1e-10)
-        assert p.mean == pytest.approx(15.0 + (20.0 - 15.0) * 25.0 / 25.25, rel=1e-10)
+        assert var == pytest.approx(want, rel=1e-10)
+        assert mean == pytest.approx(15.0 + (20.0 - 15.0) * 25.0 / 25.25, rel=1e-10)
 
     def test_noise_free_interpolation(self):
         kernel = KernelSpec(60.0, 25.0, 0.0)
         rng = np.random.default_rng(2)
         data = make_data(rng, 8, min_spacing=50.0)
-        got = posterior_predict(kernel, data, 15.0, data.locations)
-        np.testing.assert_allclose(
-            [p.mean for p in got], data.values, rtol=0, atol=1e-6
-        )
-        assert max(p.variance for p in got) < 1e-6
+        means, varis = Belief(kernel, 15.0, data).predict_arrays(data.locations)
+        np.testing.assert_allclose(means, data.values, rtol=0, atol=1e-6)
+        assert varis.max() < 1e-6
 
     def test_duplicate_locations_jitter_recovery(self):
         kernel = KernelSpec(60.0, 25.0, 0.0)
         data = DataSet(0.0, [Sample((50.0, 50.0), 20.0), Sample((50.0, 50.0), 20.0)])
-        (p,) = posterior_predict(kernel, data, 15.0, [[50.0, 50.0]])
-        assert p.mean == pytest.approx(20.0, abs=1e-3)
-        assert p.variance >= 0.0
+        (mean,), (var,) = Belief(kernel, 15.0, data).predict_arrays([[50.0, 50.0]])
+        assert mean == pytest.approx(20.0, abs=1e-3)
+        assert var >= 0.0
 
     def test_condition_cap_raises(self):
         gram = np.diag([1.0, 1e-30])
@@ -306,38 +300,6 @@ class TestAdmissibleLocations:
         pts = np.array([[0.0, 0.0], [20.0, 0.0], [40.0, 0.0]])
         kept = admissible_locations(pts, 30.0)
         assert kept.tolist() == [[0.0, 0.0], [40.0, 0.0]]
-
-
-class TestLocalSubset:
-    def test_radius_is_inclusive(self):
-        data = DataSet(0.0, [Sample((0.0, 0.0), 1.0), Sample((100.0, 0.0), 2.0)])
-        sub = local_subset(data, (0.0, 0.0), 100.0)
-        assert len(sub) == 2
-        sub = local_subset(data, (0.0, 0.0), 99.9)
-        assert len(sub) == 1
-
-    def test_local_prediction_variance_ordering(self):
-        # Truncating to fewer samples can only raise predictive variance,
-        # and nested radii give nested data sets.
-        rng = np.random.default_rng(4)
-        data = make_data(rng, 60, min_spacing=30.0, span=600.0)
-        queries = rng.uniform(100, 500, (10, 2))
-        narrow = posterior_predict_local(KERNEL, data, 15.0, queries, 2 * 60.0)
-        wide = posterior_predict_local(KERNEL, data, 15.0, queries, 5 * 60.0)
-        full = posterior_predict(KERNEL, data, 15.0, queries)
-        for a, b, c in zip(narrow, wide, full):
-            assert a.variance >= b.variance - 1e-9
-            assert b.variance >= c.variance - 1e-9
-
-    def test_local_prediction_exact_when_radius_covers_data(self):
-        rng = np.random.default_rng(7)
-        data = make_data(rng, 20, min_spacing=30.0, span=300.0)
-        queries = rng.uniform(0, 300, (5, 2))
-        local = posterior_predict_local(KERNEL, data, 15.0, queries, 1e6)
-        full = posterior_predict(KERNEL, data, 15.0, queries)
-        for a, b in zip(local, full):
-            assert a.mean == pytest.approx(b.mean, rel=1e-10)
-            assert a.variance == pytest.approx(b.variance, rel=1e-10)
 
 
 class TestVarianceReduction:

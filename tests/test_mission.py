@@ -274,7 +274,7 @@ class TestLawnmowerVariant:
         for aid in range(cfg.team_size):
             want = lawnmower_path(
                 AgentState(*cfg.starts[aid]), cfg.total_length, area,
-                cfg.motion(aid), cfg.swath,
+                cfg.motion(aid),
             )
             got = [e["action"] for e in res.events
                    if e["kind"] == "step" and e["agent"] == aid]

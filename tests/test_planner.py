@@ -376,7 +376,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"horizon": 0},
         {"mcts_iterations": 0},
-        {"rollout_policy": "spiral"},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

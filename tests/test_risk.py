@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from isobath.gp import (
+    Belief,
     DataSet,
     KernelSpec,
     Sample,
@@ -381,13 +382,9 @@ class TestRiskField:
             data.insert(Sample(tuple(rng.uniform(0, 300, 2)), float(rng.normal(15, 3))))
         pts = rng.uniform(0, 300, (20, 2))
         field = risk_field(KERNEL, data, pts, EQUAL, prior_mean=15.0)
-        from isobath.gp import posterior_predict
-
-        preds = posterior_predict(KERNEL, data, 15.0, pts)
-        for val, pred in zip(field.values, preds):
-            assert val == pytest.approx(
-                bayes_risk(pred.mean, pred.variance, EQUAL), rel=1e-12
-            )
+        means, varis = Belief(KERNEL, 15.0, data).predict_arrays(pts)
+        for val, mean, var in zip(field.values, means, varis):
+            assert val == pytest.approx(bayes_risk(mean, var, EQUAL), rel=1e-12)
 
     def test_csv_round_trip(self, tmp_path):
         pts = np.array([[0.0, 0.0], [25.0, 50.0]])
