@@ -100,14 +100,17 @@ def parse_seeds(spec: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            cut = part.index("-", 1)
-            lo, hi = int(part[:cut]), int(part[cut + 1 :])
-            if hi < lo:
-                raise ConfigurationError(f"backwards seed range: {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        try:
+            if "-" in part[1:]:
+                cut = part.index("-", 1)
+                lo, hi = int(part[:cut]), int(part[cut + 1 :])
+            else:
+                lo = hi = int(part)
+        except ValueError:
+            raise ConfigurationError(f"bad seed spec: {part!r}") from None
+        if hi < lo:
+            raise ConfigurationError(f"backwards seed range: {part!r}")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ConfigurationError(f"no seeds in {spec!r}")
     return seeds

@@ -13,10 +13,13 @@ Two ingredients keep belief maintenance cheap enough for embedded-style
 planning loops. First, sample insertion is density-limited: a new sample
 is only accepted when it is at least ``min_spacing`` away from every
 retained sample, so the kernel-center count is bounded by area coverage
-rather than by mission length. Second, planned measurements are scored
-as low-rank updates against one factor of the data (``Belief.solve`` and
-``Belief.project``), so a candidate plan costs a few small triangular
-solves rather than a fresh GP solve.
+rather than by mission length. One spacing grid (``_SpacingGrid``)
+implements that rule, both for ``DataSet.insert`` and for the thinning
+of planned measurements in ``admissible_locations``, so a test against
+the retained points touches only those nearby. Second, planned
+measurements are scored as low-rank updates against one factor of the
+data (``Belief.solve`` and ``Belief.project``), so a candidate plan
+costs a few small triangular solves rather than a fresh GP solve.
 
 :class:`Belief` is the one implementation of these equations. It factors
 the data Gram matrix once, at construction. Every prediction in this
@@ -27,6 +30,7 @@ factor is one LAPACK call through ``_tri_solve``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -101,42 +105,83 @@ class Sample:
             raise ValueError("sample value must be finite")
 
 
+class _SpacingGrid:
+    """Points kept pairwise at least ``min_spacing`` apart (inclusive).
+
+    Kept points are hashed into square cells a hair wider than
+    ``min_spacing``, so every kept point closer than ``min_spacing`` to a
+    candidate lies in the 3x3 cells around it, even under rounding. With
+    ``min_spacing == 0`` every point is admitted and none is stored.
+    """
+
+    def __init__(self, min_spacing: float):
+        self.r2 = min_spacing**2
+        self.cell = min_spacing * (1.0 + 1e-6)
+        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def admit(self, north: float, east: float) -> bool:
+        """Record the point and return True unless a kept one is too close."""
+        r2 = self.r2
+        if r2 == 0.0:
+            return True
+        ci, cj = math.floor(north / self.cell), math.floor(east / self.cell)
+        cells = self.cells
+        for a in (ci - 1, ci, ci + 1):
+            for b in (cj - 1, cj, cj + 1):
+                for k_n, k_e in cells.get((a, b), ()):
+                    dn, de = k_n - north, k_e - east
+                    if dn * dn + de * de < r2:
+                        return False
+        cells.setdefault((ci, cj), []).append((north, east))
+        return True
+
+
 class DataSet:
     """Ordered, density-limited collection of samples.
 
     Insertion order is preserved; every pair of retained locations is at
     least ``min_spacing`` apart. On conflicts the first writer wins: a
     sample landing within ``min_spacing`` of a retained one is rejected,
-    whatever its value.
+    whatever its value. The density test is one spacing-grid lookup, as
+    in ``admissible_locations``. ``locations`` and ``values`` are built
+    on the first read after an insert; an array once returned never
+    changes.
     """
 
     def __init__(self, min_spacing: float, samples=()):
         if min_spacing < 0:
             raise ValueError("min_spacing must be non-negative")
         self.min_spacing = float(min_spacing)
-        self._locs = np.empty((0, 2), dtype=float)
-        self._vals = np.empty((0,), dtype=float)
+        self._grid = _SpacingGrid(self.min_spacing)
+        self._locs: list[tuple[float, float]] = []
+        self._vals: list[float] = []
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         for s in samples:
             self.insert(s)
 
     def __len__(self) -> int:
-        return self._locs.shape[0]
+        return len(self._vals)
+
+    def _as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self._locs, dtype=float).reshape(-1, 2),
+                np.array(self._vals, dtype=float),
+            )
+        return self._arrays
 
     @property
     def locations(self) -> np.ndarray:
         """(n, 2) array of retained locations, in insertion order."""
-        return self._locs
+        return self._as_arrays()[0]
 
     @property
     def values(self) -> np.ndarray:
         """(n,) array of retained values, in insertion order."""
-        return self._vals
+        return self._as_arrays()[1]
 
     def samples(self) -> list[Sample]:
-        return [
-            Sample((float(p[0]), float(p[1])), float(v))
-            for p, v in zip(self._locs, self._vals)
-        ]
+        return [Sample(p, v) for p, v in zip(self._locs, self._vals)]
 
     def insert(self, sample: Sample) -> bool:
         """Insert under the density rule; return True when retained.
@@ -144,20 +189,15 @@ class DataSet:
         The boundary is inclusive: a sample exactly ``min_spacing`` away
         from its nearest retained neighbor is accepted.
         """
-        loc = np.asarray(sample.location, dtype=float)
-        if len(self) > 0 and self.min_spacing > 0:
-            d2 = np.sum((self._locs - loc) ** 2, axis=1)
-            if d2.min() < self.min_spacing**2:
-                return False
-        self._locs = np.vstack([self._locs, loc[None, :]])
-        self._vals = np.append(self._vals, float(sample.value))
+        if not self._grid.admit(*sample.location):
+            return False
+        self._locs.append(sample.location)
+        self._vals.append(sample.value)
+        self._arrays = None
         return True
 
     def copy(self) -> "DataSet":
-        out = DataSet(self.min_spacing)
-        out._locs = self._locs.copy()
-        out._vals = self._vals.copy()
-        return out
+        return copy.deepcopy(self)
 
 
 def _with_planned(data: DataSet, planned: np.ndarray) -> DataSet:
@@ -167,8 +207,8 @@ def _with_planned(data: DataSet, planned: np.ndarray) -> DataSet:
     depend on sample values, so the placeholder zeros never enter them.
     """
     out = DataSet(0.0)
-    out._locs = np.vstack([data.locations, planned])
-    out._vals = np.concatenate([data.values, np.zeros(planned.shape[0])])
+    out._locs = data._locs + [tuple(p) for p in planned.tolist()]
+    out._vals = data._vals + [0.0] * planned.shape[0]
     return out
 
 
@@ -181,8 +221,9 @@ def admissible_locations(
     ``min_spacing`` (inclusive) from all ``existing`` locations and all
     previously kept candidates. This predicts exactly which of a planned
     measurement sequence would survive insertion into a data set that
-    currently holds ``existing``. Kept candidates are looked up in a hash
-    grid, so each test touches only the kept points nearby.
+    currently holds ``existing``. Kept candidates go through the spacing
+    grid ``DataSet.insert`` uses, so each test touches only the kept
+    points nearby.
     """
     locations = np.asarray(locations, dtype=float).reshape(-1, 2)
     base = (
@@ -198,11 +239,7 @@ def admissible_locations(
         locations = locations[d2 >= r2]
     if r2 == 0.0 or locations.shape[0] < 2:
         return locations.copy()
-    # Kept points are hashed into square cells a hair wider than
-    # min_spacing, so every kept point closer than min_spacing to a
-    # candidate lies in the 3x3 cells around it, even under rounding.
-    cell = min_spacing * (1.0 + 1e-6)
-    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    grid = _SpacingGrid(min_spacing)
     keep = []
     last_n = last_e = 0.0
     for i, (n_c, e_c) in enumerate(locations.tolist()):
@@ -212,17 +249,9 @@ def admissible_locations(
             dn, de = n_c - last_n, e_c - last_e
             if dn * dn + de * de < r2:
                 continue
-        ci, cj = math.floor(n_c / cell), math.floor(e_c / cell)
-        if any(
-            (k_n - n_c) * (k_n - n_c) + (k_e - e_c) * (k_e - e_c) < r2
-            for a in (ci - 1, ci, ci + 1)
-            for b in (cj - 1, cj, cj + 1)
-            for k_n, k_e in cells.get((a, b), ())
-        ):
-            continue
-        cells.setdefault((ci, cj), []).append((n_c, e_c))
-        keep.append(i)
-        last_n, last_e = n_c, e_c
+        if grid.admit(n_c, e_c):
+            keep.append(i)
+            last_n, last_e = n_c, e_c
     return locations[keep]
 
 

@@ -22,6 +22,7 @@ with sorted keys so equal runs produce byte-equal files.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -277,6 +278,19 @@ class MissionResult:
 
     def config_dict(self) -> dict:
         return _jsonable(asdict(self.config))
+
+    @functools.cached_property
+    def step_samples(self) -> list[tuple[int, Sample]]:
+        """Every sample the team took, as (step, Sample), in collection order.
+
+        Extracted from ``events`` on first use, so that the step-by-step
+        replays of ``global_data`` do not rescan the whole log.
+        """
+        return [
+            (e["step"], Sample((e["north"], e["east"]), e["value"]))
+            for e in self.events
+            if e["kind"] == "sample"
+        ]
 
 
 def _jsonable(obj):
@@ -564,9 +578,9 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     only those taken during each vehicle's first ``upto_step`` steps.
     """
     data = DataSet(min_spacing=result.config.min_spacing)
-    for e in result.events:
-        if e["kind"] == "sample" and (upto_step is None or e["step"] <= upto_step):
-            data.insert(Sample((e["north"], e["east"]), e["value"]))
+    for step_index, sample in result.step_samples:
+        if upto_step is None or step_index <= upto_step:
+            data.insert(sample)
     return data
 
 
@@ -629,7 +643,11 @@ def accumulated_reward_trace(
     k steps (k=0 is the mission-start samples). Because vehicles move at
     different speeds, each step-k belief is rebuilt from scratch: the
     density filter sees each step's samples in global time order, and
-    those orders are not nested across k.
+    those orders are not nested across k, so the step-(k+1) data set is
+    not the step-k one plus more samples. Each rebuild filters the
+    sample list that ``MissionResult.step_samples`` extracts once and
+    replays it through ``DataSet.insert``, one spacing-grid lookup per
+    sample; each risk field then factors its data set's Gram matrix.
     """
     config = result.config
     points = eval_grid(config.area(), resolution or config.trace_resolution)

@@ -55,6 +55,17 @@ def test_parse_seeds_rejects_empty_and_backwards():
         parse_seeds("5-2")
 
 
+@pytest.mark.parametrize(
+    "spec, bad",
+    [("a", "a"), ("1-x", "1-x"), ("0, 2-3-4", "2-3-4")],
+    ids=["word", "range-end", "three-part-range"],
+)
+def test_bad_seed_specs_exit_two_naming_the_part(spec, bad, tmp_path, capsys):
+    assert main(["run", "--seeds", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(bad) in err
+
+
 # ---------------------------------------------------------------------------
 # Config loading
 

@@ -155,6 +155,47 @@ class TestPosterior:
         assert np.allclose(low @ low.T, gram)
 
 
+def vectorized_insert(locs, vals, min_spacing, loc, value):
+    """The original array insert, kept as the reference for ``DataSet``.
+
+    One distance pass over every retained location, then a copy of both
+    arrays on acceptance. Returns (locations, values, accepted).
+    """
+    loc = np.asarray(loc, dtype=float)
+    if len(locs) > 0 and min_spacing > 0:
+        d2 = np.sum((locs - loc) ** 2, axis=1)
+        if d2.min() < min_spacing**2:
+            return locs, vals, False
+    return np.vstack([locs, loc[None, :]]), np.append(vals, float(value)), True
+
+
+@st.composite
+def insert_cases(draw):
+    """A stream of samples and a spacing for the density rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    spacing = draw(st.sampled_from([0.0, 1.0, 7.3, 30.0]))
+    n = draw(st.integers(0, 80))
+    shape = draw(st.sampled_from(["walk", "lattice", "boundary", "duplicates"]))
+    unit = spacing or 1.0
+    if shape == "walk":
+        # A vehicle track: 5 m steps, slowly turning, anywhere in sign.
+        heading = np.cumsum(rng.normal(0.0, 0.3, n))
+        steps = 5.0 * np.c_[np.cos(heading), np.sin(heading)]
+        pts = np.cumsum(steps, axis=0) + rng.uniform(-200.0, 200.0, 2)
+    elif shape == "lattice":
+        # Neighbours exactly min_spacing apart: the inclusive boundary decides.
+        pts = rng.integers(-5, 5, (n, 2)) * unit
+    elif shape == "boundary":
+        # On the grid's cell edges, or a rounding step to either side.
+        cell = unit * (1.0 + 1e-6)
+        pts = rng.integers(-5, 5, (n, 2)) * cell
+        pts = pts + rng.choice([-1.0, 0.0, 1.0], (n, 2)) * np.spacing(pts)
+    else:
+        seen = rng.uniform(-60.0, 60.0, (max(n // 4, 1), 2))
+        pts = seen[rng.integers(0, len(seen), n)]
+    return pts, rng.normal(15.0, 4.0, n), spacing
+
+
 class TestDensityFilter:
     def test_boundary_is_inclusive(self):
         data = DataSet(min_spacing=30.0)
@@ -201,6 +242,47 @@ class TestDensityFilter:
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert np.linalg.norm(kept[i] - kept[j]) >= spacing - 1e-9
+
+    @given(insert_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_insert_equals_the_vectorized_rule(self, case):
+        pts, vals, spacing = case
+        data = DataSet(min_spacing=spacing)
+        locs, kept_vals = np.empty((0, 2)), np.empty((0,))
+        for p, v in zip(pts.tolist(), vals.tolist()):
+            locs, kept_vals, want = vectorized_insert(locs, kept_vals, spacing, p, v)
+            assert data.insert(Sample(p, v)) == want
+        assert data.locations.shape == locs.shape
+        assert np.array_equal(data.locations, locs)
+        assert np.array_equal(data.values, kept_vals)
+
+    def test_copy_is_independent_of_its_source(self):
+        data = DataSet(10.0, [Sample((0.0, 0.0), 1.0)])
+        twin = data.copy()
+        assert twin.insert(Sample((50.0, 0.0), 2.0))
+        assert len(data) == 1
+        # Each keeps its own density grid: neither sees the other's points.
+        assert data.insert(Sample((55.0, 0.0), 3.0))
+        assert not twin.insert(Sample((55.0, 0.0), 3.0))
+        assert data.locations.tolist() == [[0.0, 0.0], [55.0, 0.0]]
+        assert data.values.tolist() == [1.0, 3.0]
+        assert twin.locations.tolist() == [[0.0, 0.0], [50.0, 0.0]]
+        assert twin.values.tolist() == [1.0, 2.0]
+
+    def test_arrays_read_before_an_insert_do_not_change(self):
+        data = DataSet(30.0, [Sample((0.0, 0.0), 20.0)])
+        locs, vals = data.locations, data.values
+        belief = Belief(KERNEL, 15.0, data)
+        queries = np.array([[10.0, 0.0], [70.0, 0.0]])
+        means, varis = belief.predict_arrays(queries)
+        assert data.insert(Sample((60.0, 0.0), 5.0))
+        assert locs.tolist() == [[0.0, 0.0]]
+        assert vals.tolist() == [20.0]
+        assert data.locations.tolist() == [[0.0, 0.0], [60.0, 0.0]]
+        after_means, after_varis = belief.predict_arrays(queries)
+        assert np.array_equal(after_means, means)
+        assert np.array_equal(after_varis, varis)
+
 
 
 def greedy_thinning(locations, min_spacing, existing=None):

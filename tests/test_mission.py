@@ -185,6 +185,15 @@ class TestBeliefReconstruction:
         assert 1 <= len(start_only) <= result.config.team_size
         full = global_data(result)
         assert len(full) >= len(start_only)
+        # Every step filter equals a replay of the event log itself.
+        for k in [*range(result.config.total_length + 1), None]:
+            data = DataSet(min_spacing=result.config.min_spacing)
+            for e in result.events:
+                if e["kind"] == "sample" and (k is None or e["step"] <= k):
+                    data.insert(Sample((e["north"], e["east"]), e["value"]))
+            got = global_data(result, k)
+            assert np.array_equal(got.locations, data.locations), k
+            assert np.array_equal(got.values, data.values), k
 
 
 class TestSummaryProducts:
