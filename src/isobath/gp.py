@@ -53,6 +53,10 @@ CONDITION_CAP = 1e14
 class KernelSpec:
     """Stationary covariance description.
 
+    A call takes squared distances in one ``cdist`` pass, bit-equal to a
+    broadcast difference, and applies ``from_sqdist``, the one place the
+    covariance formula is written.
+
     Parameters
     ----------
     length_scale : float
@@ -84,7 +88,10 @@ class KernelSpec:
         """Cross-covariance matrix between row-stacked location arrays."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        return self.from_sqdist(cdist(a, b, "sqeuclidean"))
+
+    def from_sqdist(self, d2: np.ndarray) -> np.ndarray:
+        """Covariance for a block of squared distances, as ``cdist`` gives."""
         return self.signal_variance * np.exp(-d2 / (2.0 * self.length_scale**2))
 
 

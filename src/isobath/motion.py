@@ -135,49 +135,32 @@ def sample_locations(path: Path, spacing: float) -> np.ndarray:
     end, so each state position appears exactly once. A zero-action path
     yields just the start position; a chord shorter than ``spacing``
     contributes only its endpoint.
+
+    A path has a few short chords, so the walk runs on Python floats,
+    where numpy's per-call cost would outweigh the arithmetic. Squares
+    are ``d * d``, as numpy's square rounds; ``d ** 2`` calls the C
+    library's ``pow``, which can be one ulp off and move a location.
     """
     if not (spacing > 0):
         raise ValueError("spacing must be positive")
-    pos = np.array([(s.north, s.east) for s in path.states])
-    m = pos.shape[0] - 1
-    if m == 0:
-        return pos.copy()
-    a, b = pos[:-1], pos[1:]
-    diff = b - a
-    chord = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-    cut = chord - 1e-9
-    # Interior count per chord: the largest k with k*spacing < chord-1e-9,
-    # floor() corrected for division rounding at the boundary.
-    k0 = np.floor(cut / spacing)
-    k0 -= k0 * spacing >= cut
-    k0 += (k0 + 1.0) * spacing < cut
-    counts = np.maximum(k0.astype(np.int64), 0)
-    total = int(counts.sum())
-    out = np.empty((1 + total + m, 2))
-    out[0] = pos[0]
-    block_start = 1 + np.concatenate(([0], np.cumsum(counts + 1)[:-1]))
-    out[block_start + counts] = b
-    if total:
-        chord_idx = np.repeat(np.arange(m), counts)
-        kvals = (
-            np.arange(total)
-            - np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            + 1.0
-        )
-        t = kvals * spacing / chord[chord_idx]
-        out[block_start[chord_idx] + kvals.astype(np.int64) - 1] = (
-            a[chord_idx] + t[:, None] * diff[chord_idx]
-        )
-    return out
-
-
-def _travel_direction(heading: float) -> np.ndarray:
-    """World-frame unit displacement direction of a straight step."""
-    # A straight step moves the body-frame (0, d) vector through the
-    # heading rotation used in step(); normalize that displacement.
-    dn = -math.sin(-heading)
-    de = math.cos(-heading)
-    return np.array([dn, de])
+    n0, e0 = path.states[0].north, path.states[0].east
+    out = [(n0, e0)]
+    for s in path.states[1:]:
+        n1, e1 = s.north, s.east
+        d_n, d_e = n1 - n0, e1 - e0
+        chord = math.sqrt(d_n * d_n + d_e * d_e)
+        cut = chord - 1e-9
+        # Interior count: the largest k with k*spacing < chord-1e-9,
+        # floor() corrected for division rounding at the boundary.
+        k = math.floor(cut / spacing)
+        k -= k * spacing >= cut
+        k += (k + 1) * spacing < cut
+        for i in range(1, k + 1):
+            t = i * spacing / chord
+            out.append((n0 + t * d_n, e0 + t * d_e))
+        out.append((n1, e1))
+        n0, e0 = n1, e1
+    return np.array(out)
 
 
 def lawnmower_path(
@@ -208,37 +191,37 @@ def lawnmower_path(
     else:
         lane_lo, lane_hi = lo1 + margin, hi1 - margin
 
+    def advance(a, h, n, e, ch, sh):
+        dx, dy = disp[a]
+        return (
+            wrap_heading(h + a),
+            n + (ch * dx + sh * dy),
+            e + (-(sh * dx) + ch * dy),
+        )
+
+    def pick_turn(axis, target_sign, h, n, e, ch, sh):
+        # 90-degree action whose displacement moves along axis*sign.
+        best, best_score = quarter, -math.inf
+        for a in (quarter, -quarter):
+            _, n2, e2 = advance(a, h, n, e, ch, sh)
+            delta = (n2 - n) if axis == 0 else (e2 - e)
+            score = target_sign * delta
+            if not (clo0 <= n2 <= chi0 and clo1 <= e2 <= chi1):
+                score -= 1e6
+            if score > best_score:
+                best, best_score = a, score
+        return best
+
     h, n, e = start.heading, start.north, start.east
     traj = [(h, n, e)]
     actions: list[float] = []
     for _ in range(n_steps):
         ch, sh = math.cos(h), math.sin(h)
-
-        def advance(a):
-            dx, dy = disp[a]
-            return (
-                wrap_heading(h + a),
-                n + (ch * dx + sh * dy),
-                e + (-(sh * dx) + ch * dy),
-            )
-
-        def pick_turn(axis, target_sign):
-            # 90-degree action whose displacement moves along axis*sign.
-            best, best_score = quarter, -math.inf
-            for a in (quarter, -quarter):
-                _, n2, e2 = advance(a)
-                delta = (n2 - n) if axis == 0 else (e2 - e)
-                score = target_sign * delta
-                if not (clo0 <= n2 <= chi0 and clo1 <= e2 <= chi1):
-                    score -= 1e6
-                if score > best_score:
-                    best, best_score = a, score
-            return best
-
+        pose = (h, n, e, ch, sh)
         # Travel direction of a straight step is (sin h, cos h).
         dir_long, dir_lat = (sh, ch) if long_ax == 0 else (ch, sh)
         if abs(dir_long) >= abs(dir_lat):
-            _, n2, e2 = advance(0.0)
+            _, n2, e2 = advance(0.0, *pose)
             ahead_long = n2 if long_ax == 0 else e2
             in_lane = lane_lo <= ahead_long <= lane_hi
             if in_lane and lo0 <= n2 <= hi0 and lo1 <= e2 <= hi1:
@@ -248,14 +231,16 @@ def lawnmower_path(
                 pos_lat = e if long_ax == 0 else n
                 room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
                 room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
-                act = pick_turn(1 - long_ax, 1.0 if room_up >= room_dn else -1.0)
+                act = pick_turn(
+                    1 - long_ax, 1.0 if room_up >= room_dn else -1.0, *pose
+                )
         else:
             # Mid-pair: turn back onto the long axis, toward open water.
             pos_long = n if long_ax == 0 else e
             room_fw = (hi0 - pos_long) if long_ax == 0 else (hi1 - pos_long)
             room_bk = (pos_long - lo0) if long_ax == 0 else (pos_long - lo1)
-            act = pick_turn(long_ax, 1.0 if room_fw >= room_bk else -1.0)
-        h, n, e = advance(act)
+            act = pick_turn(long_ax, 1.0 if room_fw >= room_bk else -1.0, *pose)
+        h, n, e = advance(act, *pose)
         traj.append((h, n, e))
         actions.append(act)
     states = [start]

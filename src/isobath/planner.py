@@ -25,6 +25,12 @@ each set's benefit is the sum over its own slice. That gives the same
 floats as scoring the sets one by one, at one set of per-call numpy
 overheads instead of two.
 
+That overhead, not arithmetic, is what a candidate costs: a score is a
+few hundred numpy and LAPACK calls on blocks of a few dozen rows. So
+the distances that pick a set's nearby evaluation points also give its
+covariance to them, and candidates are not split into per-step pieces
+cached on the search tree, which would add calls, not save them.
+
 A plan commits a vehicle to measurement locations in one way only:
 ``plan_locations`` samples the short path and then its lawnmower
 completion. The planner's naive value, its final rescore and
@@ -194,7 +200,7 @@ class EpisodeEvaluator:
                 continue
             b_a = self.belief.solve(kernel(self.locs, added))
             c_aa = kernel(added, added) + self.noise_var * np.eye(na) - b_a.T @ b_a
-            u_a = kernel(added, self.grid[idx]) - b_a.T @ self.v_s[:, idx]
+            u_a = kernel.from_sqdist(d2[:, idx]) - b_a.T @ self.v_s[:, idx]
             if self.low_b is not None:
                 c_ba = kernel(self.base, added) - self.b_b.T @ b_a
                 m = _tri_solve(self.low_b, c_ba)

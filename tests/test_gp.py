@@ -22,6 +22,18 @@ from isobath.errors import NumericalError
 KERNEL = KernelSpec(length_scale=60.0, signal_variance=25.0, noise_std=0.5)
 
 
+def broadcast_kernel(kernel, a, b):
+    """The covariance through a broadcast difference of the two blocks.
+
+    ``KernelSpec`` takes its distances from ``cdist`` instead; the two
+    routes must agree bit for bit.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    return kernel.signal_variance * np.exp(-d2 / (2.0 * kernel.length_scale**2))
+
+
 def dense_reference(kernel, locations, values, prior_mean, queries):
     """Independent conditioning route: full solve, no Cholesky reuse."""
     locations = np.asarray(locations, float)
@@ -34,12 +46,10 @@ def dense_reference(kernel, locations, values, prior_mean, queries):
             np.full(len(queries), kernel.signal_variance),
         )
 
-    def k(a, b):
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return kernel.signal_variance * np.exp(-d2 / (2 * kernel.length_scale**2))
-
-    gram = k(locations, locations) + kernel.noise_std**2 * np.eye(n)
-    kstar = k(locations, queries)
+    gram = broadcast_kernel(kernel, locations, locations) + (
+        kernel.noise_std**2 * np.eye(n)
+    )
+    kstar = broadcast_kernel(kernel, locations, queries)
     weights = np.linalg.solve(gram, kstar)
     means = prior_mean + kstar.T @ np.linalg.solve(gram, values - prior_mean)
     varis = kernel.signal_variance - np.sum(kstar * weights, axis=0)
@@ -76,6 +86,48 @@ class TestKernel:
         # One length scale out, correlation is exp(-1/2).
         one_ell = KERNEL(base, np.array([[60.0, 0.0]]))[0, 0]
         assert one_ell == pytest.approx(25.0 * math.exp(-0.5), rel=1e-12)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(["point", "empty", "self", "blocks"]),
+        st.integers(0, 8),
+        st.integers(0, 8),
+        st.sampled_from([1.0, 60.0, 1000.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_broadcast_formula(self, seed, shape, n_a, n_b, span):
+        rng = np.random.default_rng(seed)
+        kernel = KernelSpec(rng.uniform(1.0, 200.0), rng.uniform(0.1, 50.0), 0.5)
+        b = rng.uniform(-span, span, (n_b, 2))
+        if shape == "point":
+            a = rng.uniform(-span, span, 2)
+        elif shape == "empty":
+            a = np.empty((0, 2))
+        elif shape == "self":
+            a = b
+        else:
+            a = rng.uniform(-span, span, (n_a, 2))
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = kernel(x, y)
+            want = broadcast_kernel(kernel, x, y)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_near_grid_block_equals_a_fresh_kernel_call(self, seed, n_added):
+        # EpisodeEvaluator.marginal keeps the squared distances that pick
+        # the evaluation points within d_eps, and takes k(added, grid[idx])
+        # from their columns.
+        rng = np.random.default_rng(seed)
+        grid = np.stack(
+            np.meshgrid(np.arange(0.0, 400.0, 20.0), np.arange(0.0, 300.0, 20.0)),
+            axis=-1,
+        ).reshape(-1, 2)
+        added = rng.uniform(-300.0, 700.0, (n_added, 2))
+        d2 = cdist(added, grid, "sqeuclidean")
+        idx = np.flatnonzero((d2 <= (3.0 * KERNEL.length_scale) ** 2).any(axis=0))
+        assert np.array_equal(KERNEL.from_sqdist(d2[:, idx]), KERNEL(added, grid[idx]))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isobath.environment import OperationalArea
@@ -129,6 +129,44 @@ class TestRollout:
             Path((AgentState(0, 0, 0),), (0.0,))
 
 
+def vectorized_sample_locations(path, spacing):
+    """Array-at-a-time chord sampling, the reference for ``sample_locations``.
+
+    Every chord is handled in one set of numpy calls; the package walks
+    the chords in Python floats instead, and both must give the same
+    floats.
+    """
+    pos = np.array([(s.north, s.east) for s in path.states])
+    m = pos.shape[0] - 1
+    if m == 0:
+        return pos.copy()
+    a, b = pos[:-1], pos[1:]
+    diff = b - a
+    chord = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    cut = chord - 1e-9
+    k0 = np.floor(cut / spacing)
+    k0 -= k0 * spacing >= cut
+    k0 += (k0 + 1.0) * spacing < cut
+    counts = np.maximum(k0.astype(np.int64), 0)
+    total = int(counts.sum())
+    out = np.empty((1 + total + m, 2))
+    out[0] = pos[0]
+    block_start = 1 + np.concatenate(([0], np.cumsum(counts + 1)[:-1]))
+    out[block_start + counts] = b
+    if total:
+        chord_idx = np.repeat(np.arange(m), counts)
+        kvals = (
+            np.arange(total)
+            - np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+            + 1.0
+        )
+        t = kvals * spacing / chord[chord_idx]
+        out[block_start[chord_idx] + kvals.astype(np.int64) - 1] = (
+            a[chord_idx] + t[:, None] * diff[chord_idx]
+        )
+    return out
+
+
 class TestSampleLocations:
     def test_zero_action_path_yields_start(self):
         path = Path((AgentState(0.0, 10.0, 20.0),), ())
@@ -168,6 +206,31 @@ class TestSampleLocations:
         # plus the worst chord remainder.
         gaps = np.linalg.norm(np.diff(locs, axis=0), axis=1)
         assert gaps.max() <= 5.0 + 1e-9
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.lists(st.sampled_from(ACTION_SET), max_size=12),
+        # The last spacing is the length of a straight run, so straight
+        # chords end on a spacing multiple up to rounding.
+        st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0]),
+        # A 1 m turn radius gives chords shorter than every spacing.
+        st.sampled_from([1.0, 15.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # On this path, a chord length squared with ``**`` (the C library's
+    # pow) differs from numpy's square by one ulp and moves a location.
+    @example(
+        229, [ACTION_SET[i] for i in (4, 3, 9, 2, 6, 3, 3, 2, 9, 5, 10, 1)], 5.0, 15.0
+    )
+    def test_equals_the_vectorized_sampler(self, seed, actions, spacing, radius):
+        rng = np.random.default_rng(seed)
+        start = AgentState(rng.uniform(-math.pi, math.pi), *rng.uniform(-500, 500, 2))
+        params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
+        path = rollout(start, actions, params)
+        got = sample_locations(path, spacing)
+        want = vectorized_sample_locations(path, spacing)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_rejects_nonpositive_spacing(self):
         path = rollout(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS)
