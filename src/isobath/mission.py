@@ -22,6 +22,7 @@ with sorted keys so equal runs produce byte-equal files.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -283,8 +284,8 @@ class MissionResult:
     def step_samples(self) -> list[tuple[int, Sample]]:
         """Every sample the team took, as (step, Sample), in collection order.
 
-        Extracted from ``events`` on first use, so that the step-by-step
-        replays of ``global_data`` do not rescan the whole log.
+        Extracted from ``events`` on first use, so that ``global_data``
+        and the reward-trace replay do not rescan the whole log.
         """
         return [
             (e["step"], Sample((e["north"], e["east"]), e["value"]))
@@ -562,13 +563,16 @@ def run_mission(config: MissionConfig) -> MissionResult:
 def write_jsonl(result: MissionResult, path) -> None:
     """Write the event log as one sorted-keys JSON object per line.
 
-    Identical missions produce byte-identical files.
+    Identical missions produce byte-identical files. Values pass through
+    ``_jsonable``, which writes booleans as integers: a line holds
+    ``"accepted": 1``, ``"bound_ok": 1`` or ``"tail": 1``, never ``true``.
     """
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as f:
         header = {"kind": "config", **result.config_dict()}
-        f.write(json.dumps(header, sort_keys=True) + "\n")
+        f.write(encode(header) + "\n")
         for event in result.events:
-            f.write(json.dumps(_jsonable(event), sort_keys=True) + "\n")
+            f.write(encode(_jsonable(event)) + "\n")
 
 
 def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
@@ -640,32 +644,61 @@ def accumulated_reward_trace(
 
     Entry k is the drop in summed Bayes risk over the trace grid between
     the prior and the omniscient belief built from every vehicle's first
-    k steps (k=0 is the mission-start samples). Because vehicles move at
-    different speeds, each step-k belief is rebuilt from scratch: the
-    density filter sees each step's samples in global time order, and
-    those orders are not nested across k, so the step-(k+1) data set is
-    not the step-k one plus more samples. Each rebuild filters the
-    sample list that ``MissionResult.step_samples`` extracts once and
-    replays it through ``DataSet.insert``, one spacing-grid lookup per
-    sample; each risk field then factors its data set's Gram matrix.
+    k steps (k=0 is the mission-start samples): the risk of
+    ``global_data(result, k)``.
+
+    Vehicles move at different speeds, so the samples of different steps
+    interleave in ``MissionResult.step_samples``, which is in time order,
+    and the step-(k+1) data set is not the step-k one plus more samples.
+    But every sample before the earliest step-k sample has the same
+    inclusion at step k as at step k-1, so the density rule's verdicts
+    on that prefix do not change. Step k therefore starts from the
+    samples kept at step k-1 that lie before that point (pairwise at
+    least ``min_spacing`` apart, so ``DataSet.insert`` admits them all
+    again) and replays through ``DataSet.insert`` only the later samples
+    of steps up to k. A step without samples keeps the previous data
+    set, and a data set whose kept samples did not change keeps the
+    previous risk sum, since its belief would be built from the same
+    floats.
     """
     config = result.config
+    kernel, loss = config.kernel(), config.loss()
     points = eval_grid(config.area(), resolution or config.trace_resolution)
     prior = float(
         np.sum(
             bayes_risk_batch(
                 np.full(len(points), config.prior_mean),
                 np.full(len(points), config.signal_variance),
-                config.loss(),
+                loss,
             )
         )
     )
+    stream = result.step_samples
+    first: dict[int, int] = {}
+    end: dict[int, int] = {}
+    for i, (step_index, _) in enumerate(stream):
+        first.setdefault(step_index, i)
+        end[step_index] = i + 1
     trace = np.empty(config.total_length + 1)
+    kept: list[int] = []  # stream indices of the step-k data set, in order
+    stop = 0  # one past the last sample of any step up to k
+    risk = None
     for k in range(config.total_length + 1):
-        data = global_data(result, k)
-        risk = float(np.sum(risk_field(
-            config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
-        ).values))
+        stop = max(stop, end.get(k, 0))
+        if k in first or risk is None:
+            start = first.get(k, stop)
+            cut = bisect.bisect_left(kept, start)
+            data = DataSet(config.min_spacing, [stream[i][1] for i in kept[:cut]])
+            tail = []
+            for i in range(start, stop):
+                step_index, sample = stream[i]
+                if step_index <= k and data.insert(sample):
+                    tail.append(i)
+            if risk is None or tail != kept[cut:]:
+                kept[cut:] = tail
+                risk = float(np.sum(risk_field(
+                    kernel, data, points, loss, prior_mean=config.prior_mean
+                ).values))
         trace[k] = prior - risk
     return trace
 

@@ -4,16 +4,22 @@ the summary products."""
 
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from isobath.comms import TdmaSchedule
+from isobath import mission
+from isobath.comms import CommLog, TdmaSchedule
 from isobath.environment import eval_grid
 from isobath.errors import ConfigurationError
 from isobath.gp import DataSet, Sample
 from isobath.mission import (
     MissionConfig,
+    MissionResult,
     accumulated_reward_trace,
     compare_methods,
     global_data,
@@ -23,7 +29,7 @@ from isobath.mission import (
     write_jsonl,
 )
 from isobath.motion import ACTION_SET, AgentState, lawnmower_path, step
-from isobath.risk import risk_field
+from isobath.risk import bayes_risk_batch, risk_field
 
 
 def micro(**kw):
@@ -47,6 +53,83 @@ def micro(**kw):
 @pytest.fixture(scope="module")
 def result():
     return run_mission(micro())
+
+
+def sample_log(config, samples):
+    """A MissionResult holding only sample events, (t, agent, step, north,
+    east, value) each, in time order."""
+    events = [
+        {"t": t, "kind": "sample", "agent": agent, "step": k,
+         "north": north, "east": east, "value": value}
+        for t, agent, k, north, east, value in sorted(samples)
+    ]
+    return MissionResult(config, events, [], [], CommLog(), 0.0, 0)
+
+
+def reference_reward_trace(result):
+    """The reward trace with every step's data set rebuilt from scratch."""
+    config = result.config
+    points = eval_grid(config.area(), config.trace_resolution)
+    prior = float(
+        np.sum(
+            bayes_risk_batch(
+                np.full(len(points), config.prior_mean),
+                np.full(len(points), config.signal_variance),
+                config.loss(),
+            )
+        )
+    )
+    trace = np.empty(config.total_length + 1)
+    for k in range(config.total_length + 1):
+        data = global_data(result, k)
+        risk = float(np.sum(risk_field(
+            config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
+        ).values))
+        trace[k] = prior - risk
+    return trace
+
+
+def trace_data_sets(result):
+    """The data set behind each entry of ``accumulated_reward_trace``.
+
+    Each risk field is replaced by the index of the data set it was given,
+    so an entry reused from an earlier step names that step's data set.
+    """
+    seen = []
+
+    def indexed_risk_field(kernel, data, points, loss, prior_mean):
+        seen.append((data.locations, data.values))
+        return SimpleNamespace(values=np.array([float(len(seen))]))
+
+    with mock.patch.object(mission, "risk_field", indexed_risk_field):
+        trace = accumulated_reward_trace(result)
+    # Entry k is prior - index, and step 0 always builds data set 1.
+    return [seen[round(trace[0] + 1.0 - t) - 1] for t in trace]
+
+
+@st.composite
+def interleaved_samples(draw):
+    """(min_spacing, total_length, samples) for vehicles whose steps take
+    different times, so a fast vehicle's step k+1 can come before a slow
+    one's step k. Locations lie on a lattice of half the spacing: points
+    one lattice step apart are too close, two apart exactly
+    ``min_spacing`` apart, and a repeated lattice point is a duplicate
+    location. A step may have no samples."""
+    spacing = draw(st.sampled_from([0.0, 12.5, 30.0]))
+    total_length = draw(st.integers(1, 8))
+    half = (spacing or 10.0) / 2.0
+    coordinate = st.integers(0, 5).map(lambda i: i * half)
+    samples = []
+    for agent in range(draw(st.integers(2, 4))):
+        t = 0.0
+        for k in range(total_length + 1):
+            for j in range(draw(st.integers(0, 3))):
+                samples.append((
+                    t + 0.1 * j, agent, k, draw(coordinate), draw(coordinate),
+                    draw(st.floats(0.0, 30.0)),
+                ))
+            t += draw(st.integers(1, 4))
+    return spacing, total_length, samples
 
 
 class TestDeterminism:
@@ -101,6 +184,58 @@ class TestEventLog:
                     state.heading, state.north, state.east
                 )
             assert result.final_states[aid] == state
+
+    def test_booleans_are_written_as_integers(self, result, tmp_path):
+        log = sample_log(result.config, [])
+        log.events.append({"t": 0.5, "kind": "plan", "bound_ok": True,
+                           "accepted": False, "tail": True})
+        p = tmp_path / "log.jsonl"
+        write_jsonl(log, p)
+        assert p.read_text().splitlines()[1] == (
+            '{"accepted": 0, "bound_ok": 1, "kind": "plan", "t": 0.5, "tail": 1}'
+        )
+        write_jsonl(result, p)
+        text = p.read_text()
+        assert '"accepted": 1' in text and '"bound_ok": 1' in text
+        assert "true" not in text and "false" not in text
+
+
+class TestRewardTrace:
+    def test_equals_the_from_scratch_trace_on_a_full_sweep(self):
+        result = run_mission(MissionConfig(variant="lawnmower"))
+        got = accumulated_reward_trace(result)
+        assert np.array_equal(got, reference_reward_trace(result))
+
+    @given(interleaved_samples())
+    @example((
+        30.0,
+        4,
+        [
+            # Vehicle 0 takes one time unit per step, vehicle 1 three, so
+            # vehicle 0's steps 2 and 3 come before vehicle 1's step 1;
+            # nobody samples during step 4.
+            (0.0, 0, 0, 0.0, 0.0, 1.0),
+            (0.0, 1, 0, 30.0, 0.0, 2.0),
+            (1.0, 0, 1, 15.0, 0.0, 3.0),
+            (2.0, 0, 2, 60.0, 0.0, 4.0),
+            (3.0, 0, 3, 60.0, 30.0, 5.0),
+            (3.1, 1, 1, 60.0, 30.0, 6.0),
+            (3.2, 1, 1, 60.0, 15.0, 7.0),
+            (9.0, 1, 3, 0.0, 0.0, 8.0),
+        ],
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_each_step_uses_the_global_data_of_that_step(self, case):
+        spacing, total_length, samples = case
+        result = sample_log(
+            micro(min_spacing=spacing, total_length=total_length), samples
+        )
+        data_sets = trace_data_sets(result)
+        assert len(data_sets) == total_length + 1
+        for k, (locations, values) in enumerate(data_sets):
+            want = global_data(result, k)
+            assert np.array_equal(locations, want.locations), k
+            assert np.array_equal(values, want.values), k
 
 
 class TestTdma:

@@ -19,23 +19,29 @@ from isobath.mission import accumulated_reward_trace, run_mission
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "traces.json"
 
-# (variant, steps); each runs at every seed. The lawnmower sweep is
-# cheap to simulate and long enough for the replay orders to diverge.
-CASES = (("lawnmower", 30), ("terminal", 8))
+# name -> (variant, steps); each runs at every seed. The lawnmower sweep
+# is cheap to simulate and long enough for the replay orders to diverge;
+# over the full 100 steps the replay windows are longest and the
+# vehicles' step orders drift furthest apart.
+CASES = {
+    "lawnmower": ("lawnmower", 30),
+    "terminal": ("terminal", 8),
+    "lawnmower_100": ("lawnmower", 100),
+}
 SEEDS = (0, 1)
 
 
 def reward_traces() -> dict[str, list[float]]:
-    """The reward trace of every case and seed, keyed ``<variant>/seed_<n>``."""
+    """The reward trace of every case and seed, keyed ``<name>/seed_<n>``."""
     base = load_config(str(ROOT / "configs" / "default.json"), env={})
     out = {}
-    for variant, steps in CASES:
+    for name, (variant, steps) in CASES.items():
         for seed in SEEDS:
             cfg = dataclasses.replace(
                 base, variant=variant, total_length=steps, seed=seed
             )
             trace = accumulated_reward_trace(run_mission(cfg))
-            out[f"{variant}/seed_{seed}"] = [float(v) for v in trace]
+            out[f"{name}/seed_{seed}"] = [float(v) for v in trace]
     return out
 
 
