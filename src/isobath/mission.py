@@ -278,7 +278,7 @@ class MissionResult:
     plan_bound_failures: int
 
     def config_dict(self) -> dict:
-        return _jsonable(asdict(self.config))
+        return asdict(self.config)
 
     @functools.cached_property
     def step_samples(self) -> list[tuple[int, Sample]]:
@@ -292,20 +292,6 @@ class MissionResult:
             for e in self.events
             if e["kind"] == "sample"
         ]
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 def run_mission(config: MissionConfig) -> MissionResult:
@@ -360,7 +346,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
             north=float(s.location[0]),
             east=float(s.location[1]),
             value=float(s.value),
-            accepted=bool(accepted),
+            accepted=int(accepted),
         )
 
     def plan_and_go(t, agent: _AgentRuntime):
@@ -383,7 +369,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 actions=[],
                 value=0.0,
                 naive=0.0,
-                bound_ok=True,
+                bound_ok=1,
                 evaluations=0,
             )
         else:
@@ -424,7 +410,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 actions=list(agent.plan_actions),
                 value=float(result.value),
                 naive=float(result.naive_value),
-                bound_ok=bool(result.bound_ok),
+                bound_ok=int(result.bound_ok),
                 evaluations=int(result.evaluations),
             )
         segment = Path(
@@ -482,7 +468,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
             n_bytes=len(raw),
             n_meas=len(triples),
             n_actions=n_actions,
-            tail=bool(tail_flag),
+            tail=int(tail_flag),
             epoch=owner.plan_epoch,
             delivered_to=delivered_to,
             dropped_to=dropped_to,
@@ -563,16 +549,17 @@ def run_mission(config: MissionConfig) -> MissionResult:
 def write_jsonl(result: MissionResult, path) -> None:
     """Write the event log as one sorted-keys JSON object per line.
 
-    Identical missions produce byte-identical files. Values pass through
-    ``_jsonable``, which writes booleans as integers: a line holds
-    ``"accepted": 1``, ``"bound_ok": 1`` or ``"tail": 1``, never ``true``.
+    Identical missions produce byte-identical files. Events are written
+    as logged: plain Python numbers, strings and lists, with flags logged
+    as integers, so a line holds ``"accepted": 1``, ``"bound_ok": 1`` or
+    ``"tail": 1``, never ``true``.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as f:
         header = {"kind": "config", **result.config_dict()}
         f.write(encode(header) + "\n")
         for event in result.events:
-            f.write(encode(_jsonable(event)) + "\n")
+            f.write(encode(event) + "\n")
 
 
 def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:

@@ -20,6 +20,7 @@ Angles are radians everywhere. The action set spans {-90, -30, -20,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ import numpy as np
 
 ACTION_SET_DEG = (-90.0, -30.0, -20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0, 30.0, 90.0)
 ACTION_SET = tuple(math.radians(a) for a in ACTION_SET_DEG)
+_ACTIONS = frozenset(ACTION_SET)
 
 
 def wrap_heading(h: float) -> float:
@@ -54,6 +56,17 @@ class AgentState:
         return np.array([self.north, self.east])
 
 
+def _pose(heading: float, north: float, east: float) -> AgentState:
+    """``AgentState(heading, north, east)`` for values that are already floats.
+
+    Skips the dataclass's field-by-field initialisation, which costs more
+    than the rest of a sweep step; the heading is still wrapped.
+    """
+    state = object.__new__(AgentState)
+    vars(state).update(heading=wrap_heading(heading), north=north, east=east)
+    return state
+
+
 @dataclass(frozen=True)
 class MotionParams:
     """Turn radius, mandatory-run angle, and cruise speed."""
@@ -75,8 +88,12 @@ def action_index(action: float) -> int:
     raise ValueError(f"action {action!r} is not in the action set")
 
 
+@functools.lru_cache(maxsize=256)
 def _body_displacement(action: float, params: MotionParams) -> tuple[float, float]:
-    """Body-frame (dx, dy) of one step: arc through |action|, then run out."""
+    """Body-frame (dx, dy) of one step: arc through |action|, then run out.
+
+    Cached: a mission only ever asks for its few vehicles' eleven actions.
+    """
     r = params.turn_radius
     a = float(action)
     d = r * (params.theta_max + abs(a))
@@ -87,13 +104,14 @@ def _body_displacement(action: float, params: MotionParams) -> tuple[float, floa
 
 def step(state: AgentState, action: float, params: MotionParams) -> AgentState:
     """Advance one action: arc through the heading change, then run out."""
-    action_index(action)  # membership check
+    if action not in _ACTIONS:
+        action_index(action)  # membership within tolerance, or raise
     dx, dy = _body_displacement(action, params)
     h = state.heading
     ch, sh = math.cos(h), math.sin(h)
     dn = ch * dx + sh * dy
     de = -(sh * dx) + ch * dy
-    return AgentState(h + float(action), state.north + dn, state.east + de)
+    return _pose(h + float(action), state.north + dn, state.east + de)
 
 
 @dataclass(frozen=True)
@@ -140,11 +158,13 @@ def sample_locations(path: Path, spacing: float) -> np.ndarray:
     where numpy's per-call cost would outweigh the arithmetic. Squares
     are ``d * d``, as numpy's square rounds; ``d ** 2`` calls the C
     library's ``pow``, which can be one ulp off and move a location.
+    The coordinates are collected in one flat list, which numpy converts
+    several times faster than a list of pairs.
     """
     if not (spacing > 0):
         raise ValueError("spacing must be positive")
     n0, e0 = path.states[0].north, path.states[0].east
-    out = [(n0, e0)]
+    out = [n0, e0]
     for s in path.states[1:]:
         n1, e1 = s.north, s.east
         d_n, d_e = n1 - n0, e1 - e0
@@ -157,10 +177,10 @@ def sample_locations(path: Path, spacing: float) -> np.ndarray:
         k += (k + 1) * spacing < cut
         for i in range(1, k + 1):
             t = i * spacing / chord
-            out.append((n0 + t * d_n, e0 + t * d_e))
-        out.append((n1, e1))
+            out += (n0 + t * d_n, e0 + t * d_e)
+        out += (n1, e1)
         n0, e0 = n1, e1
-    return np.array(out)
+    return np.array(out).reshape(-1, 2)
 
 
 def lawnmower_path(
@@ -244,5 +264,5 @@ def lawnmower_path(
         traj.append((h, n, e))
         actions.append(act)
     states = [start]
-    states.extend(AgentState(*t) for t in traj[1:])
+    states.extend(_pose(*t) for t in traj[1:])
     return Path(tuple(states), tuple(actions))

@@ -16,20 +16,30 @@ products rather than a fresh GP solve. Measurement locations that the
 density rule would reject are dropped before scoring; revisiting known
 ground earns nothing.
 
-A candidate is scored in one evaluator call. The search passes its
-short path and, when no tail from the same final state has been scored
-yet, its lawnmower tail as two location sets. Each set keeps its own
-thinning, Schur block and Cholesky factor; the closed-form expected
-risk then runs once over the sets' concatenated evaluation points, and
-each set's benefit is the sum over its own slice. That gives the same
-floats as scoring the sets one by one, at one set of per-call numpy
-overheads instead of two.
+A candidate is scored as location sets of an evaluator call: its short
+path and, when no tail from the same final state has been scored yet,
+its lawnmower tail. Each set keeps its own thinning, Schur block and
+Cholesky factor; the closed-form expected risk then runs once over the
+sets' concatenated evaluation points, and each set's benefit is the sum
+over its own slice. That gives the same floats as scoring the sets one
+by one, at one set of per-call numpy overheads instead of one per set.
 
 That overhead, not arithmetic, is what a candidate costs: a score is a
 few hundred numpy and LAPACK calls on blocks of a few dozen rows. So
 the distances that pick a set's nearby evaluation points also give its
 covariance to them, and candidates are not split into per-step pieces
 cached on the search tree, which would add calls, not save them.
+
+For the same reason a search opens with one call for many candidates.
+UCT expands the root's untried actions one per iteration, and until
+every one has been tried no node is fully expanded, so selection never
+runs: the first ``len(ACTION_SET)`` iterations draw their expansions
+and rollouts from the rng alone and read no value. Their candidates,
+the sweep-prefix seed and the naive value are therefore scored in one
+evaluator call, and the values are then recorded (memo, value range,
+best plan, backups) in iteration order. Since a set's value does not
+depend on the other sets of its call, every float, and so every plan,
+is the one a candidate-by-candidate search computes.
 
 A plan commits a vehicle to measurement locations in one way only:
 ``plan_locations`` samples the short path and then its lawnmower
@@ -142,7 +152,6 @@ class EpisodeEvaluator:
         data = context.data
         self.noise_var = kernel.noise_std**2
         grid = context.eval_points
-        self.grid = grid
         self.locs = data.locations
         self.belief = Belief(kernel, context.prior_mean, data)
         self.mu_s, self.var_s, self.v_s = self.belief.project(grid)
@@ -167,6 +176,9 @@ class EpisodeEvaluator:
             self.x_b = np.empty((0, grid.shape[0]))
             self.b_b = np.empty((len(data), 0))
             dvar_base = np.zeros(grid.shape[0])
+        # One cdist per candidate set reaches the data, the base plan and
+        # the grid; a squared distance is the same in either direction.
+        self.targets = np.vstack([self.existing, grid])
         self.var_qbase = np.maximum(self.var_s - dvar_base, 0.0)
         self.e_base = expected_bayes_risk_closed_batch(
             self.mu_s, np.maximum(self.var_s - self.var_qbase, 0.0),
@@ -189,43 +201,48 @@ class EpisodeEvaluator:
         closed-form call over their concatenated evaluation points.
         """
         kernel = self.ctx.kernel
-        near, moments = [], []
+        n_s = self.locs.shape[0]
+        n_sb = self.existing.shape[0]
+        eps2 = self.ctx.d_eps**2
+        near, dvars = [], []
         for locations in location_sets:
             added = self.admissible(locations)
             na = added.shape[0]
-            d2 = cdist(added, self.grid, "sqeuclidean")
-            idx = np.flatnonzero((d2 <= self.ctx.d_eps**2).any(axis=0))
+            d2 = cdist(added, self.targets, "sqeuclidean")
+            d2_grid = d2[:, n_sb:]
+            idx = (d2_grid <= eps2).any(axis=0).nonzero()[0]
             near.append(idx)
             if not idx.size:
                 continue
-            b_a = self.belief.solve(kernel(self.locs, added))
-            c_aa = kernel(added, added) + self.noise_var * np.eye(na) - b_a.T @ b_a
-            u_a = kernel.from_sqdist(d2[:, idx]) - b_a.T @ self.v_s[:, idx]
+            k_as = kernel.from_sqdist(d2[:, :n_sb])
+            b_a = self.belief.solve(k_as[:, :n_s].T)
+            c_aa = kernel.from_sqdist(cdist(added, added, "sqeuclidean"))
+            c_aa.flat[::na + 1] += self.noise_var
+            c_aa -= b_a.T @ b_a
+            u_a = kernel.from_sqdist(d2_grid[:, idx]) - b_a.T @ self.v_s[:, idx]
             if self.low_b is not None:
-                c_ba = kernel(self.base, added) - self.b_b.T @ b_a
+                c_ba = k_as[:, n_s:].T - self.b_b.T @ b_a
                 m = _tri_solve(self.low_b, c_ba)
                 c_aa = c_aa - m.T @ m
                 u_a = u_a - m.T @ self.x_b[:, idx]
             low_a = _chol_with_jitter(c_aa, kernel, na)
             x_a = _tri_solve(low_a, u_a)
-            dvar = np.sum(x_a**2, axis=0)
-            var_qfull = np.maximum(self.var_qbase[idx] - dvar, 0.0)
-            moments.append((
-                self.mu_s[idx],
-                np.maximum(self.var_s[idx] - var_qfull, 0.0),
-                var_qfull,
-            ))
-        if not moments:
+            dvars.append((x_a**2).sum(axis=0))
+        if not dvars:
             return [0.0] * len(near)
+        # From here on every step is elementwise, so the sets' evaluation
+        # points are gathered once and each set sums its own slice.
+        at = np.concatenate(near)
+        var_qfull = np.maximum(self.var_qbase[at] - np.concatenate(dvars), 0.0)
         e_full = expected_bayes_risk_closed_batch(
-            *(np.concatenate(parts) for parts in zip(*moments)), self.ctx.loss
+            self.mu_s[at], np.maximum(self.var_s[at] - var_qfull, 0.0), var_qfull,
+            self.ctx.loss,
         )
+        gain = self.e_base[at] - e_full
         values, start = [], 0
         for idx in near:
             stop = start + idx.size
-            values.append(
-                float(np.sum(self.e_base[idx] - e_full[start:stop])) if idx.size else 0.0
-            )
+            values.append(float(gain[start:stop].sum()) if idx.size else 0.0)
             start = stop
         return values
 
@@ -259,11 +276,8 @@ def _tail_eligible(locations: np.ndarray, context: PlanContext) -> bool:
     lo_e = context.area.min_corner[1] - apron
     hi_n = context.area.max_corner[0] + apron
     hi_e = context.area.max_corner[1] + apron
-    n, e = locations[:, 0], locations[:, 1]
-    return bool(
-        (n >= lo_n).all() and (n <= hi_n).all()
-        and (e >= lo_e).all() and (e <= hi_e).all()
-    )
+    (min_n, min_e), (max_n, max_e) = locations.min(axis=0), locations.max(axis=0)
+    return bool(min_n >= lo_n and max_n <= hi_n and min_e >= lo_e and max_e <= hi_e)
 
 
 def plan_locations(
@@ -340,12 +354,64 @@ class _Node:
         self.expanded = 0
 
 
+_STRAIGHT = ACTION_SET.index(0.0)
+
+
 def _quantize(state: AgentState) -> tuple[int, int, int]:
     return (
         round(state.north / TAIL_MEMO_POSITION),
         round(state.east / TAIL_MEMO_POSITION),
         round(state.heading / TAIL_MEMO_HEADING),
     )
+
+
+def _descend(
+    root: _Node, horizon: int, spread: float, rng
+) -> tuple[tuple[int, ...], list[_Node]]:
+    """One UCT iteration's walk: the candidate's actions and the nodes it visits.
+
+    Selection descends fully expanded nodes by UCB, with exploration
+    scaled to ``spread``, the range of values seen so far; expansion
+    adds one untried action in the node's shuffled order; the rollout
+    fills the horizon, straight half the time, else uniformly. Until the
+    root has tried every action, no node is fully expanded, so the walk
+    reads no value and depends on the rng alone.
+    """
+    n_actions = len(ACTION_SET)
+    node = root
+    actions: list[int] = []
+    visited = [root]
+    c_eff = max(spread, 1e-9) / math.sqrt(2.0)
+    # Selection: descend fully expanded nodes by UCB.
+    while len(actions) < horizon and node.expanded == n_actions:
+        log_n = math.log(max(node.visits, 1))
+        best_child, best_score = None, -np.inf
+        for idx in node.action_order:
+            child = node.children[idx]
+            score = child.total / child.visits + c_eff * math.sqrt(
+                log_n / child.visits
+            )
+            if score > best_score:
+                best_child, best_score, best_idx = child, score, idx
+        node = best_child
+        actions.append(best_idx)
+        visited.append(node)
+    # Expansion: one untried action, in this node's shuffled order.
+    if len(actions) < horizon and node.expanded < n_actions:
+        idx = node.action_order[node.expanded]
+        node.expanded += 1
+        child = _Node(tuple(rng.permutation(n_actions)))
+        node.children[idx] = child
+        node = child
+        actions.append(idx)
+        visited.append(node)
+    # Rollout to the horizon: straight half the time, else uniform.
+    while len(actions) < horizon:
+        if rng.random() < 0.5:
+            actions.append(_STRAIGHT)
+        else:
+            actions.append(int(rng.integers(n_actions)))
+    return tuple(actions), visited
 
 
 def plan_episode(
@@ -364,109 +430,100 @@ def plan_episode(
     """
     horizon = min(config.horizon, context.remaining_steps)
     evaluator = EpisodeEvaluator(context)
-    n_actions = len(ACTION_SET)
-    straight = ACTION_SET.index(0.0)
-
+    naive_sets = []
     if config.use_terminal_reward:
-        naive_value = evaluator.marginal(plan_locations(
+        naive_sets.append(plan_locations(
             Path((start,), ()), context.remaining_steps, context.area,
             context.motion, context.sensor_spacing,
-        ))[0]
-    else:
-        naive_value = 0.0
+        ))
 
     if horizon <= 0:
+        naive_value = evaluator.marginal(*naive_sets)[0] if naive_sets else 0.0
         return PlanResult(Path((start,), ()), naive_value, naive_value, True, 0)
 
     tail_memo: dict[tuple[int, int, int], float] = {}
     value_memo: dict[tuple[int, ...], float] = {}
     evaluations = 0
 
-    def evaluate(actions: tuple[int, ...]) -> float:
+    def evaluate(batch, extra=()) -> list[float]:
+        """Values of the ``extra`` location sets, then of each action tuple.
+
+        All are scored in one evaluator call. A candidate's short path and,
+        when no tail from the same final state has been scored yet, its
+        tail are two of the call's sets; later candidates reuse the first
+        tail scored at a state, and a repeated tuple reuses its value.
+        """
         nonlocal evaluations
-        cached = value_memo.get(actions)
-        if cached is not None:
-            return cached
-        short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
-        short_locs = sample_locations(short, context.sensor_spacing)
-        # The short path and, on a tail-memo miss, its tail are scored in
-        # one call; a memo hit reuses the first tail scored at that state.
-        sets = [short_locs]
-        key = None
-        if config.use_terminal_reward:
-            tail_steps = max(context.remaining_steps - len(short), 0)
-            if tail_steps > 0 and _tail_eligible(short_locs, context):
-                key = _quantize(short.final)
-                if key not in tail_memo:
-                    tail = _tail_path(short.final, tail_steps, context)
-                    sets.append(sample_locations(tail, context.sensor_spacing)[1:])
-        values = evaluator.marginal(*sets)
-        if len(values) > 1:
-            tail_memo[key] = values[1]
-        value = values[0]
-        if key is not None:
-            value += tail_memo[key]
-        evaluations += 1
-        value_memo[actions] = value
-        return value
+        sets = list(extra)
+        fresh = {}  # new action tuple -> (index of its short set, tail key)
+        tail_sets = {}  # tail key -> index of the tail set scored here
+        for actions in batch:
+            if actions in value_memo or actions in fresh:
+                continue
+            short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
+            short_locs = sample_locations(short, context.sensor_spacing)
+            key = None
+            if config.use_terminal_reward:
+                tail_steps = max(context.remaining_steps - len(short), 0)
+                if tail_steps > 0 and _tail_eligible(short_locs, context):
+                    key = _quantize(short.final)
+            fresh[actions] = (len(sets), key)
+            sets.append(short_locs)
+            if key is not None and key not in tail_memo and key not in tail_sets:
+                tail = _tail_path(short.final, tail_steps, context)
+                tail_sets[key] = len(sets)
+                sets.append(sample_locations(tail, context.sensor_spacing)[1:])
+        values = evaluator.marginal(*sets) if sets else []
+        for key, i in tail_sets.items():
+            tail_memo[key] = values[i]
+        for actions, (i, key) in fresh.items():
+            value = values[i]
+            if key is not None:
+                value += tail_memo[key]
+            value_memo[actions] = value
+        evaluations += len(fresh)
+        return values[:len(extra)] + [value_memo[actions] for actions in batch]
 
     # Evaluate the sweep policy's own prefix first, so the returned plan
     # never falls below the policy the terminal reward extrapolates: the
     # anytime argmax then dominates it by construction.
     seed_path = _tail_path(start, horizon, context)
     seed_actions = tuple(ACTION_SET.index(a) for a in seed_path.actions)
-    best_actions = seed_actions
-    best_value = evaluate(seed_actions)
+    n_actions = len(ACTION_SET)
     root = _Node(tuple(rng.permutation(n_actions)))
+    # The first iterations, one per root action, read no value, so they
+    # are walked up front and scored with the seed and the naive value
+    # in one call, then recorded in the order they were walked.
+    walks = [
+        _descend(root, horizon, 0.0, rng)
+        for _ in range(min(config.mcts_iterations, n_actions))
+    ]
+    values = evaluate([seed_actions] + [actions for actions, _ in walks], naive_sets)
+    naive_value = values.pop(0) if naive_sets else 0.0
+    best_actions = seed_actions
+    best_value = values[0]
     # UCB exploration is scaled to the spread of values seen so far, not
     # their magnitude: with a terminal reward every candidate carries the
     # full-mission value, and a magnitude-based constant would drown the
     # differences that actually rank candidates.
     value_lo = value_hi = best_value
 
-    for _ in range(config.mcts_iterations):
-        node = root
-        actions: list[int] = []
-        visited = [root]
-        # Selection: descend fully expanded nodes by UCB.
-        while len(actions) < horizon and node.expanded == n_actions:
-            c_eff = max(value_hi - value_lo, 1e-9) / math.sqrt(2.0)
-            log_n = math.log(max(node.visits, 1))
-            best_child, best_score = None, -np.inf
-            for idx in node.action_order:
-                child = node.children[idx]
-                score = child.total / child.visits + c_eff * math.sqrt(
-                    log_n / child.visits
-                )
-                if score > best_score:
-                    best_child, best_score, best_idx = child, score, idx
-            node = best_child
-            actions.append(best_idx)
-            visited.append(node)
-        # Expansion: one untried action, in this node's shuffled order.
-        if len(actions) < horizon and node.expanded < n_actions:
-            idx = node.action_order[node.expanded]
-            node.expanded += 1
-            child = _Node(tuple(rng.permutation(n_actions)))
-            node.children[idx] = child
-            node = child
-            actions.append(idx)
-            visited.append(node)
-        # Rollout to the horizon: straight half the time, else uniform.
-        while len(actions) < horizon:
-            if rng.random() < 0.5:
-                actions.append(straight)
-            else:
-                actions.append(int(rng.integers(n_actions)))
-        value = evaluate(tuple(actions))
+    def record(actions, visited, value):
+        nonlocal best_actions, best_value, value_lo, value_hi
         value_lo = min(value_lo, value)
         value_hi = max(value_hi, value)
         if value > best_value:
             best_value = value
-            best_actions = tuple(actions)
+            best_actions = actions
         for n in visited:
             n.visits += 1
             n.total += value
+
+    for (actions, visited), value in zip(walks, values[1:]):
+        record(actions, visited, value)
+    for _ in range(len(walks), config.mcts_iterations):
+        actions, visited = _descend(root, horizon, value_hi - value_lo, rng)
+        record(actions, visited, evaluate([actions])[0])
 
     jbar = best_value
     if config.use_terminal_reward:

@@ -175,8 +175,13 @@ def _scaled_erfc(z, gpeak, gend):
     which keeps every exponential argument non-positive.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     pos = z >= 0
+    # Each branch is elementwise, so a one-signed z skips the masking.
+    if pos.all():
+        return special.erfcx(z) * np.exp(gend)
+    if not pos.any():
+        return 2.0 * np.exp(gpeak) - special.erfcx(-z) * np.exp(gend)
+    out = np.empty_like(z)
     out[pos] = special.erfcx(z[pos]) * np.exp(gend[pos])
     neg = ~pos
     out[neg] = 2.0 * np.exp(gpeak[neg]) - special.erfcx(-z[neg]) * np.exp(gend[neg])
@@ -203,32 +208,42 @@ def _branch_sum(center, s2mu, s, x0, x1=None):
     matrix applied to the powers of s*m. Each power, moment and term is
     a row of a 2-D array, so the cost hardly depends on the batch size.
     """
-    p_coef = 1.0 / (2.0 * s2mu) + s * s
-    q_coef = center / s2mu - _B * s
+    two_s2mu = 2.0 * s2mu
+    b_s = _B * s
+    p_coef = 1.0 / two_s2mu + s * s
+    q_coef = center / s2mu - b_s
     inv2p = 1.0 / (2.0 * p_coef)
     m = q_coef * inv2p
-    gpeak = q_coef**2 * (0.5 * inv2p) - center**2 / (2.0 * s2mu)
+    gpeak = q_coef**2 * (0.5 * inv2p) - center**2 / two_s2mu
 
     def g_at(x):
-        return -((x - center) ** 2) / (2.0 * s2mu) - (s * x) ** 2 - _B * s * x
+        return -((x - center) ** 2) / two_s2mu - (s * x) ** 2 - b_s * x
 
     degree = _CORRECTION_DEGREE
+    n = center.shape[0]
     sqrt_p = np.sqrt(p_coef)
+    d0 = x0 - m
+    # Every power table is one column block of a single _powers call:
+    # each row is the previous one times x, column by column.
+    pows = _powers(
+        np.concatenate([s * m, s, d0] + ([x1 - m] if x1 is not None else [])),
+        degree,
+    )
     g0 = g_at(x0)
     e0 = np.exp(g0)
-    scaled = _scaled_erfc(sqrt_p * (x0 - m), gpeak, g0)
+    scaled = _scaled_erfc(sqrt_p * d0, gpeak, g0)
     # Row q - 2 is the boundary term of moment q; the powers d**(q - 1)
     # come from sequential products.
-    edge = _powers(x0 - m, degree - 1)[1:] * e0
+    edge = pows[1:degree, 2 * n:3 * n] * e0
     e_diff = e0
     if x1 is not None:
         g1 = g_at(x1)
         e1 = np.exp(g1)
         scaled = scaled - _scaled_erfc(sqrt_p * (x1 - m), gpeak, g1)
-        edge = edge - _powers(x1 - m, degree - 1)[1:] * e1
+        edge = edge - pows[1:degree, 3 * n:] * e1
         e_diff = e0 - e1
 
-    moments = np.empty((degree + 1, center.shape[0]))
+    moments = np.empty((degree + 1, n))
     moments[0] = 0.5 * np.sqrt(np.pi / p_coef) * scaled
     moments[1] = e_diff * inv2p
     bound = edge * inv2p
@@ -239,16 +254,12 @@ def _branch_sum(center, s2mu, s, x0, x1=None):
         moments[q:hi] = bound[q - 2:hi - 2] + factor[q - 2:hi - 2] * moments[q - 2:hi - 2]
 
     # BLAS takes a one-column product through gemv, which rounds unlike
-    # gemm; two columns keep each element's value independent of the
-    # batch it is evaluated in.
-    u_pows = _powers(s * m, degree)
-    if u_pows.shape[1] == 1:
-        mixed = (_CORRECTION_BINOMIAL @ np.tile(u_pows, 2))[:, :1]
-    else:
-        mixed = _CORRECTION_BINOMIAL @ u_pows
+    # gemm; multiplying every column of the table, at least three, keeps
+    # each element's value independent of the batch it is evaluated in.
+    mixed = (_CORRECTION_BINOMIAL @ pows)[:, :n]
     # Summed row by row, as a running sum: ``np.add.reduce`` turns to
     # pairwise summation when the batch is narrow, which rounds otherwise.
-    total = np.add.accumulate(_powers(s, degree) * moments * mixed, axis=0)[-1]
+    total = np.add.accumulate(pows[:, n:2 * n] * moments * mixed, axis=0)[-1]
     norm = 1.0 / np.sqrt(2.0 * np.pi * s2mu)
     return norm * total
 
@@ -275,12 +286,15 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
         out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
 
     live = ~no_spread & (s2q > 1e-300)
-    if not live.any():
-        return np.clip(out, 0.0, max(c1, c2))
-
-    mm = mu_mu[live]
-    vmu = s2mu[live]
-    vq = s2q[live]
+    n_live = np.count_nonzero(live)
+    if not n_live:
+        return out.clip(0.0, max(c1, c2))
+    if n_live == live.size:
+        # Every step below is elementwise, so with nothing to mask out
+        # the inputs are used as they are.
+        mm, vmu, vq = mu_mu.ravel(), s2mu.ravel(), s2q.ravel()
+    else:
+        mm, vmu, vq = mu_mu[live], s2mu[live], s2q[live]
     sd_mu = np.sqrt(vmu)
     sd_q = np.sqrt(vq)
     ms = level - float(special.erfinv((c2 - c1) / (c1 + c2))) * sd_q * math.sqrt(2.0)
@@ -308,7 +322,7 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
         t_total = t_total + t_b
 
     out[live] = term1 + term2 - (c1 + c2) / 2.0 * t_total
-    return np.clip(out, 0.0, max(c1, c2))
+    return out.clip(0.0, max(c1, c2))
 
 
 def expected_bayes_risk_closed(inputs, loss: LossParams) -> float:

@@ -18,8 +18,16 @@ from isobath.mission import run_mission
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "plans.json"
 
-# (name, variant, horizon); each runs for STEPS steps at every seed.
-CASES = (("terminal", "terminal", 3), ("plain", "plain", 10))
+# name -> (variant, horizon, mcts_iterations); each runs for STEPS steps
+# at every seed. Six iterations stop the search inside the root's first
+# round of expansions, before UCB selection runs; at horizon 1 the sweep
+# prefix is always one of those expansions.
+CASES = {
+    "terminal": ("terminal", 3, 48),
+    "plain": ("plain", 10, 48),
+    "terminal_it6": ("terminal", 3, 6),
+    "terminal_h1": ("terminal", 1, 48),
+}
 SEEDS = (0, 1)
 STEPS = 8
 
@@ -28,10 +36,11 @@ def plan_events() -> dict[str, list[dict]]:
     """Every ``plan`` event of every case and seed, keyed ``<case>/seed_<n>``."""
     base = load_config(str(ROOT / "configs" / "default.json"), env={})
     out = {}
-    for name, variant, horizon in CASES:
+    for name, (variant, horizon, iterations) in CASES.items():
         for seed in SEEDS:
             cfg = dataclasses.replace(
-                base, variant=variant, horizon=horizon, total_length=STEPS, seed=seed
+                base, variant=variant, horizon=horizon,
+                mcts_iterations=iterations, total_length=STEPS, seed=seed,
             )
             out[f"{name}/seed_{seed}"] = [
                 {k: ev[k] for k in ("agent", "epoch", "actions", "evaluations",

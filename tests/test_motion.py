@@ -13,6 +13,7 @@ from isobath.motion import (
     AgentState,
     MotionParams,
     Path,
+    _pose,
     action_index,
     lawnmower_path,
     rollout,
@@ -72,6 +73,24 @@ class TestStep:
         with pytest.raises(ValueError):
             step(AgentState(0, 0, 0), 0.123, PARAMS)
         assert action_index(0.0) == 5
+
+    def test_action_within_tolerance_of_the_set_is_accepted(self):
+        # Exact set members take a hash lookup; a value within the 1e-9
+        # tolerance still steps, with its own displacement.
+        near = ACTION_SET[3] + 1e-12
+        state = AgentState(0.3, 100.0, 100.0)
+        want = reference_step(state, near, PARAMS)
+        got = step(state, near, PARAMS)
+        assert (got.heading, got.north, got.east) == pytest.approx(want, abs=1e-9)
+
+    @given(st.floats(-20.0, 20.0), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+    @settings(max_examples=100, deadline=None)
+    def test_pose_builds_the_same_state(self, h, n, e):
+        # The sweep and ``step`` build states without the dataclass
+        # initialiser; the result must be the state it would build.
+        got, want = _pose(h, n, e), AgentState(h, n, e)
+        assert got == want and hash(got) == hash(want)
+        assert (got.heading, got.north, got.east) == (want.heading, want.north, want.east)
 
     def test_straight_step_advances_one_run_length(self):
         # theta_max * r forward, no lateral drift, heading unchanged.

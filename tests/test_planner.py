@@ -2,12 +2,17 @@
 the plan-to-locations rule, and anytime/determinism properties of the
 search."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from isobath import planner
 from isobath.environment import OperationalArea, eval_grid
 from isobath.gp import DataSet, KernelSpec, Sample, admissible_locations
 from isobath.motion import (
@@ -20,9 +25,14 @@ from isobath.motion import (
     sample_locations,
 )
 from isobath.planner import (
+    BOUND_TOLERANCE,
     EpisodeEvaluator,
     PlanConfig,
     PlanContext,
+    PlanResult,
+    _completed_locations,
+    _Node,
+    _tail_eligible,
     augmented_reward,
     bound_condition_check,
     path_reward,
@@ -363,6 +373,228 @@ class TestPlanEpisode:
                            np.random.default_rng(0))
         assert len(res.path) == 0
         assert res.value == res.naive_value
+
+
+def one_at_a_time_plan(start, context, config, rng, warm_up=None):
+    """``plan_episode`` as first written: the naive value, the seed and
+    every iteration's candidate each scored in its own evaluator call, in
+    iteration order. Kept as the reference the batched warm-up call must
+    reproduce exactly.
+
+    ``warm_up``, when given, is a dict that counts what happened to the
+    seed and the root's first expansions: ``"memo_hit"`` (a tuple scored
+    before), ``"shared_tail"`` (a tail scored before at the same key) and
+    ``"ineligible"`` (a short path whose tail is not granted).
+    """
+    horizon = min(config.horizon, context.remaining_steps)
+    evaluator = EpisodeEvaluator(context)
+    n_actions = len(ACTION_SET)
+    straight = ACTION_SET.index(0.0)
+    if config.use_terminal_reward:
+        naive_value = evaluator.marginal(plan_locations(
+            Path((start,), ()), context.remaining_steps, context.area,
+            context.motion, context.sensor_spacing,
+        ))[0]
+    else:
+        naive_value = 0.0
+    if horizon <= 0:
+        return PlanResult(Path((start,), ()), naive_value, naive_value, True, 0)
+
+    tail_memo, value_memo = {}, {}
+    evaluations = 0
+    counts = warm_up if warm_up is not None else {}
+    n_warm = 1 + min(config.mcts_iterations, n_actions)
+    calls = 0
+
+    def evaluate(actions):
+        nonlocal evaluations, calls
+        calls += 1
+        in_warm_up = calls <= n_warm
+        if actions in value_memo:
+            if in_warm_up:
+                counts["memo_hit"] = counts.get("memo_hit", 0) + 1
+            return value_memo[actions]
+        short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
+        short_locs = sample_locations(short, context.sensor_spacing)
+        sets = [short_locs]
+        key = None
+        if config.use_terminal_reward:
+            tail_steps = max(context.remaining_steps - len(short), 0)
+            if tail_steps > 0 and _tail_eligible(short_locs, context):
+                key = planner._quantize(short.final)
+                if key not in tail_memo:
+                    tail = lawnmower_path(short.final, tail_steps, context.area,
+                                          context.motion)
+                    sets.append(sample_locations(tail, context.sensor_spacing)[1:])
+                elif in_warm_up:
+                    counts["shared_tail"] = counts.get("shared_tail", 0) + 1
+            elif tail_steps > 0 and in_warm_up:
+                counts["ineligible"] = counts.get("ineligible", 0) + 1
+        values = evaluator.marginal(*sets)
+        if len(values) > 1:
+            tail_memo[key] = values[1]
+        value = values[0]
+        if key is not None:
+            value += tail_memo[key]
+        evaluations += 1
+        value_memo[actions] = value
+        return value
+
+    seed_path = lawnmower_path(start, horizon, context.area, context.motion)
+    seed_actions = tuple(ACTION_SET.index(a) for a in seed_path.actions)
+    best_actions = seed_actions
+    best_value = evaluate(seed_actions)
+    root = _Node(tuple(rng.permutation(n_actions)))
+    value_lo = value_hi = best_value
+
+    for _ in range(config.mcts_iterations):
+        node = root
+        actions = []
+        visited = [root]
+        while len(actions) < horizon and node.expanded == n_actions:
+            c_eff = max(value_hi - value_lo, 1e-9) / math.sqrt(2.0)
+            log_n = math.log(max(node.visits, 1))
+            best_child, best_score = None, -np.inf
+            for idx in node.action_order:
+                child = node.children[idx]
+                score = child.total / child.visits + c_eff * math.sqrt(
+                    log_n / child.visits
+                )
+                if score > best_score:
+                    best_child, best_score, best_idx = child, score, idx
+            node = best_child
+            actions.append(best_idx)
+            visited.append(node)
+        if len(actions) < horizon and node.expanded < n_actions:
+            idx = node.action_order[node.expanded]
+            node.expanded += 1
+            child = _Node(tuple(rng.permutation(n_actions)))
+            node.children[idx] = child
+            node = child
+            actions.append(idx)
+            visited.append(node)
+        while len(actions) < horizon:
+            if rng.random() < 0.5:
+                actions.append(straight)
+            else:
+                actions.append(int(rng.integers(n_actions)))
+        value = evaluate(tuple(actions))
+        value_lo = min(value_lo, value)
+        value_hi = max(value_hi, value)
+        if value > best_value:
+            best_value = value
+            best_actions = tuple(actions)
+        for n in visited:
+            n.visits += 1
+            n.total += value
+
+    jbar = best_value
+    if config.use_terminal_reward:
+        short = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
+        jbar = evaluator.marginal(_completed_locations(short, context))[0]
+        evaluations += 1
+        if jbar + BOUND_TOLERANCE < naive_value:
+            best_actions = seed_actions
+            jbar = naive_value
+    best_path = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
+    return PlanResult(best_path, jbar, naive_value,
+                      bound_condition_check(jbar, naive_value), evaluations)
+
+
+def coarse_quantize(state):
+    """A tail-memo key of 60-degree heading bins alone, so that several
+    of a search's first candidates share one tail."""
+    return (0, 0, round(state.heading / math.radians(60.0)))
+
+
+# Heading straight out through the north edge: three straight steps
+# leave the apron, so those short paths are denied their tail.
+EXIT_NORTH = (math.pi / 2, 290.0, 200.0)
+
+
+class TestBatchedWarmUp:
+    """The search scores its naive value, its seed and the root's first
+    expansions in one evaluator call, then replays them in iteration
+    order; it must return exactly what the one-at-a-time search does."""
+
+    @staticmethod
+    def both(start, horizon, iterations, terminal, remaining, ctx_seed, rng_seed,
+             coarse, warm_up=None):
+        ctx = make_context(np.random.default_rng(ctx_seed),
+                           n_data=int(ctx_seed % 13), n_base=int(ctx_seed % 4),
+                           remaining=remaining)
+        cfg = PlanConfig(horizon=horizon, use_terminal_reward=terminal,
+                         mcts_iterations=iterations)
+        state = AgentState(*start)
+        key = (mock.patch.object(planner, "_quantize", coarse_quantize)
+               if coarse else contextlib.nullcontext())
+        marginal = EpisodeEvaluator.marginal
+        set_counts = []
+
+        def counted(self, *location_sets):
+            set_counts.append(len(location_sets))
+            return marginal(self, *location_sets)
+
+        with key:
+            with mock.patch.object(EpisodeEvaluator, "marginal", counted):
+                got = plan_episode(state, ctx, cfg, np.random.default_rng(rng_seed))
+            want = one_at_a_time_plan(state, ctx, cfg, np.random.default_rng(rng_seed),
+                                      warm_up)
+        # A candidate scored before is answered from the memo, not by an
+        # evaluator call with nothing to score.
+        assert 0 not in set_counts
+        return got, want
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.path == want.path
+        assert got.value == want.value
+        assert got.naive_value == want.naive_value
+        assert got.evaluations == want.evaluations
+        assert got.bound_ok == want.bound_ok
+
+    @given(
+        start=st.one_of(
+            st.just(EXIT_NORTH),
+            st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 300.0),
+                      st.floats(0.0, 400.0)),
+        ),
+        horizon=st.sampled_from([1, 3, 10]),
+        iterations=st.sampled_from([1, 6, 11, 48]),
+        terminal=st.booleans(),
+        remaining=st.integers(1, 14),
+        ctx_seed=st.integers(0, 1000),
+        rng_seed=st.integers(0, 1000),
+        coarse=st.booleans(),
+    )
+    @example(start=(0.0, 150.0, 30.0), horizon=1, iterations=11, terminal=True,
+             remaining=12, ctx_seed=7, rng_seed=11, coarse=False)
+    @example(start=(0.3, 80.0, 60.0), horizon=3, iterations=48, terminal=True,
+             remaining=12, ctx_seed=21, rng_seed=24, coarse=True)
+    @example(start=EXIT_NORTH, horizon=3, iterations=6, terminal=True,
+             remaining=12, ctx_seed=22, rng_seed=5, coarse=False)
+    @example(start=(1.0, 200.0, 300.0), horizon=10, iterations=48, terminal=False,
+             remaining=14, ctx_seed=3, rng_seed=9, coarse=False)
+    @settings(max_examples=50, deadline=None)
+    def test_matches_one_at_a_time_search(self, start, horizon, iterations,
+                                          terminal, remaining, ctx_seed,
+                                          rng_seed, coarse):
+        self.assert_same(*self.both(start, horizon, iterations, terminal, remaining,
+                                    ctx_seed, rng_seed, coarse))
+
+    @pytest.mark.parametrize("what,start,horizon,coarse", [
+        # At horizon 1 the sweep's first action is one of the root's.
+        ("memo_hit", (0.0, 150.0, 30.0), 1, False),
+        ("shared_tail", (0.0, 150.0, 30.0), 3, True),
+        ("ineligible", EXIT_NORTH, 3, False),
+    ])
+    def test_warm_up_reuses_and_denies_like_the_reference(
+        self, what, start, horizon, coarse
+    ):
+        warm_up = {}
+        got, want = self.both(start, horizon, 48, True, 12, 7, 11, coarse, warm_up)
+        assert warm_up.get(what, 0) > 0
+        self.assert_same(got, want)
 
 
 class TestBoundCheck:

@@ -287,24 +287,31 @@ class TestClosedBatchIsElementwise:
 
     The planner scores several location sets in one call over their
     concatenated inputs and reads each set's values from its slice, so
-    a batch must return bit for bit what its parts return alone.
+    a batch must return bit for bit what its parts return alone. A
+    search's warm-up call scores up to 25 sets of a few dozen nearby
+    evaluation points each, hence up to 30 parts of up to 50 elements.
     """
 
     @given(
         st.integers(0, 2**31 - 1),
-        st.lists(st.integers(0, 30), min_size=1, max_size=5),
+        st.lists(st.integers(0, 50), min_size=1, max_size=30),
         st.sampled_from([EQUAL, SKEWED, LossParams(15.0, 13.0, 4.0)]),
+        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_concatenation_equals_the_parts(self, seed, sizes, loss):
+    def test_concatenation_equals_the_parts(self, seed, sizes, loss, degenerate):
         rng = np.random.default_rng(seed)
         n = sum(sizes)
         mu = rng.normal(15.0, 4.0, n)
-        # Some elements have no mean spread or no residual variance, the
-        # two degenerate branches; some have a tiny residual variance.
-        s2mu = rng.exponential(3.0, n) * (rng.random(n) > 0.15)
-        s2q = rng.exponential(3.0, n) * (rng.random(n) > 0.15)
-        s2q = np.where(rng.random(n) < 0.1, rng.exponential(1e-6, n), s2q)
+        s2mu = rng.exponential(3.0, n)
+        s2q = rng.exponential(3.0, n)
+        if degenerate:
+            # Some elements have no mean spread or no residual variance,
+            # the two degenerate branches; some have a tiny residual
+            # variance. Without them every element takes the live path.
+            s2mu = s2mu * (rng.random(n) > 0.15)
+            s2q = s2q * (rng.random(n) > 0.15)
+            s2q = np.where(rng.random(n) < 0.1, rng.exponential(1e-6, n), s2q)
         whole = expected_bayes_risk_closed_batch(mu, s2mu, s2q, loss)
         cuts = np.cumsum(sizes)[:-1]
         parts = [
