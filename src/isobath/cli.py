@@ -148,7 +148,6 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         "final_accumulated_reward": float(trace[-1]),
         "mid_accumulated_reward": float(trace[len(trace) // 2]),
         "comm_delivery_rate": delivery if math.isfinite(delivery) else None,
-        "plan_bound_failures": result.plan_bound_failures,
         "merged_belief_sizes": [len(d) for d in result.agent_data],
     }
     with open(out_dir / "summary.json", "w") as fh:

@@ -22,13 +22,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comms import Packet
-from .gp import DataSet, KernelSpec, admissible_locations
 from .motion import ACTION_SET, AgentState, MotionParams, rollout
 # The benchmark's traced run (perfbench/tracing.py) wraps these two names
 # in this module; the calls themselves go through ``plan_locations``.
 from .motion import lawnmower_path, sample_locations  # noqa: F401
 from .planner import PlanConfig, PlanContext, PlanResult, plan_episode, plan_locations
-from .risk import LossParams, expected_benefit_of_search
 
 
 @dataclass(frozen=True)
@@ -148,27 +146,3 @@ def plan_with_predecessors(
     )
     ctx = replace(context, preceding_planned=pre)
     return plan_episode(start, ctx, config, rng)
-
-
-def joint_reward(
-    data: DataSet,
-    location_sets,
-    eval_points,
-    kernel: KernelSpec,
-    loss: LossParams,
-    *,
-    prior_mean: float = 0.0,
-) -> float:
-    """Expected benefit of the whole team's plans, taken together.
-
-    Concatenates the per-agent planned location sets in team order,
-    thins the union by the density rule against the current data (a
-    location only counts once no matter how many plans visit it), and
-    returns the expected drop in summed Bayes risk over ``eval_points``.
-    """
-    sets = [np.asarray(s, dtype=float).reshape(-1, 2) for s in location_sets]
-    union = np.vstack(sets) if sets else np.empty((0, 2))
-    thinned = admissible_locations(union, data.min_spacing, existing=data.locations)
-    return expected_benefit_of_search(
-        data, thinned, eval_points, kernel, loss, prior_mean=prior_mean
-    )

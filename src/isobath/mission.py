@@ -71,6 +71,15 @@ from .risk import LossParams, RiskField, bayes_risk_batch, risk_field
 
 VARIANTS = ("terminal", "plain", "lawnmower")
 
+# What ``compare_methods`` runs: MissionConfig overrides per variant, so
+# the terminal-reward planner, the plain short-horizon planner and the
+# lawnmower baseline each fly with the horizon the comparison pairs them at.
+COMPARED_VARIANTS = {
+    "terminal": {"variant": "terminal", "horizon": 3},
+    "plain": {"variant": "plain", "horizon": 10},
+    "lawnmower": {"variant": "lawnmower"},
+}
+
 
 @dataclass
 class MissionConfig:
@@ -229,9 +238,8 @@ class MissionConfig:
     def loss(self) -> LossParams:
         return LossParams(self.level, self.cost_deep_wrong, self.cost_shallow_wrong)
 
-    def motion(self, agent: int | None = None) -> MotionParams:
-        speed = self.speeds[agent] if agent is not None else self.speeds[0]
-        return MotionParams(self.turn_radius, self.theta_max, speed)
+    def motion(self, agent: int) -> MotionParams:
+        return MotionParams(self.turn_radius, self.theta_max, self.speeds[agent])
 
     def plan_config(self) -> PlanConfig:
         return PlanConfig(
@@ -275,7 +283,6 @@ class MissionResult:
     agent_data: list[DataSet]
     comm_log: CommLog
     duration: float
-    plan_bound_failures: int
 
     def config_dict(self) -> dict:
         return asdict(self.config)
@@ -325,7 +332,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
     comm_log = CommLog()
     heap: list[tuple] = []
     seq = itertools.count()
-    bound_failures = 0
 
     def push(t, kind, payload):
         heapq.heappush(heap, (t, next(seq), kind, payload))
@@ -369,7 +375,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 actions=[],
                 value=0.0,
                 naive=0.0,
-                bound_ok=1,
+                fell_back=0,
                 evaluations=0,
             )
         else:
@@ -399,9 +405,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
             agent.plan_actions = tuple(
                 ACTION_SET.index(a) for a in result.path.actions
             )
-            nonlocal bound_failures
-            if not result.bound_ok:
-                bound_failures += 1
             log(
                 t,
                 "plan",
@@ -410,7 +413,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 actions=list(agent.plan_actions),
                 value=float(result.value),
                 naive=float(result.naive_value),
-                bound_ok=int(result.bound_ok),
+                fell_back=int(result.fell_back),
                 evaluations=int(result.evaluations),
             )
         segment = Path(
@@ -542,7 +545,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
         agent_data=[a.data for a in agents],
         comm_log=comm_log,
         duration=t_now,
-        plan_bound_failures=bound_failures,
     )
 
 
@@ -551,7 +553,7 @@ def write_jsonl(result: MissionResult, path) -> None:
 
     Identical missions produce byte-identical files. Events are written
     as logged: plain Python numbers, strings and lists, with flags logged
-    as integers, so a line holds ``"accepted": 1``, ``"bound_ok": 1`` or
+    as integers, so a line holds ``"accepted": 1``, ``"fell_back": 0`` or
     ``"tail": 1``, never ``true``.
     """
     encode = json.JSONEncoder(sort_keys=True).encode
@@ -701,42 +703,27 @@ def truth_grid(result: MissionResult, resolution: float | None = None):
     return points, bathymetry.depth_grid(points)
 
 
-def compare_methods(
-    base_config: MissionConfig,
-    seeds,
-    variants: dict[str, dict] | None = None,
-) -> dict:
-    """Run each planner variant over the seeds and summarize.
+def compare_methods(base_config: MissionConfig, seeds) -> dict:
+    """Run each variant of ``COMPARED_VARIANTS`` over the seeds and summarize.
 
-    ``variants`` maps a name to MissionConfig field overrides; the
-    default compares the terminal-reward planner, the plain short-horizon
-    planner, and the lawnmower baseline. Returns per-variant final
-    accumulated rewards and mean traces.
+    Returns per-variant final accumulated rewards and mean traces.
     """
     from dataclasses import replace as dc_replace
 
-    if variants is None:
-        variants = {
-            "terminal": {"variant": "terminal", "horizon": 3},
-            "plain": {"variant": "plain", "horizon": 10},
-            "lawnmower": {"variant": "lawnmower"},
-        }
     jobs = [
         (name, int(seed), dc_replace(base_config, seed=int(seed), **overrides))
-        for name, overrides in variants.items()
+        for name, overrides in COMPARED_VARIANTS.items()
         for seed in seeds
     ]
 
     def run_one(job):
         name, seed, cfg = job
-        result = run_mission(cfg)
-        trace = accumulated_reward_trace(result)
-        return name, seed, trace, result.plan_bound_failures
+        return name, seed, accumulated_reward_trace(run_mission(cfg))
 
     rows = [run_one(j) for j in jobs]
 
     out: dict = {"seeds": [int(s) for s in seeds], "variants": {}}
-    for name in variants:
+    for name in COMPARED_VARIANTS:
         traces = [r[2] for r in rows if r[0] == name]
         finals = [float(tr[-1]) for tr in traces]
         mids = [float(tr[len(tr) // 2]) for tr in traces]
@@ -746,6 +733,5 @@ def compare_methods(
             "mean_final": float(np.mean(finals)),
             "mean_mid": float(np.mean(mids)),
             "mean_trace": np.mean(np.stack(traces), axis=0).tolist(),
-            "bound_failures": int(sum(r[3] for r in rows if r[0] == name)),
         }
     return out

@@ -43,9 +43,9 @@ is the one a candidate-by-candidate search computes.
 
 A plan commits a vehicle to measurement locations in one way only:
 ``plan_locations`` samples the short path and then its lawnmower
-completion. The planner's naive value, its final rescore and
-``augmented_reward`` use it, and so does a teammate reconstructing a
-broadcast plan, so a sender and a receiver score the same locations.
+completion. The planner's naive value and its final rescore use it,
+and so does a teammate reconstructing a broadcast plan, so a sender and
+a receiver score the same locations.
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ from .gp import (
     _tri_solve,
     admissible_locations,
 )
-from .risk import LossParams, bayes_risk_batch, expected_bayes_risk_closed_batch
+from .risk import LossParams, expected_bayes_risk_closed_batch
+# The benchmark's traced run (perfbench/tracing.py) wraps this name in
+# this module, so it stays imported; the planner does not call it.
+from .risk import bayes_risk_batch  # noqa: F401
 from .motion import (
     ACTION_SET,
     AgentState,
@@ -80,7 +83,8 @@ from .motion import (
 TAIL_MEMO_POSITION = 1.0
 TAIL_MEMO_HEADING = math.radians(5.0)
 
-# Slack for the receding-horizon lower-bound diagnostic.
+# Slack by which the exact rescore of the search's winner may trail the
+# naive value before the plan falls back to the sweep policy's prefix.
 BOUND_TOLERANCE = 1e-9
 
 
@@ -155,7 +159,6 @@ class EpisodeEvaluator:
         self.locs = data.locations
         self.belief = Belief(kernel, context.prior_mean, data)
         self.mu_s, self.var_s, self.v_s = self.belief.project(grid)
-        self.risk_s = bayes_risk_batch(self.mu_s, self.var_s, context.loss)
 
         base = admissible_locations(
             context.preceding_planned, data.min_spacing, existing=self.locs
@@ -247,16 +250,6 @@ class EpisodeEvaluator:
         return values
 
 
-def path_reward(path_locations, context: PlanContext) -> float:
-    """Marginal expected benefit of a path's measurement locations.
-
-    Credited on top of the preceding agents' planned locations, over
-    evaluation points within ``d_eps`` of the path. Revisiting only
-    locations the density rule would reject earns zero.
-    """
-    return EpisodeEvaluator(context).marginal(path_locations)[0]
-
-
 def _tail_path(final_state: AgentState, tail_steps: int, context: PlanContext) -> Path:
     return lawnmower_path(final_state, tail_steps, context.area, context.motion)
 
@@ -313,33 +306,19 @@ def _completed_locations(short_path: Path, context: PlanContext) -> np.ndarray:
     )
 
 
-def augmented_reward(short_path: Path, context: PlanContext) -> float:
-    """Reward of the short path extended by its boustrophedon completion.
-
-    Equals ``path_reward`` of the concatenated location set: the short
-    path's measurement locations followed by those of a deterministic
-    lawnmower tail of the remaining mission length, grown from the short
-    path's final state. With no length remaining the tail is empty and
-    this reduces to the plain path reward. A short path that leaves the
-    operational area (beyond the sweep policy's own turn-diameter apron)
-    forfeits the completion credit and scores as the bare path.
-    """
-    return path_reward(_completed_locations(short_path, context), context)
-
-
-def bound_condition_check(jbar_n: float, jbar_n_minus: float) -> bool:
-    """Receding-horizon lower-bound diagnostic (logged, never enforced)."""
-    return jbar_n >= jbar_n_minus - BOUND_TOLERANCE
-
-
 @dataclass
 class PlanResult:
-    """Chosen plan plus the diagnostics the mission log wants."""
+    """Chosen plan plus the diagnostics the mission log wants.
+
+    ``fell_back`` is true only when the exact rescore of the search's
+    winner lost to the naive value, so the plan is the sweep policy's
+    prefix, valued at the naive value.
+    """
 
     path: Path
     value: float
     naive_value: float
-    bound_ok: bool
+    fell_back: bool
     evaluations: int
 
 
@@ -425,8 +404,7 @@ def plan_episode(
     plan). The sweep policy's prefix is evaluated before any search, so
     the result never scores below the policy the terminal reward
     extrapolates. Deterministic for a fixed rng state. The naive value
-    is the reward of the pure lawnmower completion from the start state,
-    logged for the lower-bound diagnostic.
+    is the reward of the pure lawnmower completion from the start state.
     """
     horizon = min(config.horizon, context.remaining_steps)
     evaluator = EpisodeEvaluator(context)
@@ -439,7 +417,7 @@ def plan_episode(
 
     if horizon <= 0:
         naive_value = evaluator.marginal(*naive_sets)[0] if naive_sets else 0.0
-        return PlanResult(Path((start,), ()), naive_value, naive_value, True, 0)
+        return PlanResult(Path((start,), ()), naive_value, naive_value, False, 0)
 
     tail_memo: dict[tuple[int, int, int], float] = {}
     value_memo: dict[tuple[int, ...], float] = {}
@@ -526,6 +504,7 @@ def plan_episode(
         record(actions, visited, evaluate([actions])[0])
 
     jbar = best_value
+    fell_back = False
     if config.use_terminal_reward:
         # Re-score the winner exactly (one joint marginal of the short
         # path and its tail, the same form the naive value uses). The
@@ -542,6 +521,6 @@ def plan_episode(
             # policy's own prefix, whose exact value is the naive value.
             best_actions = seed_actions
             jbar = naive_value
+            fell_back = True
     best_path = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
-    bound_ok = bound_condition_check(jbar, naive_value)
-    return PlanResult(best_path, jbar, naive_value, bound_ok, evaluations)
+    return PlanResult(best_path, jbar, naive_value, fell_back, evaluations)

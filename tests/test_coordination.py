@@ -11,7 +11,6 @@ from isobath.coordination import (
     JointPlanSnapshot,
     PeerPlan,
     TeamOrdering,
-    joint_reward,
     plan_with_predecessors,
 )
 from isobath.environment import OperationalArea, eval_grid
@@ -25,7 +24,8 @@ from isobath.motion import (
     sample_locations,
 )
 from isobath.planner import PlanConfig, PlanContext, plan_episode
-from isobath.risk import LossParams, expected_benefit_of_search
+from isobath.risk import LossParams
+from reference import expected_benefit_of_search, joint_reward
 
 AREA = OperationalArea((0.0, 0.0), (300.0, 400.0))
 KERNEL = KernelSpec(length_scale=40.0, signal_variance=25.0, noise_std=0.5)

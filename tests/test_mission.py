@@ -63,7 +63,7 @@ def sample_log(config, samples):
          "north": north, "east": east, "value": value}
         for t, agent, k, north, east, value in sorted(samples)
     ]
-    return MissionResult(config, events, [], [], CommLog(), 0.0, 0)
+    return MissionResult(config, events, [], [], CommLog(), 0.0)
 
 
 def reference_reward_trace(result):
@@ -189,13 +189,13 @@ class TestEventLog:
         # Flags are logged as 0/1 integers and every event is written as
         # logged, so the file reads back as the log itself.
         flags = [e[k] for e in result.events
-                 for k in ("accepted", "bound_ok", "tail") if k in e]
+                 for k in ("accepted", "fell_back", "tail") if k in e]
         assert {type(f) for f in flags} == {int} and set(flags) == {0, 1}
         p = tmp_path / "log.jsonl"
         write_jsonl(result, p)
         text = p.read_text()
         assert [json.loads(line) for line in text.splitlines()[1:]] == result.events
-        assert '"accepted": 1' in text and '"bound_ok": 1' in text
+        assert '"accepted": 1' in text and '"fell_back": 0' in text
         assert '"tail": 1' in text
         assert "true" not in text and "false" not in text
 
@@ -435,7 +435,9 @@ class TestCompareMethods:
         for v in one["variants"].values():
             assert len(v["final_rewards"]) == len(seeds)
             assert len(v["mean_trace"]) == cfg.total_length + 1
-            assert isinstance(v["bound_failures"], int)
+            assert set(v) == {
+                "final_rewards", "mid_rewards", "mean_final", "mean_mid", "mean_trace"
+            }
         two = compare_methods(cfg, seeds)
         for name in one["variants"]:
             assert one["variants"][name]["final_rewards"] == pytest.approx(

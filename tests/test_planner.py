@@ -33,13 +33,10 @@ from isobath.planner import (
     _completed_locations,
     _Node,
     _tail_eligible,
-    augmented_reward,
-    bound_condition_check,
-    path_reward,
     plan_episode,
     plan_locations,
 )
-from isobath.risk import LossParams, bayes_risk_batch, expected_bayes_risk_closed_batch
+from isobath.risk import LossParams, expected_bayes_risk_closed_batch
 
 AREA = OperationalArea((0.0, 0.0), (300.0, 400.0))
 KERNEL = KernelSpec(length_scale=40.0, signal_variance=25.0, noise_std=0.5)
@@ -133,24 +130,24 @@ class TestMarginalObjective:
         for _ in range(4):
             ctx = make_context(rng, n_data=n_data, n_base=n_base)
             locs = rng.uniform((0, 0), (300, 400), size=(8, 2))
-            got = path_reward(locs, ctx)
+            got = EpisodeEvaluator(ctx).marginal(locs)[0]
             want = dense_marginal(ctx, locs)
             assert got == pytest.approx(want, rel=rel, abs=1e-9)
 
     def test_empty_locations_zero(self):
         ctx = make_context(np.random.default_rng(0))
-        assert path_reward(np.empty((0, 2)), ctx) == 0.0
+        assert EpisodeEvaluator(ctx).marginal(np.empty((0, 2))) == [0.0]
 
     def test_revisiting_known_ground_earns_nothing(self):
         ctx = make_context(np.random.default_rng(1))
-        assert path_reward(ctx.data.locations.copy(), ctx) == 0.0
+        assert EpisodeEvaluator(ctx).marginal(ctx.data.locations.copy()) == [0.0]
 
     def test_far_from_grid_earns_nothing(self):
         # Locations farther than d_eps from every evaluation point add
         # no credited benefit.
         ctx = make_context(np.random.default_rng(2), n_data=0)
         far = np.array([[5000.0, 5000.0], [6000.0, 6000.0]])
-        assert path_reward(far, ctx) == 0.0
+        assert EpisodeEvaluator(ctx).marginal(far) == [0.0]
 
     def test_marginal_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -158,7 +155,7 @@ class TestMarginalObjective:
             ctx = make_context(rng, n_data=int(rng.integers(0, 20)),
                                n_base=int(rng.integers(0, 8)))
             locs = rng.uniform((0, 0), (300, 400), size=(10, 2))
-            assert path_reward(locs, ctx) >= -1e-9
+            assert EpisodeEvaluator(ctx).marginal(locs)[0] >= -1e-9
 
     @pytest.mark.parametrize("n_data,n_base", [(0, 0), (12, 0), (12, 6)])
     def test_several_sets_score_as_separate_calls(self, n_data, n_base):
@@ -228,17 +225,15 @@ class TestAugmentedReward:
             sample_locations(short, ctx.sensor_spacing),
             sample_locations(tail, ctx.sensor_spacing)[1:],
         ])
-        assert augmented_reward(short, ctx) == pytest.approx(
-            path_reward(locs, ctx), rel=1e-12
-        )
+        assert np.array_equal(_completed_locations(short, ctx), locs)
 
     def test_no_remaining_length_reduces_to_plain_reward(self):
         rng = np.random.default_rng(6)
         ctx = make_context(rng, n_data=8, remaining=3)
         start = AgentState(0.0, 100.0, 50.0)
         short = rollout(start, [0.0, 0.0, math.radians(20)], MOTION)
-        plain = path_reward(sample_locations(short, ctx.sensor_spacing), ctx)
-        assert augmented_reward(short, ctx) == pytest.approx(plain, rel=1e-12)
+        plain = sample_locations(short, ctx.sensor_spacing)
+        assert np.array_equal(_completed_locations(short, ctx), plain)
 
 
 class TestBoundaryContainment:
@@ -254,8 +249,8 @@ class TestBoundaryContainment:
         # and the path is out of bounds.
         start = AgentState(math.pi / 2, 290.0, 200.0)
         short = rollout(start, [0.0, 0.0, 0.0], MOTION)
-        bare = path_reward(sample_locations(short, ctx.sensor_spacing), ctx)
-        assert augmented_reward(short, ctx) == pytest.approx(bare, rel=1e-12)
+        bare = sample_locations(short, ctx.sensor_spacing)
+        assert np.array_equal(_completed_locations(short, ctx), bare)
 
     def test_apron_excursion_keeps_completion_credit(self):
         rng = np.random.default_rng(22)
@@ -268,10 +263,9 @@ class TestBoundaryContainment:
         short_locs = sample_locations(short, ctx.sensor_spacing)
         tail = lawnmower_path(short.final, 14, AREA, MOTION)
         locs = np.vstack([short_locs, sample_locations(tail, ctx.sensor_spacing)[1:]])
-        assert augmented_reward(short, ctx) == pytest.approx(
-            path_reward(locs, ctx), rel=1e-12
-        )
-        assert augmented_reward(short, ctx) > path_reward(short_locs, ctx)
+        assert np.array_equal(_completed_locations(short, ctx), locs)
+        completed, bare = EpisodeEvaluator(ctx).marginal(locs, short_locs)
+        assert completed > bare
 
     def test_search_turns_back_at_the_boundary(self):
         ctx = make_context(np.random.default_rng(23), n_data=8, remaining=12)
@@ -316,7 +310,6 @@ class TestPlanEpisode:
                                rng.uniform(30, 270), rng.uniform(30, 370))
             res = plan_episode(start, ctx, plan_cfg(mcts_iterations=12),
                                np.random.default_rng(k))
-            assert res.bound_ok
             assert res.value >= res.naive_value - 1e-9
 
     def test_naive_value_is_sweep_completion_reward(self):
@@ -324,7 +317,9 @@ class TestPlanEpisode:
         start = AgentState(0.0, 150.0, 30.0)
         res = plan_episode(start, ctx, plan_cfg(), np.random.default_rng(1))
         sweep = lawnmower_path(start, 10, AREA, MOTION)
-        want = path_reward(sample_locations(sweep, ctx.sensor_spacing), ctx)
+        want = EpisodeEvaluator(ctx).marginal(
+            sample_locations(sweep, ctx.sensor_spacing)
+        )[0]
         assert res.naive_value == pytest.approx(want, rel=1e-12)
 
     def test_plain_variant_naive_is_zero(self):
@@ -398,7 +393,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     else:
         naive_value = 0.0
     if horizon <= 0:
-        return PlanResult(Path((start,), ()), naive_value, naive_value, True, 0)
+        return PlanResult(Path((start,), ()), naive_value, naive_value, False, 0)
 
     tail_memo, value_memo = {}, {}
     evaluations = 0
@@ -489,6 +484,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
             n.total += value
 
     jbar = best_value
+    fell_back = False
     if config.use_terminal_reward:
         short = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
         jbar = evaluator.marginal(_completed_locations(short, context))[0]
@@ -496,9 +492,9 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
         if jbar + BOUND_TOLERANCE < naive_value:
             best_actions = seed_actions
             jbar = naive_value
+            fell_back = True
     best_path = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
-    return PlanResult(best_path, jbar, naive_value,
-                      bound_condition_check(jbar, naive_value), evaluations)
+    return PlanResult(best_path, jbar, naive_value, fell_back, evaluations)
 
 
 def coarse_quantize(state):
@@ -551,7 +547,7 @@ class TestBatchedWarmUp:
         assert got.value == want.value
         assert got.naive_value == want.naive_value
         assert got.evaluations == want.evaluations
-        assert got.bound_ok == want.bound_ok
+        assert got.fell_back == want.fell_back
 
     @given(
         start=st.one_of(
@@ -575,6 +571,9 @@ class TestBatchedWarmUp:
              remaining=12, ctx_seed=22, rng_seed=5, coarse=False)
     @example(start=(1.0, 200.0, 300.0), horizon=10, iterations=48, terminal=False,
              remaining=14, ctx_seed=3, rng_seed=9, coarse=False)
+    # The search falls back to the sweep prefix.
+    @example(start=(0.0, 150.0, 30.0), horizon=3, iterations=1, terminal=True,
+             remaining=12, ctx_seed=8, rng_seed=1, coarse=False)
     @settings(max_examples=50, deadline=None)
     def test_matches_one_at_a_time_search(self, start, horizon, iterations,
                                           terminal, remaining, ctx_seed,
@@ -597,11 +596,43 @@ class TestBatchedWarmUp:
         self.assert_same(got, want)
 
 
-class TestBoundCheck:
-    def test_tolerates_tiny_negative_slack(self):
-        assert bound_condition_check(1.0, 1.0 + 5e-10)
-        assert bound_condition_check(2.0, 1.0)
-        assert not bound_condition_check(1.0, 1.1)
+class TestFallBack:
+    """``fell_back`` marks exactly the plans whose exact rescore lost to
+    the naive value. The search may also pick the sweep prefix on its own;
+    that plan is worth the naive value too, but did not fall back."""
+
+    START = AgentState(0.0, 150.0, 30.0)
+
+    def plan(self, ctx_seed, rng_seed, iterations):
+        ctx = make_context(np.random.default_rng(ctx_seed), n_data=ctx_seed % 13,
+                           n_base=ctx_seed % 4, remaining=12)
+        res = plan_episode(self.START, ctx, plan_cfg(mcts_iterations=iterations),
+                           np.random.default_rng(rng_seed))
+        return res, lawnmower_path(self.START, 3, AREA, MOTION)
+
+    # Found by scanning seeds: one candidate beats the seed on its additive
+    # value, and in the second case a tail memo of 60-degree heading bins
+    # shares tails between candidates whose sweeps differ.
+    @pytest.mark.parametrize("ctx_seed,rng_seed,iterations,coarse", [
+        (8, 1, 1, False),
+        (11, 0, 48, True),
+    ])
+    def test_lost_rescore_falls_back_to_the_sweep_prefix(
+        self, ctx_seed, rng_seed, iterations, coarse
+    ):
+        key = (mock.patch.object(planner, "_quantize", coarse_quantize)
+               if coarse else contextlib.nullcontext())
+        with key:
+            res, sweep = self.plan(ctx_seed, rng_seed, iterations)
+        assert res.fell_back
+        assert res.path == sweep
+        assert res.value == res.naive_value
+
+    def test_search_may_choose_the_sweep_prefix_itself(self):
+        res, sweep = self.plan(35, 1, 11)
+        assert res.path == sweep
+        assert res.value == res.naive_value
+        assert not res.fell_back
 
 
 class TestConfigValidation:
