@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .mission import (
     MissionConfig,
     accumulated_reward_trace,
     compare_methods,
+    delivery_rate,
     risk_snapshot,
     run_mission,
     truth_grid,
@@ -138,16 +138,14 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         fh.write("step,accumulated_reward\n")
         for k, v in enumerate(trace):
             fh.write(f"{k},{float(v)!r}\n")
-    # A one-vehicle team receives nothing, so it has no delivery rate;
-    # JSON has no NaN, so that is written as null.
-    delivery = result.comm_log.delivery_rate()
     summary = {
         "seed": seed,
         "variant": cfg.variant,
         "mission_duration_s": result.duration,
         "final_accumulated_reward": float(trace[-1]),
         "mid_accumulated_reward": float(trace[len(trace) // 2]),
-        "comm_delivery_rate": delivery if math.isfinite(delivery) else None,
+        # None, written as null, when nobody could receive: a lone vehicle.
+        "comm_delivery_rate": delivery_rate(result),
         "merged_belief_sizes": [len(d) for d in result.agent_data],
     }
     with open(out_dir / "summary.json", "w") as fh:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,30 +205,3 @@ class TdmaSchedule:
         """Agent index owning the slot containing time t."""
         return int(math.floor(t / self.slot_duration)) % self.team_size
 
-
-@dataclass
-class CommEvent:
-    """One log row: a transmission or a per-recipient reception outcome."""
-
-    time: float
-    kind: str
-    sender: int
-    recipient: int | None
-    n_bytes: int
-    delivered: bool
-
-
-@dataclass
-class CommLog:
-    """Chronological record of channel activity."""
-
-    events: list[CommEvent] = field(default_factory=list)
-
-    def record(self, event: CommEvent) -> None:
-        self.events.append(event)
-
-    def delivery_rate(self) -> float:
-        rx = [e for e in self.events if e.kind == "rx"]
-        if not rx:
-            return float("nan")
-        return sum(e.delivered for e in rx) / len(rx)

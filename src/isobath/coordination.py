@@ -1,11 +1,11 @@
 """Sequential-greedy team coordination over a lossy broadcast channel.
 
-Agents share one fixed priority ordering. When an agent plans, it treats
-the latest plan it has heard from each strictly-preceding teammate as
+Agents plan in agent-id order. When an agent plans, it treats the
+latest plan it has heard from each teammate with a lower id as
 committed: it reconstructs that teammate's future measurement locations
 (rolling the broadcast action indices out of the broadcast pose, plus a
 deterministic lawnmower continuation when the plan was flagged as one)
-and maximizes its own reward marginal to them. Plans from later
+and maximizes its own reward marginal to them. Plans from higher-id
 teammates are ignored, which is what makes the greedy sequence
 well-defined even when packets drop: everyone optimizes against a
 possibly stale but always consistent picture of their predecessors.
@@ -27,30 +27,6 @@ from .motion import ACTION_SET, AgentState, MotionParams, rollout
 # in this module; the calls themselves go through ``plan_locations``.
 from .motion import lawnmower_path, sample_locations  # noqa: F401
 from .planner import PlanConfig, PlanContext, PlanResult, plan_episode, plan_locations
-
-
-@dataclass(frozen=True)
-class TeamOrdering:
-    """Fixed agent priority: earlier ids plan first and yield to no one."""
-
-    agent_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = tuple(int(a) for a in self.agent_ids)
-        if len(set(ids)) != len(ids):
-            raise ValueError("agent ids must be unique")
-        if not ids:
-            raise ValueError("ordering must name at least one agent")
-        object.__setattr__(self, "agent_ids", ids)
-
-    def index(self, agent_id: int) -> int:
-        try:
-            return self.agent_ids.index(agent_id)
-        except ValueError:
-            raise ValueError(f"agent {agent_id} is not in the ordering") from None
-
-    def preceding(self, agent_id: int) -> tuple[int, ...]:
-        return self.agent_ids[: self.index(agent_id)]
 
 
 @dataclass(frozen=True)
@@ -103,16 +79,11 @@ class JointPlanSnapshot:
         self.plans[plan.agent_id] = plan
 
     def preceding_locations(
-        self,
-        ordering: TeamOrdering,
-        agent_id: int,
-        motion: MotionParams,
-        sample_spacing: float,
-        area,
+        self, agent_id: int, motion: MotionParams, sample_spacing: float, area
     ) -> np.ndarray:
-        """Planned locations of strictly-preceding agents, in team order."""
+        """Planned locations of the agents with lower ids, in id order."""
         blocks = []
-        for peer in ordering.preceding(agent_id):
+        for peer in range(agent_id):
             plan = self.plans.get(peer)
             if plan is not None:
                 blocks.append(plan.planned_locations(motion, sample_spacing, area))
@@ -125,7 +96,6 @@ def plan_with_predecessors(
     start: AgentState,
     context: PlanContext,
     snapshot: JointPlanSnapshot,
-    ordering: TeamOrdering,
     agent_id: int,
     config: PlanConfig,
     rng,
@@ -138,11 +108,7 @@ def plan_with_predecessors(
     believed to already cover.
     """
     pre = snapshot.preceding_locations(
-        ordering,
-        agent_id,
-        context.motion,
-        context.sensor_spacing,
-        context.area,
+        agent_id, context.motion, context.sensor_spacing, context.area
     )
     ctx = replace(context, preceding_planned=pre)
     return plan_episode(start, ctx, config, rng)

@@ -42,9 +42,8 @@ class OperationalArea:
 class AnalyticBathymetry:
     """Truth depth defined by a closed-form function of position."""
 
-    def __init__(self, fn, description: str = "analytic"):
+    def __init__(self, fn):
         self._fn = fn
-        self.description = description
 
     def depth_at(self, point) -> float:
         pts = np.asarray(point, dtype=float).reshape(-1, 2)
@@ -150,7 +149,7 @@ def synthetic_lake(
             f"unknown lake family {family!r}; choose one of {_LAKE_FAMILIES}"
         )
 
-    bathy = AnalyticBathymetry(fn, description=family)
+    bathy = AnalyticBathymetry(fn)
     probe = eval_grid(area, resolution=min(area.extent) / 60.0)
     depths = bathy.depth_grid(probe)
     if not (depths.min() < level < depths.max()):

@@ -18,6 +18,12 @@ a planning vehicle believes.
 Simulated planning time is zero: a vehicle replans in the instant a
 segment ends. Logs are plain dict events; the JSONL writer emits them
 with sorted keys so equal runs produce byte-equal files.
+
+A finished mission keeps only its config and that event log. Every
+output derives from the two: the team belief (``global_data``), what
+each vehicle knew (``agent_data``, its own accepted samples plus what
+its receptions inserted), the channel's delivery rate (``tx`` events),
+the risk maps, the reward trace and the mission duration.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .comms import (
-    CommEvent,
-    CommLog,
     Packet,
     TdmaSchedule,
     decode_packet,
@@ -42,12 +46,7 @@ from .comms import (
     measurement_capacity,
     select_measurements,
 )
-from .coordination import (
-    JointPlanSnapshot,
-    PeerPlan,
-    TeamOrdering,
-    plan_with_predecessors,
-)
+from .coordination import JointPlanSnapshot, PeerPlan, plan_with_predecessors
 from .environment import (
     OperationalArea,
     SensorModel,
@@ -66,7 +65,7 @@ from .motion import (
     sample_locations,
     step,
 )
-from .planner import PlanConfig, PlanContext
+from .planner import PlanConfig, PlanContext, PlanResult
 from .risk import LossParams, RiskField, bayes_risk_batch, risk_field
 
 VARIANTS = ("terminal", "plain", "lawnmower")
@@ -275,17 +274,27 @@ class _AgentRuntime:
 
 @dataclass
 class MissionResult:
-    """Everything a finished mission leaves behind."""
+    """A finished mission: its config and its event log.
+
+    Every run output is a function of these two, so a result read back
+    from ``events.jsonl`` rebuilds the outputs of the run that wrote it.
+    """
 
     config: MissionConfig
     events: list[dict]
-    final_states: list[AgentState]
-    agent_data: list[DataSet]
-    comm_log: CommLog
-    duration: float
 
     def config_dict(self) -> dict:
         return asdict(self.config)
+
+    @property
+    def duration(self) -> float:
+        """Simulated time of the last event: every heap pop logs one."""
+        return self.events[-1]["t"]
+
+    @functools.cached_property
+    def agent_data(self) -> list[DataSet]:
+        """What each vehicle knew at mission end, replayed once per vehicle."""
+        return [agent_data(self, i) for i in range(self.config.team_size)]
 
     @functools.cached_property
     def step_samples(self) -> list[tuple[int, Sample]]:
@@ -311,7 +320,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
     loss = config.loss()
     sensor = SensorModel(config.noise_std, config.sample_spacing)
     planning_grid = eval_grid(area, config.planning_resolution)
-    ordering = TeamOrdering(tuple(range(config.team_size)))
     schedule = TdmaSchedule(config.slot_duration, config.team_size)
     plan_cfg = config.plan_config()
 
@@ -329,7 +337,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
         for i in range(config.team_size)
     ]
     events: list[dict] = []
-    comm_log = CommLog()
     heap: list[tuple] = []
     seq = itertools.count()
 
@@ -362,21 +369,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
             log(t, "done", agent=agent.id)
             return
         if config.variant == "lawnmower":
-            path = lawnmower_path(agent.state, 1, area, agent.motion)
-            action = path.actions[0]
-            agent.plan_state = agent.state
-            agent.plan_epoch = agent.executed
-            agent.plan_actions = ()
-            log(
-                t,
-                "plan",
-                agent=agent.id,
-                epoch=agent.executed,
-                actions=[],
-                value=0.0,
-                naive=0.0,
-                fell_back=0,
-                evaluations=0,
+            result = PlanResult(
+                lawnmower_path(agent.state, 1, area, agent.motion), 0.0, 0.0, False, 0
             )
         else:
             context = PlanContext(
@@ -391,31 +385,26 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 sensor_spacing=config.sample_spacing,
             )
             result = plan_with_predecessors(
-                agent.state,
-                context,
-                agent.snapshot,
-                ordering,
-                agent.id,
-                plan_cfg,
-                agent.mcts_rng,
+                agent.state, context, agent.snapshot, agent.id, plan_cfg, agent.mcts_rng
             )
-            action = result.path.actions[0]
-            agent.plan_state = agent.state
-            agent.plan_epoch = agent.executed
-            agent.plan_actions = tuple(
-                ACTION_SET.index(a) for a in result.path.actions
-            )
-            log(
-                t,
-                "plan",
-                agent=agent.id,
-                epoch=agent.executed,
-                actions=list(agent.plan_actions),
-                value=float(result.value),
-                naive=float(result.naive_value),
-                fell_back=int(result.fell_back),
-                evaluations=int(result.evaluations),
-            )
+        action = result.path.actions[0]
+        agent.plan_state = agent.state
+        agent.plan_epoch = agent.executed
+        # A lawnmower plan is announced by the packet's tail flag alone.
+        agent.plan_actions = () if config.variant == "lawnmower" else tuple(
+            ACTION_SET.index(a) for a in result.path.actions
+        )
+        log(
+            t,
+            "plan",
+            agent=agent.id,
+            epoch=agent.executed,
+            actions=list(agent.plan_actions),
+            value=float(result.value),
+            naive=float(result.naive_value),
+            fell_back=int(result.fell_back),
+            evaluations=int(result.evaluations),
+        )
         segment = Path(
             (agent.state, step(agent.state, action, agent.motion)), (action,)
         )
@@ -460,10 +449,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 push(t + config.comm_latency, "deliver", (other.id, raw))
             else:
                 dropped_to.append(other.id)
-            comm_log.record(
-                CommEvent(t, "rx", owner.id, other.id, len(raw), other.id in delivered_to)
-            )
-        comm_log.record(CommEvent(t, "tx", owner.id, None, len(raw), True))
         log(
             t,
             "tx",
@@ -502,7 +487,6 @@ def run_mission(config: MissionConfig) -> MissionResult:
         push(0.0, "launch", (agent.id,))
     push(0.0, "slot", None)
 
-    t_now = 0.0
     while heap:
         t_now, _, kind, payload = heapq.heappop(heap)
         if kind == "sample":
@@ -538,14 +522,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
             ):
                 push(t_now + config.slot_duration, "slot", None)
 
-    return MissionResult(
-        config=config,
-        events=events,
-        final_states=[a.state for a in agents],
-        agent_data=[a.data for a in agents],
-        comm_log=comm_log,
-        duration=t_now,
-    )
+    return MissionResult(config, events)
 
 
 def write_jsonl(result: MissionResult, path) -> None:
@@ -577,58 +554,81 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     return data
 
 
+def agent_data(
+    result: MissionResult, agent: int, upto_step: int | None = None
+) -> DataSet:
+    """What one vehicle knew, replayed from the event log.
+
+    The vehicle's accepted own samples and the triples its ``rx`` events
+    inserted go through one density filter in log order, as the vehicle
+    inserted them. ``upto_step`` rewinds to the moment the vehicle
+    completed step k: own samples from its first k steps, and only the
+    broadcasts received by that time. A rejected sample never changed
+    the set, so leaving it out keeps every verdict.
+    """
+    cutoff = math.inf
+    if upto_step is not None:
+        cutoff = max(
+            (
+                e["t"]
+                for e in result.events
+                if e["kind"] == "step" and e["agent"] == agent and e["n"] <= upto_step
+            ),
+            default=0.0,
+        )
+    data = DataSet(min_spacing=result.config.min_spacing)
+    for e in result.events:
+        if e["agent"] != agent:
+            continue
+        if e["kind"] == "sample":
+            if e["accepted"] and (upto_step is None or e["step"] <= upto_step):
+                data.insert(Sample((e["north"], e["east"]), e["value"]))
+        elif e["kind"] == "rx" and e["t"] <= cutoff:
+            for north, east, value in e["inserted"]:
+                data.insert(Sample((north, east), value))
+    return data
+
+
+def delivery_rate(result: MissionResult) -> float | None:
+    """Delivered share of all (broadcast, recipient) pairs, from ``tx`` events.
+
+    ``None`` when no broadcast had a recipient, as in a one-vehicle team.
+    """
+    delivered = dropped = 0
+    for e in result.events:
+        if e["kind"] == "tx":
+            delivered += len(e["delivered_to"])
+            dropped += len(e["dropped_to"])
+    if delivered + dropped == 0:
+        return None
+    return delivered / (delivered + dropped)
+
+
 def risk_snapshot(
-    result: MissionResult,
-    agent: int | None = None,
-    upto_step: int | None = None,
-    resolution: float | None = None,
+    result: MissionResult, agent: int | None = None, upto_step: int | None = None
 ) -> RiskField:
     """Bayes-risk map on the output grid from a chosen belief.
 
     ``agent=None`` uses the omniscient team belief (all samples, one
     density filter, global time order); an agent index uses what that
-    vehicle actually knew (its own samples plus whatever broadcasts
-    reached it). ``upto_step`` rewinds the belief to the moment the
-    vehicle completed step k: own samples from its first k steps, and
-    for agent beliefs only the broadcasts received by that time. The
-    global belief pools every vehicle's first k steps.
+    vehicle actually knew (``agent_data``). ``upto_step`` rewinds the
+    belief to the moment the vehicle completed step k; the global belief
+    pools every vehicle's first k steps.
     """
     config = result.config
-    points = eval_grid(config.area(), resolution or config.output_resolution)
+    points = eval_grid(config.area(), config.output_resolution)
     if agent is None:
         data = global_data(result, upto_step)
+    elif upto_step is None:
+        data = result.agent_data[agent]
     else:
-        if upto_step is not None:
-            cutoff = 0.0
-            for e in result.events:
-                if (
-                    e["kind"] == "step"
-                    and e["agent"] == agent
-                    and e["n"] <= upto_step
-                ):
-                    cutoff = max(cutoff, e["t"])
-            data = DataSet(min_spacing=config.min_spacing)
-            for e in result.events:
-                if e["kind"] == "sample" and e["agent"] == agent:
-                    if e["step"] <= upto_step:
-                        data.insert(Sample((e["north"], e["east"]), e["value"]))
-                elif (
-                    e["kind"] == "rx"
-                    and e["agent"] == agent
-                    and e["t"] <= cutoff
-                ):
-                    for north, east, value in e["inserted"]:
-                        data.insert(Sample((north, east), value))
-        else:
-            data = result.agent_data[agent]
+        data = agent_data(result, agent, upto_step)
     return risk_field(
         config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
     )
 
 
-def accumulated_reward_trace(
-    result: MissionResult, resolution: float | None = None
-) -> np.ndarray:
+def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
     """Team risk-reduction after each joint step.
 
     Entry k is the drop in summed Bayes risk over the trace grid between
@@ -652,7 +652,7 @@ def accumulated_reward_trace(
     """
     config = result.config
     kernel, loss = config.kernel(), config.loss()
-    points = eval_grid(config.area(), resolution or config.trace_resolution)
+    points = eval_grid(config.area(), config.trace_resolution)
     prior = float(
         np.sum(
             bayes_risk_batch(
@@ -692,14 +692,14 @@ def accumulated_reward_trace(
     return trace
 
 
-def truth_grid(result: MissionResult, resolution: float | None = None):
+def truth_grid(result: MissionResult):
     """True depths on the output grid, as (points, values)."""
     config = result.config
     area = config.area()
     bathymetry = synthetic_lake(
         config.bathymetry_family, config.bathymetry_params, area, level=config.level
     )
-    points = eval_grid(area, resolution or config.output_resolution)
+    points = eval_grid(area, config.output_resolution)
     return points, bathymetry.depth_grid(points)
 
 

@@ -51,10 +51,6 @@ class AgentState:
         object.__setattr__(self, "north", float(self.north))
         object.__setattr__(self, "east", float(self.east))
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.north, self.east])
-
 
 def _pose(heading: float, north: float, east: float) -> AgentState:
     """``AgentState(heading, north, east)`` for values that are already floats.
@@ -124,10 +120,6 @@ class Path:
     def __post_init__(self):
         if len(self.states) != len(self.actions) + 1:
             raise ValueError("a path holds one more state than actions")
-
-    @property
-    def start(self) -> AgentState:
-        return self.states[0]
 
     @property
     def final(self) -> AgentState:

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from isobath import cli
 from isobath.cli import load_config, main, parse_seeds
 from isobath.errors import ConfigurationError, NumericalError
-from isobath.mission import MissionConfig
+from isobath.mission import MissionConfig, MissionResult
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -325,6 +326,35 @@ def test_one_vehicle_summary_is_strict_json(tmp_path, capsys):
     text = (out / "seed_0" / "summary.json").read_text()
     summary = json.loads(text, parse_constant=reject)
     assert summary["comm_delivery_rate"] is None
+
+
+def test_outputs_rebuild_from_the_run_directory_alone(tmp_path, monkeypatch):
+    # A finished mission is its config and its event log: reading
+    # events.jsonl back must rewrite every output byte for byte.
+    path = tmp_path / "trio.json"
+    path.write_text(json.dumps(
+        {**MICRO, "speeds": [1.5, 1.35, 1.65],
+         "starts": [[0.0, 50.0, 20.0], [0.0, 100.0, 20.0], [0.0, 150.0, 20.0]]}
+    ))
+    first = tmp_path / "first"
+    assert main(["run", "--config", str(path), "--seeds", "0", "--out", str(first)]) == 0
+    lines = (first / "seed_0" / "events.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["kind"]
+    header_file = tmp_path / "header.json"
+    header_file.write_text(json.dumps(header))
+    config = load_config(str(header_file), env={})
+    rebuilt = MissionResult(config, [json.loads(line) for line in lines[1:]])
+    monkeypatch.setattr(cli, "run_mission", lambda cfg: rebuilt)
+    cli._run_one_seed(config, 0, tmp_path / "second")
+
+    names = sorted(p.name for p in (first / "seed_0").iterdir())
+    assert len(names) == 8
+    assert sorted(p.name for p in (tmp_path / "second").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "second" / name).read_bytes() == (
+            first / "seed_0" / name
+        ).read_bytes(), name
 
 
 def test_run_respects_the_seed_list(config_file, tmp_path):

@@ -5,7 +5,6 @@ The golden byte vectors are frozen from the wire format's definition
 terminator, <3f measurement triples) and written out by hand, so they
 pin the format independently of the encoder."""
 
-import math
 import struct
 
 import numpy as np
@@ -17,8 +16,6 @@ from isobath.comms import (
     HEADER_BYTES,
     MAX_PACKET_BYTES,
     MEASUREMENT_BYTES,
-    CommEvent,
-    CommLog,
     Packet,
     TdmaSchedule,
     decode_packet,
@@ -235,14 +232,3 @@ class TestTdma:
             owners = {sched.owner(round_start + 10.0 * j) for j in range(3)}
             assert owners == {0, 1, 2}
 
-
-class TestCommLog:
-    def test_delivery_rate_counts_rx_rows_only(self):
-        log = CommLog()
-        log.record(CommEvent(0.0, "tx", 0, None, 100, True))
-        log.record(CommEvent(0.0, "rx", 0, 1, 100, True))
-        log.record(CommEvent(0.0, "rx", 0, 2, 100, False))
-        assert log.delivery_rate() == 0.5
-
-    def test_empty_log_rate_is_nan(self):
-        assert math.isnan(CommLog().delivery_rate())

@@ -1,5 +1,6 @@
-"""Coordination tests: team ordering, peer-plan reconstruction from
-packets, snapshot semantics, and the sequential-greedy episode wrapper."""
+"""Coordination tests: peer-plan reconstruction from packets, snapshot
+semantics (predecessors are the lower agent ids), and the
+sequential-greedy episode wrapper."""
 
 import math
 
@@ -10,7 +11,6 @@ from isobath.comms import Packet, decode_packet, encode_packet
 from isobath.coordination import (
     JointPlanSnapshot,
     PeerPlan,
-    TeamOrdering,
     plan_with_predecessors,
 )
 from isobath.environment import OperationalArea, eval_grid
@@ -31,25 +31,6 @@ AREA = OperationalArea((0.0, 0.0), (300.0, 400.0))
 KERNEL = KernelSpec(length_scale=40.0, signal_variance=25.0, noise_std=0.5)
 LOSS = LossParams(15.0, 10.0, 10.0)
 MOTION = MotionParams(15.0, math.pi / 2, 1.5)
-
-
-class TestTeamOrdering:
-    def test_preceding_is_strict_prefix(self):
-        order = TeamOrdering((4, 2, 7))
-        assert order.preceding(4) == ()
-        assert order.preceding(2) == (4,)
-        assert order.preceding(7) == (4, 2)
-        assert order.index(7) == 2
-
-    def test_rejects_duplicates_and_empty(self):
-        with pytest.raises(ValueError):
-            TeamOrdering((1, 1))
-        with pytest.raises(ValueError):
-            TeamOrdering(())
-
-    def test_unknown_agent_raises(self):
-        with pytest.raises(ValueError):
-            TeamOrdering((0, 1)).preceding(9)
 
 
 class TestPeerPlan:
@@ -106,13 +87,12 @@ class TestJointPlanSnapshot:
         return PeerPlan(agent_id, 0, AgentState(0.0, north, 30.0), (5,), False, 100)
 
     def test_only_strictly_preceding_plans_count(self):
-        order = TeamOrdering((0, 1, 2))
         snap = JointPlanSnapshot()
         for aid, north in ((0, 100.0), (1, 200.0), (2, 300.0)):
             snap.update(self.make_plan(aid, north))
-        first = snap.preceding_locations(order, 0, MOTION, 5.0, AREA)
+        first = snap.preceding_locations(0, MOTION, 5.0, AREA)
         assert first.shape == (0, 2)
-        last = snap.preceding_locations(order, 2, MOTION, 5.0, AREA)
+        last = snap.preceding_locations(2, MOTION, 5.0, AREA)
         want = np.vstack([
             self.make_plan(0, 100.0).planned_locations(MOTION, 5.0, AREA),
             self.make_plan(1, 200.0).planned_locations(MOTION, 5.0, AREA),
@@ -120,10 +100,9 @@ class TestJointPlanSnapshot:
         np.testing.assert_allclose(last, want, atol=1e-9)
 
     def test_missing_peers_are_skipped(self):
-        order = TeamOrdering((0, 1, 2))
         snap = JointPlanSnapshot()
         snap.update(self.make_plan(1, 200.0))
-        got = snap.preceding_locations(order, 2, MOTION, 5.0, AREA)
+        got = snap.preceding_locations(2, MOTION, 5.0, AREA)
         want = self.make_plan(1, 200.0).planned_locations(MOTION, 5.0, AREA)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -153,17 +132,16 @@ class TestPlanWithPredecessors:
         # Poison the context's own field: the wrapper must overwrite it
         # with what the snapshot says about preceding teammates.
         ctx.preceding_planned = np.array([[1e6, 1e6]])
-        order = TeamOrdering((0, 1))
         snap = JointPlanSnapshot()
         snap.update(PeerPlan(0, 5, AgentState(0.0, 200.0, 100.0), (5, 5, 5), True, 30))
         cfg = PlanConfig(horizon=3, mcts_iterations=10)
         got = plan_with_predecessors(
-            AgentState(0.0, 100.0, 50.0), ctx, snap, order, 1, cfg,
+            AgentState(0.0, 100.0, 50.0), ctx, snap, 1, cfg,
             np.random.default_rng(9),
         )
         from dataclasses import replace
         want_ctx = replace(ctx, preceding_planned=snap.preceding_locations(
-            order, 1, MOTION, ctx.sensor_spacing, AREA))
+            1, MOTION, ctx.sensor_spacing, AREA))
         want = plan_episode(AgentState(0.0, 100.0, 50.0), want_ctx, cfg,
                             np.random.default_rng(9))
         assert got.path.actions == want.path.actions
@@ -172,12 +150,11 @@ class TestPlanWithPredecessors:
     def test_first_agent_ignores_snapshot(self):
         rng = np.random.default_rng(22)
         ctx = make_context(rng)
-        order = TeamOrdering((0, 1))
         snap = JointPlanSnapshot()
         snap.update(PeerPlan(1, 0, AgentState(0.0, 200.0, 100.0), (5,), False, 30))
         cfg = PlanConfig(horizon=2, mcts_iterations=8)
         with_snap = plan_with_predecessors(
-            AgentState(0.0, 100.0, 50.0), ctx, snap, order, 0, cfg,
+            AgentState(0.0, 100.0, 50.0), ctx, snap, 0, cfg,
             np.random.default_rng(4),
         )
         alone = plan_episode(AgentState(0.0, 100.0, 50.0), ctx, cfg,

@@ -1,6 +1,6 @@
 """Mission simulator tests on micro-missions: determinism, event-log
-consistency, TDMA timing, channel behavior, belief reconstruction, and
-the summary products."""
+consistency, TDMA timing, channel behavior and delivery rate, belief
+reconstruction from the log, and the summary products."""
 
 import json
 import math
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isobath import mission
-from isobath.comms import CommLog, TdmaSchedule
+from isobath.comms import TdmaSchedule
 from isobath.environment import eval_grid
 from isobath.errors import ConfigurationError
 from isobath.gp import DataSet, Sample
@@ -22,6 +22,7 @@ from isobath.mission import (
     MissionResult,
     accumulated_reward_trace,
     compare_methods,
+    delivery_rate,
     global_data,
     risk_snapshot,
     run_mission,
@@ -63,7 +64,14 @@ def sample_log(config, samples):
          "north": north, "east": east, "value": value}
         for t, agent, k, north, east, value in sorted(samples)
     ]
-    return MissionResult(config, events, [], [], CommLog(), 0.0)
+    return MissionResult(config, events)
+
+
+def last_pose(result, agent):
+    """The pose in the vehicle's last ``step`` event."""
+    last = [e for e in result.events
+            if e["kind"] == "step" and e["agent"] == agent][-1]
+    return AgentState(last["heading"], last["north"], last["east"])
 
 
 def reference_reward_trace(result):
@@ -183,7 +191,7 @@ class TestEventLog:
                 assert (e["heading"], e["north"], e["east"]) == (
                     state.heading, state.north, state.east
                 )
-            assert result.final_states[aid] == state
+            assert last_pose(result, aid) == state
 
     def test_booleans_are_written_as_integers(self, result, tmp_path):
         # Flags are logged as 0/1 integers and every event is written as
@@ -283,7 +291,7 @@ class TestChannel:
         for e in res.events:
             if e["kind"] == "tx":
                 assert e["dropped_to"] == []
-        assert res.comm_log.delivery_rate() == 1.0
+        assert delivery_rate(res) == 1.0
 
     def test_drop_rates_share_the_sample_stream(self):
         # The channel generator is consumed per (broadcast, recipient)
@@ -299,21 +307,44 @@ class TestChannel:
         assert sa == sb
 
 
+class TestDeliveryRate:
+    @staticmethod
+    def tx_log(*tx):
+        events = [
+            {"t": 10.0 * i, "kind": "tx", "agent": 0,
+             "delivered_to": delivered, "dropped_to": dropped}
+            for i, (delivered, dropped) in enumerate(tx)
+        ]
+        return MissionResult(micro(), events)
+
+    def test_counts_recipients_of_tx_events(self):
+        assert delivery_rate(self.tx_log(([1], [2]))) == 0.5
+        assert delivery_rate(self.tx_log(([1], []), ([], [1]), ([1, 2], []))) == 0.75
+
+    def test_is_none_without_recipients(self):
+        assert delivery_rate(self.tx_log()) is None
+        assert delivery_rate(self.tx_log(([], []), ([], []))) is None
+
+
 class TestBeliefReconstruction:
-    def test_agent_data_replays_from_the_log(self, result):
-        cfg = result.config
-        for aid in range(cfg.team_size):
-            data = DataSet(min_spacing=cfg.min_spacing)
-            for e in result.events:
-                if e["kind"] == "sample" and e["agent"] == aid:
-                    ok = data.insert(Sample((e["north"], e["east"]), e["value"]))
-                    assert ok == e["accepted"]
-                elif e["kind"] == "rx" and e["agent"] == aid:
-                    for north, east, value in e["inserted"]:
-                        assert data.insert(Sample((north, east), value))
-            np.testing.assert_array_equal(
-                data.locations, result.agent_data[aid].locations
-            )
+    def test_agent_data_replays_from_the_log(self, monkeypatch):
+        # The replay must rebuild exactly the data set each vehicle held
+        # when the mission ended.
+        runtimes = []
+
+        class Recorded(mission._AgentRuntime):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runtimes.append(self)
+
+        monkeypatch.setattr(mission, "_AgentRuntime", Recorded)
+        result = run_mission(micro())
+        assert len(runtimes) == result.config.team_size
+        for live in runtimes:
+            replayed = result.agent_data[live.id]
+            assert len(replayed) == len(live.data)
+            assert np.array_equal(replayed.locations, live.data.locations)
+            assert np.array_equal(replayed.values, live.data.values)
 
     def test_global_data_step_filter(self, result):
         start_only = global_data(result, upto_step=0)
@@ -423,7 +454,7 @@ class TestLawnmowerVariant:
             got = [e["action"] for e in res.events
                    if e["kind"] == "step" and e["agent"] == aid]
             assert [ACTION_SET[i] for i in got] == list(want.actions)
-            assert res.final_states[aid] == want.final
+            assert last_pose(res, aid) == want.final
 
 
 class TestCompareMethods:

@@ -1,4 +1,5 @@
-"""Every public function and class in ``src/isobath`` has a caller there.
+"""Every public function and class in ``src/isobath`` has a caller there,
+and every member of a ``src/`` class is read there.
 
 Code that only the tests call belongs with the tests: the reference
 oracles live in ``tests/reference.py``. A definition counts as used when
@@ -6,6 +7,12 @@ code outside it, anywhere in ``src/isobath``, names it; an import alone
 does not. A definition used only by unused definitions is unused too, so
 the check runs to a fixpoint and catches a chain of test-only helpers
 whole.
+
+A class member (method, property, annotated field or ``self.x``
+attribute) counts as read when some ``src/`` code reads an attribute of
+that name. The check goes by name alone, so it misses a member whose
+name another class's member shares, but it never flags a member that is
+read.
 """
 
 import ast
@@ -64,3 +71,61 @@ def unused_definitions() -> list[str]:
 def test_every_public_definition_has_a_src_caller():
     unused = unused_definitions()
     assert not unused, f"called only from outside src/isobath: {unused}"
+
+
+# Members no ``src/`` code reads that stay on purpose.
+MEMBER_ALLOWLIST = {
+    # Error detail for callers that catch a DecodeError.
+    "DecodeError.offset",
+    # Read only by the benchmark's tracer (perfbench/tracing.py,
+    # ``_count_build``) to count the base-plan points of each build.
+    "EpisodeEvaluator.base",
+}
+
+
+def _trees():
+    return [ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """Methods, properties, annotated fields and ``self.x`` attributes."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(stmt.name)
+            for sub in ast.walk(stmt):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    names.add(sub.attr)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return {name for name in names if not name.startswith("__")}
+
+
+def unread_members() -> list[str]:
+    """``Class.member`` for each member no ``src/`` attribute read names."""
+    trees = _trees()
+    read = {
+        sub.attr
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls.name}.{name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name in _members(cls)
+        if name not in read and f"{cls.name}.{name}" not in MEMBER_ALLOWLIST
+    )
+
+
+def test_every_class_member_is_read_in_src():
+    unread = unread_members()
+    assert not unread, f"members no src/isobath code reads: {unread}"
