@@ -1,23 +1,33 @@
-"""The reward-trace missions and the fixture of their accumulated rewards.
+"""The regression missions and the fixtures of their replayed outputs.
 
 ``tests/test_trace_regression.py`` runs these missions and compares
 ``accumulated_reward_trace`` with ``tests/data/traces.json``, entry by
-entry and bit for bit. Regenerate the file only from a commit whose
-traces are known good, since the test exists to catch a change that
-moves them:
+entry and bit for bit, and the data set behind every per-step belief
+with ``tests/data/beliefs.json``: a sha256 of each vehicle's
+``agent_data`` and of the team's ``global_data`` at every step.
+Regenerate the files only from a commit whose outputs are known good,
+since the test exists to catch a change that moves them:
 
     PYTHONPATH=src python tests/trace_fixture.py
 """
 
 import dataclasses
+import functools
+import hashlib
 import json
 from pathlib import Path
 
 from isobath.cli import load_config
-from isobath.mission import accumulated_reward_trace, run_mission
+from isobath.mission import (
+    accumulated_reward_trace,
+    agent_data,
+    global_data,
+    run_mission,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "traces.json"
+BELIEFS = ROOT / "tests" / "data" / "beliefs.json"
 
 # name -> (variant, steps); each runs at every seed. The lawnmower sweep
 # is cheap to simulate and long enough for the replay orders to diverge;
@@ -31,8 +41,9 @@ CASES = {
 SEEDS = (0, 1)
 
 
-def reward_traces() -> dict[str, list[float]]:
-    """The reward trace of every case and seed, keyed ``<name>/seed_<n>``."""
+@functools.cache
+def missions() -> dict:
+    """The result of every case and seed, keyed ``<name>/seed_<n>``."""
     base = load_config(str(ROOT / "configs" / "default.json"), env={})
     out = {}
     for name, (variant, steps) in CASES.items():
@@ -40,8 +51,35 @@ def reward_traces() -> dict[str, list[float]]:
             cfg = dataclasses.replace(
                 base, variant=variant, total_length=steps, seed=seed
             )
-            trace = accumulated_reward_trace(run_mission(cfg))
-            out[f"{name}/seed_{seed}"] = [float(v) for v in trace]
+            out[f"{name}/seed_{seed}"] = run_mission(cfg)
+    return out
+
+
+def reward_traces() -> dict[str, list[float]]:
+    """The reward trace of every case and seed."""
+    return {
+        key: [float(v) for v in accumulated_reward_trace(result)]
+        for key, result in missions().items()
+    }
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(data.locations.tobytes() + data.values.tobytes()).hexdigest()
+
+
+def belief_hashes() -> dict[str, dict[str, list[str]]]:
+    """Per case and seed, the digest of every step's data sets.
+
+    ``global`` holds ``global_data(result, k)`` and ``agent_<i>`` holds
+    ``agent_data(result, i, k)``, for k = 0 .. total_length.
+    """
+    out = {}
+    for key, result in missions().items():
+        steps = range(result.config.total_length + 1)
+        row = {"global": [_digest(global_data(result, k)) for k in steps]}
+        for i in range(result.config.team_size):
+            row[f"agent_{i}"] = [_digest(agent_data(result, i, k)) for k in steps]
+        out[key] = row
     return out
 
 
@@ -49,3 +87,5 @@ if __name__ == "__main__":
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text(json.dumps(reward_traces(), indent=1) + "\n")
     print(f"wrote {FIXTURE}")
+    BELIEFS.write_text(json.dumps(belief_hashes(), indent=1) + "\n")
+    print(f"wrote {BELIEFS}")
