@@ -33,6 +33,7 @@ from .errors import ConfigurationError, IsobathError
 from .mission import (
     MissionConfig,
     accumulated_reward_trace,
+    agent_data,
     compare_methods,
     delivery_rate,
     risk_snapshot,
@@ -128,16 +129,17 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
     result = run_mission(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(result, out_dir / "events.jsonl")
-    risk_snapshot(result).write_csv(out_dir / "risk_global.csv")
-    for i in range(cfg.team_size):
-        risk_snapshot(result, agent=i).write_csv(out_dir / f"risk_agent_{i}.csv")
-    points, depths = truth_grid(result)
-    _write_depth_csv(out_dir / "depth_truth.csv", points, depths)
+    # The trace walks the pooled replay, which the global risk map reuses.
     trace = accumulated_reward_trace(result)
     with open(out_dir / "trace.csv", "w") as fh:
         fh.write("step,accumulated_reward\n")
         for k, v in enumerate(trace):
             fh.write(f"{k},{float(v)!r}\n")
+    risk_snapshot(result).write_csv(out_dir / "risk_global.csv")
+    for i in range(cfg.team_size):
+        risk_snapshot(result, agent=i).write_csv(out_dir / f"risk_agent_{i}.csv")
+    points, depths = truth_grid(result)
+    _write_depth_csv(out_dir / "depth_truth.csv", points, depths)
     summary = {
         "seed": seed,
         "variant": cfg.variant,
@@ -146,7 +148,9 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         "mid_accumulated_reward": float(trace[len(trace) // 2]),
         # None, written as null, when nobody could receive: a lone vehicle.
         "comm_delivery_rate": delivery_rate(result),
-        "merged_belief_sizes": [len(d) for d in result.agent_data],
+        "merged_belief_sizes": [
+            len(agent_data(result, i)) for i in range(cfg.team_size)
+        ],
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -201,7 +201,7 @@ class TdmaSchedule:
         if self.team_size < 1:
             raise ValueError("team_size must be at least 1")
 
-    def owner(self, t: float) -> int:
-        """Agent index owning the slot containing time t."""
-        return int(math.floor(t / self.slot_duration)) % self.team_size
+    def owner(self, slot: int) -> int:
+        """Agent index owning slot number ``slot``."""
+        return slot % self.team_size
 

@@ -4,8 +4,9 @@ Three things happen on the simulated clock: vehicles finish path
 segments (then replan and keep going), sample events fire as a vehicle
 passes each measurement point along its segment, and TDMA slots open,
 letting the slot's owner broadcast its plan and a byte-budgeted slice of
-its unsent measurements to the rest of the team. Deliveries land after a
-fixed latency and are dropped independently per recipient.
+its unsent measurements to the rest of the team: slot k opens at
+``k * slot_duration`` and is vehicle ``k % team_size``'s. Deliveries
+land after a fixed latency and are dropped independently per recipient.
 
 Everything is deterministic for a fixed master seed: per-agent sensor
 noise, per-agent planner search, and the drop channel each consume their
@@ -19,22 +20,24 @@ Simulated planning time is zero: a vehicle replans in the instant a
 segment ends. Logs are plain dict events; the JSONL writer emits them
 with sorted keys so equal runs produce byte-equal files.
 
-A finished mission keeps only its config and that event log. Every
-output derives from the two: the team belief (``global_data``), what
-each vehicle knew (``agent_data``, its own accepted samples plus what
-its receptions inserted), the channel's delivery rate (``tx`` events),
-the risk maps, the reward trace and the mission duration.
+A finished mission keeps only its config and that event log, and every
+output derives from the two. One walk of the log (``Replay``) serves
+every belief: a vehicle's data only grows, so what it knew at step k
+(``agent_data``) is a prefix of what it inserted, and one incremental
+replay of the pooled samples gives the team's belief at each step
+(``global_data``) and the reward trace.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import heapq
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -248,12 +251,6 @@ class MissionConfig:
         )
 
 
-def _segment_length(action: float, params: MotionParams) -> float:
-    """Along-track length of one step: the turn arc plus the run-out."""
-    r = params.turn_radius
-    return r * abs(action) + r * (params.theta_max + abs(action))
-
-
 class _AgentRuntime:
     def __init__(self, agent_id, config: MissionConfig, sensor_rng, mcts_rng):
         self.id = agent_id
@@ -283,31 +280,15 @@ class MissionResult:
     config: MissionConfig
     events: list[dict]
 
-    def config_dict(self) -> dict:
-        return asdict(self.config)
-
     @property
     def duration(self) -> float:
         """Simulated time of the last event: every heap pop logs one."""
         return self.events[-1]["t"]
 
     @functools.cached_property
-    def agent_data(self) -> list[DataSet]:
-        """What each vehicle knew at mission end, replayed once per vehicle."""
-        return [agent_data(self, i) for i in range(self.config.team_size)]
-
-    @functools.cached_property
-    def step_samples(self) -> list[tuple[int, Sample]]:
-        """Every sample the team took, as (step, Sample), in collection order.
-
-        Extracted from ``events`` on first use, so that ``global_data``
-        and the reward-trace replay do not rescan the whole log.
-        """
-        return [
-            (e["step"], Sample((e["north"], e["east"]), e["value"]))
-            for e in self.events
-            if e["kind"] == "sample"
-        ]
+    def replay(self) -> Replay:
+        """The one walk of ``events`` behind every replayed belief."""
+        return Replay(self)
 
 
 def run_mission(config: MissionConfig) -> MissionResult:
@@ -323,19 +304,14 @@ def run_mission(config: MissionConfig) -> MissionResult:
     schedule = TdmaSchedule(config.slot_duration, config.team_size)
     plan_cfg = config.plan_config()
 
-    ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(2 * config.team_size + 1)
-    sensor_rngs = [np.random.default_rng(children[i]) for i in range(config.team_size)]
-    channel_rng = np.random.default_rng(children[config.team_size])
-    mcts_rngs = [
-        np.random.default_rng(children[config.team_size + 1 + i])
-        for i in range(config.team_size)
+    # Child generators: each vehicle's sensor, the channel, each search.
+    n = config.team_size
+    rngs = [
+        np.random.default_rng(c)
+        for c in np.random.SeedSequence(config.seed).spawn(2 * n + 1)
     ]
-
-    agents = [
-        _AgentRuntime(i, config, sensor_rngs[i], mcts_rngs[i])
-        for i in range(config.team_size)
-    ]
+    channel_rng = rngs[n]
+    agents = [_AgentRuntime(i, config, rngs[i], rngs[n + 1 + i]) for i in range(n)]
     events: list[dict] = []
     heap: list[tuple] = []
     seq = itertools.count()
@@ -408,7 +384,9 @@ def run_mission(config: MissionConfig) -> MissionResult:
         segment = Path(
             (agent.state, step(agent.state, action, agent.motion)), (action,)
         )
-        seg_len = _segment_length(action, agent.motion)
+        # Along-track length of the step: the turn arc plus the run-out.
+        r = agent.motion.turn_radius
+        seg_len = r * abs(action) + r * (agent.motion.theta_max + abs(action))
         t_end = t + seg_len / agent.motion.speed
         locs = sample_locations(segment, config.sample_spacing)
         norms = np.linalg.norm(locs - locs[0], axis=1)
@@ -419,8 +397,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
                  "sample", (agent.id, (float(loc[0]), float(loc[1]))))
         push(t_end, "segment_end", (agent.id, segment.final, action))
 
-    def broadcast(t):
-        owner = agents[schedule.owner(t)]
+    def broadcast(t, slot):
+        owner = agents[schedule.owner(slot)]
         n_actions = len(owner.plan_actions)
         capacity = measurement_capacity(n_actions)
         chosen = select_measurements(range(len(owner.queue)), capacity)
@@ -485,7 +463,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         push(0.0, "sample", (agent.id, (agent.state.north, agent.state.east)))
     for agent in agents:
         push(0.0, "launch", (agent.id,))
-    push(0.0, "slot", None)
+    push(0.0, "slot", 0)
 
     while heap:
         t_now, _, kind, payload = heapq.heappop(heap)
@@ -516,11 +494,11 @@ def run_mission(config: MissionConfig) -> MissionResult:
         elif kind == "deliver":
             deliver(t_now, *payload)
         elif kind == "slot":
-            broadcast(t_now)
+            broadcast(t_now, payload)
             if not (
                 all(a.done for a in agents) and all(not a.queue for a in agents)
             ):
-                push(t_now + config.slot_duration, "slot", None)
+                push((payload + 1) * config.slot_duration, "slot", payload + 1)
 
     return MissionResult(config, events)
 
@@ -535,58 +513,123 @@ def write_jsonl(result: MissionResult, path) -> None:
     """
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as f:
-        header = {"kind": "config", **result.config_dict()}
+        header = {"kind": "config", **asdict(result.config)}
         f.write(encode(header) + "\n")
         for event in result.events:
             f.write(encode(event) + "\n")
 
 
+class Replay:
+    """One walk of a mission's event log: the samples behind every belief.
+
+    ``inserted[i]`` is what vehicle i put into its data set, in order:
+    accepted own samples and what its ``rx`` events inserted. The set only
+    grows, so at step k it is the prefix of length ``cuts[i][k]``: all
+    inserted by the time of the step-k end (0 for k = 0), own samples of
+    step k+1 coming strictly later. The cut goes by time, so an ``rx`` at
+    the instant of a step end counts for that step on either side of the
+    ``step`` event: events of one instant are ordered only by the heap.
+
+    ``samples`` and ``steps`` are the team's samples in collection order
+    and their steps; ``pooled`` records each step's indices in ``kept``.
+    """
+
+    def __init__(self, result: MissionResult):
+        self.config = config = result.config
+        team = range(config.team_size)
+        self.inserted: list[list[Sample]] = [[] for _ in team]
+        times: list[list[float]] = [[] for _ in team]
+        ends: list[list[float]] = [[0.0] for _ in team]
+        self.samples: list[Sample] = []
+        self.steps: list[int] = []
+        for e in result.events:
+            kind = e["kind"]
+            if kind == "sample":
+                sample = Sample((e["north"], e["east"]), e["value"])
+                self.samples.append(sample)
+                self.steps.append(e["step"])
+                if e["accepted"]:
+                    self.inserted[e["agent"]].append(sample)
+                    times[e["agent"]].append(e["t"])
+            elif kind == "rx":
+                for north, east, value in e["inserted"]:
+                    self.inserted[e["agent"]].append(Sample((north, east), value))
+                    times[e["agent"]].append(e["t"])
+            elif kind == "step":
+                ends[e["agent"]].append(e["t"])
+        self.cuts = [
+            [bisect.bisect_right(agent_times, t) for t in agent_ends]
+            for agent_times, agent_ends in zip(times, ends)
+        ]
+        self.kept: list[list[int]] = []
+
+    def pooled(self):
+        """Yield ``(data, changed)``, the team's data set after each step k:
+        every vehicle's first-k-step samples through one density filter.
+
+        Steps interleave in collection order, but a sample before the
+        earliest step-k sample keeps its step-(k-1) verdict. So step k
+        starts from step k-1's kept samples before that point (spaced,
+        so ``DataSet.insert`` admits them all) and replays only the later
+        samples of steps up to k. ``changed`` is False, and ``data`` step
+        k-1's set, when step k keeps the same samples.
+        """
+        first: dict[int, int] = {}
+        end: dict[int, int] = {}
+        for i, step_index in enumerate(self.steps):
+            first.setdefault(step_index, i)
+            end[step_index] = i + 1
+        self.kept = []
+        kept: list[int] = []
+        stop = 0  # one past the last sample of any step up to k
+        data = None
+        for k in range(self.config.total_length + 1):
+            stop = max(stop, end.get(k, 0))
+            changed = data is None
+            if k in first or changed:
+                start = first.get(k, stop)
+                cut = bisect.bisect_left(kept, start)
+                fresh = DataSet(
+                    self.config.min_spacing, [self.samples[i] for i in kept[:cut]]
+                )
+                tail = []
+                for i in range(start, stop):
+                    if self.steps[i] <= k and fresh.insert(self.samples[i]):
+                        tail.append(i)
+                if changed or tail != kept[cut:]:
+                    kept = kept[:cut] + tail
+                    data, changed = fresh, True
+            self.kept.append(kept)
+            yield data, changed
+
+
 def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     """Team-wide data set: every vehicle's samples through one filter.
 
-    Samples are replayed in global collection order, optionally keeping
-    only those taken during each vehicle's first ``upto_step`` steps.
+    With ``upto_step`` = k, only those of each vehicle's first k steps:
+    what ``Replay.pooled`` kept at step k, walked here if no trace has.
     """
-    data = DataSet(min_spacing=result.config.min_spacing)
-    for step_index, sample in result.step_samples:
-        if upto_step is None or step_index <= upto_step:
-            data.insert(sample)
-    return data
+    replay = result.replay
+    last = result.config.total_length
+    if len(replay.kept) <= last:
+        collections.deque(replay.pooled(), maxlen=0)
+    kept = replay.kept[last if upto_step is None else min(upto_step, last)]
+    return DataSet(result.config.min_spacing, [replay.samples[i] for i in kept])
 
 
 def agent_data(
     result: MissionResult, agent: int, upto_step: int | None = None
 ) -> DataSet:
-    """What one vehicle knew, replayed from the event log.
-
-    The vehicle's accepted own samples and the triples its ``rx`` events
-    inserted go through one density filter in log order, as the vehicle
-    inserted them. ``upto_step`` rewinds to the moment the vehicle
-    completed step k: own samples from its first k steps, and only the
-    broadcasts received by that time. A rejected sample never changed
-    the set, so leaving it out keeps every verdict.
+    """What one vehicle knew: everything it inserted, in order, or with
+    ``upto_step`` = k the prefix it held when it completed step k (see
+    ``Replay``). It admitted each of them, so the filter admits them again.
     """
-    cutoff = math.inf
+    replay = result.replay
+    inserted = replay.inserted[agent]
     if upto_step is not None:
-        cutoff = max(
-            (
-                e["t"]
-                for e in result.events
-                if e["kind"] == "step" and e["agent"] == agent and e["n"] <= upto_step
-            ),
-            default=0.0,
-        )
-    data = DataSet(min_spacing=result.config.min_spacing)
-    for e in result.events:
-        if e["agent"] != agent:
-            continue
-        if e["kind"] == "sample":
-            if e["accepted"] and (upto_step is None or e["step"] <= upto_step):
-                data.insert(Sample((e["north"], e["east"]), e["value"]))
-        elif e["kind"] == "rx" and e["t"] <= cutoff:
-            for north, east, value in e["inserted"]:
-                data.insert(Sample((north, east), value))
-    return data
+        cuts = replay.cuts[agent]
+        inserted = inserted[: cuts[min(upto_step, len(cuts) - 1)]]
+    return DataSet(result.config.min_spacing, inserted)
 
 
 def delivery_rate(result: MissionResult) -> float | None:
@@ -599,9 +642,7 @@ def delivery_rate(result: MissionResult) -> float | None:
         if e["kind"] == "tx":
             delivered += len(e["delivered_to"])
             dropped += len(e["dropped_to"])
-    if delivered + dropped == 0:
-        return None
-    return delivered / (delivered + dropped)
+    return delivered / (delivered + dropped) if delivered + dropped else None
 
 
 def risk_snapshot(
@@ -609,18 +650,14 @@ def risk_snapshot(
 ) -> RiskField:
     """Bayes-risk map on the output grid from a chosen belief.
 
-    ``agent=None`` uses the omniscient team belief (all samples, one
-    density filter, global time order); an agent index uses what that
-    vehicle actually knew (``agent_data``). ``upto_step`` rewinds the
-    belief to the moment the vehicle completed step k; the global belief
-    pools every vehicle's first k steps.
+    ``agent=None`` uses the omniscient team belief (``global_data``), an
+    agent index what that vehicle knew (``agent_data``); ``upto_step``
+    rewinds either to step k.
     """
     config = result.config
     points = eval_grid(config.area(), config.output_resolution)
     if agent is None:
         data = global_data(result, upto_step)
-    elif upto_step is None:
-        data = result.agent_data[agent]
     else:
         data = agent_data(result, agent, upto_step)
     return risk_field(
@@ -631,24 +668,10 @@ def risk_snapshot(
 def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
     """Team risk-reduction after each joint step.
 
-    Entry k is the drop in summed Bayes risk over the trace grid between
-    the prior and the omniscient belief built from every vehicle's first
-    k steps (k=0 is the mission-start samples): the risk of
-    ``global_data(result, k)``.
-
-    Vehicles move at different speeds, so the samples of different steps
-    interleave in ``MissionResult.step_samples``, which is in time order,
-    and the step-(k+1) data set is not the step-k one plus more samples.
-    But every sample before the earliest step-k sample has the same
-    inclusion at step k as at step k-1, so the density rule's verdicts
-    on that prefix do not change. Step k therefore starts from the
-    samples kept at step k-1 that lie before that point (pairwise at
-    least ``min_spacing`` apart, so ``DataSet.insert`` admits them all
-    again) and replays through ``DataSet.insert`` only the later samples
-    of steps up to k. A step without samples keeps the previous data
-    set, and a data set whose kept samples did not change keeps the
-    previous risk sum, since its belief would be built from the same
-    floats.
+    Entry k is the drop in summed Bayes risk over the trace grid from the
+    prior to the belief on ``global_data(result, k)``, every vehicle's
+    first k steps, scored as ``Replay.pooled`` builds it. A step that
+    keeps the previous step's samples keeps its risk sum.
     """
     config = result.config
     kernel, loss = config.kernel(), config.loss()
@@ -662,32 +685,12 @@ def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
             )
         )
     )
-    stream = result.step_samples
-    first: dict[int, int] = {}
-    end: dict[int, int] = {}
-    for i, (step_index, _) in enumerate(stream):
-        first.setdefault(step_index, i)
-        end[step_index] = i + 1
     trace = np.empty(config.total_length + 1)
-    kept: list[int] = []  # stream indices of the step-k data set, in order
-    stop = 0  # one past the last sample of any step up to k
-    risk = None
-    for k in range(config.total_length + 1):
-        stop = max(stop, end.get(k, 0))
-        if k in first or risk is None:
-            start = first.get(k, stop)
-            cut = bisect.bisect_left(kept, start)
-            data = DataSet(config.min_spacing, [stream[i][1] for i in kept[:cut]])
-            tail = []
-            for i in range(start, stop):
-                step_index, sample = stream[i]
-                if step_index <= k and data.insert(sample):
-                    tail.append(i)
-            if risk is None or tail != kept[cut:]:
-                kept[cut:] = tail
-                risk = float(np.sum(risk_field(
-                    kernel, data, points, loss, prior_mean=config.prior_mean
-                ).values))
+    for k, (data, changed) in enumerate(result.replay.pooled()):
+        if changed:
+            risk = float(np.sum(risk_field(
+                kernel, data, points, loss, prior_mean=config.prior_mean
+            ).values))
         trace[k] = prior - risk
     return trace
 
@@ -708,23 +711,14 @@ def compare_methods(base_config: MissionConfig, seeds) -> dict:
 
     Returns per-variant final accumulated rewards and mean traces.
     """
-    from dataclasses import replace as dc_replace
-
-    jobs = [
-        (name, int(seed), dc_replace(base_config, seed=int(seed), **overrides))
-        for name, overrides in COMPARED_VARIANTS.items()
-        for seed in seeds
-    ]
-
-    def run_one(job):
-        name, seed, cfg = job
-        return name, seed, accumulated_reward_trace(run_mission(cfg))
-
-    rows = [run_one(j) for j in jobs]
-
     out: dict = {"seeds": [int(s) for s in seeds], "variants": {}}
-    for name in COMPARED_VARIANTS:
-        traces = [r[2] for r in rows if r[0] == name]
+    for name, overrides in COMPARED_VARIANTS.items():
+        traces = [
+            accumulated_reward_trace(
+                run_mission(replace(base_config, seed=int(seed), **overrides))
+            )
+            for seed in seeds
+        ]
         finals = [float(tr[-1]) for tr in traces]
         mids = [float(tr[len(tr) // 2]) for tr in traces]
         out["variants"][name] = {

@@ -14,7 +14,12 @@ against the other:
 - the variance decomposition by re-factoring the GP on data plus the
   planned locations (``variance_reduction``);
 - the realized and expected benefit of search, and the joint expected
-  benefit of a whole team's plans (``joint_reward``).
+  benefit of a whole team's plans (``joint_reward``);
+- the beliefs a finished mission's outputs replay from its event log,
+  each rebuilt from the whole log for every step asked:
+  ``global_data_from_scratch`` for the team and
+  ``agent_data_by_two_rules`` for one vehicle, where the mission code
+  walks the log once.
 """
 
 from __future__ import annotations
@@ -343,3 +348,50 @@ def joint_reward(
     return expected_benefit_of_search(
         data, thinned, eval_points, kernel, loss, prior_mean=prior_mean
     )
+
+
+def global_data_from_scratch(result, upto_step: int | None = None) -> DataSet:
+    """Team-wide data set: every vehicle's samples through one filter.
+
+    Every ``sample`` event is replayed in log order, optionally keeping
+    only those taken during each vehicle's first ``upto_step`` steps.
+    """
+    data = DataSet(min_spacing=result.config.min_spacing)
+    for e in result.events:
+        if e["kind"] == "sample" and (upto_step is None or e["step"] <= upto_step):
+            data.insert(Sample((e["north"], e["east"]), e["value"]))
+    return data
+
+
+def agent_data_by_two_rules(
+    result, agent: int, upto_step: int | None = None
+) -> DataSet:
+    """What one vehicle knew, replayed from the event log.
+
+    The vehicle's accepted own samples and the triples its ``rx`` events
+    inserted go through one density filter in log order, as the vehicle
+    inserted them. ``upto_step`` rewinds to the moment the vehicle
+    completed step k by two cuts: own samples of its first k steps, and
+    only the broadcasts received by the time of its step-k end.
+    """
+    cutoff = math.inf
+    if upto_step is not None:
+        cutoff = max(
+            (
+                e["t"]
+                for e in result.events
+                if e["kind"] == "step" and e["agent"] == agent and e["n"] <= upto_step
+            ),
+            default=0.0,
+        )
+    data = DataSet(min_spacing=result.config.min_spacing)
+    for e in result.events:
+        if e["agent"] != agent:
+            continue
+        if e["kind"] == "sample":
+            if e["accepted"] and (upto_step is None or e["step"] <= upto_step):
+                data.insert(Sample((e["north"], e["east"]), e["value"]))
+        elif e["kind"] == "rx" and e["t"] <= cutoff:
+            for north, east, value in e["inserted"]:
+                data.insert(Sample((north, east), value))
+    return data

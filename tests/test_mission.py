@@ -1,6 +1,7 @@
 """Mission simulator tests on micro-missions: determinism, event-log
 consistency, TDMA timing, channel behavior and delivery rate, belief
-reconstruction from the log, and the summary products."""
+reconstruction from the log, every per-step belief against the
+reference oracles' whole-log replays, and the summary products."""
 
 import json
 import math
@@ -21,6 +22,7 @@ from isobath.mission import (
     MissionConfig,
     MissionResult,
     accumulated_reward_trace,
+    agent_data,
     compare_methods,
     delivery_rate,
     global_data,
@@ -31,6 +33,7 @@ from isobath.mission import (
 )
 from isobath.motion import ACTION_SET, AgentState, lawnmower_path, step
 from isobath.risk import bayes_risk_batch, risk_field
+from reference import agent_data_by_two_rules, global_data_from_scratch
 
 
 def micro(**kw):
@@ -56,15 +59,43 @@ def result():
     return run_mission(micro())
 
 
+def team(size, **kw):
+    """``micro`` with ``size`` vehicles, all launched from one point."""
+    return micro(speeds=(1.5,) * size, starts=((0.0, 50.0, 20.0),) * size, **kw)
+
+
+def logged(config, entries):
+    """A MissionResult from (t, tie, event) entries, logged as the
+    simulator logs them: in time order, events of one instant by ``tie``
+    and then in entry order. Each sample's ``accepted`` and each
+    reception's ``inserted`` (from its ``measurements``) are the verdicts
+    of the vehicle's own data set."""
+    held = [DataSet(config.min_spacing) for _ in range(config.team_size)]
+    events = []
+    for t, _, entry in sorted(entries, key=lambda e: e[:2]):
+        event = {"t": t, **entry}
+        own = held[event["agent"]]
+        if event["kind"] == "sample":
+            sample = Sample((event["north"], event["east"]), event["value"])
+            event["accepted"] = int(own.insert(sample))
+        elif event["kind"] == "rx":
+            event["inserted"] = [
+                [north, east, value]
+                for north, east, value in event.pop("measurements")
+                if own.insert(Sample((north, east), value))
+            ]
+        events.append(event)
+    return MissionResult(config, events)
+
+
 def sample_log(config, samples):
     """A MissionResult holding only sample events, (t, agent, step, north,
     east, value) each, in time order."""
-    events = [
-        {"t": t, "kind": "sample", "agent": agent, "step": k,
-         "north": north, "east": east, "value": value}
+    return logged(config, [
+        (t, 0, {"kind": "sample", "agent": agent, "step": k,
+                "north": north, "east": east, "value": value})
         for t, agent, k, north, east, value in sorted(samples)
-    ]
-    return MissionResult(config, events)
+    ])
 
 
 def last_pose(result, agent):
@@ -75,7 +106,8 @@ def last_pose(result, agent):
 
 
 def reference_reward_trace(result):
-    """The reward trace with every step's data set rebuilt from scratch."""
+    """The reward trace with every step's data set rebuilt from scratch
+    by the reference oracle."""
     config = result.config
     points = eval_grid(config.area(), config.trace_resolution)
     prior = float(
@@ -89,7 +121,7 @@ def reference_reward_trace(result):
     )
     trace = np.empty(config.total_length + 1)
     for k in range(config.total_length + 1):
-        data = global_data(result, k)
+        data = global_data_from_scratch(result, k)
         risk = float(np.sum(risk_field(
             config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
         ).values))
@@ -115,20 +147,26 @@ def trace_data_sets(result):
     return [seen[round(trace[0] + 1.0 - t) - 1] for t in trace]
 
 
+def lattice(spacing):
+    """Coordinates on a lattice of half the spacing: points one lattice
+    step apart are too close, two apart exactly ``min_spacing`` apart,
+    and a repeated lattice point is a duplicate location."""
+    half = (spacing or 10.0) / 2.0
+    return st.integers(0, 5).map(lambda i: i * half)
+
+
 @st.composite
 def interleaved_samples(draw):
-    """(min_spacing, total_length, samples) for vehicles whose steps take
-    different times, so a fast vehicle's step k+1 can come before a slow
-    one's step k. Locations lie on a lattice of half the spacing: points
-    one lattice step apart are too close, two apart exactly
-    ``min_spacing`` apart, and a repeated lattice point is a duplicate
-    location. A step may have no samples."""
+    """(min_spacing, total_length, team size, samples) for vehicles whose
+    steps take different times, so a fast vehicle's step k+1 can come
+    before a slow one's step k. Locations lie on ``lattice``. A step may
+    have no samples."""
     spacing = draw(st.sampled_from([0.0, 12.5, 30.0]))
     total_length = draw(st.integers(1, 8))
-    half = (spacing or 10.0) / 2.0
-    coordinate = st.integers(0, 5).map(lambda i: i * half)
+    coordinate = lattice(spacing)
+    size = draw(st.integers(2, 4))
     samples = []
-    for agent in range(draw(st.integers(2, 4))):
+    for agent in range(size):
         t = 0.0
         for k in range(total_length + 1):
             for j in range(draw(st.integers(0, 3))):
@@ -137,7 +175,58 @@ def interleaved_samples(draw):
                     draw(st.floats(0.0, 30.0)),
                 ))
             t += draw(st.integers(1, 4))
-    return spacing, total_length, samples
+    return spacing, total_length, size, samples
+
+
+@st.composite
+def exchanges(draw):
+    """(config, entries) for ``logged``: a team that samples and exchanges
+    measurements. Steps end and slots open on whole seconds, so a
+    reception often lands at the instant some vehicle ends a step, and
+    it is logged before or after that ``step`` event as drawn. A
+    vehicle's samples of step k are taken after its step k-1 end and up
+    to its step k end, the last one at that instant, before the ``step``
+    event. A latency of 0 delivers at the broadcast's instant, time 0
+    included."""
+    spacing = draw(st.sampled_from([0.0, 12.5, 30.0]))
+    total_length = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 3))
+    latency = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    coordinate = lattice(spacing)
+    value = st.floats(0.0, 30.0)
+    entries = []
+    last_end = 0
+    for agent in range(size):
+        end = 0
+        for k in range(total_length + 1):
+            start, end = end, end + (draw(st.integers(1, 3)) if k else 0)
+            n = draw(st.integers(0, 3))
+            for j in range(n):
+                t = start + (end - start) * (j + 1) / n if k else 0.0
+                entries.append((t, 0, {
+                    "kind": "sample", "agent": agent, "step": k,
+                    "north": draw(coordinate), "east": draw(coordinate),
+                    "value": draw(value),
+                }))
+            if k:
+                entries.append((float(end), 1, {"kind": "step", "agent": agent, "n": k}))
+        last_end = max(last_end, end)
+    for slot in range(last_end + 1):
+        sender = slot % size
+        measurements = [
+            (draw(coordinate), draw(coordinate), draw(value))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        for agent in range(size):
+            if agent != sender and draw(st.booleans()):
+                entries.append((slot + latency, draw(st.sampled_from([0, 2])), {
+                    "kind": "rx", "agent": agent, "sender": sender,
+                    "n_meas": len(measurements), "measurements": measurements,
+                }))
+    config = team(
+        size, min_spacing=spacing, total_length=total_length, comm_latency=latency
+    )
+    return config, entries
 
 
 class TestDeterminism:
@@ -218,6 +307,7 @@ class TestRewardTrace:
     @example((
         30.0,
         4,
+        2,
         [
             # Vehicle 0 takes one time unit per step, vehicle 1 three, so
             # vehicle 0's steps 2 and 3 come before vehicle 1's step 1;
@@ -234,14 +324,14 @@ class TestRewardTrace:
     ))
     @settings(max_examples=200, deadline=None)
     def test_each_step_uses_the_global_data_of_that_step(self, case):
-        spacing, total_length, samples = case
+        spacing, total_length, size, samples = case
         result = sample_log(
-            micro(min_spacing=spacing, total_length=total_length), samples
+            team(size, min_spacing=spacing, total_length=total_length), samples
         )
         data_sets = trace_data_sets(result)
         assert len(data_sets) == total_length + 1
         for k, (locations, values) in enumerate(data_sets):
-            want = global_data(result, k)
+            want = global_data_from_scratch(result, k)
             assert np.array_equal(locations, want.locations), k
             assert np.array_equal(values, want.values), k
 
@@ -252,11 +342,20 @@ class TestTdma:
         sched = TdmaSchedule(cfg.slot_duration, cfg.team_size)
         txs = [e for e in result.events if e["kind"] == "tx"]
         assert txs, "the mission must broadcast"
-        for e in txs:
-            assert e["t"] / cfg.slot_duration == pytest.approx(
-                round(e["t"] / cfg.slot_duration), abs=1e-12
-            )
-            assert e["agent"] == sched.owner(e["t"])
+        for k, e in enumerate(txs):
+            assert e["t"] == k * cfg.slot_duration
+            assert e["agent"] == sched.owner(k)
+
+    def test_slots_keep_their_turn_when_no_float_holds_the_duration(self):
+        # Summing 3.3 slot after slot drifts against floor(t / 3.3), which
+        # once gave one vehicle two slots running.
+        res = run_mission(MissionConfig(
+            variant="lawnmower", total_length=20, slot_duration=3.3
+        ))
+        txs = [e for e in res.events if e["kind"] == "tx"]
+        assert len(txs) > 30
+        assert [e["agent"] for e in txs] == [k % 3 for k in range(len(txs))]
+        assert [e["t"] for e in txs] == [k * 3.3 for k in range(len(txs))]
 
     def test_each_agent_broadcasts_once_per_round(self, result):
         cfg = result.config
@@ -341,7 +440,7 @@ class TestBeliefReconstruction:
         result = run_mission(micro())
         assert len(runtimes) == result.config.team_size
         for live in runtimes:
-            replayed = result.agent_data[live.id]
+            replayed = agent_data(result, live.id)
             assert len(replayed) == len(live.data)
             assert np.array_equal(replayed.locations, live.data.locations)
             assert np.array_equal(replayed.values, live.data.values)
@@ -360,6 +459,62 @@ class TestBeliefReconstruction:
             got = global_data(result, k)
             assert np.array_equal(got.locations, data.locations), k
             assert np.array_equal(got.values, data.values), k
+
+
+class TestPerStepBeliefs:
+    """Each vehicle's step-k set is a prefix of what it inserted, and the
+    team's comes from one pooled walk; the reference oracles rebuild both
+    from the whole log for every step."""
+
+    @given(exchanges())
+    @example((
+        team(2, min_spacing=30.0, total_length=2, comm_latency=0.0),
+        [
+            # Vehicle 1 hears vehicle 0 at time 0, and again at the
+            # instant both vehicles end step 1: logged before vehicle 0's
+            # ``step`` event and after vehicle 1's.
+            (0.0, 0, {"kind": "sample", "agent": 0, "step": 0,
+                      "north": 0.0, "east": 0.0, "value": 1.0}),
+            (0.0, 0, {"kind": "sample", "agent": 1, "step": 0,
+                      "north": 90.0, "east": 0.0, "value": 2.0}),
+            (0.0, 2, {"kind": "rx", "agent": 1, "sender": 0, "n_meas": 1,
+                      "measurements": [(0.0, 0.0, 1.0)]}),
+            (2.0, 0, {"kind": "sample", "agent": 0, "step": 1,
+                      "north": 30.0, "east": 0.0, "value": 3.0}),
+            (2.0, 0, {"kind": "rx", "agent": 0, "sender": 1, "n_meas": 1,
+                      "measurements": [(90.0, 30.0, 4.0)]}),
+            (2.0, 1, {"kind": "step", "agent": 0, "n": 1}),
+            (2.0, 1, {"kind": "step", "agent": 1, "n": 1}),
+            (2.0, 2, {"kind": "rx", "agent": 1, "sender": 0, "n_meas": 1,
+                      "measurements": [(30.0, 0.0, 3.0)]}),
+            (3.0, 0, {"kind": "sample", "agent": 1, "step": 2,
+                      "north": 60.0, "east": 60.0, "value": 5.0}),
+            (3.0, 1, {"kind": "step", "agent": 1, "n": 2}),
+            (4.0, 1, {"kind": "step", "agent": 0, "n": 2}),
+        ],
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_set_equals_the_oracles(self, case):
+        result = logged(*case)
+        for k in [*range(result.config.total_length + 1), None]:
+            got, want = global_data(result, k), global_data_from_scratch(result, k)
+            assert np.array_equal(got.locations, want.locations), k
+            assert np.array_equal(got.values, want.values), k
+            for i in range(result.config.team_size):
+                got = agent_data(result, i, k)
+                want = agent_data_by_two_rules(result, i, k)
+                assert np.array_equal(got.locations, want.locations), (i, k)
+                assert np.array_equal(got.values, want.values), (i, k)
+
+    def test_a_simulated_mission_with_instant_delivery(self):
+        result = run_mission(micro(variant="lawnmower", comm_latency=0.0))
+        assert any(e["kind"] == "rx" and e["t"] == 0.0 for e in result.events)
+        for k in [*range(result.config.total_length + 1), None]:
+            for i in range(result.config.team_size):
+                got = agent_data(result, i, k)
+                want = agent_data_by_two_rules(result, i, k)
+                assert np.array_equal(got.locations, want.locations), (i, k)
+                assert np.array_equal(got.values, want.values), (i, k)
 
 
 class TestSummaryProducts:
