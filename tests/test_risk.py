@@ -200,6 +200,39 @@ class TestExpectedRiskEvaluators:
         peak = c1 * c2 / (c1 + c2)
         assert -1e-12 <= val <= peak + 1e-9
 
+    # The batch the planner runs has no fallback; quadrature checks it
+    # directly, down to mean variances that are rounding residue.
+    BATCH_BOUND = 1e-8
+
+    def test_batch_at_a_small_mean_variance_from_a_mission(self):
+        # Seen in a seed-0 terminal mission: sigma_mu_sq is what is left of
+        # var_s - var_qfull after rounding.
+        inputs = VarianceReduction(9.953481037360548, 5.3e-15, 14.7)
+        got = expected_bayes_risk_closed_batch(
+            np.array([inputs.mu_mu]), np.array([inputs.sigma_mu_sq]),
+            np.array([inputs.sigma_pq_sq]), EQUAL,
+        )[0]
+        want = expected_bayes_risk_quadrature(inputs, EQUAL)
+        assert abs(got - want) <= self.BATCH_BOUND
+
+    @given(
+        st.floats(-6.0, 6.0),
+        st.floats(-16.0, -2.0),
+        st.floats(1e-2, 30.0),
+        st.sampled_from([EQUAL, SKEWED]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_quadrature_at_small_mean_variance(
+        self, dmu, log10_s2mu, s2q, loss
+    ):
+        inputs = VarianceReduction(15.0 + dmu, 10.0**log10_s2mu, s2q)
+        got = expected_bayes_risk_closed_batch(
+            np.array([inputs.mu_mu]), np.array([inputs.sigma_mu_sq]),
+            np.array([inputs.sigma_pq_sq]), loss,
+        )[0]
+        want = expected_bayes_risk_quadrature(inputs, loss)
+        assert abs(got - want) <= self.BATCH_BOUND
+
     def test_more_informative_measurements_lower_expected_risk(self):
         # Growing sigma_mu_sq at fixed total variance means the planned
         # measurements explain more, so expected risk cannot rise.
