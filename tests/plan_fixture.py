@@ -6,6 +6,10 @@ only from a commit whose plans are known good, since the test exists to
 catch a change that moves them:
 
     PYTHONPATH=src python tests/plan_fixture.py
+
+A regeneration prints what moved against the file it replaces: the
+number of plans whose actions or evaluation counts changed, and the
+largest absolute and relative change of ``value`` and ``naive``.
 """
 
 import dataclasses
@@ -51,7 +55,30 @@ def plan_events() -> dict[str, list[dict]]:
     return out
 
 
+def moved(old: dict, new: dict) -> str:
+    """How the plans of ``new`` differ from those of ``old``, in one line."""
+    plans = actions = evaluations = 0
+    worst_abs = worst_rel = 0.0
+    for key, events in new.items():
+        for g, w in zip(events, old.get(key, [])):
+            plans += 1
+            actions += g["actions"] != w["actions"]
+            evaluations += g["evaluations"] != w["evaluations"]
+            for field in ("value", "naive"):
+                change = abs(g[field] - w[field])
+                worst_abs = max(worst_abs, change)
+                worst_rel = max(worst_rel, change / max(abs(w[field]), 1e-300))
+    return (
+        f"{plans} plans compared: actions moved in {actions}, "
+        f"evaluations in {evaluations}; largest value change "
+        f"{worst_abs:.2e} absolute, {worst_rel:.2e} relative"
+    )
+
+
 if __name__ == "__main__":
+    new = plan_events()
+    if FIXTURE.exists():
+        print(moved(json.loads(FIXTURE.read_text()), new))
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(plan_events(), indent=1) + "\n")
+    FIXTURE.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {FIXTURE}")

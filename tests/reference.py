@@ -9,8 +9,7 @@ against the other:
 - the scalar declaration, risk and declaration flip (``bayes_estimate``,
   ``bayes_risk``, ``mu_star``);
 - the expected post-measurement risk by adaptive quadrature and by
-  Monte Carlo draws, and the scalar closed form that falls back to
-  quadrature where the surrogate breaks down;
+  Monte Carlo draws, and the planner's closed form on one element;
 - the variance decomposition by re-factoring the GP on data plus the
   planned locations (``variance_reduction``);
 - the realized and expected benefit of search, and the joint expected
@@ -141,32 +140,20 @@ def expected_bayes_risk_closed(inputs, loss: LossParams) -> float:
     """Closed-form expected Bayes risk after the planned measurements.
 
     ``inputs`` carries (mu_mu, sigma_mu_sq, sigma_pq_sq), e.g. a
-    :class:`VarianceReduction`. Falls back to the quadrature evaluator
-    when the residual variance is degenerate or the closed form lands
-    outside its provable range (which flags surrogate breakdown).
+    :class:`VarianceReduction`. The value is the planner's batch
+    evaluator on one element, with no fallback, so a test of this
+    function tests what the planner runs.
     """
-    mu_mu = float(inputs.mu_mu)
-    s2mu = float(inputs.sigma_mu_sq)
-    s2q = float(inputs.sigma_pq_sq)
-    c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
-    if s2mu < 0 or s2q < 0:
+    if inputs.sigma_mu_sq < 0 or inputs.sigma_pq_sq < 0:
         raise ValueError("variances must be non-negative")
-    if s2mu <= 1e-300:
-        return bayes_risk(mu_mu, s2q, loss)
-    if s2q <= 1e-300:
-        return expected_bayes_risk_quadrature(inputs, loss)
-    val = float(
+    return float(
         expected_bayes_risk_closed_batch(
-            np.array([mu_mu]), np.array([s2mu]), np.array([s2q]), loss
+            np.array([inputs.mu_mu], dtype=float),
+            np.array([inputs.sigma_mu_sq], dtype=float),
+            np.array([inputs.sigma_pq_sq], dtype=float),
+            loss,
         )[0]
     )
-    # The exact expectation can never exceed the risk at the declaration
-    # flip; drifting past it by more than a sliver means the surrogate
-    # broke down, so defer to quadrature.
-    peak = c1 * c2 / (c1 + c2)
-    if val > peak + 1e-6 * max(c1, c2):
-        return expected_bayes_risk_quadrature(inputs, loss)
-    return min(val, peak)
 
 
 def expected_bayes_risk_quadrature(
@@ -176,7 +163,11 @@ def expected_bayes_risk_quadrature(
 
     Integrates pi(mu) r(mu, sigma_pq_sq) over the posterior-mean
     distribution, with the integration split at the declaration flip
-    where the integrand has a kink. Raises NumericalError if the
+    where the integrand has a kink. The variable is the standardised mean
+    z = (mu - mu_mu)/sigma_mu, and the risk's argument is formed from
+    offsets to mu_mu, never from mu itself: a node mu_mu + sigma_mu z
+    would be rounded at the scale of mu_mu, which is a relative error of
+    1e-7 in the node when sigma_mu is 1e-8. Raises NumericalError if the
     quadrature does not converge to the requested absolute tolerance.
     """
     mu_mu = float(inputs.mu_mu)
@@ -186,28 +177,30 @@ def expected_bayes_risk_quadrature(
         raise ValueError("variances must be non-negative")
     if s2mu <= 1e-300:
         return bayes_risk(mu_mu, s2q, loss)
+    if s2q == 0.0:
+        return 0.0
+    c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
     sd_mu = math.sqrt(s2mu)
-    flip = mu_star(math.sqrt(s2q), loss)
+    sd_q = math.sqrt(s2q)
+    to_level = loss.level - mu_mu
+    to_flip = mu_star(sd_q, loss) - mu_mu
 
-    def integrand(mu):
-        pdf = math.exp(-((mu - mu_mu) ** 2) / (2.0 * s2mu)) / (
-            sd_mu * math.sqrt(2.0 * math.pi)
-        )
-        return pdf * bayes_risk(mu, s2q, loss)
+    def integrand(z):
+        p_shallow = 0.5 * math.erfc(-(to_level - sd_mu * z) / (sd_q * math.sqrt(2.0)))
+        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return pdf * min(c1 * p_shallow, c2 * (1.0 - p_shallow))
 
-    lo, hi = mu_mu - 12.0 * sd_mu, mu_mu + 12.0 * sd_mu
     # Breakpoints at the declaration flip and bracketing the level: for
     # small residual variance the integrand is a spike of width ~sigma_pq
     # around the level that plain adaptive nodes can miss entirely.
-    sd_q = math.sqrt(s2q)
-    marks = [flip, loss.level]
+    marks = [to_flip, to_level]
     for w in (1.0, 4.0, 20.0):
-        marks += [loss.level - w * sd_q, loss.level + w * sd_q]
-        marks += [flip - w * sd_q, flip + w * sd_q]
-    points = sorted({p for p in marks if lo < p < hi}) or None
+        marks += [to_level - w * sd_q, to_level + w * sd_q]
+        marks += [to_flip - w * sd_q, to_flip + w * sd_q]
+    points = sorted({m / sd_mu for m in marks if -12.0 < m / sd_mu < 12.0}) or None
     result = integrate.quad(
-        integrand, lo, hi, points=points, epsabs=epsabs, epsrel=epsabs, limit=200,
-        full_output=1,
+        integrand, -12.0, 12.0, points=points, epsabs=epsabs, epsrel=epsabs,
+        limit=200, full_output=1,
     )
     if len(result) > 3:
         raise NumericalError(f"expected-risk quadrature did not converge: {result[3]}")

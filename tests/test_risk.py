@@ -7,16 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from isobath.gp import Belief, DataSet, KernelSpec, Sample
 from isobath.risk import (
-    _B,
-    _CORRECTION_BINOMIAL,
-    _CORRECTION_DEGREE,
-    _ERF_CORRECTION,
-    _branch_sum,
-    _scaled_erfc,
     LossParams,
     RiskField,
     bayes_risk_batch,
@@ -107,23 +100,6 @@ class TestMuStar:
         assert mu_star(0.0, SKEWED) == 15.0
 
 
-class TestErfSurrogate:
-    def test_corrected_surrogate_accuracy(self):
-        t = np.linspace(0.0, 8.0, 4001)
-        poly = np.polynomial.polynomial.polyval(t, _ERF_CORRECTION)
-        approx = 1.0 - np.exp(-(t**2 + _B * t)) * poly
-        err = np.abs(approx - special.erf(t))
-        assert err.max() < 1e-6
-
-    def test_surrogate_pins_origin_and_tail(self):
-        poly0 = _ERF_CORRECTION[0]
-        assert poly0 == 1.0  # exact zero at t = 0
-        t = np.array([8.0, 10.0])
-        poly = np.polynomial.polynomial.polyval(t, _ERF_CORRECTION)
-        approx = 1.0 - np.exp(-(t**2 + _B * t)) * poly
-        assert np.allclose(approx, 1.0, atol=1e-12)
-
-
 class TestExpectedRiskEvaluators:
     def grid(self):
         cells = []
@@ -205,8 +181,8 @@ class TestExpectedRiskEvaluators:
     BATCH_BOUND = 1e-8
 
     def test_batch_at_a_small_mean_variance_from_a_mission(self):
-        # Seen in a seed-0 terminal mission: sigma_mu_sq is what is left of
-        # var_s - var_qfull after rounding.
+        # Rounded from an input of a seed-0 terminal mission, where
+        # sigma_mu_sq is what rounding leaves of var_s - var_qfull.
         inputs = VarianceReduction(9.953481037360548, 5.3e-15, 14.7)
         got = expected_bayes_risk_closed_batch(
             np.array([inputs.mu_mu]), np.array([inputs.sigma_mu_sq]),
@@ -244,72 +220,6 @@ class TestExpectedRiskEvaluators:
             )
             assert val <= prev + 1e-9
             prev = val
-
-
-def loop_branch_sum(center, s2mu, s, x0, x1):
-    """The original row-by-row loop of ``_branch_sum``, kept as the oracle."""
-    p_coef = 1.0 / (2.0 * s2mu) + s * s
-    q_coef = center / s2mu - _B * s
-    inv2p = 1.0 / (2.0 * p_coef)
-    m = q_coef * inv2p
-    gpeak = q_coef**2 * (0.5 * inv2p) - center**2 / (2.0 * s2mu)
-
-    def g_at(x):
-        return -((x - center) ** 2) / (2.0 * s2mu) - (s * x) ** 2 - _B * s * x
-
-    g0 = g_at(x0)
-    e0 = np.exp(g0)
-    sqrt_p = np.sqrt(p_coef)
-    z0 = sqrt_p * (x0 - m)
-    fin = np.isfinite(x1)
-    x1f = np.where(fin, x1, 0.0)
-    g1 = np.where(fin, g_at(x1f), -np.inf)
-    e1 = np.where(fin, np.exp(np.where(fin, g1, 0.0)), 0.0)
-    z1 = sqrt_p * (x1f - m)
-    scaled0 = _scaled_erfc(z0, gpeak, g0)
-    scaled1 = np.where(fin, _scaled_erfc(z1, gpeak, np.where(fin, g1, 0.0)), 0.0)
-
-    degree = _CORRECTION_DEGREE
-    n = center.shape[0]
-    moments = np.empty((degree + 1, n))
-    moments[0] = 0.5 * np.sqrt(np.pi / p_coef) * (scaled0 - scaled1)
-    d0, d1 = x0 - m, x1f - m
-    moments[1] = (e0 - e1) * inv2p
-    pow0, pow1 = d0.copy(), d1.copy()
-    for q in range(2, degree + 1):
-        moments[q] = (pow0 * e0 - pow1 * e1) * inv2p + (q - 1) * inv2p * moments[q - 2]
-        if q < degree:
-            pow0 *= d0
-            pow1 *= d1
-    u_pows = np.empty((degree + 1, n))
-    u_pows[0] = 1.0
-    u = s * m
-    for k in range(1, degree + 1):
-        u_pows[k] = u_pows[k - 1] * u
-    mixed = _CORRECTION_BINOMIAL @ u_pows
-    s_pow = np.ones(n)
-    total = moments[0] * mixed[0]
-    for j in range(1, degree + 1):
-        s_pow = s_pow * s
-        total += s_pow * moments[j] * mixed[j]
-    norm = 1.0 / np.sqrt(2.0 * np.pi * s2mu)
-    return norm * total
-
-
-class TestBranchSum:
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 60), st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_equals_the_row_by_row_loop(self, seed, n, finite):
-        # Batches of two or more: a one-column product rounds through
-        # BLAS gemv in the loop, which the flat version avoids on purpose.
-        rng = np.random.default_rng(seed)
-        center = rng.normal(0.0, 4.0, n)
-        s2mu = rng.exponential(3.0, n) + 1e-6
-        s = 1.0 / (np.sqrt(rng.exponential(3.0, n) + 1e-6) * math.sqrt(2.0))
-        x0 = rng.exponential(1.0, n) * (rng.random(n) < 0.5)
-        x1 = x0 + rng.exponential(2.0, n) if finite else np.full(n, np.inf)
-        flat = _branch_sum(center, s2mu, s, x0, x1 if finite else None)
-        assert np.array_equal(flat, loop_branch_sum(center, s2mu, s, x0, x1))
 
 
 class TestClosedBatchIsElementwise:
