@@ -118,10 +118,10 @@ def parse_seeds(spec: str) -> list[int]:
 
 
 def _write_depth_csv(path, points, values):
+    rows = zip(points.tolist(), values.tolist())
     with open(path, "w") as fh:
         fh.write("north_m,east_m,depth_m\n")
-        for (n, e), d in zip(points, values):
-            fh.write(f"{float(n)!r},{float(e)!r},{float(d)!r}\n")
+        fh.writelines(f"{n!r},{e!r},{d!r}\n" for (n, e), d in rows)
 
 
 def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:

@@ -25,7 +25,12 @@ costs a few small triangular solves rather than a fresh GP solve.
 the data Gram matrix once, at construction. Every prediction in this
 module, in the risk objective and in the planner's episode evaluator
 conditions through such a factor, and every triangular solve against a
-factor is one LAPACK call through ``_tri_solve``. The tests check the
+factor is one LAPACK call through ``_tri_solve``. Every factor comes
+from ``_chol_with_jitter``, which calls numpy's Cholesky gufunc
+directly: ``np.linalg.cholesky`` wraps the same gufunc in argument
+checks that cost several times the factorization of a small block. A
+failed factorization comes back from the gufunc as NaN, and is retried
+once with jitter. The tests check the
 low-rank updates against an independent route, a fresh factor of the
 data plus the planned locations, kept in ``tests/reference.py``.
 """
@@ -36,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 
@@ -242,25 +248,29 @@ def admissible_locations(
     return locations[keep]
 
 
+# numpy's Cholesky gufunc without ``np.linalg.cholesky``'s wrapper (see
+# the module docstring). A factorization that fails comes back as NaN;
+# the errstate keeps it from also warning.
+_cholesky_lo = np.errstate(invalid="ignore")(_umath_linalg.cholesky_lo)
+
+
 def _chol_with_jitter(gram: np.ndarray, kernel: KernelSpec, n: int) -> np.ndarray:
     """Cholesky factor of an SPD matrix, retrying once with jitter.
 
     Raises NumericalError naming the data size on unrecoverable failure
     or when the factor's estimated condition number exceeds the cap.
     """
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+    low = _cholesky_lo(gram)
+    if math.isnan(low[0, 0]):
         jitter = JITTER_SCALE * kernel.signal_variance
-        try:
-            low = np.linalg.cholesky(gram + jitter * np.eye(gram.shape[0]))
-        except np.linalg.LinAlgError:
+        low = _cholesky_lo(gram + jitter * np.eye(gram.shape[0]))
+        if math.isnan(low[0, 0]):
             raise NumericalError(
                 f"Gram matrix of {n} samples is not positive definite even "
                 f"after jitter {jitter:g}"
-            ) from None
-    diag = low.diagonal()
-    cond_est = (diag.max() / diag.min()) ** 2
+            )
+    diag = low.diagonal().tolist()
+    cond_est = (max(diag) / min(diag)) ** 2
     if cond_est > CONDITION_CAP:
         raise NumericalError(
             f"Gram matrix of {n} samples is ill-conditioned "

@@ -16,6 +16,14 @@ nothing downstream depends on the compass label.
 
 Angles are radians everywhere. The action set spans {-90, -30, -20,
 -10, -5, 0, 5, 10, 20, 30, 90} degrees.
+
+Measurement locations come from one chord walker on plain floats. It
+samples a built ``Path`` (``sample_locations``), a sweep straight from
+the policy's poses (``sweep_locations``), and an action sequence
+stepped with ``step``'s arithmetic (``walk``). The last two build no
+``AgentState`` or ``Path`` per step, which is most of what a planner
+candidate's locations would otherwise cost, and every float is the one
+sampling the built path gives.
 """
 
 from __future__ import annotations
@@ -98,6 +106,12 @@ def _body_displacement(action: float, params: MotionParams) -> tuple[float, floa
     return dx, dy
 
 
+@functools.lru_cache(maxsize=16)
+def _action_table(params: MotionParams) -> dict[float, tuple[float, float]]:
+    """``_body_displacement`` of every action in the set, for one vehicle."""
+    return {a: _body_displacement(a, params) for a in ACTION_SET}
+
+
 def step(state: AgentState, action: float, params: MotionParams) -> AgentState:
     """Advance one action: arc through the heading change, then run out."""
     if action not in _ACTIONS:
@@ -137,14 +151,11 @@ def rollout(start: AgentState, actions, params: MotionParams) -> Path:
     return Path(tuple(states), tuple(float(a) for a in actions))
 
 
-def sample_locations(path: Path, spacing: float) -> np.ndarray:
-    """Measurement locations along the path's straight chords.
+def _chord_walk(n0: float, e0: float, ends, spacing: float) -> list[float]:
+    """Flat ``[n, e, ...]`` coordinates along the chords from (n0, e0) through ``ends``.
 
-    Walks each chord between consecutive states, emitting points every
-    ``spacing`` meters from the chord start (exclusive) plus the chord
-    end, so each state position appears exactly once. A zero-action path
-    yields just the start position; a chord shorter than ``spacing``
-    contributes only its endpoint.
+    Emits the start, then for each chord points every ``spacing`` meters
+    from its start (exclusive) plus its end, so each end appears once.
 
     A path has a few short chords, so the walk runs on Python floats,
     where numpy's per-call cost would outweigh the arithmetic. Squares
@@ -155,10 +166,8 @@ def sample_locations(path: Path, spacing: float) -> np.ndarray:
     """
     if not (spacing > 0):
         raise ValueError("spacing must be positive")
-    n0, e0 = path.states[0].north, path.states[0].east
     out = [n0, e0]
-    for s in path.states[1:]:
-        n1, e1 = s.north, s.east
+    for n1, e1 in ends:
         d_n, d_e = n1 - n0, e1 - e0
         chord = math.sqrt(d_n * d_n + d_e * d_e)
         cut = chord - 1e-9
@@ -172,23 +181,60 @@ def sample_locations(path: Path, spacing: float) -> np.ndarray:
             out += (n0 + t * d_n, e0 + t * d_e)
         out += (n1, e1)
         n0, e0 = n1, e1
-    return np.array(out).reshape(-1, 2)
+    return out
 
 
-def lawnmower_path(
-    start: AgentState, n_steps: int, area, params: MotionParams
-) -> Path:
-    """Deterministic boustrophedon sweep built from the action set.
+def sample_locations(path: Path, spacing: float) -> np.ndarray:
+    """Measurement locations along the path's straight chords.
 
-    Straight runs parallel to the area's long axis. A turn pair starts
-    one turn diameter inside the area's edge: when the next straight
-    step would end closer than that to either end of the lane (or
-    outside the area), the vehicle executes two successive 90-degree
-    turns toward the side with more remaining room, reversing direction
-    onto the adjacent track, and prefers turns that end within one turn
-    diameter of the area. The policy depends only on the current state,
-    so regenerating from any intermediate state reproduces the suffix.
+    Walks each chord between consecutive states, emitting points every
+    ``spacing`` meters from the chord start (exclusive) plus the chord
+    end, so each state position appears exactly once. A zero-action path
+    yields just the start position; a chord shorter than ``spacing``
+    contributes only its endpoint.
     """
+    start = path.states[0]
+    ends = [(s.north, s.east) for s in path.states[1:]]
+    return np.array(_chord_walk(start.north, start.east, ends, spacing)).reshape(-1, 2)
+
+
+def walk(
+    start: AgentState, actions, params: MotionParams, spacing: float
+) -> tuple[np.ndarray, AgentState, tuple[float, float, float, float]]:
+    """``sample_locations(rollout(start, actions, params), spacing)`` without the path.
+
+    Also returns the path's final state and the locations' bounding box
+    ``(min north, min east, max north, max east)``. Each step is
+    ``step``'s arithmetic on plain floats; no state is built but the
+    final one.
+    """
+    table = _action_table(params)
+    h, n, e = start.heading, start.north, start.east
+    final = start
+    ends = []
+    for a in actions:
+        d = table.get(a)
+        if d is None:
+            action_index(a)  # membership within tolerance, or raise
+            d = _body_displacement(a, params)
+        dx, dy = d
+        ch, sh = math.cos(h), math.sin(h)
+        n, e = n + (ch * dx + sh * dy), e + (-(sh * dx) + ch * dy)
+        turned = h + float(a)
+        h = wrap_heading(turned)
+        ends.append((n, e))
+    if ends:
+        # Wrapped once, as ``step`` wraps it: wrapping can round to -pi,
+        # which a second wrap would turn into pi.
+        final = _pose(turned, n, e)
+    out = _chord_walk(start.north, start.east, ends, spacing)
+    norths, easts = out[0::2], out[1::2]
+    bounds = (min(norths), min(easts), max(norths), max(easts))
+    return np.array(out).reshape(-1, 2), final, bounds
+
+
+def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
+    """The sweep policy's ``(action, heading, north, east)`` for each step."""
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     lo0, lo1 = float(area.min_corner[0]), float(area.min_corner[1])
@@ -197,7 +243,7 @@ def lawnmower_path(
     quarter = math.pi / 2.0
     margin = 2.0 * params.turn_radius
     clo0, clo1, chi0, chi1 = lo0 - margin, lo1 - margin, hi0 + margin, hi1 + margin
-    disp = {a: _body_displacement(a, params) for a in (0.0, quarter, -quarter)}
+    disp = _action_table(params)  # holds 0 and both quarter turns
     if long_ax == 0:
         lane_lo, lane_hi = lo0 + margin, hi0 - margin
     else:
@@ -225,27 +271,28 @@ def lawnmower_path(
         return best
 
     h, n, e = start.heading, start.north, start.east
-    traj = [(h, n, e)]
-    actions: list[float] = []
+    sdx, sdy = disp[0.0]
+    steps = []
     for _ in range(n_steps):
         ch, sh = math.cos(h), math.sin(h)
         pose = (h, n, e, ch, sh)
         # Travel direction of a straight step is (sin h, cos h).
         dir_long, dir_lat = (sh, ch) if long_ax == 0 else (ch, sh)
         if abs(dir_long) >= abs(dir_lat):
-            _, n2, e2 = advance(0.0, *pose)
+            # ``advance(0.0, *pose)``, taken as the step when it stays in lane.
+            n2 = n + (ch * sdx + sh * sdy)
+            e2 = e + (-(sh * sdx) + ch * sdy)
             ahead_long = n2 if long_ax == 0 else e2
             in_lane = lane_lo <= ahead_long <= lane_hi
             if in_lane and lo0 <= n2 <= hi0 and lo1 <= e2 <= hi1:
-                act = 0.0
-            else:
-                # Begin a turn pair toward the roomier side of the lane.
-                pos_lat = e if long_ax == 0 else n
-                room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
-                room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
-                act = pick_turn(
-                    1 - long_ax, 1.0 if room_up >= room_dn else -1.0, *pose
-                )
+                h, n, e = wrap_heading(h + 0.0), n2, e2
+                steps.append((0.0, h, n, e))
+                continue
+            # Begin a turn pair toward the roomier side of the lane.
+            pos_lat = e if long_ax == 0 else n
+            room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
+            room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
+            act = pick_turn(1 - long_ax, 1.0 if room_up >= room_dn else -1.0, *pose)
         else:
             # Mid-pair: turn back onto the long axis, toward open water.
             pos_long = n if long_ax == 0 else e
@@ -253,8 +300,38 @@ def lawnmower_path(
             room_bk = (pos_long - lo0) if long_ax == 0 else (pos_long - lo1)
             act = pick_turn(long_ax, 1.0 if room_fw >= room_bk else -1.0, *pose)
         h, n, e = advance(act, *pose)
-        traj.append((h, n, e))
-        actions.append(act)
+        steps.append((act, h, n, e))
+    return steps
+
+
+def lawnmower_path(
+    start: AgentState, n_steps: int, area, params: MotionParams
+) -> Path:
+    """Deterministic boustrophedon sweep built from the action set.
+
+    Straight runs parallel to the area's long axis. A turn pair starts
+    one turn diameter inside the area's edge: when the next straight
+    step would end closer than that to either end of the lane (or
+    outside the area), the vehicle executes two successive 90-degree
+    turns toward the side with more remaining room, reversing direction
+    onto the adjacent track, and prefers turns that end within one turn
+    diameter of the area. The policy depends only on the current state,
+    so regenerating from any intermediate state reproduces the suffix.
+    """
+    steps = _sweep(start, n_steps, area, params)
     states = [start]
-    states.extend(_pose(*t) for t in traj[1:])
-    return Path(tuple(states), tuple(actions))
+    states.extend(_pose(h, n, e) for _, h, n, e in steps)
+    return Path(tuple(states), tuple(a for a, _, _, _ in steps))
+
+
+def sweep_locations(
+    start: AgentState, n_steps: int, area, params: MotionParams, spacing: float
+) -> np.ndarray:
+    """``sample_locations(lawnmower_path(start, n_steps, ...), spacing)[1:]``.
+
+    The measurement locations of a sweep after its start, walked from
+    the policy's floats without building its states.
+    """
+    ends = [(n, e) for _, _, n, e in _sweep(start, n_steps, area, params)]
+    out = _chord_walk(start.north, start.east, ends, spacing)
+    return np.array(out[2:]).reshape(-1, 2)

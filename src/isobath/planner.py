@@ -19,16 +19,24 @@ ground earns nothing.
 A candidate is scored as location sets of an evaluator call: its short
 path and, when no tail from the same final state has been scored yet,
 its lawnmower tail. Each set keeps its own thinning, Schur block and
-Cholesky factor; the closed-form expected risk then runs once over the
-sets' concatenated evaluation points, and each set's benefit is the sum
-over its own slice. That gives the same floats as scoring the sets one
-by one, at one set of per-call numpy overheads instead of one per set.
+Cholesky factor. Everything elementwise runs once per call instead:
+one ``cdist`` from all the call's surviving locations to the data, the
+base plan, the grid and one another, one kernel pass over that block,
+and one search for nearby evaluation points, each set slicing its own
+rows, columns and near mask; then the closed-form expected risk over
+the sets' concatenated evaluation points, each set's benefit being the
+sum over its own slice. An entry of those blocks depends only on its
+own pair of points, so this gives the same floats as scoring the sets
+one by one, at one set of per-call numpy overheads instead of one per
+set.
 
-That overhead, not arithmetic, is what a candidate costs: a score is a
-few hundred numpy and LAPACK calls on blocks of a few dozen rows. So
-the distances that pick a set's nearby evaluation points also give its
-covariance to them, and candidates are not split into per-step pieces
-cached on the search tree, which would add calls, not save them.
+That overhead, not arithmetic, is what a candidate costs: a score is
+about a hundred numpy and LAPACK calls on blocks of a few dozen rows.
+So the distances that pick a set's nearby evaluation points also give
+its covariance to them, a candidate's locations are walked from plain
+floats (``motion.walk`` and ``motion.sweep_locations``) without building
+its path, and candidates are not split into per-step pieces cached on
+the search tree, which would add calls, not save them.
 
 For the same reason a search opens with one call for many candidates.
 UCT expands the root's untried actions one per iteration, and until
@@ -50,6 +58,7 @@ a receiver score the same locations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -76,6 +85,8 @@ from .motion import (
     lawnmower_path,
     rollout,
     sample_locations,
+    sweep_locations,
+    walk,
 )
 
 # Tail values are shared between candidates whose final states agree to
@@ -179,8 +190,8 @@ class EpisodeEvaluator:
             self.x_b = np.empty((0, grid.shape[0]))
             self.b_b = np.empty((len(data), 0))
             dvar_base = np.zeros(grid.shape[0])
-        # One cdist per candidate set reaches the data, the base plan and
-        # the grid; a squared distance is the same in either direction.
+        # An evaluator call's one cdist reaches the data, the base plan
+        # and the grid; a squared distance is the same in either direction.
         self.targets = np.vstack([self.existing, grid])
         self.var_qbase = np.maximum(self.var_s - dvar_base, 0.0)
         self.e_base = expected_bayes_risk_closed_batch(
@@ -200,61 +211,81 @@ class EpisodeEvaluator:
         Each set is scored on its own: its locations are filtered by the
         density rule against the data and the base plan, and its benefit
         is summed over evaluation points within ``d_eps`` of a surviving
-        location. The expected risk of every set is evaluated in one
+        location. The surviving locations of every set take one distance
+        pass and one kernel pass together, each set slicing its own
+        rows, and the expected risk of every set is evaluated in one
         closed-form call over their concatenated evaluation points.
         """
-        kernel = self.ctx.kernel
+        kept = [self.admissible(locations) for locations in location_sets]
+        values = [0.0] * len(kept)
+        sizes = [k.shape[0] for k in kept]
+        n_pts = sum(sizes)
+        if not n_pts:
+            return values
         n_s = self.locs.shape[0]
         n_sb = self.existing.shape[0]
-        eps2 = self.ctx.d_eps**2
-        near, dvars = [], []
-        for locations in location_sets:
-            added = self.admissible(locations)
-            na = added.shape[0]
-            d2 = cdist(added, self.targets, "sqeuclidean")
-            d2_grid = d2[:, n_sb:]
-            idx = (d2_grid <= eps2).any(axis=0).nonzero()[0]
-            near.append(idx)
-            if not idx.size:
+        n_t = self.targets.shape[0]
+        # Columns: data, base plan, grid, then the kept points themselves.
+        # Every entry is a function of its own pair of points, so a set's
+        # block is the one a pass over that set alone would give.
+        pts = np.concatenate(kept)
+        d2 = cdist(pts, np.concatenate([self.targets, pts]), "sqeuclidean")
+        k = self.ctx.kernel.from_sqdist(d2)
+        # Measurement noise on the diagonal of the kept points' own block.
+        k.reshape(-1)[n_t::n_t + n_pts + 1] += self.noise_var
+        k_grid = k[:, n_sb:n_t]
+        starts = list(itertools.accumulate(sizes, initial=0))
+        live = [i for i, size in enumerate(sizes) if size]
+        close = d2[:, n_sb:n_t] <= self.ctx.d_eps**2
+        near = np.logical_or.reduceat(close, [starts[i] for i in live], axis=0)
+        which, at = near.nonzero()
+        counts = np.bincount(which, minlength=len(live)).tolist()
+        dvars, scored, start = [], [], 0
+        for i, count in zip(live, counts):
+            if not count:
                 continue
-            k_as = kernel.from_sqdist(d2[:, :n_sb])
-            b_a = self.belief.solve(k_as[:, :n_s].T)
-            c_aa = kernel.from_sqdist(cdist(added, added, "sqeuclidean"))
-            c_aa.flat[::na + 1] += self.noise_var
-            c_aa -= b_a.T @ b_a
-            u_a = kernel.from_sqdist(d2_grid[:, idx]) - b_a.T @ self.v_s[:, idx]
+            idx = at[start:start + count]
+            start += count
+            r0, r1 = starts[i], starts[i] + sizes[i]
+            b_a = self.belief.solve(k[r0:r1, :n_s].T)
+            c_aa = k[r0:r1, n_t + r0:n_t + r1] - b_a.T @ b_a
+            u_a = k_grid[r0:r1, idx] - b_a.T @ self.v_s[:, idx]
             if self.low_b is not None:
-                c_ba = k_as[:, n_s:].T - self.b_b.T @ b_a
+                c_ba = k[r0:r1, n_s:n_sb].T - self.b_b.T @ b_a
                 m = _tri_solve(self.low_b, c_ba)
                 c_aa = c_aa - m.T @ m
                 u_a = u_a - m.T @ self.x_b[:, idx]
-            low_a = _chol_with_jitter(c_aa, kernel, na)
+            low_a = _chol_with_jitter(c_aa, self.ctx.kernel, sizes[i])
             x_a = _tri_solve(low_a, u_a)
             dvars.append((x_a**2).sum(axis=0))
+            scored.append((i, count))
         if not dvars:
-            return [0.0] * len(near)
+            return values
         # From here on every step is elementwise, so the sets' evaluation
         # points are gathered once and each set sums its own slice.
-        at = np.concatenate(near)
         var_qfull = np.maximum(self.var_qbase[at] - np.concatenate(dvars), 0.0)
         e_full = expected_bayes_risk_closed_batch(
             self.mu_s[at], np.maximum(self.var_s[at] - var_qfull, 0.0), var_qfull,
             self.ctx.loss,
         )
         gain = self.e_base[at] - e_full
-        values, start = [], 0
-        for idx in near:
-            stop = start + idx.size
-            values.append(float(gain[start:stop].sum()) if idx.size else 0.0)
-            start = stop
+        start = 0
+        for i, count in scored:
+            values[i] = float(gain[start:start + count].sum())
+            start += count
         return values
 
 
-def _tail_path(final_state: AgentState, tail_steps: int, context: PlanContext) -> Path:
-    return lawnmower_path(final_state, tail_steps, context.area, context.motion)
+def _tail_path(
+    final_state: AgentState, tail_steps: int, context: PlanContext
+) -> np.ndarray:
+    """Measurement locations of the sweep completing a short path, its start left out."""
+    return sweep_locations(
+        final_state, tail_steps, context.area, context.motion, context.sensor_spacing
+    )
 
 
-def _tail_eligible(locations: np.ndarray, context: PlanContext) -> bool:
+def _tail_eligible(bounds, context: PlanContext) -> bool:
     """Whether a short path may claim its sweep-completion credit.
 
     The sweep policy itself never strays more than one turn diameter
@@ -262,14 +293,16 @@ def _tail_eligible(locations: np.ndarray, context: PlanContext) -> bool:
     its measurement locations stay within that same apron. Paths that
     leave it would be credited for a continuation harvested only after
     driving out of the survey area -- value the mission never realizes
-    and a corridor teammates would needlessly avoid.
+    and a corridor teammates would needlessly avoid. ``bounds`` is the
+    locations' box ``(min north, min east, max north, max east)``, as
+    ``motion.walk`` returns it.
     """
     apron = 2.0 * context.motion.turn_radius
     lo_n = context.area.min_corner[0] - apron
     lo_e = context.area.min_corner[1] - apron
     hi_n = context.area.max_corner[0] + apron
     hi_e = context.area.max_corner[1] + apron
-    (min_n, min_e), (max_n, max_e) = locations.min(axis=0), locations.max(axis=0)
+    min_n, min_e, max_n, max_e = bounds
     return bool(min_n >= lo_n and max_n <= hi_n and min_e >= lo_e and max_e <= hi_e)
 
 
@@ -289,21 +322,19 @@ def plan_locations(
     """
     locs = sample_locations(path, spacing)
     if tail_steps > 0:
-        tail = lawnmower_path(path.final, tail_steps, area, motion)
-        locs = np.vstack([locs, sample_locations(tail, spacing)[1:]])
+        tail = sweep_locations(path.final, tail_steps, area, motion, spacing)
+        locs = np.vstack([locs, tail])
     return locs
 
 
 def _completed_locations(short_path: Path, context: PlanContext) -> np.ndarray:
     """``plan_locations`` of a short path, tail granted only when eligible."""
     tail_steps = context.remaining_steps - len(short_path)
-    if tail_steps > 0 and not _tail_eligible(
-        sample_locations(short_path, context.sensor_spacing), context
-    ):
-        tail_steps = 0
-    return plan_locations(
-        short_path, tail_steps, context.area, context.motion, context.sensor_spacing
-    )
+    locs = sample_locations(short_path, context.sensor_spacing)
+    bounds = (*locs.min(axis=0).tolist(), *locs.max(axis=0).tolist())
+    if tail_steps > 0 and _tail_eligible(bounds, context):
+        locs = np.vstack([locs, _tail_path(short_path.final, tail_steps, context)])
+    return locs
 
 
 @dataclass
@@ -438,19 +469,20 @@ def plan_episode(
         for actions in batch:
             if actions in value_memo or actions in fresh:
                 continue
-            short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
-            short_locs = sample_locations(short, context.sensor_spacing)
+            short_locs, final, bounds = walk(
+                start, [ACTION_SET[i] for i in actions], context.motion,
+                context.sensor_spacing,
+            )
             key = None
             if config.use_terminal_reward:
-                tail_steps = max(context.remaining_steps - len(short), 0)
-                if tail_steps > 0 and _tail_eligible(short_locs, context):
-                    key = _quantize(short.final)
+                tail_steps = max(context.remaining_steps - len(actions), 0)
+                if tail_steps > 0 and _tail_eligible(bounds, context):
+                    key = _quantize(final)
             fresh[actions] = (len(sets), key)
             sets.append(short_locs)
             if key is not None and key not in tail_memo and key not in tail_sets:
-                tail = _tail_path(short.final, tail_steps, context)
                 tail_sets[key] = len(sets)
-                sets.append(sample_locations(tail, context.sensor_spacing)[1:])
+                sets.append(_tail_path(final, tail_steps, context))
         values = evaluator.marginal(*sets) if sets else []
         for key, i in tail_sets.items():
             tail_memo[key] = values[i]
@@ -465,7 +497,7 @@ def plan_episode(
     # Evaluate the sweep policy's own prefix first, so the returned plan
     # never falls below the policy the terminal reward extrapolates: the
     # anytime argmax then dominates it by construction.
-    seed_path = _tail_path(start, horizon, context)
+    seed_path = lawnmower_path(start, horizon, context.area, context.motion)
     seed_actions = tuple(ACTION_SET.index(a) for a in seed_path.actions)
     n_actions = len(ACTION_SET)
     root = _Node(tuple(rng.permutation(n_actions)))

@@ -129,21 +129,19 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
         mu_mu, s2mu, s2q = np.broadcast_arrays(mu_mu, s2mu, s2q)
     c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
     level = loss.level
-    out = np.zeros(mu_mu.shape)
-
-    no_spread = s2mu <= 1e-300
-    if no_spread.any():
-        out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
-
-    live = ~no_spread & (s2q > 1e-300)
-    n_live = np.count_nonzero(live)
-    if not n_live:
-        return out.clip(0.0, max(c1, c2))
-    if n_live == live.size:
-        # Every step below is elementwise, so with nothing to mask out
-        # the inputs are used as they are.
+    if mu_mu.size and s2mu.min() > 1e-300 and s2q.min() > 1e-300:
+        # Every element is live, so nothing is masked out or scattered
+        # back: every step below is elementwise.
+        out = None
         mm, vmu, vq = mu_mu.ravel(), s2mu.ravel(), s2q.ravel()
     else:
+        out = np.zeros(mu_mu.shape)
+        no_spread = s2mu <= 1e-300
+        if no_spread.any():
+            out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
+        live = ~no_spread & (s2q > 1e-300)
+        if not live.any():
+            return out.clip(0.0, max(c1, c2))
         mm, vmu, vq = mu_mu[live], s2mu[live], s2q[live]
     sd_mu = np.sqrt(vmu)
     sd_q = np.sqrt(vq)
@@ -172,7 +170,10 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
         t_sum[both] = 0.25 + np.arcsin(rho) / (2.0 * math.pi)
     phi = special.ndtr(heads)
     beta = 0.5 * (x * k > 0.0)
-    out[live] = (c1 + c2) * (0.5 - t_sum - beta) + 0.5 * (c2 - c1) * (phi[:n] - phi[n:])
+    expected = (c1 + c2) * (0.5 - t_sum - beta) + 0.5 * (c2 - c1) * (phi[:n] - phi[n:])
+    if out is None:
+        return expected.reshape(mu_mu.shape).clip(0.0, max(c1, c2))
+    out[live] = expected
     return out.clip(0.0, max(c1, c2))
 
 
@@ -184,10 +185,10 @@ class RiskField:
     values: np.ndarray
 
     def write_csv(self, path):
+        rows = zip(self.points.tolist(), self.values.tolist())
         with open(path, "w") as fh:
             fh.write("north_m,east_m,risk\n")
-            for (n, e), r in zip(self.points, self.values):
-                fh.write(f"{float(n)!r},{float(e)!r},{float(r)!r}\n")
+            fh.writelines(f"{n!r},{e!r},{r!r}\n" for (n, e), r in rows)
 
 
 def risk_field(

@@ -9,11 +9,15 @@ catch a change that moves them:
 
 A regeneration prints what moved against the file it replaces: the
 number of plans whose actions or evaluation counts changed, and the
-largest absolute and relative change of ``value`` and ``naive``.
+largest absolute and relative change of ``value`` and ``naive``. With
+``--check`` it prints only that line and leaves the file as it is:
+
+    PYTHONPATH=src python tests/plan_fixture.py --check
 """
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 from isobath.cli import load_config
@@ -75,10 +79,24 @@ def moved(old: dict, new: dict) -> str:
     )
 
 
-if __name__ == "__main__":
+def main(argv) -> int:
+    """Regenerate the fixture, or with ``--check`` only report what moved."""
+    if argv not in ([], ["--check"]):
+        print("usage: plan_fixture.py [--check]", file=sys.stderr)
+        return 2
+    check = bool(argv)
+    if check and not FIXTURE.exists():
+        print(f"{FIXTURE} does not exist", file=sys.stderr)
+        return 2
     new = plan_events()
     if FIXTURE.exists():
         print(moved(json.loads(FIXTURE.read_text()), new))
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(new, indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    if not check:
+        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+        FIXTURE.write_text(json.dumps(new, indent=1) + "\n")
+        print(f"wrote {FIXTURE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

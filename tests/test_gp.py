@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from isobath.gp import (
+    CONDITION_CAP,
+    JITTER_SCALE,
     Belief,
     DataSet,
     KernelSpec,
@@ -204,6 +207,56 @@ class TestPosterior:
         gram = np.diag([1.0, 1e-10])
         low = _chol_with_jitter(gram, KERNEL, 2)
         assert np.allclose(low @ low.T, gram)
+
+
+class TestCholesky:
+    """``_chol_with_jitter`` calls numpy's Cholesky gufunc without its wrapper."""
+
+    @staticmethod
+    def schur_block(rng, n_data, n_added):
+        """A planned block's covariance given the data, as ``marginal`` builds it."""
+        data = rng.uniform(0.0, 300.0, (n_data, 2))
+        added = rng.uniform(0.0, 300.0, (n_added, 2))
+        gram = KERNEL(data, data) + KERNEL.noise_std**2 * np.eye(n_data)
+        b = np.linalg.solve(np.linalg.cholesky(gram), KERNEL(data, added))
+        block = KERNEL(added, added) + KERNEL.noise_std**2 * np.eye(n_added)
+        return block - b.T @ b
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_equals_numpy_cholesky_on_schur_blocks(self, n):
+        rng = np.random.default_rng(n)
+        for n_data in (0, 5, 40):
+            block = self.schur_block(rng, n_data, n)
+            want = np.linalg.cholesky(block)
+            got = _chol_with_jitter(block, KERNEL, n)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    def test_duplicate_locations_take_the_jitter_path(self):
+        kernel = KernelSpec(60.0, 25.0, 0.0)
+        pts = np.array([[50.0, 50.0], [50.0, 50.0], [80.0, 10.0]])
+        gram = kernel(pts, pts)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram)
+        jitter = JITTER_SCALE * kernel.signal_variance
+        want = np.linalg.cholesky(gram + jitter * np.eye(3))
+        assert np.array_equal(_chol_with_jitter(gram, kernel, 3), want)
+
+    def test_a_block_that_is_not_positive_definite_raises(self):
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericalError, match="not positive definite"):
+            _chol_with_jitter(gram, KERNEL, 2)
+
+    def test_a_block_over_the_condition_cap_raises(self):
+        gram = np.diag([1.0, 1.0 / CONDITION_CAP / 4.0])
+        with pytest.raises(NumericalError, match="ill-conditioned"):
+            _chol_with_jitter(gram, KERNEL, 2)
+
+    def test_failure_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                _chol_with_jitter(np.array([[-1.0]]), KERNEL, 1)
 
 
 def vectorized_insert(locs, vals, min_spacing, loc, value):

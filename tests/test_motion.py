@@ -19,6 +19,8 @@ from isobath.motion import (
     rollout,
     sample_locations,
     step,
+    sweep_locations,
+    walk,
     wrap_heading,
 )
 
@@ -339,3 +341,73 @@ class TestLawnmower:
         assert len(gaps), "a 200-step sweep must occupy several tracks"
         want = 2 * 15.0 + 15.0 * (math.pi / 2 + math.pi / 2)
         np.testing.assert_allclose(gaps, want, atol=1e-6)
+
+
+# Headings where the sweep's ties and signs of zero sit, plus any heading.
+HEADINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, math.pi / 2, -math.pi / 2, math.pi / 4]),
+    st.floats(-math.pi, math.pi),
+)
+# Starts up to 200 m outside the 600 x 1000 m area on every side.
+STARTS = st.builds(
+    AgentState, HEADINGS, st.floats(-200.0, 800.0), st.floats(-200.0, 1200.0)
+)
+SPACINGS = st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0])
+
+
+class TestWalker:
+    """The Path-free walks equal sampling the built path."""
+
+    @given(STARTS, st.integers(0, 120), SPACINGS)
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_locations_equal_the_sampled_sweep(self, start, n, spacing):
+        got = sweep_locations(start, n, AREA, PARAMS, spacing)
+        want = sample_locations(lawnmower_path(start, n, AREA, PARAMS), spacing)[1:]
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @given(
+        STARTS,
+        st.lists(st.sampled_from(ACTION_SET), max_size=12),
+        SPACINGS,
+        st.sampled_from([1.0, 15.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # The last turn wraps the heading to exactly -pi; wrapped a second
+    # time it would read pi.
+    @example(
+        AgentState(math.pi, 0.0, 0.0),
+        [ACTION_SET[i] for i in (3, 3, 3, 0, 0, 9, 10, 10)],
+        1.0,
+        1.0,
+    )
+    def test_walk_equals_the_sampled_rollout(self, start, actions, spacing, radius):
+        params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
+        path = rollout(start, actions, params)
+        locs, final, bounds = walk(start, actions, params, spacing)
+        want = sample_locations(path, spacing)
+        assert locs.shape == want.shape
+        assert np.array_equal(locs, want)
+        assert (final.heading, final.north, final.east) == (
+            path.final.heading, path.final.north, path.final.east,
+        )
+        assert bounds == (*want.min(axis=0), *want.max(axis=0))
+
+    def test_walk_accepts_actions_within_tolerance_and_rejects_others(self):
+        start = AgentState(0.3, 10.0, 20.0)
+        near = [ACTION_SET[3] + 5e-10]
+        locs, final, _ = walk(start, near, PARAMS, 5.0)
+        path = rollout(start, near, PARAMS)
+        assert np.array_equal(locs, sample_locations(path, 5.0))
+        assert final == path.final
+        with pytest.raises(ValueError):
+            walk(start, [0.1], PARAMS, 5.0)
+
+    def test_rejects_bad_arguments(self):
+        start = AgentState(0.0, 10.0, 20.0)
+        with pytest.raises(ValueError):
+            sweep_locations(start, -1, AREA, PARAMS, 5.0)
+        with pytest.raises(ValueError):
+            sweep_locations(start, 3, AREA, PARAMS, 0.0)
+        with pytest.raises(ValueError):
+            walk(start, [0.0], PARAMS, 0.0)

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import plan_fixture
 from plan_fixture import FIXTURE, plan_events
 
 REL = 1e-9
@@ -32,3 +33,12 @@ def test_plan_events_match_the_fixture(runs, key):
         assert g["evaluations"] == w["evaluations"], (key, w["agent"], w["epoch"])
         assert g["value"] == pytest.approx(w["value"], rel=REL)
         assert g["naive"] == pytest.approx(w["naive"], rel=REL)
+
+
+def test_check_reports_without_rewriting(runs, monkeypatch, capsys):
+    before = FIXTURE.read_bytes()
+    monkeypatch.setattr(plan_fixture, "plan_events", lambda: runs)
+    assert plan_fixture.main(["--check"]) == 0
+    assert FIXTURE.read_bytes() == before
+    assert "actions moved in 0, evaluations in 0" in capsys.readouterr().out
+    assert plan_fixture.main(["--rewrite"]) == 2

@@ -23,6 +23,7 @@ from isobath.motion import (
     lawnmower_path,
     rollout,
     sample_locations,
+    walk,
 )
 from isobath.planner import (
     BOUND_TOLERANCE,
@@ -267,6 +268,27 @@ class TestBoundaryContainment:
         completed, bare = EpisodeEvaluator(ctx).marginal(locs, short_locs)
         assert completed > bare
 
+    @given(
+        st.floats(-math.pi, math.pi),
+        st.floats(-60.0, 360.0),
+        st.floats(-60.0, 460.0),
+        st.lists(st.sampled_from(ACTION_SET), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_walk_bounds_decide_like_the_sampled_path(self, heading, north, east,
+                                                      actions):
+        # Starts from the area's edges outward to past its apron, so both
+        # verdicts occur; the walk's box must decide as the locations do.
+        ctx = make_context(np.random.default_rng(25), n_data=0)
+        start = AgentState(heading, north, east)
+        _, _, bounds = walk(start, actions, MOTION, ctx.sensor_spacing)
+        locs = sample_locations(rollout(start, actions, MOTION), ctx.sensor_spacing)
+        apron = 2.0 * MOTION.turn_radius
+        lo = np.asarray(AREA.min_corner) - apron
+        hi = np.asarray(AREA.max_corner) + apron
+        want = bool(np.all(locs >= lo) and np.all(locs <= hi))
+        assert _tail_eligible(bounds, ctx) == want
+
     def test_search_turns_back_at_the_boundary(self):
         ctx = make_context(np.random.default_rng(23), n_data=8, remaining=12)
         # Heading straight out of the area: in-bounds turns keep their
@@ -415,7 +437,8 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
         key = None
         if config.use_terminal_reward:
             tail_steps = max(context.remaining_steps - len(short), 0)
-            if tail_steps > 0 and _tail_eligible(short_locs, context):
+            box = (*short_locs.min(axis=0), *short_locs.max(axis=0))
+            if tail_steps > 0 and _tail_eligible(box, context):
                 key = planner._quantize(short.final)
                 if key not in tail_memo:
                     tail = lawnmower_path(short.final, tail_steps, context.area,
