@@ -41,6 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# A private numpy module: ``np.linalg.cholesky`` itself calls its
+# ``cholesky_lo``, which fills the whole factor with NaN when a pivot
+# fails. Checked on numpy 2.4.6; ``tests/test_gp.py::TestCholesky``
+# compares it with ``np.linalg.cholesky`` on every numpy the tests run on.
 from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist

@@ -706,64 +706,26 @@ def truth_grid(result: MissionResult):
     return points, bathymetry.depth_grid(points)
 
 
-def _reward_trace(config: MissionConfig) -> np.ndarray:
-    """One comparison job: a mission's accumulated-reward trace."""
-    return accumulated_reward_trace(run_mission(config))
-
-
-def _map_in_processes(fn, jobs, workers: int) -> list:
-    """``[fn(job) for job in jobs]`` in a pool of ``workers`` spawned processes.
-
-    BLAS is pinned to one thread in the workers, so the pool does not
-    oversubscribe the cores. The pool is imported here, so a run that
-    never asks for one does not load it.
-    """
-    import multiprocessing
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(fn, jobs))
-    finally:
-        if saved is None:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = saved
-
-
-def compare_methods(base_config: MissionConfig, seeds, workers: int = 1) -> dict:
+def compare_methods(base_config: MissionConfig, seeds) -> dict:
     """Run each variant of ``COMPARED_VARIANTS`` over the seeds and summarize.
 
-    Returns per-variant final accumulated rewards and mean traces. With
-    ``workers > 1`` the missions run in that many worker processes; a
-    mission is a function of its config, so the report is the same.
+    Returns per-variant final accumulated rewards and mean traces.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    seeds = [int(s) for s in seeds]
-    jobs = [
-        replace(base_config, seed=seed, **overrides)
-        for overrides in COMPARED_VARIANTS.values()
-        for seed in seeds
-    ]
-    if workers > 1:
-        traces = _map_in_processes(_reward_trace, jobs, workers)
-    else:
-        traces = [_reward_trace(job) for job in jobs]
-    out: dict = {"seeds": seeds, "variants": {}}
-    for k, name in enumerate(COMPARED_VARIANTS):
-        runs = traces[k * len(seeds):(k + 1) * len(seeds)]
-        finals = [float(tr[-1]) for tr in runs]
-        mids = [float(tr[len(tr) // 2]) for tr in runs]
+    out: dict = {"seeds": [int(s) for s in seeds], "variants": {}}
+    for name, overrides in COMPARED_VARIANTS.items():
+        traces = [
+            accumulated_reward_trace(
+                run_mission(replace(base_config, seed=int(seed), **overrides))
+            )
+            for seed in seeds
+        ]
+        finals = [float(tr[-1]) for tr in traces]
+        mids = [float(tr[len(tr) // 2]) for tr in traces]
         out["variants"][name] = {
             "final_rewards": finals,
             "mid_rewards": mids,
             "mean_final": float(np.mean(finals)),
             "mean_mid": float(np.mean(mids)),
-            "mean_trace": np.mean(np.stack(runs), axis=0).tolist(),
+            "mean_trace": np.mean(np.stack(traces), axis=0).tolist(),
         }
     return out

@@ -23,7 +23,9 @@ the policy's poses (``sweep_locations``), and an action sequence
 stepped with ``step``'s arithmetic (``walk``). The last two build no
 ``AgentState`` or ``Path`` per step, which is most of what a planner
 candidate's locations would otherwise cost, and every float is the one
-sampling the built path gives.
+sampling the built path gives. ``step``, ``walk`` and the sweep policy
+take each step through one float-level helper, ``_advance``, and wrap
+the heading it returns once.
 """
 
 from __future__ import annotations
@@ -112,16 +114,28 @@ def _action_table(params: MotionParams) -> dict[float, tuple[float, float]]:
     return {a: _body_displacement(a, params) for a in ACTION_SET}
 
 
+def _advance(
+    h: float, n: float, e: float, action: float, disp: tuple[float, float]
+) -> tuple[float, float, float]:
+    """One step on plain floats: the unwrapped heading ``h + action``, north, east.
+
+    ``disp`` is the action's body-frame displacement, rotated into the
+    world frame by the pre-step heading ``h``. ``step``, ``walk`` and the
+    sweep policy all step through here; each wraps the heading once.
+    """
+    dx, dy = disp
+    ch, sh = math.cos(h), math.sin(h)
+    return h + action, n + (ch * dx + sh * dy), e + (-(sh * dx) + ch * dy)
+
+
 def step(state: AgentState, action: float, params: MotionParams) -> AgentState:
     """Advance one action: arc through the heading change, then run out."""
     if action not in _ACTIONS:
         action_index(action)  # membership within tolerance, or raise
-    dx, dy = _body_displacement(action, params)
-    h = state.heading
-    ch, sh = math.cos(h), math.sin(h)
-    dn = ch * dx + sh * dy
-    de = -(sh * dx) + ch * dy
-    return _pose(h + float(action), state.north + dn, state.east + de)
+    return _pose(*_advance(
+        state.heading, state.north, state.east, float(action),
+        _body_displacement(action, params),
+    ))
 
 
 @dataclass(frozen=True)
@@ -217,10 +231,7 @@ def walk(
         if d is None:
             action_index(a)  # membership within tolerance, or raise
             d = _body_displacement(a, params)
-        dx, dy = d
-        ch, sh = math.cos(h), math.sin(h)
-        n, e = n + (ch * dx + sh * dy), e + (-(sh * dx) + ch * dy)
-        turned = h + float(a)
+        turned, n, e = _advance(h, n, e, float(a), d)
         h = wrap_heading(turned)
         ends.append((n, e))
     if ends:
@@ -249,57 +260,50 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
     else:
         lane_lo, lane_hi = lo1 + margin, hi1 - margin
 
-    def advance(a, h, n, e, ch, sh):
-        dx, dy = disp[a]
-        return (
-            wrap_heading(h + a),
-            n + (ch * dx + sh * dy),
-            e + (-(sh * dx) + ch * dy),
-        )
-
-    def pick_turn(axis, target_sign, h, n, e, ch, sh):
-        # 90-degree action whose displacement moves along axis*sign.
-        best, best_score = quarter, -math.inf
+    def pick_turn(axis, target_sign, h, n, e):
+        # 90-degree step, and where it goes, whose displacement moves
+        # along axis*sign.
+        best, best_score = None, -math.inf
         for a in (quarter, -quarter):
-            _, n2, e2 = advance(a, h, n, e, ch, sh)
-            delta = (n2 - n) if axis == 0 else (e2 - e)
+            moved = _advance(h, n, e, a, disp[a])
+            delta = (moved[1] - n) if axis == 0 else (moved[2] - e)
             score = target_sign * delta
-            if not (clo0 <= n2 <= chi0 and clo1 <= e2 <= chi1):
+            if not (clo0 <= moved[1] <= chi0 and clo1 <= moved[2] <= chi1):
                 score -= 1e6
-            if score > best_score:
-                best, best_score = a, score
+            if best is None or score > best_score:
+                best, best_score = (a, moved), score
         return best
 
     h, n, e = start.heading, start.north, start.east
-    sdx, sdy = disp[0.0]
     steps = []
     for _ in range(n_steps):
-        ch, sh = math.cos(h), math.sin(h)
-        pose = (h, n, e, ch, sh)
         # Travel direction of a straight step is (sin h, cos h).
+        sh, ch = math.sin(h), math.cos(h)
         dir_long, dir_lat = (sh, ch) if long_ax == 0 else (ch, sh)
         if abs(dir_long) >= abs(dir_lat):
-            # ``advance(0.0, *pose)``, taken as the step when it stays in lane.
-            n2 = n + (ch * sdx + sh * sdy)
-            e2 = e + (-(sh * sdx) + ch * sdy)
+            act = 0.0
+            moved = _advance(h, n, e, act, disp[act])
+            n2, e2 = moved[1], moved[2]
             ahead_long = n2 if long_ax == 0 else e2
             in_lane = lane_lo <= ahead_long <= lane_hi
-            if in_lane and lo0 <= n2 <= hi0 and lo1 <= e2 <= hi1:
-                h, n, e = wrap_heading(h + 0.0), n2, e2
-                steps.append((0.0, h, n, e))
-                continue
-            # Begin a turn pair toward the roomier side of the lane.
-            pos_lat = e if long_ax == 0 else n
-            room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
-            room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
-            act = pick_turn(1 - long_ax, 1.0 if room_up >= room_dn else -1.0, *pose)
+            if not (in_lane and lo0 <= n2 <= hi0 and lo1 <= e2 <= hi1):
+                # Begin a turn pair toward the roomier side of the lane.
+                pos_lat = e if long_ax == 0 else n
+                room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
+                room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
+                act, moved = pick_turn(
+                    1 - long_ax, 1.0 if room_up >= room_dn else -1.0, h, n, e
+                )
         else:
             # Mid-pair: turn back onto the long axis, toward open water.
             pos_long = n if long_ax == 0 else e
             room_fw = (hi0 - pos_long) if long_ax == 0 else (hi1 - pos_long)
             room_bk = (pos_long - lo0) if long_ax == 0 else (pos_long - lo1)
-            act = pick_turn(long_ax, 1.0 if room_fw >= room_bk else -1.0, *pose)
-        h, n, e = advance(act, *pose)
+            act, moved = pick_turn(
+                long_ax, 1.0 if room_fw >= room_bk else -1.0, h, n, e
+            )
+        turned, n, e = moved
+        h = wrap_heading(turned)
         steps.append((act, h, n, e))
     return steps
 

@@ -631,18 +631,6 @@ class TestCompareMethods:
             )
 
 
-    def test_two_workers_write_the_same_report(self):
-        cfg = micro(total_length=10)
-        reports = [
-            json.dumps(compare_methods(cfg, [0, 1], workers=w), indent=2,
-                       sort_keys=True)
-            for w in (1, 2)
-        ]
-        assert reports[0] == reports[1]
-        with pytest.raises(ValueError):
-            compare_methods(cfg, [0], workers=0)
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"variant": "zigzag"},
