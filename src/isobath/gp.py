@@ -13,10 +13,13 @@ Two ingredients keep belief maintenance cheap enough for embedded-style
 planning loops. First, sample insertion is density-limited: a new sample
 is only accepted when it is at least ``min_spacing`` away from every
 retained sample, so the kernel-center count is bounded by area coverage
-rather than by mission length. One spacing grid (``_SpacingGrid``)
-implements that rule, both for ``DataSet.insert`` and for the thinning
-of planned measurements in ``admissible_locations``, so a test against
-the retained points touches only those nearby. Second, planned
+rather than by mission length. A data set keeps its samples in a
+spacing grid (``_SpacingGrid``), so ``DataSet.insert`` tests only the
+retained points nearby. Planned measurements are thinned by the same
+rule (``admissible_sets``): one distance pass removes those too close to
+the data, and each set's greedy walk then scans its own kept points, a
+few dozen at most, in a plain list, which costs less than building a
+grid per set. Second, planned
 measurements are scored as low-rank updates against one factor of the
 data (``Belief.solve`` and ``Belief.project``), so a candidate plan
 costs a few small triangular solves rather than a fresh GP solve.
@@ -37,6 +40,7 @@ data plus the planned locations, kept in ``tests/reference.py``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,8 +101,16 @@ class KernelSpec:
         return self.from_sqdist(cdist(a, b, "sqeuclidean"))
 
     def from_sqdist(self, d2: np.ndarray) -> np.ndarray:
-        """Covariance for a block of squared distances, as ``cdist`` gives."""
-        return self.signal_variance * np.exp(-d2 / (2.0 * self.length_scale**2))
+        """Covariance for a block of squared distances, as ``cdist`` gives.
+
+        ``sf^2 exp(-d2 / (2 l^2))``, worked in place on one new array:
+        dividing by the negated denominator gives ``-d2 / (2 l^2)`` to
+        the last bit, and saves a pass and a temporary on every call.
+        """
+        k = np.divide(d2, -2.0 * self.length_scale**2)
+        np.exp(k, out=k)
+        k *= self.signal_variance
+        return k
 
 
 @dataclass(frozen=True)
@@ -145,8 +157,14 @@ class _SpacingGrid:
                     dn, de = k_n - north, k_e - east
                     if dn * dn + de * de < r2:
                         return False
-        cells.setdefault((ci, cj), []).append((north, east))
+        self.add(north, east)
         return True
+
+    def add(self, north: float, east: float) -> None:
+        """Record the point untested, as ``admit`` does once it passes."""
+        if self.r2 != 0.0:
+            key = (math.floor(north / self.cell), math.floor(east / self.cell))
+            self.cells.setdefault(key, []).append((north, east))
 
 
 class DataSet:
@@ -155,10 +173,9 @@ class DataSet:
     Insertion order is preserved; every pair of retained locations is at
     least ``min_spacing`` apart. On conflicts the first writer wins: a
     sample landing within ``min_spacing`` of a retained one is rejected,
-    whatever its value. The density test is one spacing-grid lookup, as
-    in ``admissible_locations``. ``locations`` and ``values`` are built
-    on the first read after an insert; an array once returned never
-    changes.
+    whatever its value. The density test is one spacing-grid lookup.
+    ``locations`` and ``values`` are built on the first read after an
+    insert; an array once returned never changes.
     """
 
     def __init__(self, min_spacing: float, samples=()):
@@ -206,6 +223,75 @@ class DataSet:
         self._arrays = None
         return True
 
+    def prefix(self, n: int) -> DataSet:
+        """A new data set holding the first ``n`` retained samples, in order.
+
+        It equals a fresh set into which those samples were inserted, but
+        skips their spacing tests: each was retained after the ones
+        before it, so each goes straight into the new set's grid.
+        """
+        out = DataSet(self.min_spacing)
+        out._locs = self._locs[:n]
+        out._vals = self._vals[:n]
+        for north, east in out._locs:
+            out._grid.add(north, east)
+        return out
+
+
+def admissible_sets(
+    location_sets, min_spacing: float, existing: np.ndarray | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Thin several candidate location sets by the sparse-insertion rule.
+
+    Each set is thinned on its own, as ``admissible_locations`` describes:
+    against ``existing`` and its own earlier kept candidates, never
+    another set's. Returns the kept locations of every set, concatenated
+    in set order, and the number each set kept.
+
+    Rejection against fixed existing points is order-independent, so it
+    is applied to every set's locations in one ``cdist`` pass up front.
+    Each set then walks its survivors in order and tests each against
+    its own kept points: the last one first, since along a sampled path
+    it is the likeliest to reject, then the rest. A set keeps a few
+    dozen points at most, so a plain list scans them faster than a
+    spacing grid is built.
+    """
+    sets = [np.asarray(x, dtype=float).reshape(-1, 2) for x in location_sets]
+    bounds = list(itertools.accumulate((x.shape[0] for x in sets), initial=0))
+    pts = np.concatenate(sets) if sets else np.empty((0, 2))
+    r2 = min_spacing**2
+    if r2 == 0.0:
+        return pts, [hi - lo for lo, hi in itertools.pairwise(bounds)]
+    if existing is not None and len(existing) and pts.shape[0]:
+        base = np.asarray(existing, dtype=float).reshape(-1, 2)
+        # Reduced along the first axis, which numpy does row by row,
+        # faster than one reduction per column.
+        far = (cdist(base, pts, "sqeuclidean").min(axis=0) >= r2).tolist()
+    else:
+        far = [True] * pts.shape[0]
+    flat = pts.ravel().tolist()  # north, east of point i at 2i, 2i + 1
+    keep, counts = [], []
+    for lo, hi in itertools.pairwise(bounds):
+        kept: list[tuple[float, float]] = []
+        last_n = last_e = math.inf
+        for i in range(lo, hi):
+            if not far[i]:
+                continue
+            n_c, e_c = flat[2 * i], flat[2 * i + 1]
+            dn, de = n_c - last_n, e_c - last_e
+            if dn * dn + de * de < r2:
+                continue
+            for k_n, k_e in kept:
+                dn, de = k_n - n_c, k_e - e_c
+                if dn * dn + de * de < r2:
+                    break
+            else:
+                kept.append((n_c, e_c))
+                keep.append(i)
+                last_n, last_e = n_c, e_c
+        counts.append(len(kept))
+    return pts[keep], counts
+
 
 def admissible_locations(
     locations: np.ndarray, min_spacing: float, existing: np.ndarray | None = None
@@ -216,40 +302,9 @@ def admissible_locations(
     ``min_spacing`` (inclusive) from all ``existing`` locations and all
     previously kept candidates. This predicts exactly which of a planned
     measurement sequence would survive insertion into a data set that
-    currently holds ``existing``. Kept candidates go through the spacing
-    grid ``DataSet.insert`` uses, so each test touches only the kept
-    points nearby.
+    currently holds ``existing``. The one-set case of ``admissible_sets``.
     """
-    locations = np.asarray(locations, dtype=float).reshape(-1, 2)
-    base = (
-        np.asarray(existing, dtype=float).reshape(-1, 2)
-        if existing is not None
-        else np.empty((0, 2))
-    )
-    r2 = min_spacing**2
-    if base.shape[0] and locations.shape[0]:
-        # Rejection against fixed existing points is order-independent,
-        # so it can be applied in one vectorized pass up front.
-        # Reduced along the first axis, which numpy does row by row,
-        # faster than one reduction per row.
-        d2 = cdist(base, locations, "sqeuclidean").min(axis=0)
-        locations = locations[d2 >= r2]
-    if r2 == 0.0 or locations.shape[0] < 2:
-        return locations.copy()
-    grid = _SpacingGrid(min_spacing)
-    keep = []
-    last_n = last_e = 0.0
-    for i, (n_c, e_c) in enumerate(locations.tolist()):
-        if keep:
-            # Cheap sufficient rejection: too close to the last kept point
-            # (the common case for points sampled densely along a path).
-            dn, de = n_c - last_n, e_c - last_e
-            if dn * dn + de * de < r2:
-                continue
-        if grid.admit(n_c, e_c):
-            keep.append(i)
-            last_n, last_e = n_c, e_c
-    return locations[keep]
+    return admissible_sets([locations], min_spacing, existing)[0]
 
 
 # numpy's Cholesky gufunc without ``np.linalg.cholesky``'s wrapper (see
@@ -320,14 +375,16 @@ class Belief:
         self._locs = data.locations
         n = len(data)
         gram = kernel(self._locs, self._locs) + kernel.noise_std**2 * np.eye(n)
-        self._low = _chol_with_jitter(gram, kernel, n) if n else np.empty((0, 0))
+        # The lower factor L, which the planner's low-rank updates solve
+        # against directly.
+        self.low = _chol_with_jitter(gram, kernel, n) if n else np.empty((0, 0))
         self._alpha = _tri_solve(
-            self._low, self.solve(data.values - prior_mean), transpose=True
+            self.low, self.solve(data.values - prior_mean), transpose=True
         )
 
     def solve(self, k_sx: np.ndarray) -> np.ndarray:
         """``L^-1 k_sx`` for a block with one row per data sample."""
-        return _tri_solve(self._low, k_sx)
+        return _tri_solve(self.low, k_sx)
 
     def project(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(means, variances, ``L^-1 k(S, queries)``) at the query locations.

@@ -569,10 +569,11 @@ class Replay:
 
         Steps interleave in collection order, but a sample before the
         earliest step-k sample keeps its step-(k-1) verdict. So step k
-        starts from step k-1's kept samples before that point (spaced,
-        so ``DataSet.insert`` admits them all) and replays only the later
-        samples of steps up to k. ``changed`` is False, and ``data`` step
-        k-1's set, when step k keeps the same samples.
+        starts from the prefix of step k-1's set that holds its samples
+        before that point (``DataSet.prefix``, no spacing test) and
+        replays only the later samples of steps up to k. ``changed`` is
+        False, and ``data`` step k-1's set, when step k keeps the same
+        samples.
         """
         first: dict[int, int] = {}
         end: dict[int, int] = {}
@@ -589,8 +590,9 @@ class Replay:
             if k in first or changed:
                 start = first.get(k, stop)
                 cut = bisect.bisect_left(kept, start)
-                fresh = DataSet(
-                    self.config.min_spacing, [self.samples[i] for i in kept[:cut]]
+                fresh = (
+                    DataSet(self.config.min_spacing) if data is None
+                    else data.prefix(cut)
                 )
                 tail = []
                 for i in range(start, stop):

@@ -18,17 +18,19 @@ ground earns nothing.
 
 A candidate is scored as location sets of an evaluator call: its short
 path and, when no tail from the same final state has been scored yet,
-its lawnmower tail. Each set keeps its own thinning, Schur block and
-Cholesky factor. Everything elementwise runs once per call instead:
-one ``cdist`` from all the call's surviving locations to the data, the
-base plan, the grid and one another, one kernel pass over that block,
-and one search for nearby evaluation points, each set slicing its own
-rows, columns and near mask; then the closed-form expected risk over
-the sets' concatenated evaluation points, each set's benefit being the
-sum over its own slice. An entry of those blocks depends only on its
-own pair of points, so this gives the same floats as scoring the sets
-one by one, at one set of per-call numpy overheads instead of one per
-set.
+its lawnmower tail. Each set keeps its own greedy thinning walk, Schur
+block and Cholesky factor. Everything elementwise runs once per call
+instead: one prefilter ``cdist`` from the data and the base plan to all
+the call's locations, which drops those too close to them in any order
+(``gp.admissible_sets``); one ``cdist`` from all the call's surviving
+locations to the data, the base plan, the grid and one another, one
+kernel pass over that block, and one search for nearby evaluation
+points, each set slicing its own rows, columns and near mask; then the
+closed-form expected risk over the sets' concatenated evaluation
+points, each set's benefit being the sum over its own slice. An entry
+of those blocks depends only on its own pair of points, so this gives
+the same floats as scoring the sets one by one, at one set of per-call
+numpy overheads instead of one per set.
 
 That overhead, not arithmetic, is what a candidate costs: a score is
 about a hundred numpy and LAPACK calls on blocks of a few dozen rows.
@@ -72,6 +74,7 @@ from .gp import (
     _chol_with_jitter,
     _tri_solve,
     admissible_locations,
+    admissible_sets,
 )
 from .risk import LossParams, expected_bayes_risk_closed_batch
 # The benchmark's traced run (perfbench/tracing.py) wraps this name in
@@ -163,13 +166,16 @@ class EpisodeEvaluator:
 
     def __init__(self, context: PlanContext):
         self.ctx = context
-        kernel = context.kernel
+        self.kernel = kernel = context.kernel
         data = context.data
+        self.min_spacing = data.min_spacing
         self.noise_var = kernel.noise_std**2
+        self.d_eps2 = context.d_eps**2
         grid = context.eval_points
         self.locs = data.locations
         self.belief = Belief(kernel, context.prior_mean, data)
-        self.mu_s, self.var_s, self.v_s = self.belief.project(grid)
+        self.low_s = self.belief.low
+        mu_s, var_s, v_s = self.belief.project(grid)
 
         base = admissible_locations(
             context.preceding_planned, data.min_spacing, existing=self.locs
@@ -181,29 +187,26 @@ class EpisodeEvaluator:
             b_b = self.belief.solve(kernel(self.locs, base))
             c_bb = kernel(base, base) + self.noise_var * np.eye(nb) - b_b.T @ b_b
             self.low_b = _chol_with_jitter(c_bb, kernel, nb)
-            u_b = kernel(base, grid) - b_b.T @ self.v_s
-            self.x_b = _tri_solve(self.low_b, u_b)
+            u_b = kernel(base, grid) - b_b.T @ v_s
+            x_b = _tri_solve(self.low_b, u_b)
             self.b_b = b_b
-            dvar_base = np.sum(self.x_b**2, axis=0)
+            dvar_base = np.sum(x_b**2, axis=0)
         else:
             self.low_b = None
-            self.x_b = np.empty((0, grid.shape[0]))
+            x_b = np.empty((0, grid.shape[0]))
             self.b_b = np.empty((len(data), 0))
             dvar_base = np.zeros(grid.shape[0])
         # An evaluator call's one cdist reaches the data, the base plan
         # and the grid; a squared distance is the same in either direction.
         self.targets = np.vstack([self.existing, grid])
-        self.var_qbase = np.maximum(self.var_s - dvar_base, 0.0)
-        self.e_base = expected_bayes_risk_closed_batch(
-            self.mu_s, np.maximum(self.var_s - self.var_qbase, 0.0),
-            self.var_qbase, context.loss,
+        var_qbase = np.maximum(var_s - dvar_base, 0.0)
+        e_base = expected_bayes_risk_closed_batch(
+            mu_s, np.maximum(var_s - var_qbase, 0.0), var_qbase, context.loss,
         )
-
-    def admissible(self, locations) -> np.ndarray:
-        """Candidate locations that survive the density rule, in order."""
-        return admissible_locations(
-            locations, self.ctx.data.min_spacing, existing=self.existing
-        )
+        # Stacked by evaluation point, so a call gathers its points'
+        # grid statistics in one indexing, and a set its projections.
+        self.grid_stats = np.stack([mu_s, var_s, var_qbase, e_base])
+        self.projections = np.vstack([v_s, x_b])
 
     def marginal(self, *location_sets) -> list[float]:
         """Marginal expected benefit of measuring at each location set.
@@ -211,15 +214,15 @@ class EpisodeEvaluator:
         Each set is scored on its own: its locations are filtered by the
         density rule against the data and the base plan, and its benefit
         is summed over evaluation points within ``d_eps`` of a surviving
-        location. The surviving locations of every set take one distance
-        pass and one kernel pass together, each set slicing its own
-        rows, and the expected risk of every set is evaluated in one
-        closed-form call over their concatenated evaluation points.
+        location. The sets are thinned together, with one distance pass
+        to the data and the base plan; their surviving locations take
+        one distance pass and one kernel pass together, each set slicing
+        its own rows, and the expected risk of every set is evaluated in
+        one closed-form call over their concatenated evaluation points.
         """
-        kept = [self.admissible(locations) for locations in location_sets]
-        values = [0.0] * len(kept)
-        sizes = [k.shape[0] for k in kept]
-        n_pts = sum(sizes)
+        pts, sizes = admissible_sets(location_sets, self.min_spacing, self.existing)
+        values = [0.0] * len(sizes)
+        n_pts = pts.shape[0]
         if not n_pts:
             return values
         n_s = self.locs.shape[0]
@@ -228,15 +231,14 @@ class EpisodeEvaluator:
         # Columns: data, base plan, grid, then the kept points themselves.
         # Every entry is a function of its own pair of points, so a set's
         # block is the one a pass over that set alone would give.
-        pts = np.concatenate(kept)
         d2 = cdist(pts, np.concatenate([self.targets, pts]), "sqeuclidean")
-        k = self.ctx.kernel.from_sqdist(d2)
+        k = self.kernel.from_sqdist(d2)
         # Measurement noise on the diagonal of the kept points' own block.
         k.reshape(-1)[n_t::n_t + n_pts + 1] += self.noise_var
         k_grid = k[:, n_sb:n_t]
         starts = list(itertools.accumulate(sizes, initial=0))
         live = [i for i, size in enumerate(sizes) if size]
-        close = d2[:, n_sb:n_t] <= self.ctx.d_eps**2
+        close = d2[:, n_sb:n_t] <= self.d_eps2
         near = np.logical_or.reduceat(close, [starts[i] for i in live], axis=0)
         which, at = near.nonzero()
         counts = np.bincount(which, minlength=len(live)).tolist()
@@ -244,34 +246,35 @@ class EpisodeEvaluator:
         for i, count in zip(live, counts):
             if not count:
                 continue
-            idx = at[start:start + count]
+            cols = at[start:start + count]
             start += count
+            proj = self.projections[:, cols]
             r0, r1 = starts[i], starts[i] + sizes[i]
-            b_a = self.belief.solve(k[r0:r1, :n_s].T)
+            b_a = _tri_solve(self.low_s, k[r0:r1, :n_s].T)
             c_aa = k[r0:r1, n_t + r0:n_t + r1] - b_a.T @ b_a
-            u_a = k_grid[r0:r1, idx] - b_a.T @ self.v_s[:, idx]
+            u_a = k_grid[r0:r1, cols] - b_a.T @ proj[:n_s]
             if self.low_b is not None:
                 c_ba = k[r0:r1, n_s:n_sb].T - self.b_b.T @ b_a
                 m = _tri_solve(self.low_b, c_ba)
                 c_aa = c_aa - m.T @ m
-                u_a = u_a - m.T @ self.x_b[:, idx]
-            low_a = _chol_with_jitter(c_aa, self.ctx.kernel, sizes[i])
+                u_a = u_a - m.T @ proj[n_s:]
+            low_a = _chol_with_jitter(c_aa, self.kernel, sizes[i])
             x_a = _tri_solve(low_a, u_a)
-            dvars.append((x_a**2).sum(axis=0))
+            dvars.append(np.add.reduce(x_a**2, axis=0))
             scored.append((i, count))
         if not dvars:
             return values
         # From here on every step is elementwise, so the sets' evaluation
         # points are gathered once and each set sums its own slice.
-        var_qfull = np.maximum(self.var_qbase[at] - np.concatenate(dvars), 0.0)
+        mu_s, var_s, var_qbase, e_base = self.grid_stats[:, at]
+        var_qfull = np.maximum(var_qbase - np.concatenate(dvars), 0.0)
         e_full = expected_bayes_risk_closed_batch(
-            self.mu_s[at], np.maximum(self.var_s[at] - var_qfull, 0.0), var_qfull,
-            self.ctx.loss,
+            mu_s, np.maximum(var_s - var_qfull, 0.0), var_qfull, self.ctx.loss,
         )
-        gain = self.e_base[at] - e_full
+        gain = e_base - e_full
         start = 0
         for i, count in scored:
-            values[i] = float(gain[start:start + count].sum())
+            values[i] = float(np.add.reduce(gain[start:start + count]))
             start += count
         return values
 
@@ -410,7 +413,7 @@ def _descend(
     if len(actions) < horizon and node.expanded < n_actions:
         idx = node.action_order[node.expanded]
         node.expanded += 1
-        child = _Node(tuple(rng.permutation(n_actions)))
+        child = _Node(rng.permutation(n_actions).tolist())
         node.children[idx] = child
         node = child
         actions.append(idx)
@@ -500,7 +503,7 @@ def plan_episode(
     seed_path = lawnmower_path(start, horizon, context.area, context.motion)
     seed_actions = tuple(ACTION_SET.index(a) for a in seed_path.actions)
     n_actions = len(ACTION_SET)
-    root = _Node(tuple(rng.permutation(n_actions)))
+    root = _Node(rng.permutation(n_actions).tolist())
     # The first iterations, one per root action, read no value, so they
     # are walked up front and scored with the seed and the naive value
     # in one call, then recorded in the order they were walked.

@@ -68,6 +68,7 @@ when it scores several location sets in one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,6 +115,24 @@ def bayes_risk_batch(means, variances, loss: LossParams) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _flip_erfinv(c1: float, c2: float) -> float:
+    """``erfinv((c2 - c1)/(c1 + c2))``, which places mu* for a cost pair."""
+    return float(special.erfinv((c2 - c1) / (c1 + c2)))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _owen_slopes(sd_mu, sd_q, s2, vq, ms, d_ms, d_l, level):
+    """Owen's T arguments a1 and a2 of the module docstring, concatenated.
+
+    A zero head divides by zero here; the caller replaces those values.
+    """
+    return np.concatenate([
+        sd_mu * (ms - level) / (sd_q * d_ms),
+        ((level - ms) * s2 - d_l * vq) / (sd_mu * sd_q * d_l),
+    ])
+
+
 def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: LossParams):
     """Vectorized closed-form expected post-measurement Bayes risk.
 
@@ -129,7 +148,12 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
         mu_mu, s2mu, s2q = np.broadcast_arrays(mu_mu, s2mu, s2q)
     c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
     level = loss.level
-    if mu_mu.size and s2mu.min() > 1e-300 and s2q.min() > 1e-300:
+    top = max(c1, c2)
+    if (
+        mu_mu.size
+        and np.minimum.reduce(s2mu, axis=None) > 1e-300
+        and np.minimum.reduce(s2q, axis=None) > 1e-300
+    ):
         # Every element is live, so nothing is masked out or scattered
         # back: every step below is elementwise.
         out = None
@@ -141,40 +165,42 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
             out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
         live = ~no_spread & (s2q > 1e-300)
         if not live.any():
-            return out.clip(0.0, max(c1, c2))
+            return np.minimum(np.maximum(out, 0.0), top)
         mm, vmu, vq = mu_mu[live], s2mu[live], s2q[live]
     sd_mu = np.sqrt(vmu)
     sd_q = np.sqrt(vq)
     s2 = vmu + vq
-    ms = level - float(special.erfinv((c2 - c1) / (c1 + c2))) * sd_q * math.sqrt(2.0)
+    ms = level - _flip_erfinv(c1, c2) * sd_q * math.sqrt(2.0)
     d_ms = ms - mm
     d_l = level - mm
     # Heads x and k, and Owen's T arguments a1 and a2, of the module
     # docstring; a zero head divides by zero and is replaced below.
     heads = np.concatenate([d_ms / sd_mu, d_l / np.sqrt(s2)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.concatenate([
-            sd_mu * (ms - level) / (sd_q * d_ms),
-            ((level - ms) * s2 - d_l * vq) / (sd_mu * sd_q * d_l),
-        ])
+    slopes = _owen_slopes(sd_mu, sd_q, s2, vq, ms, d_ms, d_l, level)
     owen = special.owens_t(heads, slopes)
-    zero = heads == 0.0
-    if zero.any():
-        owen[zero] = 0.25
     n = mm.shape[0]
     x, k = heads[:n], heads[n:]
-    t_sum = owen[:n] + owen[n:]
-    both = zero[:n] & zero[n:]
-    if both.any():
-        rho = sd_mu[both] / np.sqrt(s2[both])
-        t_sum[both] = 0.25 + np.arcsin(rho) / (2.0 * math.pi)
+    # One reduction tells whether any head is zero, which is rare; only
+    # then are the zero heads masked and their limits taken.
+    if np.logical_and.reduce(heads):
+        t_sum = owen[:n] + owen[n:]
+    else:
+        zero = heads == 0.0
+        owen[zero] = 0.25
+        t_sum = owen[:n] + owen[n:]
+        both = zero[:n] & zero[n:]
+        if both.any():
+            rho = sd_mu[both] / np.sqrt(s2[both])
+            t_sum[both] = 0.25 + np.arcsin(rho) / (2.0 * math.pi)
     phi = special.ndtr(heads)
     beta = 0.5 * (x * k > 0.0)
     expected = (c1 + c2) * (0.5 - t_sum - beta) + 0.5 * (c2 - c1) * (phi[:n] - phi[n:])
+    # Bounded by the costs; np.minimum(np.maximum(...)) is np.clip
+    # without its argument handling.
     if out is None:
-        return expected.reshape(mu_mu.shape).clip(0.0, max(c1, c2))
+        return np.minimum(np.maximum(expected, 0.0), top).reshape(mu_mu.shape)
     out[live] = expected
-    return out.clip(0.0, max(c1, c2))
+    return np.minimum(np.maximum(out, 0.0), top)
 
 
 @dataclass

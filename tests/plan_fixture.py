@@ -10,7 +10,9 @@ catch a change that moves them:
 A regeneration prints what moved against the file it replaces: the
 number of plans whose actions or evaluation counts changed, and the
 largest absolute and relative change of ``value`` and ``naive``. With
-``--check`` it prints only that line and leaves the file as it is:
+``--check`` it prints only that line, leaves the file as it is, and
+exits 1 when anything moved (a plan, an action, an evaluation count or
+any bit of a value) and 0 when nothing did:
 
     PYTHONPATH=src python tests/plan_fixture.py --check
 """
@@ -89,12 +91,17 @@ def main(argv) -> int:
         print(f"{FIXTURE} does not exist", file=sys.stderr)
         return 2
     new = plan_events()
+    text = json.dumps(new, indent=1) + "\n"
     if FIXTURE.exists():
-        print(moved(json.loads(FIXTURE.read_text()), new))
-    if not check:
-        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-        FIXTURE.write_text(json.dumps(new, indent=1) + "\n")
-        print(f"wrote {FIXTURE}")
+        old = json.loads(FIXTURE.read_text())
+        print(moved(old, new))
+        if check:
+            # The fixture holds exactly what json writes, so equal plans
+            # are equal after the same round trip, to the last bit.
+            return int(json.loads(text) != old)
+    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+    FIXTURE.write_text(text)
+    print(f"wrote {FIXTURE}")
     return 0
 
 

@@ -19,6 +19,7 @@ from isobath.gp import (
     Sample,
     _chol_with_jitter,
     admissible_locations,
+    admissible_sets,
 )
 from isobath.errors import NumericalError
 from reference import variance_reduction
@@ -360,6 +361,28 @@ class TestDensityFilter:
         assert np.array_equal(data.locations, locs)
         assert np.array_equal(data.values, kept_vals)
 
+    @given(insert_cases(), st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_equals_a_fresh_set_of_its_samples(self, case, n):
+        pts, vals, spacing = case
+        samples = [Sample(p, v) for p, v in zip(pts.tolist(), vals.tolist())]
+        data = DataSet(spacing, samples)
+        n = min(n, len(data))
+        part = data.prefix(n)
+        fresh = DataSet(spacing, [
+            Sample(p, v)
+            for p, v in zip(data.locations[:n].tolist(), data.values[:n].tolist())
+        ])
+        assert np.array_equal(part.locations, fresh.locations)
+        assert np.array_equal(part.values, fresh.values)
+        # The prefix's grid holds its samples: later inserts go the same way,
+        # and none of them reaches the source set.
+        size = len(data)
+        for s in samples[::-1]:
+            assert part.insert(s) == fresh.insert(s)
+        assert np.array_equal(part.locations, fresh.locations)
+        assert len(data) == size
+
     def test_copy_is_independent_of_its_source(self):
         data = DataSet(10.0, [Sample((0.0, 0.0), 1.0)])
         twin = copy.deepcopy(data)
@@ -445,6 +468,71 @@ def thinning_cases(draw):
             else rng.uniform(-150.0, 150.0, (m, 2))
         )
     return pts, spacing, existing
+
+
+@st.composite
+def thinning_set_cases(draw):
+    """Several candidate sets thinned against one spacing and one existing block.
+
+    The sets mix the shapes of ``thinning_cases``, and may include empty
+    sets and a set made of the existing points, which the existing
+    points remove entirely whenever the spacing is positive.
+    """
+    pts, spacing, existing = draw(thinning_cases())
+    sets = [pts]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["more", "empty", "existing"]))
+        if kind == "empty":
+            sets.append(np.empty((0, 2)))
+        elif kind == "existing" and existing is not None:
+            sets.append(np.asarray(existing, dtype=float)[::-1].copy())
+        else:
+            other, _, _ = draw(thinning_cases())
+            sets.append(other)
+    order = draw(st.permutations(range(len(sets))))
+    return [sets[i] for i in order], spacing, existing
+
+
+class TestAdmissibleSets:
+    @given(thinning_set_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_each_set_equals_the_greedy_loop_alone(self, case):
+        sets, spacing, existing = case
+        pts, counts = admissible_sets(sets, spacing, existing)
+        want = [greedy_thinning(x, spacing, existing) for x in sets]
+        assert counts == [w.shape[0] for w in want]
+        assert pts.shape == (sum(counts), 2)
+        got = np.split(pts, np.cumsum(counts)[:-1])
+        for g, w, x in zip(got, want, sets):
+            assert np.array_equal(g, w)
+            assert np.array_equal(g, admissible_locations(x, spacing, existing))
+
+    def test_empty_sets_and_a_set_the_existing_points_remove(self):
+        existing = np.array([[0.0, 0.0], [100.0, 0.0]])
+        sets = [
+            np.empty((0, 2)),
+            existing[::-1].copy(),
+            np.array([[0.0, 10.0], [0.0, 30.0], [0.0, 50.0], [0.0, 60.0]]),
+            np.empty((0, 2)),
+        ]
+        pts, counts = admissible_sets(sets, 30.0, existing)
+        assert counts == [0, 0, 2, 0]
+        assert pts.tolist() == [[0.0, 30.0], [0.0, 60.0]]
+        assert admissible_sets([], 30.0, existing)[1] == []
+
+    def test_lattice_points_exactly_the_spacing_apart_are_all_kept(self):
+        # Binary fractions, so every neighbour is exactly ``spacing`` away.
+        spacing = 7.25
+        lattice = np.array([[i, j] for i in range(4) for j in range(4)]) * spacing
+        pts, counts = admissible_sets([lattice, lattice[::-1].copy()], spacing)
+        assert counts == [16, 16]
+        assert np.array_equal(pts, np.vstack([lattice, lattice[::-1]]))
+
+    def test_zero_spacing_keeps_everything(self):
+        sets = [np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[2.0, 2.0]])]
+        pts, counts = admissible_sets(sets, 0.0, np.array([[1.0, 1.0]]))
+        assert counts == [2, 1]
+        assert pts.tolist() == [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
 
 
 class TestAdmissibleLocations:

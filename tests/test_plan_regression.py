@@ -7,7 +7,9 @@ relative 1e-9, room for a reordered float sum and nothing more.
 ``tests/plan_fixture.py`` defines the missions and rewrites the fixture.
 """
 
+import copy
 import json
+import math
 
 import pytest
 
@@ -42,3 +44,23 @@ def test_check_reports_without_rewriting(runs, monkeypatch, capsys):
     assert FIXTURE.read_bytes() == before
     assert "actions moved in 0, evaluations in 0" in capsys.readouterr().out
     assert plan_fixture.main(["--rewrite"]) == 2
+
+
+@pytest.mark.parametrize("change", ["value", "actions", "evaluations", "plan"])
+def test_check_exits_one_when_anything_moved(runs, monkeypatch, capsys, change):
+    before = FIXTURE.read_bytes()
+    moved = copy.deepcopy(runs)
+    event = moved[sorted(moved)[0]][0]
+    if change == "value":
+        # One ulp: far inside the regression test's tolerance, but moved.
+        event["value"] = math.nextafter(event["value"], math.inf)
+    elif change == "actions":
+        event["actions"] = event["actions"][::-1] + [0]
+    elif change == "evaluations":
+        event["evaluations"] += 1
+    else:
+        moved[sorted(moved)[0]].append(dict(event))
+    monkeypatch.setattr(plan_fixture, "plan_events", lambda: moved)
+    assert plan_fixture.main(["--check"]) == 1
+    assert FIXTURE.read_bytes() == before
+    capsys.readouterr()

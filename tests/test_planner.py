@@ -14,7 +14,9 @@ from scipy.spatial.distance import cdist
 
 from isobath import planner
 from isobath.environment import OperationalArea, eval_grid
-from isobath.gp import DataSet, KernelSpec, Sample, admissible_locations
+from isobath.gp import (
+    DataSet, KernelSpec, Sample, admissible_locations, admissible_sets,
+)
 from isobath.motion import (
     ACTION_SET,
     AgentState,
@@ -189,14 +191,19 @@ class TestMarginalObjective:
         ctx = make_context(rng, n_data=10, n_base=5)
         ev = EpisodeEvaluator(ctx)
         cand = rng.uniform((0, 0), (300, 400), size=(30, 2))
-        kept = ev.admissible(cand)
+        # ``marginal`` thins its sets against ``existing``: data, then base.
         guarded = np.vstack([ctx.data.locations, ev.base])
-        if kept.shape[0]:
-            assert cdist(kept, guarded).min() >= ctx.data.min_spacing
-        if kept.shape[0] > 1:
-            d = cdist(kept, kept)
-            np.fill_diagonal(d, np.inf)
-            assert d.min() >= ctx.data.min_spacing
+        assert np.array_equal(ev.existing, guarded)
+        pts, counts = admissible_sets(
+            [cand, cand[::-1]], ctx.data.min_spacing, ev.existing
+        )
+        for kept in np.split(pts, counts[:1]):
+            if kept.shape[0]:
+                assert cdist(kept, guarded).min() >= ctx.data.min_spacing
+            if kept.shape[0] > 1:
+                d = cdist(kept, kept)
+                np.fill_diagonal(d, np.inf)
+                assert d.min() >= ctx.data.min_spacing
 
 
 class TestPlanLocations:

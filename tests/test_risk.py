@@ -1,12 +1,15 @@
 """Bayes-risk objective: declarations, expected risk, benefit of search."""
 
 import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from isobath.gp import Belief, DataSet, KernelSpec, Sample
 from isobath.risk import (
@@ -345,3 +348,63 @@ class TestRiskField:
         parsed = np.array([[float(x) for x in r] for r in rows[1:]])
         np.testing.assert_array_equal(parsed[:, :2], pts)
         np.testing.assert_array_equal(parsed[:, 2], vals)
+
+
+PINNED = Path(__file__).resolve().parent / "data" / "closed_batch.json"
+
+
+def pinned_batches():
+    """Fixed closed-form batches, keyed by name, as (mu, s2mu, s2q, loss).
+
+    Each mixes ordinary elements with the cases that take their own
+    branch: a zero head x (mean at the flip point mu*), a zero head k
+    (mean at the level), both at once (equal costs, mean at the level),
+    no mean spread, no residual variance, and a tiny residual variance.
+    """
+    batches = {}
+    losses = {
+        "equal": EQUAL,
+        "skewed": SKEWED,
+        "reversed": LossParams(15.0, 13.0, 4.0),
+    }
+    for i, (name, loss) in enumerate(losses.items()):
+        rng = np.random.default_rng(100 + i)
+        n = 48
+        mu = rng.normal(15.0, 4.0, n)
+        s2mu = rng.exponential(3.0, n)
+        s2q = rng.exponential(3.0, n)
+        batches[f"{name}/live"] = (mu.copy(), s2mu.copy(), s2q.copy(), loss)
+        c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
+        flip = float(special.erfinv((c2 - c1) / (c1 + c2)))
+        # The flip point mu* as the batch computes it, so x is exactly 0.
+        mu[0:4] = loss.level - flip * np.sqrt(s2q[0:4]) * math.sqrt(2.0)
+        mu[4:8] = loss.level
+        s2mu[8:12] = 0.0
+        s2q[12:16] = 0.0
+        s2q[16:20] = rng.exponential(1e-6, 4)
+        s2mu[20] = s2q[20] = 0.0
+        batches[f"{name}/mixed"] = (mu, s2mu, s2q, loss)
+        batches[f"{name}/grid"] = (
+            mu[24:36].reshape(3, 4), s2mu[24:36].reshape(3, 4),
+            s2q[24:36].reshape(3, 4), loss,
+        )
+    return batches
+
+
+class TestClosedBatchIsPinned:
+    """The batch returns bit for bit what it returned when the file was written.
+
+    Speed work on the closed form must leave every float as it was; a
+    tolerance would let a reordered expression through. The pinned
+    values were written from ``pinned_batches`` by the batch as it stood
+    at commit f1aa9bb, before its per-call trims, and no test rewrites
+    them.
+    """
+
+    @pytest.mark.parametrize("name", sorted(pinned_batches()))
+    def test_batch_equals_the_pinned_values(self, name):
+        mu, s2mu, s2q, loss = pinned_batches()[name]
+        want = np.array(json.loads(PINNED.read_text())[name], dtype=float)
+        got = expected_bayes_risk_closed_batch(mu, s2mu, s2q, loss)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
