@@ -3,12 +3,13 @@
 Agents plan in agent-id order. When an agent plans, it treats the
 latest plan it has heard from each teammate with a lower id as
 committed: it reconstructs that teammate's future measurement locations
-(rolling the broadcast action indices out of the broadcast pose, plus a
-deterministic lawnmower continuation when the plan was flagged as one)
-and maximizes its own reward marginal to them. Plans from higher-id
-teammates are ignored, which is what makes the greedy sequence
-well-defined even when packets drop: everyone optimizes against a
-possibly stale but always consistent picture of their predecessors.
+with the planner's own ``plan_locations`` (the broadcast action indices
+walked from the broadcast pose, plus a deterministic lawnmower
+continuation when the plan was flagged as one) and maximizes its own
+reward marginal to them. Plans from higher-id teammates are ignored,
+which is what makes the greedy sequence well-defined even when packets
+drop: everyone optimizes against a possibly stale but always consistent
+picture of their predecessors.
 
 The broadcast plan epoch counts actions the sender had already executed,
 so a receiver can reconstruct how many mission steps the sender had left
@@ -22,10 +23,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .comms import Packet
-from .motion import ACTION_SET, AgentState, MotionParams, rollout
-# The benchmark's traced run (perfbench/tracing.py) wraps these two names
-# in this module; the calls themselves go through ``plan_locations``.
-from .motion import lawnmower_path, sample_locations  # noqa: F401
+from .motion import AgentState
+# The benchmark's traced run (perfbench/tracing.py) wraps these names in
+# this module; the calls themselves go through ``plan_locations``.
+from .motion import lawnmower_path, rollout, sample_locations  # noqa: F401
 from .planner import PlanConfig, PlanContext, PlanResult, plan_episode, plan_locations
 
 
@@ -60,14 +61,6 @@ class PeerPlan:
             self.total_length - self.plan_epoch - len(self.action_indices), 0
         )
 
-    def planned_locations(
-        self, motion: MotionParams, sample_spacing: float, area
-    ) -> np.ndarray:
-        """Future measurement locations this plan commits the sender to."""
-        actions = [ACTION_SET[i] for i in self.action_indices]
-        path = rollout(self.state, actions, motion)
-        return plan_locations(path, self.tail_steps, area, motion, sample_spacing)
-
 
 @dataclass
 class JointPlanSnapshot:
@@ -78,15 +71,15 @@ class JointPlanSnapshot:
     def update(self, plan: PeerPlan) -> None:
         self.plans[plan.agent_id] = plan
 
-    def preceding_locations(
-        self, agent_id: int, motion: MotionParams, sample_spacing: float, area
-    ) -> np.ndarray:
+    def preceding_locations(self, agent_id: int, context: PlanContext) -> np.ndarray:
         """Planned locations of the agents with lower ids, in id order."""
         blocks = []
         for peer in range(agent_id):
             plan = self.plans.get(peer)
             if plan is not None:
-                blocks.append(plan.planned_locations(motion, sample_spacing, area))
+                blocks.append(plan_locations(
+                    plan.state, plan.action_indices, plan.tail_steps, context
+                ))
         if not blocks:
             return np.empty((0, 2))
         return np.vstack(blocks)
@@ -107,8 +100,6 @@ def plan_with_predecessors(
     plan maximizes reward marginal to what the preceding teammates are
     believed to already cover.
     """
-    pre = snapshot.preceding_locations(
-        agent_id, context.motion, context.sensor_spacing, context.area
-    )
+    pre = snapshot.preceding_locations(agent_id, context)
     ctx = replace(context, preceding_planned=pre)
     return plan_episode(start, ctx, config, rng)

@@ -63,11 +63,12 @@ from .motion import (
     ACTION_SET,
     AgentState,
     MotionParams,
-    Path,
     lawnmower_path,
     sample_locations,
-    step,
 )
+# The benchmark's traced run (perfbench/tracing.py) wraps this name in
+# this module; a segment's end state comes from ``sample_locations``.
+from .motion import step  # noqa: F401
 from .planner import PlanConfig, PlanContext, PlanResult
 from .risk import LossParams, RiskField, bayes_risk_batch, risk_field
 
@@ -381,21 +382,20 @@ def run_mission(config: MissionConfig) -> MissionResult:
             fell_back=int(result.fell_back),
             evaluations=int(result.evaluations),
         )
-        segment = Path(
-            (agent.state, step(agent.state, action, agent.motion)), (action,)
+        locs, final, _ = sample_locations(
+            agent.state, (action,), agent.motion, config.sample_spacing
         )
         # Along-track length of the step: the turn arc plus the run-out.
         r = agent.motion.turn_radius
         seg_len = r * abs(action) + r * (agent.motion.theta_max + abs(action))
         t_end = t + seg_len / agent.motion.speed
-        locs = sample_locations(segment, config.sample_spacing)
         norms = np.linalg.norm(locs - locs[0], axis=1)
         chord = max(float(norms[-1]), 1e-12)
         for loc, dist in zip(locs[1:], norms[1:]):
             # Time along the segment, scaled onto the full arc length.
             push(t + (dist / chord) * seg_len / agent.motion.speed,
                  "sample", (agent.id, (float(loc[0]), float(loc[1]))))
-        push(t_end, "segment_end", (agent.id, segment.final, action))
+        push(t_end, "segment_end", (agent.id, final, action))
 
     def broadcast(t, slot):
         owner = agents[schedule.owner(slot)]
@@ -610,7 +610,10 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
 
     With ``upto_step`` = k, only those of each vehicle's first k steps:
     what ``Replay.pooled`` kept at step k, walked here if no trace has.
+    A negative k raises ``ValueError``.
     """
+    if upto_step is not None and upto_step < 0:
+        raise ValueError(f"upto_step must be non-negative, got {upto_step}")
     replay = result.replay
     last = result.config.total_length
     if len(replay.kept) <= last:
@@ -625,7 +628,10 @@ def agent_data(
     """What one vehicle knew: everything it inserted, in order, or with
     ``upto_step`` = k the prefix it held when it completed step k (see
     ``Replay``). It admitted each of them, so the filter admits them again.
+    A negative k raises ``ValueError``.
     """
+    if upto_step is not None and upto_step < 0:
+        raise ValueError(f"upto_step must be non-negative, got {upto_step}")
     replay = result.replay
     inserted = replay.inserted[agent]
     if upto_step is not None:
@@ -654,7 +660,7 @@ def risk_snapshot(
 
     ``agent=None`` uses the omniscient team belief (``global_data``), an
     agent index what that vehicle knew (``agent_data``); ``upto_step``
-    rewinds either to step k.
+    rewinds either to step k, which must not be negative.
     """
     config = result.config
     points = eval_grid(config.area(), config.output_resolution)

@@ -17,15 +17,15 @@ nothing downstream depends on the compass label.
 Angles are radians everywhere. The action set spans {-90, -30, -20,
 -10, -5, 0, 5, 10, 20, 30, 90} degrees.
 
-Measurement locations come from one chord walker on plain floats. It
-samples a built ``Path`` (``sample_locations``), a sweep straight from
-the policy's poses (``sweep_locations``), and an action sequence
-stepped with ``step``'s arithmetic (``walk``). The last two build no
-``AgentState`` or ``Path`` per step, which is most of what a planner
-candidate's locations would otherwise cost, and every float is the one
-sampling the built path gives. ``step``, ``walk`` and the sweep policy
-take each step through one float-level helper, ``_advance``, and wrap
-the heading it returns once.
+Measurement locations come from one chord walker on plain floats, fed
+in two ways: an action sequence stepped with ``step``'s arithmetic
+(``sample_locations``), and the sweep policy's own poses
+(``sweep_locations``). Neither builds an ``AgentState`` or ``Path`` per
+step, which is most of what a planner candidate's locations would
+otherwise cost; a ``Path`` (``rollout``, ``lawnmower_path``) records a
+plan's actions and states, not its locations. ``step``,
+``sample_locations`` and the sweep policy take each step through one
+float-level helper, ``_advance``, and wrap the heading it returns once.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def _advance(
     """One step on plain floats: the unwrapped heading ``h + action``, north, east.
 
     ``disp`` is the action's body-frame displacement, rotated into the
-    world frame by the pre-step heading ``h``. ``step``, ``walk`` and the
-    sweep policy all step through here; each wraps the heading once.
+    world frame by the pre-step heading ``h``. ``step``, ``sample_locations``
+    and the sweep policy all step through here; each wraps the heading once.
     """
     dx, dy = disp
     ch, sh = math.cos(h), math.sin(h)
@@ -148,10 +148,6 @@ class Path:
     def __post_init__(self):
         if len(self.states) != len(self.actions) + 1:
             raise ValueError("a path holds one more state than actions")
-
-    @property
-    def final(self) -> AgentState:
-        return self.states[-1]
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -198,29 +194,16 @@ def _chord_walk(n0: float, e0: float, ends, spacing: float) -> list[float]:
     return out
 
 
-def sample_locations(path: Path, spacing: float) -> np.ndarray:
-    """Measurement locations along the path's straight chords.
-
-    Walks each chord between consecutive states, emitting points every
-    ``spacing`` meters from the chord start (exclusive) plus the chord
-    end, so each state position appears exactly once. A zero-action path
-    yields just the start position; a chord shorter than ``spacing``
-    contributes only its endpoint.
-    """
-    start = path.states[0]
-    ends = [(s.north, s.east) for s in path.states[1:]]
-    return np.array(_chord_walk(start.north, start.east, ends, spacing)).reshape(-1, 2)
-
-
-def walk(
+def sample_locations(
     start: AgentState, actions, params: MotionParams, spacing: float
 ) -> tuple[np.ndarray, AgentState, tuple[float, float, float, float]]:
-    """``sample_locations(rollout(start, actions, params), spacing)`` without the path.
+    """Measurement locations of an action sequence, its final state and their box.
 
-    Also returns the path's final state and the locations' bounding box
-    ``(min north, min east, max north, max east)``. Each step is
-    ``step``'s arithmetic on plain floats; no state is built but the
-    final one.
+    The locations run along the chords between consecutive states, as
+    ``_chord_walk`` spaces them: each state's position appears once, and
+    no actions yield just the start. The box is ``(min north, min east,
+    max north, max east)``. Each step is ``step``'s arithmetic on plain
+    floats; no state is built but the final one, ``rollout``'s last.
     """
     table = _action_table(params)
     h, n, e = start.heading, start.north, start.east
@@ -331,10 +314,10 @@ def lawnmower_path(
 def sweep_locations(
     start: AgentState, n_steps: int, area, params: MotionParams, spacing: float
 ) -> np.ndarray:
-    """``sample_locations(lawnmower_path(start, n_steps, ...), spacing)[1:]``.
+    """Measurement locations of ``lawnmower_path(start, n_steps, ...)`` after its start.
 
-    The measurement locations of a sweep after its start, walked from
-    the policy's floats without building its states.
+    The chords of ``sample_locations``, walked from the policy's floats
+    without building its states.
     """
     ends = [(n, e) for _, _, n, e in _sweep(start, n_steps, area, params)]
     out = _chord_walk(start.north, start.east, ends, spacing)

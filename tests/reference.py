@@ -14,6 +14,9 @@ against the other:
   planned locations (``variance_reduction``);
 - the realized and expected benefit of search, and the joint expected
   benefit of a whole team's plans (``joint_reward``);
+- the measurement locations of a built path, every chord in one set of
+  numpy calls (``vectorized_sample_locations``), where the package walks
+  an action sequence's chords in Python floats without building the path;
 - the beliefs a finished mission's outputs replay from its event log,
   each rebuilt from the whole log for every step asked:
   ``global_data_from_scratch`` for the team and
@@ -341,6 +344,45 @@ def joint_reward(
     return expected_benefit_of_search(
         data, thinned, eval_points, kernel, loss, prior_mean=prior_mean
     )
+
+
+def vectorized_sample_locations(path, spacing: float) -> np.ndarray:
+    """Measurement locations along a built path's chords, array at a time.
+
+    The reference for ``motion.sample_locations``: the start, then on
+    each chord between consecutive states points every ``spacing``
+    meters from its start (exclusive) plus its end. Every chord is
+    handled in one set of numpy calls; both must give the same floats.
+    """
+    pos = np.array([(s.north, s.east) for s in path.states])
+    m = pos.shape[0] - 1
+    if m == 0:
+        return pos.copy()
+    a, b = pos[:-1], pos[1:]
+    diff = b - a
+    chord = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+    cut = chord - 1e-9
+    k0 = np.floor(cut / spacing)
+    k0 -= k0 * spacing >= cut
+    k0 += (k0 + 1.0) * spacing < cut
+    counts = np.maximum(k0.astype(np.int64), 0)
+    total = int(counts.sum())
+    out = np.empty((1 + total + m, 2))
+    out[0] = pos[0]
+    block_start = 1 + np.concatenate(([0], np.cumsum(counts + 1)[:-1]))
+    out[block_start + counts] = b
+    if total:
+        chord_idx = np.repeat(np.arange(m), counts)
+        kvals = (
+            np.arange(total)
+            - np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+            + 1.0
+        )
+        t = kvals * spacing / chord[chord_idx]
+        out[block_start[chord_idx] + kvals.astype(np.int64) - 1] = (
+            a[chord_idx] + t[:, None] * diff[chord_idx]
+        )
+    return out
 
 
 def global_data_from_scratch(result, upto_step: int | None = None) -> DataSet:

@@ -34,7 +34,7 @@ from isobath.mission import (
     run_mission,
     write_jsonl,
 )
-from isobath.motion import ACTION_SET, AgentState, MotionParams, rollout, sample_locations
+from isobath.motion import ACTION_SET, AgentState, MotionParams, rollout
 from isobath.planner import EpisodeEvaluator, PlanConfig, PlanContext, plan_episode
 from isobath.risk import (
     LossParams,
@@ -49,6 +49,7 @@ from reference import (
     expected_bayes_risk_quadrature,
     expected_benefit_of_search,
     mu_star,
+    vectorized_sample_locations,
 )
 
 
@@ -429,7 +430,9 @@ def test_acceptance_8_horizon1_matches_brute_force():
         evaluator = EpisodeEvaluator(context)
         brute = {
             a: evaluator.marginal(
-                sample_locations(rollout(start, [a], motion), context.sensor_spacing)
+                vectorized_sample_locations(
+                    rollout(start, [a], motion), context.sensor_spacing
+                )
             )[0]
             for a in ACTION_SET
         }

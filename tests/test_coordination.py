@@ -21,16 +21,31 @@ from isobath.motion import (
     MotionParams,
     lawnmower_path,
     rollout,
-    sample_locations,
 )
 from isobath.planner import PlanConfig, PlanContext, plan_episode
 from isobath.risk import LossParams
-from reference import expected_benefit_of_search, joint_reward
+from reference import (
+    expected_benefit_of_search,
+    joint_reward,
+    vectorized_sample_locations,
+)
 
 AREA = OperationalArea((0.0, 0.0), (300.0, 400.0))
 KERNEL = KernelSpec(length_scale=40.0, signal_variance=25.0, noise_std=0.5)
 LOSS = LossParams(15.0, 10.0, 10.0)
 MOTION = MotionParams(15.0, math.pi / 2, 1.5)
+
+
+def oracle_locations(plan: PeerPlan, spacing=5.0) -> np.ndarray:
+    """What ``plan`` commits its sender to, sampled from built paths: the
+    short plan rolled out of the broadcast pose, then its flagged sweep
+    continuation without the short plan's final position."""
+    short = rollout(plan.state, [ACTION_SET[i] for i in plan.action_indices], MOTION)
+    locs = vectorized_sample_locations(short, spacing)
+    if plan.tail_steps:
+        tail = lawnmower_path(short.states[-1], plan.tail_steps, AREA, MOTION)
+        locs = np.vstack([locs, vectorized_sample_locations(tail, spacing)[1:]])
+    return locs
 
 
 class TestPeerPlan:
@@ -66,20 +81,22 @@ class TestPeerPlan:
             lawnmower_tail=True,
         )))
         plan = PeerPlan.from_packet(pkt, total_length=40)
-        got = plan.planned_locations(MOTION, 5.0, AREA)
+        snap = JointPlanSnapshot({0: plan})
+        got = snap.preceding_locations(1, make_context(None, n_data=0))
 
         short = rollout(state, [ACTION_SET[i] for i in actions], MOTION)
-        want = sample_locations(short, 5.0)
-        tail = lawnmower_path(short.final, 40 - 20 - 3, AREA, MOTION)
-        want = np.vstack([want, sample_locations(tail, 5.0)[1:]])
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        want = vectorized_sample_locations(short, 5.0)
+        tail = lawnmower_path(short.states[-1], 40 - 20 - 3, AREA, MOTION)
+        want = np.vstack([want, vectorized_sample_locations(tail, 5.0)[1:]])
+        assert np.array_equal(got, want)
 
     def test_unflagged_plan_has_no_continuation(self):
         state = AgentState(0.0, 150.0, 30.0)
         plan = PeerPlan(0, 0, state, (5, 5), False, 100)
-        got = plan.planned_locations(MOTION, 5.0, AREA)
+        snap = JointPlanSnapshot({0: plan})
+        got = snap.preceding_locations(1, make_context(None, n_data=0))
         short = rollout(state, [ACTION_SET[5]] * 2, MOTION)
-        np.testing.assert_allclose(got, sample_locations(short, 5.0), atol=1e-9)
+        assert np.array_equal(got, vectorized_sample_locations(short, 5.0))
 
 
 class TestJointPlanSnapshot:
@@ -90,21 +107,20 @@ class TestJointPlanSnapshot:
         snap = JointPlanSnapshot()
         for aid, north in ((0, 100.0), (1, 200.0), (2, 300.0)):
             snap.update(self.make_plan(aid, north))
-        first = snap.preceding_locations(0, MOTION, 5.0, AREA)
+        first = snap.preceding_locations(0, make_context(None, n_data=0))
         assert first.shape == (0, 2)
-        last = snap.preceding_locations(2, MOTION, 5.0, AREA)
+        last = snap.preceding_locations(2, make_context(None, n_data=0))
         want = np.vstack([
-            self.make_plan(0, 100.0).planned_locations(MOTION, 5.0, AREA),
-            self.make_plan(1, 200.0).planned_locations(MOTION, 5.0, AREA),
+            oracle_locations(self.make_plan(0, 100.0)),
+            oracle_locations(self.make_plan(1, 200.0)),
         ])
-        np.testing.assert_allclose(last, want, atol=1e-9)
+        assert np.array_equal(last, want)
 
     def test_missing_peers_are_skipped(self):
         snap = JointPlanSnapshot()
         snap.update(self.make_plan(1, 200.0))
-        got = snap.preceding_locations(2, MOTION, 5.0, AREA)
-        want = self.make_plan(1, 200.0).planned_locations(MOTION, 5.0, AREA)
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        got = snap.preceding_locations(2, make_context(None, n_data=0))
+        assert np.array_equal(got, oracle_locations(self.make_plan(1, 200.0)))
 
     def test_update_replaces_older_plan(self):
         snap = JointPlanSnapshot()
@@ -140,8 +156,7 @@ class TestPlanWithPredecessors:
             np.random.default_rng(9),
         )
         from dataclasses import replace
-        want_ctx = replace(ctx, preceding_planned=snap.preceding_locations(
-            1, MOTION, ctx.sensor_spacing, AREA))
+        want_ctx = replace(ctx, preceding_planned=snap.preceding_locations(1, ctx))
         want = plan_episode(AgentState(0.0, 100.0, 50.0), want_ctx, cfg,
                             np.random.default_rng(9))
         assert got.path.actions == want.path.actions

@@ -460,6 +460,20 @@ class TestBeliefReconstruction:
             assert np.array_equal(got.locations, data.locations), k
             assert np.array_equal(got.values, data.values), k
 
+    @pytest.mark.parametrize("rewind", [
+        lambda res: global_data(res, -1),
+        lambda res: agent_data(res, 0, -2),
+        lambda res: agent_data(res, 1, -1),
+        lambda res: risk_snapshot(res, upto_step=-1),
+        lambda res: risk_snapshot(res, agent=0, upto_step=-1),
+    ], ids=["global", "agent-2", "agent-1", "snapshot-team", "snapshot-agent"])
+    def test_negative_step_is_rejected(self, rewind):
+        # Unchecked, a negative step would index from the end: the team's
+        # final set, or a vehicle's cut counted back from its last step.
+        res = run_mission(micro(variant="lawnmower", total_length=12))
+        with pytest.raises(ValueError, match="upto_step"):
+            rewind(res)
+
 
 class TestPerStepBeliefs:
     """Each vehicle's step-k set is a prefix of what it inserted, and the
@@ -609,7 +623,7 @@ class TestLawnmowerVariant:
             got = [e["action"] for e in res.events
                    if e["kind"] == "step" and e["agent"] == aid]
             assert [ACTION_SET[i] for i in got] == list(want.actions)
-            assert last_pose(res, aid) == want.final
+            assert last_pose(res, aid) == want.states[-1]
 
 
 class TestCompareMethods:

@@ -20,9 +20,9 @@ from isobath.motion import (
     sample_locations,
     step,
     sweep_locations,
-    walk,
     wrap_heading,
 )
+from reference import vectorized_sample_locations
 
 PARAMS = MotionParams(turn_radius=15.0, theta_max=math.pi / 2.0, speed=1.5)
 AREA = OperationalArea((0.0, 0.0), (600.0, 1000.0))
@@ -150,53 +150,28 @@ class TestRollout:
             Path((AgentState(0, 0, 0),), (0.0,))
 
 
-def vectorized_sample_locations(path, spacing):
-    """Array-at-a-time chord sampling, the reference for ``sample_locations``.
-
-    Every chord is handled in one set of numpy calls; the package walks
-    the chords in Python floats instead, and both must give the same
-    floats.
-    """
-    pos = np.array([(s.north, s.east) for s in path.states])
-    m = pos.shape[0] - 1
-    if m == 0:
-        return pos.copy()
-    a, b = pos[:-1], pos[1:]
-    diff = b - a
-    chord = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
-    cut = chord - 1e-9
-    k0 = np.floor(cut / spacing)
-    k0 -= k0 * spacing >= cut
-    k0 += (k0 + 1.0) * spacing < cut
-    counts = np.maximum(k0.astype(np.int64), 0)
-    total = int(counts.sum())
-    out = np.empty((1 + total + m, 2))
-    out[0] = pos[0]
-    block_start = 1 + np.concatenate(([0], np.cumsum(counts + 1)[:-1]))
-    out[block_start + counts] = b
-    if total:
-        chord_idx = np.repeat(np.arange(m), counts)
-        kvals = (
-            np.arange(total)
-            - np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            + 1.0
-        )
-        t = kvals * spacing / chord[chord_idx]
-        out[block_start[chord_idx] + kvals.astype(np.int64) - 1] = (
-            a[chord_idx] + t[:, None] * diff[chord_idx]
-        )
-    return out
+# Headings where the sweep's ties and signs of zero sit, plus any heading.
+HEADINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, math.pi / 2, -math.pi / 2, math.pi / 4]),
+    st.floats(-math.pi, math.pi),
+)
+# Starts up to 200 m outside the 600 x 1000 m area on every side.
+STARTS = st.builds(
+    AgentState, HEADINGS, st.floats(-200.0, 800.0), st.floats(-200.0, 1200.0)
+)
+SPACINGS = st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0])
 
 
 class TestSampleLocations:
     def test_zero_action_path_yields_start(self):
-        path = Path((AgentState(0.0, 10.0, 20.0),), ())
-        locs = sample_locations(path, 5.0)
+        start = AgentState(0.0, 10.0, 20.0)
+        locs, final, bounds = sample_locations(start, [], PARAMS, 5.0)
         assert locs.tolist() == [[10.0, 20.0]]
+        assert final == start
+        assert bounds == (10.0, 20.0, 10.0, 20.0)
 
     def test_straight_chord_spacing_and_endpoint(self):
-        path = rollout(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS)
-        locs = sample_locations(path, 5.0)
+        locs, _, _ = sample_locations(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS, 5.0)
         # Chord is r*pi/2 = 23.56 m: start, 4 interior points, endpoint.
         chord = 15.0 * math.pi / 2.0
         assert locs.shape == (6, 2)
@@ -208,8 +183,7 @@ class TestSampleLocations:
 
     def test_short_chord_contributes_endpoint_only(self):
         tiny = MotionParams(turn_radius=1.0, theta_max=1.0, speed=1.0)
-        path = rollout(AgentState(0.0, 0.0, 0.0), [0.0], tiny)
-        locs = sample_locations(path, 5.0)
+        locs, _, _ = sample_locations(AgentState(0.0, 0.0, 0.0), [0.0], tiny, 5.0)
         assert locs.shape == (2, 2)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
@@ -217,8 +191,9 @@ class TestSampleLocations:
     def test_each_state_position_appears_once(self, seed, n_actions):
         rng = np.random.default_rng(seed)
         actions = [ACTION_SET[i] for i in rng.integers(0, 11, n_actions)]
-        path = rollout(AgentState(0.5, 100.0, 100.0), actions, PARAMS)
-        locs = sample_locations(path, 5.0)
+        start = AgentState(0.5, 100.0, 100.0)
+        path = rollout(start, actions, PARAMS)
+        locs, _, _ = sample_locations(start, actions, PARAMS, 5.0)
         positions = np.array([(s.north, s.east) for s in path.states])
         for p in positions:
             dists = np.linalg.norm(locs - p, axis=1)
@@ -229,11 +204,11 @@ class TestSampleLocations:
         assert gaps.max() <= 5.0 + 1e-9
 
     @given(
-        st.integers(0, 2**31 - 1),
+        STARTS,
         st.lists(st.sampled_from(ACTION_SET), max_size=12),
         # The last spacing is the length of a straight run, so straight
         # chords end on a spacing multiple up to rounding.
-        st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0]),
+        SPACINGS,
         # A 1 m turn radius gives chords shorter than every spacing.
         st.sampled_from([1.0, 15.0]),
     )
@@ -241,22 +216,36 @@ class TestSampleLocations:
     # On this path, a chord length squared with ``**`` (the C library's
     # pow) differs from numpy's square by one ulp and moves a location.
     @example(
-        229, [ACTION_SET[i] for i in (4, 3, 9, 2, 6, 3, 3, 2, 9, 5, 10, 1)], 5.0, 15.0
+        AgentState(2.3957757130889403, 416.499135630341, -493.7148927698892),
+        [ACTION_SET[i] for i in (4, 3, 9, 2, 6, 3, 3, 2, 9, 5, 10, 1)],
+        5.0,
+        15.0,
     )
-    def test_equals_the_vectorized_sampler(self, seed, actions, spacing, radius):
-        rng = np.random.default_rng(seed)
-        start = AgentState(rng.uniform(-math.pi, math.pi), *rng.uniform(-500, 500, 2))
+    # The last turn wraps the heading to exactly -pi; wrapped a second
+    # time it would read pi.
+    @example(
+        AgentState(math.pi, 0.0, 0.0),
+        [ACTION_SET[i] for i in (3, 3, 3, 0, 0, 9, 10, 10)],
+        1.0,
+        1.0,
+    )
+    def test_equals_the_vectorized_sampler(self, start, actions, spacing, radius):
+        # The oracle samples the built path; the walker never builds it.
         params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
         path = rollout(start, actions, params)
-        got = sample_locations(path, spacing)
+        locs, final, bounds = sample_locations(start, actions, params, spacing)
         want = vectorized_sample_locations(path, spacing)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert locs.shape == want.shape
+        assert np.array_equal(locs, want)
+        last = path.states[-1]
+        assert (final.heading, final.north, final.east) == (
+            last.heading, last.north, last.east,
+        )
+        assert bounds == (*want.min(axis=0), *want.max(axis=0))
 
     def test_rejects_nonpositive_spacing(self):
-        path = rollout(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS)
         with pytest.raises(ValueError):
-            sample_locations(path, 0.0)
+            sample_locations(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS, 0.0)
 
 
 class TestLawnmower:
@@ -343,65 +332,28 @@ class TestLawnmower:
         np.testing.assert_allclose(gaps, want, atol=1e-6)
 
 
-# Headings where the sweep's ties and signs of zero sit, plus any heading.
-HEADINGS = st.one_of(
-    st.sampled_from([0.0, -0.0, math.pi, math.pi / 2, -math.pi / 2, math.pi / 4]),
-    st.floats(-math.pi, math.pi),
-)
-# Starts up to 200 m outside the 600 x 1000 m area on every side.
-STARTS = st.builds(
-    AgentState, HEADINGS, st.floats(-200.0, 800.0), st.floats(-200.0, 1200.0)
-)
-SPACINGS = st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0])
-
-
 class TestWalker:
-    """The Path-free walks equal sampling the built path."""
+    """The Path-free walkers against sampling the built path."""
 
     @given(STARTS, st.integers(0, 120), SPACINGS)
     @settings(max_examples=150, deadline=None)
     def test_sweep_locations_equal_the_sampled_sweep(self, start, n, spacing):
         got = sweep_locations(start, n, AREA, PARAMS, spacing)
-        want = sample_locations(lawnmower_path(start, n, AREA, PARAMS), spacing)[1:]
+        want = vectorized_sample_locations(
+            lawnmower_path(start, n, AREA, PARAMS), spacing
+        )[1:]
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-
-    @given(
-        STARTS,
-        st.lists(st.sampled_from(ACTION_SET), max_size=12),
-        SPACINGS,
-        st.sampled_from([1.0, 15.0]),
-    )
-    @settings(max_examples=300, deadline=None)
-    # The last turn wraps the heading to exactly -pi; wrapped a second
-    # time it would read pi.
-    @example(
-        AgentState(math.pi, 0.0, 0.0),
-        [ACTION_SET[i] for i in (3, 3, 3, 0, 0, 9, 10, 10)],
-        1.0,
-        1.0,
-    )
-    def test_walk_equals_the_sampled_rollout(self, start, actions, spacing, radius):
-        params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
-        path = rollout(start, actions, params)
-        locs, final, bounds = walk(start, actions, params, spacing)
-        want = sample_locations(path, spacing)
-        assert locs.shape == want.shape
-        assert np.array_equal(locs, want)
-        assert (final.heading, final.north, final.east) == (
-            path.final.heading, path.final.north, path.final.east,
-        )
-        assert bounds == (*want.min(axis=0), *want.max(axis=0))
 
     def test_walk_accepts_actions_within_tolerance_and_rejects_others(self):
         start = AgentState(0.3, 10.0, 20.0)
         near = [ACTION_SET[3] + 5e-10]
-        locs, final, _ = walk(start, near, PARAMS, 5.0)
+        locs, final, _ = sample_locations(start, near, PARAMS, 5.0)
         path = rollout(start, near, PARAMS)
-        assert np.array_equal(locs, sample_locations(path, 5.0))
-        assert final == path.final
+        assert np.array_equal(locs, vectorized_sample_locations(path, 5.0))
+        assert final == path.states[-1]
         with pytest.raises(ValueError):
-            walk(start, [0.1], PARAMS, 5.0)
+            sample_locations(start, [0.1], PARAMS, 5.0)
 
     def test_rejects_bad_arguments(self):
         start = AgentState(0.0, 10.0, 20.0)
@@ -410,4 +362,4 @@ class TestWalker:
         with pytest.raises(ValueError):
             sweep_locations(start, 3, AREA, PARAMS, 0.0)
         with pytest.raises(ValueError):
-            walk(start, [0.0], PARAMS, 0.0)
+            sample_locations(start, [0.0], PARAMS, 0.0)

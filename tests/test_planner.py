@@ -4,6 +4,7 @@ search."""
 
 import contextlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from isobath.motion import (
     lawnmower_path,
     rollout,
     sample_locations,
-    walk,
 )
 from isobath.planner import (
     BOUND_TOLERANCE,
@@ -33,13 +33,13 @@ from isobath.planner import (
     PlanConfig,
     PlanContext,
     PlanResult,
-    _completed_locations,
     _Node,
-    _tail_eligible,
+    _tail_credit,
     plan_episode,
     plan_locations,
 )
 from isobath.risk import LossParams, expected_bayes_risk_closed_batch
+from reference import vectorized_sample_locations
 
 AREA = OperationalArea((0.0, 0.0), (300.0, 400.0))
 KERNEL = KernelSpec(length_scale=40.0, signal_variance=25.0, noise_std=0.5)
@@ -166,8 +166,11 @@ class TestMarginalObjective:
         ctx = make_context(rng, n_data=n_data, n_base=n_base)
         ev = EpisodeEvaluator(ctx)
         start = AgentState(0.3, 80.0, 60.0)
-        short = sample_locations(rollout(start, [0.0, ACTION_SET[3]], MOTION), 5.0)
-        tail = sample_locations(lawnmower_path(start, 12, AREA, MOTION), 5.0)[1:]
+        short = vectorized_sample_locations(
+            rollout(start, [0.0, ACTION_SET[3]], MOTION), 5.0
+        )
+        sweep = lawnmower_path(start, 12, AREA, MOTION)
+        tail = vectorized_sample_locations(sweep, 5.0)[1:]
         sets = [
             short,
             np.empty((0, 2)),
@@ -206,20 +209,64 @@ class TestMarginalObjective:
                 assert d.min() >= ctx.data.min_spacing
 
 
+def oracle_plan_locations(start, action_indices, tail_steps, spacing):
+    """The oracle's samples of the rolled-out short path, then those of
+    the sweep from its final state, that state's position left out."""
+    short = rollout(start, [ACTION_SET[i] for i in action_indices], MOTION)
+    locs = vectorized_sample_locations(short, spacing)
+    if tail_steps <= 0:
+        return locs
+    tail = lawnmower_path(short.states[-1], tail_steps, AREA, MOTION)
+    return np.vstack([locs, vectorized_sample_locations(tail, spacing)[1:]])
+
+
+def credited(start, action_indices, context):
+    """``_tail_credit`` of a short path, given the walker's box."""
+    actions = [ACTION_SET[i] for i in action_indices]
+    _, _, bounds = sample_locations(start, actions, MOTION, context.sensor_spacing)
+    return _tail_credit(len(actions), bounds, context)
+
+
+# Starts up to 200 m outside the 300 x 400 m area on every side.
+STARTS = st.builds(
+    AgentState,
+    st.floats(-math.pi, math.pi),
+    st.floats(-200.0, 500.0),
+    st.floats(-200.0, 600.0),
+)
+SPACINGS = st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0])
+ACTION_INDICES = st.lists(st.integers(0, len(ACTION_SET) - 1), max_size=4)
+
+
 class TestPlanLocations:
     @pytest.mark.parametrize("steps", [1, 7, 30])
     def test_zero_action_path_is_the_bare_sweep(self, steps):
         # The naive value scores a zero-action plan plus its tail; that
         # must be exactly the sweep's own locations, start included once.
         start = AgentState(0.4, 120.0, 35.0)
-        got = plan_locations(Path((start,), ()), steps, AREA, MOTION, 5.0)
-        want = sample_locations(lawnmower_path(start, steps, AREA, MOTION), 5.0)
+        ctx = make_context(np.random.default_rng(0), n_data=0)
+        got = plan_locations(start, (), steps, ctx)
+        sweep = lawnmower_path(start, steps, AREA, MOTION)
+        want = vectorized_sample_locations(sweep, 5.0)
         assert np.array_equal(got, want)
 
     def test_no_tail_steps_is_the_path_alone(self):
-        short = rollout(AgentState(0.0, 100.0, 50.0), [0.0, ACTION_SET[2]], MOTION)
-        got = plan_locations(short, 0, AREA, MOTION, 5.0)
-        assert np.array_equal(got, sample_locations(short, 5.0))
+        start = AgentState(0.0, 100.0, 50.0)
+        ctx = make_context(np.random.default_rng(0), n_data=0)
+        got = plan_locations(start, (5, 2), 0, ctx)
+        short = rollout(start, [0.0, ACTION_SET[2]], MOTION)
+        assert np.array_equal(got, vectorized_sample_locations(short, 5.0))
+
+    @given(STARTS, ACTION_INDICES, st.integers(0, 120), SPACINGS)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_oracle_of_rollout_and_sweep(self, start, indices, tail_steps,
+                                                    spacing):
+        ctx = replace(make_context(np.random.default_rng(0), n_data=0),
+                      sensor_spacing=spacing)
+        got = plan_locations(start, tuple(indices), tail_steps, ctx)
+        want = oracle_plan_locations(start, indices, tail_steps, spacing)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestAugmentedReward:
@@ -227,21 +274,21 @@ class TestAugmentedReward:
         rng = np.random.default_rng(5)
         ctx = make_context(rng, n_data=8, remaining=15)
         start = AgentState(0.3, 80.0, 60.0)
-        short = rollout(start, [0.0, math.radians(30), math.radians(-10)], MOTION)
-        tail = lawnmower_path(short.final, 12, AREA, MOTION)
-        locs = np.vstack([
-            sample_locations(short, ctx.sensor_spacing),
-            sample_locations(tail, ctx.sensor_spacing)[1:],
-        ])
-        assert np.array_equal(_completed_locations(short, ctx), locs)
+        # Straight, +30 and -10 degrees.
+        indices = (5, 9, 3)
+        assert credited(start, indices, ctx) == 12
+        locs = oracle_plan_locations(start, indices, 12, ctx.sensor_spacing)
+        assert np.array_equal(plan_locations(start, indices, 12, ctx), locs)
 
     def test_no_remaining_length_reduces_to_plain_reward(self):
         rng = np.random.default_rng(6)
         ctx = make_context(rng, n_data=8, remaining=3)
         start = AgentState(0.0, 100.0, 50.0)
-        short = rollout(start, [0.0, 0.0, math.radians(20)], MOTION)
-        plain = sample_locations(short, ctx.sensor_spacing)
-        assert np.array_equal(_completed_locations(short, ctx), plain)
+        # Straight, straight, +20 degrees: the mission ends with them.
+        indices = (5, 5, 8)
+        assert credited(start, indices, ctx) == 0
+        plain = oracle_plan_locations(start, indices, 0, ctx.sensor_spacing)
+        assert np.array_equal(plan_locations(start, indices, 0, ctx), plain)
 
 
 class TestBoundaryContainment:
@@ -256,9 +303,9 @@ class TestBoundaryContainment:
         # r*theta_max = 23.6 m each, so three from 290 reach 360.7 > 330
         # and the path is out of bounds.
         start = AgentState(math.pi / 2, 290.0, 200.0)
-        short = rollout(start, [0.0, 0.0, 0.0], MOTION)
-        bare = sample_locations(short, ctx.sensor_spacing)
-        assert np.array_equal(_completed_locations(short, ctx), bare)
+        assert credited(start, (5, 5, 5), ctx) == 0
+        bare = oracle_plan_locations(start, (5, 5, 5), 0, ctx.sensor_spacing)
+        assert np.array_equal(plan_locations(start, (5, 5, 5), 0, ctx), bare)
 
     def test_apron_excursion_keeps_completion_credit(self):
         rng = np.random.default_rng(22)
@@ -267,34 +314,42 @@ class TestBoundaryContainment:
         # the apron, so the completion credit applies and is worth
         # something.
         start = AgentState(math.pi / 2, 290.0, 200.0)
-        short = rollout(start, [0.0], MOTION)
-        short_locs = sample_locations(short, ctx.sensor_spacing)
-        tail = lawnmower_path(short.final, 14, AREA, MOTION)
-        locs = np.vstack([short_locs, sample_locations(tail, ctx.sensor_spacing)[1:]])
-        assert np.array_equal(_completed_locations(short, ctx), locs)
+        assert credited(start, (5,), ctx) == 14
+        short_locs = oracle_plan_locations(start, (5,), 0, ctx.sensor_spacing)
+        locs = oracle_plan_locations(start, (5,), 14, ctx.sensor_spacing)
+        assert np.array_equal(plan_locations(start, (5,), 14, ctx), locs)
         completed, bare = EpisodeEvaluator(ctx).marginal(locs, short_locs)
         assert completed > bare
 
     @given(
-        st.floats(-math.pi, math.pi),
-        st.floats(-60.0, 360.0),
-        st.floats(-60.0, 460.0),
-        st.lists(st.sampled_from(ACTION_SET), min_size=1, max_size=4),
+        st.one_of(
+            # From the area's edges outward to just past its apron, where
+            # both verdicts sit close together ...
+            st.builds(AgentState, st.floats(-math.pi, math.pi),
+                      st.floats(-60.0, 360.0), st.floats(-60.0, 460.0)),
+            # ... and anywhere up to 200 m outside the area.
+            STARTS,
+        ),
+        ACTION_INDICES,
+        st.integers(0, 120),
+        SPACINGS,
     )
     @settings(max_examples=200, deadline=None)
-    def test_walk_bounds_decide_like_the_sampled_path(self, heading, north, east,
-                                                      actions):
-        # Starts from the area's edges outward to past its apron, so both
-        # verdicts occur; the walk's box must decide as the locations do.
-        ctx = make_context(np.random.default_rng(25), n_data=0)
-        start = AgentState(heading, north, east)
-        _, _, bounds = walk(start, actions, MOTION, ctx.sensor_spacing)
-        locs = sample_locations(rollout(start, actions, MOTION), ctx.sensor_spacing)
+    def test_walk_bounds_decide_like_the_sampled_path(self, start, indices,
+                                                      tail_steps, spacing):
+        # The rule's steps come from the walker's box; the oracle decides
+        # from the sampled path's every location. ``remaining_steps`` may
+        # fall short of the actions, which must earn nothing.
+        remaining = max(len(indices) + tail_steps - 2, 0)
+        ctx = replace(make_context(np.random.default_rng(25), n_data=0),
+                      sensor_spacing=spacing, remaining_steps=remaining)
+        locs = oracle_plan_locations(start, indices, 0, spacing)
         apron = 2.0 * MOTION.turn_radius
         lo = np.asarray(AREA.min_corner) - apron
         hi = np.asarray(AREA.max_corner) + apron
-        want = bool(np.all(locs >= lo) and np.all(locs <= hi))
-        assert _tail_eligible(bounds, ctx) == want
+        inside = bool(np.all(locs >= lo) and np.all(locs <= hi))
+        want = remaining - len(indices) if inside and remaining > len(indices) else 0
+        assert credited(start, indices, ctx) == want
 
     def test_search_turns_back_at_the_boundary(self):
         ctx = make_context(np.random.default_rng(23), n_data=8, remaining=12)
@@ -302,7 +357,7 @@ class TestBoundaryContainment:
         # completion credit, so the chosen plan must stay in the apron.
         start = AgentState(math.pi / 2, 295.0, 200.0)
         result = plan_episode(start, ctx, plan_cfg(), np.random.default_rng(24))
-        locs = sample_locations(result.path, ctx.sensor_spacing)
+        locs = vectorized_sample_locations(result.path, ctx.sensor_spacing)
         assert locs[:, 0].max() <= 300.0 + 2 * MOTION.turn_radius + 1e-9
         assert result.value >= result.naive_value - 1e-9
 
@@ -347,7 +402,7 @@ class TestPlanEpisode:
         res = plan_episode(start, ctx, plan_cfg(), np.random.default_rng(1))
         sweep = lawnmower_path(start, 10, AREA, MOTION)
         want = EpisodeEvaluator(ctx).marginal(
-            sample_locations(sweep, ctx.sensor_spacing)
+            vectorized_sample_locations(sweep, ctx.sensor_spacing)
         )[0]
         assert res.naive_value == pytest.approx(want, rel=1e-12)
 
@@ -380,7 +435,8 @@ class TestPlanEpisode:
                                rng.uniform(40, 260), rng.uniform(40, 360))
             ev = EpisodeEvaluator(ctx)
             brute = ev.marginal(*(
-                sample_locations(rollout(start, [a], MOTION), ctx.sensor_spacing)
+                vectorized_sample_locations(rollout(start, [a], MOTION),
+                                            ctx.sensor_spacing)
                 for a in ACTION_SET
             ))
             res = plan_episode(start, ctx,
@@ -414,11 +470,11 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     evaluator = EpisodeEvaluator(context)
     n_actions = len(ACTION_SET)
     straight = ACTION_SET.index(0.0)
+    spacing = context.sensor_spacing
     if config.use_terminal_reward:
-        naive_value = evaluator.marginal(plan_locations(
-            Path((start,), ()), context.remaining_steps, context.area,
-            context.motion, context.sensor_spacing,
-        ))[0]
+        sweep = lawnmower_path(start, context.remaining_steps, context.area,
+                               context.motion)
+        naive_value = evaluator.marginal(vectorized_sample_locations(sweep, spacing))[0]
     else:
         naive_value = 0.0
     if horizon <= 0:
@@ -439,18 +495,18 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
                 counts["memo_hit"] = counts.get("memo_hit", 0) + 1
             return value_memo[actions]
         short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
-        short_locs = sample_locations(short, context.sensor_spacing)
+        short_locs = vectorized_sample_locations(short, spacing)
         sets = [short_locs]
         key = None
         if config.use_terminal_reward:
             tail_steps = max(context.remaining_steps - len(short), 0)
             box = (*short_locs.min(axis=0), *short_locs.max(axis=0))
-            if tail_steps > 0 and _tail_eligible(box, context):
-                key = planner._quantize(short.final)
+            if _tail_credit(len(short), box, context):
+                key = planner._quantize(short.states[-1])
                 if key not in tail_memo:
-                    tail = lawnmower_path(short.final, tail_steps, context.area,
+                    tail = lawnmower_path(short.states[-1], tail_steps, context.area,
                                           context.motion)
-                    sets.append(sample_locations(tail, context.sensor_spacing)[1:])
+                    sets.append(vectorized_sample_locations(tail, spacing)[1:])
                 elif in_warm_up:
                     counts["shared_tail"] = counts.get("shared_tail", 0) + 1
             elif tail_steps > 0 and in_warm_up:
@@ -517,7 +573,14 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     fell_back = False
     if config.use_terminal_reward:
         short = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
-        jbar = evaluator.marginal(_completed_locations(short, context))[0]
+        locs = vectorized_sample_locations(short, spacing)
+        box = (*locs.min(axis=0), *locs.max(axis=0))
+        tail_steps = _tail_credit(len(short), box, context)
+        if tail_steps:
+            tail = lawnmower_path(short.states[-1], tail_steps, context.area,
+                                  context.motion)
+            locs = np.vstack([locs, vectorized_sample_locations(tail, spacing)[1:]])
+        jbar = evaluator.marginal(locs)[0]
         evaluations += 1
         if jbar + BOUND_TOLERANCE < naive_value:
             best_actions = seed_actions

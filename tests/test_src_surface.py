@@ -13,12 +13,17 @@ attribute) counts as read when some ``src/`` code reads an attribute of
 that name. The check goes by name alone, so it misses a member whose
 name another class's member shares, but it never flags a member that is
 read.
+
+A name a ``src/`` module imports but never uses is there only for the
+benchmark's tracer (``perfbench/tracing.py``), which wraps it in that
+module, so it must be one of the tracer's targets.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "isobath"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
 def _references(node) -> set[str]:
@@ -129,3 +134,44 @@ def unread_members() -> list[str]:
 def test_every_class_member_is_read_in_src():
     unread = unread_members()
     assert not unread, f"members no src/isobath code reads: {unread}"
+
+
+def trace_targets() -> set[str]:
+    """The ``"isobath.<module>:<name>"`` strings of the tracer's ``TARGETS``,
+    read from its source without importing it."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    targets = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in stmt.targets
+        ):
+            for call in ast.walk(stmt.value):
+                if isinstance(call, ast.Call) and call.args:
+                    targets.add(ast.literal_eval(call.args[0]))
+    return targets
+
+
+def unused_imports() -> list[str]:
+    """``module:name`` for each name a ``src/`` module imports and never uses."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, used = set(), set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                imported |= {
+                    alias.asname or alias.name.split(".")[0] for alias in stmt.names
+                }
+            else:
+                used |= _references(stmt)
+        unused += [f"{path.stem}:{name}" for name in sorted(imported - used)]
+    return unused
+
+
+def test_tracer_only_imports_are_trace_targets():
+    targets = trace_targets()
+    assert "isobath.planner:EpisodeEvaluator.marginal" in targets
+    stale = [name for name in unused_imports() if f"isobath.{name}" not in targets]
+    assert not stale, f"imported, unused, and wrapped by no tracer target: {stale}"
