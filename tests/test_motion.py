@@ -221,27 +221,14 @@ class TestSampleLocations:
         5.0,
         15.0,
     )
-    # The last turn wraps the heading to exactly -pi; wrapped a second
-    # time it would read pi.
-    @example(
-        AgentState(math.pi, 0.0, 0.0),
-        [ACTION_SET[i] for i in (3, 3, 3, 0, 0, 9, 10, 10)],
-        1.0,
-        1.0,
-    )
     def test_equals_the_vectorized_sampler(self, start, actions, spacing, radius):
         # The oracle samples the built path; the walker never builds it.
         params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
         path = rollout(start, actions, params)
-        locs, final, bounds = sample_locations(start, actions, params, spacing)
+        locs, _, _ = sample_locations(start, actions, params, spacing)
         want = vectorized_sample_locations(path, spacing)
         assert locs.shape == want.shape
         assert np.array_equal(locs, want)
-        last = path.states[-1]
-        assert (final.heading, final.north, final.east) == (
-            last.heading, last.north, last.east,
-        )
-        assert bounds == (*want.min(axis=0), *want.max(axis=0))
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
@@ -344,6 +331,34 @@ class TestWalker:
         )[1:]
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @given(
+        STARTS,
+        st.lists(st.sampled_from(ACTION_SET), max_size=12),
+        SPACINGS,
+        st.sampled_from([1.0, 15.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # The last turn wraps the heading to exactly -pi; wrapped a second
+    # time it would read pi.
+    @example(
+        AgentState(math.pi, 0.0, 0.0),
+        [ACTION_SET[i] for i in (3, 3, 3, 0, 0, 9, 10, 10)],
+        1.0,
+        1.0,
+    )
+    def test_walk_equals_the_sampled_rollout(self, start, actions, spacing, radius):
+        # The final state and box of one walk equal those of the built path.
+        params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
+        path = rollout(start, actions, params)
+        locs, final, bounds = sample_locations(start, actions, params, spacing)
+        want = vectorized_sample_locations(path, spacing)
+        assert np.array_equal(locs, want)
+        last = path.states[-1]
+        assert (final.heading, final.north, final.east) == (
+            last.heading, last.north, last.east,
+        )
+        assert bounds == (*want.min(axis=0), *want.max(axis=0))
 
     def test_walk_accepts_actions_within_tolerance_and_rejects_others(self):
         start = AgentState(0.3, 10.0, 20.0)
