@@ -33,7 +33,6 @@ from .errors import ConfigurationError, IsobathError
 from .mission import (
     MissionConfig,
     accumulated_reward_trace,
-    agent_data,
     compare_methods,
     delivery_rate,
     risk_snapshot,
@@ -148,9 +147,8 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         "mid_accumulated_reward": float(trace[len(trace) // 2]),
         # None, written as null, when nobody could receive: a lone vehicle.
         "comm_delivery_rate": delivery_rate(result),
-        "merged_belief_sizes": [
-            len(agent_data(result, i)) for i in range(cfg.team_size)
-        ],
+        # What each vehicle inserted is its final data set, by construction.
+        "merged_belief_sizes": [len(inserted) for inserted in result.replay.inserted],
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

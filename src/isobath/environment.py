@@ -45,10 +45,6 @@ class AnalyticBathymetry:
     def __init__(self, fn):
         self._fn = fn
 
-    def depth_at(self, point) -> float:
-        pts = np.asarray(point, dtype=float).reshape(-1, 2)
-        return float(self._fn(pts)[0])
-
     def depth_grid(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         return np.asarray(self._fn(pts), dtype=float)
@@ -139,7 +135,11 @@ def synthetic_lake(
             raise ConfigurationError("ridge endpoints must be distinct")
 
         def fn(pts):
-            t = np.clip(((pts - a) @ seg) / seg_len2, 0.0, 1.0)
+            # Elementwise, not ``(pts - a) @ seg``: a matrix product rounds
+            # differently with the number of rows, and each depth must not
+            # depend on the points evaluated with it.
+            rel = pts - a
+            t = np.clip((rel[:, 0] * seg[0] + rel[:, 1] * seg[1]) / seg_len2, 0.0, 1.0)
             foot = a[None, :] + t[:, None] * seg[None, :]
             d2 = np.sum((pts - foot) ** 2, axis=1)
             return bg - h * np.exp(-d2 / (2 * w * w))
@@ -174,11 +174,22 @@ class SensorModel:
             raise ValueError("sample_spacing must be positive")
 
 
-def sample_depth(bathymetry, sensor: SensorModel, location, rng) -> Sample:
-    """Draw one noisy depth measurement at ``location``."""
-    truth = bathymetry.depth_at(location)
-    noise = float(rng.normal(0.0, sensor.noise_std)) if sensor.noise_std > 0 else 0.0
-    return Sample((float(location[0]), float(location[1])), truth + noise)
+def sample_depth(bathymetry, sensor: SensorModel, locations, rng) -> list[Sample]:
+    """Draw one noisy depth measurement at each row of ``locations``, (n, 2).
+
+    One truth evaluation and one draw of n normals: each lake family
+    computes a depth from its own row alone, and ``rng`` yields the same
+    values as n single draws, so the samples do not depend on how the
+    locations are batched.
+    """
+    pts = np.asarray(locations, dtype=float).reshape(-1, 2)
+    values = bathymetry.depth_grid(pts)
+    if sensor.noise_std > 0:
+        values = values + rng.normal(0.0, sensor.noise_std, size=len(pts))
+    return [
+        Sample((north, east), value)
+        for (north, east), value in zip(pts.tolist(), values.tolist())
+    ]
 
 
 def eval_grid(area: OperationalArea, resolution: float) -> np.ndarray:

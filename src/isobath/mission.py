@@ -4,7 +4,9 @@ Three things happen on the simulated clock: vehicles finish path
 segments (then replan and keep going), sample events fire as a vehicle
 passes each measurement point along its segment, and TDMA slots open,
 letting the slot's owner broadcast its plan and a byte-budgeted slice of
-its unsent measurements to the rest of the team: slot k opens at
+its unsent measurements to the rest of the team. A step's soundings are
+drawn when its segment starts, in one ``sample_depth`` call; each is
+inserted and logged when its sample event fires. Slot k opens at
 ``k * slot_duration`` and is vehicle ``k % team_size``'s. Deliveries
 land after a fixed latency and are dropped independently per recipient.
 
@@ -323,8 +325,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
     def log(t, kind, **fields):
         events.append({"t": float(t), "kind": kind, **fields})
 
-    def take_sample(t, agent: _AgentRuntime, loc, step_index):
-        s = sample_depth(bathymetry, sensor, (loc[0], loc[1]), agent.sensor_rng)
+    def take_sample(t, agent: _AgentRuntime, s: Sample, step_index):
         accepted = agent.data.insert(s)
         if accepted:
             agent.queue.append((s.location[0], s.location[1], s.value))
@@ -391,10 +392,11 @@ def run_mission(config: MissionConfig) -> MissionResult:
         t_end = t + seg_len / agent.motion.speed
         norms = np.linalg.norm(locs - locs[0], axis=1)
         chord = max(float(norms[-1]), 1e-12)
-        for loc, dist in zip(locs[1:], norms[1:]):
-            # Time along the segment, scaled onto the full arc length.
-            push(t + (dist / chord) * seg_len / agent.motion.speed,
-                 "sample", (agent.id, (float(loc[0]), float(loc[1]))))
+        # Time along the segment, scaled onto the full arc length.
+        times = t + (norms[1:] / chord) * seg_len / agent.motion.speed
+        samples = sample_depth(bathymetry, sensor, locs[1:], agent.sensor_rng)
+        for t_sample, s in zip(times.tolist(), samples):
+            push(t_sample, "sample", (agent.id, s))
         push(t_end, "segment_end", (agent.id, final, action))
 
     def broadcast(t, slot):
@@ -460,7 +462,9 @@ def run_mission(config: MissionConfig) -> MissionResult:
 
     # Mission start: every vehicle samples its start point, then plans.
     for agent in agents:
-        push(0.0, "sample", (agent.id, (agent.state.north, agent.state.east)))
+        start = [(agent.state.north, agent.state.east)]
+        push(0.0, "sample",
+             (agent.id, sample_depth(bathymetry, sensor, start, agent.sensor_rng)[0]))
     for agent in agents:
         push(0.0, "launch", (agent.id,))
     push(0.0, "slot", 0)

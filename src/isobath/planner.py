@@ -443,7 +443,8 @@ def plan_episode(
         return PlanResult(Path((start,), ()), naive_value, naive_value, False, 0)
 
     tail_memo: dict[tuple[int, int, int], float] = {}
-    value_memo: dict[tuple[int, ...], float] = {}
+    # Action tuple -> (value, sweep steps its short path earns).
+    value_memo: dict[tuple[int, ...], tuple[float, int]] = {}
     evaluations = 0
 
     def evaluate(batch, extra=()) -> list[float]:
@@ -456,7 +457,7 @@ def plan_episode(
         """
         nonlocal evaluations
         sets = list(extra)
-        fresh = {}  # new action tuple -> (index of its short set, tail key)
+        fresh = {}  # new action tuple -> (index of its short set, tail key, steps)
         tail_sets = {}  # tail key -> index of the tail set scored here
         for actions in batch:
             if actions in value_memo or actions in fresh:
@@ -465,12 +466,12 @@ def plan_episode(
                 start, [ACTION_SET[i] for i in actions], context.motion,
                 context.sensor_spacing,
             )
-            key = None
+            key, tail_steps = None, 0
             if config.use_terminal_reward:
                 tail_steps = _tail_credit(len(actions), bounds, context)
                 if tail_steps:
                     key = _quantize(final)
-            fresh[actions] = (len(sets), key)
+            fresh[actions] = (len(sets), key, tail_steps)
             sets.append(short_locs)
             if key is not None and key not in tail_memo and key not in tail_sets:
                 tail_sets[key] = len(sets)
@@ -478,13 +479,13 @@ def plan_episode(
         values = evaluator.marginal(*sets) if sets else []
         for key, i in tail_sets.items():
             tail_memo[key] = values[i]
-        for actions, (i, key) in fresh.items():
+        for actions, (i, key, tail_steps) in fresh.items():
             value = values[i]
             if key is not None:
                 value += tail_memo[key]
-            value_memo[actions] = value
+            value_memo[actions] = (value, tail_steps)
         evaluations += len(fresh)
-        return values[:len(extra)] + [value_memo[actions] for actions in batch]
+        return values[:len(extra)] + [value_memo[actions][0] for actions in batch]
 
     # Evaluate the sweep policy's own prefix first, so the returned plan
     # never falls below the policy the terminal reward extrapolates: the
@@ -535,9 +536,7 @@ def plan_episode(
         # additive split above is only a search heuristic; near the
         # critical level it can undervalue a plan, so the final
         # comparison against the sweep policy must not rely on it.
-        best = [ACTION_SET[i] for i in best_actions]
-        _, _, bounds = sample_locations(start, best, context.motion, context.sensor_spacing)
-        tail_steps = _tail_credit(len(best), bounds, context)
+        tail_steps = value_memo[best_actions][1]
         locs = plan_locations(start, best_actions, tail_steps, context)
         jbar = evaluator.marginal(locs)[0]
         evaluations += 1

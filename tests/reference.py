@@ -21,7 +21,10 @@ against the other:
   each rebuilt from the whole log for every step asked:
   ``global_data_from_scratch`` for the team and
   ``agent_data_by_two_rules`` for one vehicle, where the mission code
-  walks the log once.
+  walks the log once;
+- the value of every logged sample, sounded one at a time in each
+  vehicle's sample order (``sensor_readings``), where the mission sounds
+  a whole segment in one call.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from isobath.environment import synthetic_lake
 from isobath.errors import NumericalError
 from isobath.gp import (
     Belief,
@@ -430,3 +434,34 @@ def agent_data_by_two_rules(
             for north, east, value in e["inserted"]:
                 data.insert(Sample((north, east), value))
     return data
+
+
+def sensor_readings(result) -> list[float]:
+    """The value of every ``sample`` event, each sounded alone.
+
+    A reading is the lake's depth at the event's location, from a one-row
+    evaluation, plus one scalar normal draw when the sensor is noisy.
+    Vehicle i draws from ``SeedSequence(seed).spawn(2n + 1)[i]``, one
+    draw per sample in the order its samples are logged: its start
+    sample, then each step's samples along the segment.
+    """
+    config = result.config
+    lake = synthetic_lake(
+        config.bathymetry_family, config.bathymetry_params, config.area(),
+        level=config.level,
+    )
+    n = config.team_size
+    rngs = [
+        np.random.default_rng(c)
+        for c in np.random.SeedSequence(config.seed).spawn(2 * n + 1)[:n]
+    ]
+    readings = []
+    for e in result.events:
+        if e["kind"] != "sample":
+            continue
+        truth = float(lake.depth_grid(np.array([[e["north"], e["east"]]]))[0])
+        noise = 0.0
+        if config.noise_std > 0:
+            noise = float(rngs[e["agent"]].normal(0.0, config.noise_std))
+        readings.append(truth + noise)
+    return readings

@@ -18,6 +18,29 @@ from isobath.gp import Sample
 
 AREA = OperationalArea((0.0, 0.0), (200.0, 300.0))
 
+# One lake of each family on AREA.
+LAKES = {
+    "plane": {"depth0": 5.0, "gradient_north": 0.1, "gradient_east": 0.02},
+    "gaussian-basin": {
+        "background": 5.0, "center": (100.0, 150.0), "radius": 80.0, "max_depth": 25.0,
+    },
+    "two-basin": {
+        "background": 5.0, "center1": (50.0, 80.0), "radius1": 40.0,
+        "max_depth1": 22.0, "center2": (150.0, 220.0), "radius2": 50.0,
+        "max_depth2": 28.0,
+    },
+    # Askew to both axes, so that the projection onto it rounds.
+    "ridge": {
+        "background": 22.0, "start": (10.0, 40.0), "end": (190.0, 260.0),
+        "height": 12.0, "width": 30.0,
+    },
+}
+
+
+def depth_of(lake, point) -> float:
+    """The lake's depth at one point, from a one-row evaluation."""
+    return float(lake.depth_grid([point])[0])
+
 
 # ---------------------------------------------------------------------------
 # OperationalArea
@@ -38,14 +61,32 @@ def test_area_rejects_degenerate_rectangle():
 # Analytic bathymetry
 
 
-def test_analytic_depth_at_matches_grid_evaluation():
+def test_analytic_depth_grid_evaluates_its_function_row_by_row():
     bathy = AnalyticBathymetry(lambda pts: 3.0 + 0.1 * pts[:, 0] - 0.05 * pts[:, 1])
     pts = np.array([[0.0, 0.0], [10.0, 20.0], [100.0, 5.0]])
     grid = bathy.depth_grid(pts)
     assert grid.shape == (3,)
     for k, p in enumerate(pts):
-        assert bathy.depth_at(p) == pytest.approx(grid[k], abs=0.0)
-    assert bathy.depth_at((10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
+        assert depth_of(bathy, p) == grid[k]
+    assert depth_of(bathy, (10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
+    # A flat (n*2,) input is read as rows too.
+    assert np.array_equal(bathy.depth_grid(pts.ravel()), grid)
+
+
+@pytest.mark.parametrize("family", sorted(LAKES))
+def test_every_family_depth_is_independent_of_the_batch(family):
+    # The mission sounds a whole segment in one call, so a depth must not
+    # depend on which points are evaluated with it: batches of any size
+    # give the bits that one-row evaluations give.
+    lake = synthetic_lake(family, LAKES[family], AREA)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform((-100.0, -100.0), (300.0, 400.0), size=(600, 2))
+    one_by_one = np.array([depth_of(lake, p) for p in pts])
+    for size in (2, 3, 5, 7, len(pts)):
+        batched = np.concatenate(
+            [lake.depth_grid(pts[i:i + size]) for i in range(0, len(pts), size)]
+        )
+        assert np.array_equal(batched, one_by_one), (family, size)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +99,8 @@ def test_plane_family_matches_its_gradient():
         {"depth0": 5.0, "gradient_north": 0.1, "gradient_east": 0.02},
         AREA,
     )
-    assert lake.depth_at((0.0, 0.0)) == pytest.approx(5.0)
-    assert lake.depth_at((100.0, 50.0)) == pytest.approx(5.0 + 10.0 + 1.0)
+    assert depth_of(lake, (0.0, 0.0)) == pytest.approx(5.0)
+    assert depth_of(lake, (100.0, 50.0)) == pytest.approx(5.0 + 10.0 + 1.0)
 
 
 def test_gaussian_basin_peaks_at_its_center():
@@ -68,11 +109,11 @@ def test_gaussian_basin_peaks_at_its_center():
         {"background": 5.0, "center": (100.0, 150.0), "radius": 80.0, "max_depth": 25.0},
         AREA,
     )
-    assert lake.depth_at((100.0, 150.0)) == pytest.approx(25.0)
+    assert depth_of(lake, (100.0, 150.0)) == pytest.approx(25.0)
     # One radius out the excess depth decays by exp(-1/2).
     expected = 5.0 + 20.0 * math.exp(-0.5)
-    assert lake.depth_at((180.0, 150.0)) == pytest.approx(expected)
-    assert lake.depth_at((100.0, 70.0)) == pytest.approx(expected)
+    assert depth_of(lake, (180.0, 150.0)) == pytest.approx(expected)
+    assert depth_of(lake, (100.0, 70.0)) == pytest.approx(expected)
 
 
 def test_two_basin_family_superposes_both_wells():
@@ -89,8 +130,8 @@ def test_two_basin_family_superposes_both_wells():
     d12 = (50.0 - 150.0) ** 2 + (80.0 - 220.0) ** 2
     at_c1 = 5.0 + 17.0 + 23.0 * math.exp(-d12 / (2 * 50.0**2))
     at_c2 = 5.0 + 23.0 + 17.0 * math.exp(-d12 / (2 * 40.0**2))
-    assert lake.depth_at((50.0, 80.0)) == pytest.approx(at_c1)
-    assert lake.depth_at((150.0, 220.0)) == pytest.approx(at_c2)
+    assert depth_of(lake, (50.0, 80.0)) == pytest.approx(at_c1)
+    assert depth_of(lake, (150.0, 220.0)) == pytest.approx(at_c2)
 
 
 def test_ridge_family_is_shallowest_on_the_crest():
@@ -106,10 +147,10 @@ def test_ridge_family_is_shallowest_on_the_crest():
         AREA,
     )
     # Any point on the segment sits on the crest: depth = background - height.
-    assert lake.depth_at((100.0, 150.0)) == pytest.approx(10.0)
-    assert lake.depth_at((30.0, 150.0)) == pytest.approx(10.0)
+    assert depth_of(lake, (100.0, 150.0)) == pytest.approx(10.0)
+    assert depth_of(lake, (30.0, 150.0)) == pytest.approx(10.0)
     # Off-crest it deepens back toward the background.
-    assert lake.depth_at((100.0, 240.0)) > 20.0
+    assert depth_of(lake, (100.0, 240.0)) > 20.0
 
 
 def test_unknown_family_and_missing_params_raise():
@@ -154,26 +195,26 @@ def test_sensor_model_validation():
 
 
 def test_noiseless_sensor_returns_truth():
-    lake = synthetic_lake(
-        "gaussian-basin",
-        {"background": 5.0, "center": (100.0, 150.0), "radius": 80.0, "max_depth": 25.0},
-        AREA,
-    )
+    lake = synthetic_lake("gaussian-basin", LAKES["gaussian-basin"], AREA)
     sensor = SensorModel(noise_std=0.0)
     rng = np.random.default_rng(0)
-    s = sample_depth(lake, sensor, (100.0, 150.0), rng)
-    assert isinstance(s, Sample)
-    assert s.location == (100.0, 150.0)
-    assert s.value == pytest.approx(25.0, abs=0.0)
+    pts = np.array([[100.0, 150.0], [0.0, 0.0], [37.5, 212.25], [180.0, 150.0]])
+    samples = sample_depth(lake, sensor, pts, rng)
+    assert len(samples) == len(pts)
+    for s, p in zip(samples, pts):
+        assert isinstance(s, Sample)
+        assert s.location == (p[0], p[1])
+        assert s.value == depth_of(lake, p)
+    assert samples[0].value == pytest.approx(25.0, abs=0.0)
+    assert sample_depth(lake, sensor, np.empty((0, 2)), rng) == []
 
 
 def test_noisy_sensor_is_unbiased_with_matching_spread():
     lake = AnalyticBathymetry(lambda pts: np.full(pts.shape[0], 12.0))
     sensor = SensorModel(noise_std=0.5)
     rng = np.random.default_rng(42)
-    values = np.array(
-        [sample_depth(lake, sensor, (10.0, 10.0), rng).value for _ in range(4000)]
-    )
+    pts = np.tile([10.0, 10.0], (4000, 1))
+    values = np.array([s.value for s in sample_depth(lake, sensor, pts, rng)])
     assert values.mean() == pytest.approx(12.0, abs=0.05)
     assert values.std() == pytest.approx(0.5, abs=0.05)
 
@@ -181,9 +222,14 @@ def test_noisy_sensor_is_unbiased_with_matching_spread():
 def test_sensor_draws_are_seed_reproducible():
     lake = AnalyticBathymetry(lambda pts: np.full(pts.shape[0], 12.0))
     sensor = SensorModel(noise_std=0.5)
-    a = [sample_depth(lake, sensor, (1.0, 2.0), np.random.default_rng(3)).value]
-    b = [sample_depth(lake, sensor, (1.0, 2.0), np.random.default_rng(3)).value]
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
+    a = sample_depth(lake, sensor, pts, np.random.default_rng(3))
+    b = sample_depth(lake, sensor, pts, np.random.default_rng(3))
     assert a == b
+    assert len({s.value for s in a}) == len(pts)
+    # One call draws what one call per row draws from the same generator.
+    rng = np.random.default_rng(3)
+    assert [sample_depth(lake, sensor, [p], rng)[0] for p in pts] == a
 
 
 # ---------------------------------------------------------------------------

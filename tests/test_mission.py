@@ -33,7 +33,11 @@ from isobath.mission import (
 )
 from isobath.motion import ACTION_SET, AgentState, lawnmower_path, step
 from isobath.risk import bayes_risk_batch, risk_field
-from reference import agent_data_by_two_rules, global_data_from_scratch
+from reference import (
+    agent_data_by_two_rules,
+    global_data_from_scratch,
+    sensor_readings,
+)
 
 
 def micro(**kw):
@@ -295,6 +299,15 @@ class TestEventLog:
         assert '"accepted": 1' in text and '"fell_back": 0' in text
         assert '"tail": 1' in text
         assert "true" not in text and "false" not in text
+
+    @pytest.mark.parametrize("variant", ["terminal", "plain", "lawnmower"])
+    def test_every_sample_is_the_truth_plus_its_own_draw(self, variant):
+        # A segment's soundings come from one call; the oracle sounds each
+        # sample alone, one scalar draw after another.
+        result = run_mission(micro(variant=variant))
+        values = [e["value"] for e in result.events if e["kind"] == "sample"]
+        assert len(values) > 10 * result.config.total_length
+        assert values == sensor_readings(result)
 
 
 class TestRewardTrace:

@@ -9,11 +9,14 @@ vehicle knew at any step.
 ``tests/trace_fixture.py`` defines the missions and rewrites the fixtures.
 """
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
+import trace_fixture
 from trace_fixture import BELIEFS, FIXTURE, belief_hashes, reward_traces
 
 
@@ -36,3 +39,36 @@ def test_reward_trace_matches_the_fixture(traces, key):
 @pytest.mark.parametrize("key", sorted(json.loads(BELIEFS.read_text())))
 def test_per_step_beliefs_match_the_fixture(beliefs, key):
     assert beliefs[key] == json.loads(BELIEFS.read_text())[key]
+
+
+def test_check_reports_without_rewriting(traces, beliefs, monkeypatch, capsys):
+    before = (FIXTURE.read_bytes(), BELIEFS.read_bytes())
+    monkeypatch.setattr(trace_fixture, "reward_traces", lambda: traces)
+    monkeypatch.setattr(trace_fixture, "belief_hashes", lambda: beliefs)
+    assert trace_fixture.main(["--check"]) == 0
+    assert (FIXTURE.read_bytes(), BELIEFS.read_bytes()) == before
+    out = capsys.readouterr().out
+    assert "trace entries compared: 0 moved" in out
+    assert "belief digests compared: 0 moved" in out
+    assert trace_fixture.main(["--rewrite"]) == 2
+
+
+@pytest.mark.parametrize("change", ["trace", "belief", "step"])
+def test_check_exits_one_when_anything_moved(
+    traces, beliefs, monkeypatch, capsys, change
+):
+    before = (FIXTURE.read_bytes(), BELIEFS.read_bytes())
+    traces, beliefs = copy.deepcopy(traces), copy.deepcopy(beliefs)
+    key = sorted(traces)[0]
+    if change == "trace":
+        # One ulp of one entry.
+        traces[key][-1] = math.nextafter(traces[key][-1], math.inf)
+    elif change == "belief":
+        beliefs[key]["global"][-1] = "0" * 64
+    else:
+        traces[key].append(traces[key][-1])
+    monkeypatch.setattr(trace_fixture, "reward_traces", lambda: traces)
+    monkeypatch.setattr(trace_fixture, "belief_hashes", lambda: beliefs)
+    assert trace_fixture.main(["--check"]) == 1
+    assert (FIXTURE.read_bytes(), BELIEFS.read_bytes()) == before
+    assert " 1 moved" in capsys.readouterr().out

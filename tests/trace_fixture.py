@@ -9,12 +9,20 @@ Regenerate the files only from a commit whose outputs are known good,
 since the test exists to catch a change that moves them:
 
     PYTHONPATH=src python tests/trace_fixture.py
+
+A regeneration prints what moved against the files it replaces: how many
+trace entries changed in any bit, and how many per-step belief digests
+changed. With ``--check`` it prints only that line, leaves both files as
+they are, and exits 1 when anything moved and 0 when nothing did:
+
+    PYTHONPATH=src python tests/trace_fixture.py --check
 """
 
 import dataclasses
 import functools
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from isobath.cli import load_config
@@ -83,9 +91,65 @@ def belief_hashes() -> dict[str, dict[str, list[str]]]:
     return out
 
 
-if __name__ == "__main__":
+def _count_moved(old: dict, new: dict) -> tuple[int, int]:
+    """(entries in ``new``, entries that differ from ``old``), over lists by key.
+
+    An entry that only one side has counts as moved.
+    """
+    compared = moved = 0
+    for key in old.keys() | new.keys():
+        a, b = old.get(key, []), new.get(key, [])
+        compared += len(b)
+        moved += sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    return compared, moved
+
+
+def _rows(beliefs: dict) -> dict:
+    """Belief digests as one list per case, seed and data set."""
+    return {
+        f"{key}/{name}": row
+        for key, rows in beliefs.items()
+        for name, row in rows.items()
+    }
+
+
+def moved(old_traces, new_traces, old_beliefs, new_beliefs) -> tuple[str, bool]:
+    """How the new traces and beliefs differ from the old, in one line, and
+    whether anything moved."""
+    entries, entries_moved = _count_moved(old_traces, new_traces)
+    digests, digests_moved = _count_moved(_rows(old_beliefs), _rows(new_beliefs))
+    line = (
+        f"{entries} trace entries compared: {entries_moved} moved; "
+        f"{digests} per-step belief digests compared: {digests_moved} moved"
+    )
+    return line, bool(entries_moved or digests_moved)
+
+
+def main(argv) -> int:
+    """Regenerate both fixtures, or with ``--check`` only report what moved."""
+    if argv not in ([], ["--check"]):
+        print("usage: trace_fixture.py [--check]", file=sys.stderr)
+        return 2
+    check = bool(argv)
+    exist = FIXTURE.exists() and BELIEFS.exists()
+    if check and not exist:
+        print(f"{FIXTURE} or {BELIEFS} does not exist", file=sys.stderr)
+        return 2
+    traces, beliefs = reward_traces(), belief_hashes()
+    if exist:
+        line, changed = moved(
+            json.loads(FIXTURE.read_text()), traces,
+            json.loads(BELIEFS.read_text()), beliefs,
+        )
+        print(line)
+        if check:
+            return int(changed)
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(reward_traces(), indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
-    BELIEFS.write_text(json.dumps(belief_hashes(), indent=1) + "\n")
-    print(f"wrote {BELIEFS}")
+    for path, data in ((FIXTURE, traces), (BELIEFS, beliefs)):
+        path.write_text(json.dumps(data, indent=1) + "\n")
+        print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
