@@ -23,9 +23,10 @@ in two ways: an action sequence stepped with ``step``'s arithmetic
 (``sweep_locations``). Neither builds an ``AgentState`` or ``Path`` per
 step, which is most of what a planner candidate's locations would
 otherwise cost; a ``Path`` (``rollout``, ``lawnmower_path``) records a
-plan's actions and states, not its locations. ``step``,
-``sample_locations`` and the sweep policy take each step through one
-float-level helper, ``_advance``, and wrap the heading it returns once.
+plan's actions and states, not its locations. Every step's world-frame
+move comes from one float-level helper, ``_move``, and its heading is
+wrapped once. A straight run of the sweep keeps its heading, so the
+policy takes its move once and adds it step by step.
 """
 
 from __future__ import annotations
@@ -114,28 +115,24 @@ def _action_table(params: MotionParams) -> dict[float, tuple[float, float]]:
     return {a: _body_displacement(a, params) for a in ACTION_SET}
 
 
-def _advance(
-    h: float, n: float, e: float, action: float, disp: tuple[float, float]
-) -> tuple[float, float, float]:
-    """One step on plain floats: the unwrapped heading ``h + action``, north, east.
+def _move(h: float, disp: tuple[float, float]) -> tuple[float, float]:
+    """A body-frame displacement as the (north, east) move from heading ``h``.
 
-    ``disp`` is the action's body-frame displacement, rotated into the
-    world frame by the pre-step heading ``h``. ``step``, ``sample_locations``
-    and the sweep policy all step through here; each wraps the heading once.
+    Every step of ``step``, ``sample_locations`` and the sweep policy
+    moves by this, and each wraps its heading ``h + action`` once.
     """
     dx, dy = disp
     ch, sh = math.cos(h), math.sin(h)
-    return h + action, n + (ch * dx + sh * dy), e + (-(sh * dx) + ch * dy)
+    return ch * dx + sh * dy, -(sh * dx) + ch * dy
 
 
 def step(state: AgentState, action: float, params: MotionParams) -> AgentState:
     """Advance one action: arc through the heading change, then run out."""
     if action not in _ACTIONS:
         action_index(action)  # membership within tolerance, or raise
-    return _pose(*_advance(
-        state.heading, state.north, state.east, float(action),
-        _body_displacement(action, params),
-    ))
+    h = state.heading
+    d_n, d_e = _move(h, _body_displacement(action, params))
+    return _pose(h + float(action), state.north + d_n, state.east + d_e)
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,8 @@ def sample_locations(
         if d is None:
             action_index(a)  # membership within tolerance, or raise
             d = _body_displacement(a, params)
-        turned, n, e = _advance(h, n, e, float(a), d)
+        d_n, d_e = _move(h, d)
+        turned, n, e = h + float(a), n + d_n, e + d_e
         h = wrap_heading(turned)
         ends.append((n, e))
     if ends:
@@ -228,65 +226,63 @@ def sample_locations(
 
 
 def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
-    """The sweep policy's ``(action, heading, north, east)`` for each step."""
+    """The sweep policy's ``(action, heading, north, east)`` for each step.
+
+    Bounds and positions are indexed by axis, 0 north and 1 east.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    lo0, lo1 = float(area.min_corner[0]), float(area.min_corner[1])
-    hi0, hi1 = float(area.max_corner[0]), float(area.max_corner[1])
-    long_ax = 0 if (hi0 - lo0) >= (hi1 - lo1) else 1
-    quarter = math.pi / 2.0
+    lo, hi = area.min_corner, area.max_corner
+    ax = 0 if (hi[0] - lo[0]) >= (hi[1] - lo[1]) else 1  # the long axis
+    lat = 1 - ax
     margin = 2.0 * params.turn_radius
-    clo0, clo1, chi0, chi1 = lo0 - margin, lo1 - margin, hi0 + margin, hi1 + margin
+    # The lane lies within the area along the long axis, so a straight
+    # step tests the area only across it.
+    lane_lo, lane_hi = lo[ax] + margin, hi[ax] - margin
+    clo, chi = (lo[0] - margin, lo[1] - margin), (hi[0] + margin, hi[1] + margin)
     disp = _action_table(params)  # holds 0 and both quarter turns
-    if long_ax == 0:
-        lane_lo, lane_hi = lo0 + margin, hi0 - margin
-    else:
-        lane_lo, lane_hi = lo1 + margin, hi1 - margin
+    quarter = math.pi / 2.0
 
-    def pick_turn(axis, target_sign, h, n, e):
-        # 90-degree step, and where it goes, whose displacement moves
-        # along axis*sign.
-        best, best_score = None, -math.inf
+    def turn(axis, h, n, e):
+        # The quarter turn, and where it goes, that moves furthest along
+        # axis toward its roomier side, preferring ends near the area.
+        at = (n, e)[axis]
+        toward = 1.0 if hi[axis] - at >= at - lo[axis] else -1.0
+        best = None
         for a in (quarter, -quarter):
-            moved = _advance(h, n, e, a, disp[a])
-            delta = (moved[1] - n) if axis == 0 else (moved[2] - e)
-            score = target_sign * delta
-            if not (clo0 <= moved[1] <= chi0 and clo1 <= moved[2] <= chi1):
+            d_n, d_e = _move(h, disp[a])
+            moved = (n + d_n, e + d_e)
+            score = toward * (moved[axis] - at)
+            if not (clo[0] <= moved[0] <= chi[0] and clo[1] <= moved[1] <= chi[1]):
                 score -= 1e6
-            if best is None or score > best_score:
-                best, best_score = (a, moved), score
-        return best
+            if best is None or score > best[0]:
+                best = (score, a, moved)
+        return best[1:]
 
     h, n, e = start.heading, start.north, start.east
     steps = []
-    for _ in range(n_steps):
-        # Travel direction of a straight step is (sin h, cos h).
-        sh, ch = math.sin(h), math.cos(h)
-        dir_long, dir_lat = (sh, ch) if long_ax == 0 else (ch, sh)
-        if abs(dir_long) >= abs(dir_lat):
-            act = 0.0
-            moved = _advance(h, n, e, act, disp[act])
-            n2, e2 = moved[1], moved[2]
-            ahead_long = n2 if long_ax == 0 else e2
-            in_lane = lane_lo <= ahead_long <= lane_hi
-            if not (in_lane and lo0 <= n2 <= hi0 and lo1 <= e2 <= hi1):
-                # Begin a turn pair toward the roomier side of the lane.
-                pos_lat = e if long_ax == 0 else n
-                room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
-                room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
-                act, moved = pick_turn(
-                    1 - long_ax, 1.0 if room_up >= room_dn else -1.0, h, n, e
-                )
-        else:
-            # Mid-pair: turn back onto the long axis, toward open water.
-            pos_long = n if long_ax == 0 else e
-            room_fw = (hi0 - pos_long) if long_ax == 0 else (hi1 - pos_long)
-            room_bk = (pos_long - lo0) if long_ax == 0 else (pos_long - lo1)
-            act, moved = pick_turn(
-                long_ax, 1.0 if room_fw >= room_bk else -1.0, h, n, e
-            )
-        turned, n, e = moved
-        h = wrap_heading(turned)
+    while len(steps) < n_steps:
+        # A straight step travels along (sin h, cos h) in (north, east).
+        along = (math.sin(h), math.cos(h))
+        axis = ax  # mid-pair: turn back onto the long axis, toward open water
+        if abs(along[ax]) >= abs(along[lat]):
+            # A straight run: one world-frame move, every step still tested
+            # against the lane and the area. Its steps record h + 0.0
+            # wrapped, which moves with the same bits as h (-0.0 turns into
+            # 0.0) unless h is -pi: that wraps to pi, so the run ends there.
+            d_n, d_e = _move(h, disp[0.0])
+            ahead = wrap_heading(h + 0.0)
+            for _ in range(n_steps - len(steps) if ahead == h else 1):
+                q = (n + d_n, e + d_e)
+                if not (lane_lo <= q[ax] <= lane_hi and lo[lat] <= q[lat] <= hi[lat]):
+                    break
+                h, (n, e) = ahead, q
+                steps.append((0.0, h, n, e))
+            else:
+                continue
+            axis = lat  # begin a turn pair toward the roomier side of the lane
+        act, (n, e) = turn(axis, h, n, e)
+        h = wrap_heading(h + act)
         steps.append((act, h, n, e))
     return steps
 
@@ -304,11 +300,11 @@ def lawnmower_path(
     onto the adjacent track, and prefers turns that end within one turn
     diameter of the area. The policy depends only on the current state,
     so regenerating from any intermediate state reproduces the suffix.
+    A straight run rotates its move once, with the floats of single steps.
     """
     steps = _sweep(start, n_steps, area, params)
-    states = [start]
-    states.extend(_pose(h, n, e) for _, h, n, e in steps)
-    return Path(tuple(states), tuple(a for a, _, _, _ in steps))
+    states = (start, *[_pose(h, n, e) for _, h, n, e in steps])
+    return Path(states, tuple([a for a, _, _, _ in steps]))
 
 
 def sweep_locations(

@@ -17,6 +17,9 @@ against the other:
 - the measurement locations of a built path, every chord in one set of
   numpy calls (``vectorized_sample_locations``), where the package walks
   an action sequence's chords in Python floats without building the path;
+- the sweep policy decided and stepped one step at a time
+  (``reference_sweep``), where the package walks each straight run with
+  one world-frame move;
 - the beliefs a finished mission's outputs replay from its event log,
   each rebuilt from the whole log for every step asked:
   ``global_data_from_scratch`` for the team and
@@ -46,6 +49,7 @@ from isobath.gp import (
     _chol_with_jitter,
     admissible_locations,
 )
+from isobath.motion import _action_table, wrap_heading
 from isobath.risk import (
     LossParams,
     _phi,
@@ -387,6 +391,81 @@ def vectorized_sample_locations(path, spacing: float) -> np.ndarray:
             a[chord_idx] + t[:, None] * diff[chord_idx]
         )
     return out
+
+
+def reference_sweep(start, n_steps: int, area, params):
+    """The sweep policy's ``(action, heading, north, east)`` for each step.
+
+    The reference for ``motion._sweep``: every step takes the travel
+    direction's ``sin``/``cos`` afresh, branches on the long axis, and
+    rotates its own move; both must give the same floats.
+    """
+
+    def _advance(h, n, e, action, disp):
+        dx, dy = disp
+        ch, sh = math.cos(h), math.sin(h)
+        return h + action, n + (ch * dx + sh * dy), e + (-(sh * dx) + ch * dy)
+
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
+    lo0, lo1 = float(area.min_corner[0]), float(area.min_corner[1])
+    hi0, hi1 = float(area.max_corner[0]), float(area.max_corner[1])
+    long_ax = 0 if (hi0 - lo0) >= (hi1 - lo1) else 1
+    quarter = math.pi / 2.0
+    margin = 2.0 * params.turn_radius
+    clo0, clo1, chi0, chi1 = lo0 - margin, lo1 - margin, hi0 + margin, hi1 + margin
+    disp = _action_table(params)  # holds 0 and both quarter turns
+    if long_ax == 0:
+        lane_lo, lane_hi = lo0 + margin, hi0 - margin
+    else:
+        lane_lo, lane_hi = lo1 + margin, hi1 - margin
+
+    def pick_turn(axis, target_sign, h, n, e):
+        # 90-degree step, and where it goes, whose displacement moves
+        # along axis*sign.
+        best, best_score = None, -math.inf
+        for a in (quarter, -quarter):
+            moved = _advance(h, n, e, a, disp[a])
+            delta = (moved[1] - n) if axis == 0 else (moved[2] - e)
+            score = target_sign * delta
+            if not (clo0 <= moved[1] <= chi0 and clo1 <= moved[2] <= chi1):
+                score -= 1e6
+            if best is None or score > best_score:
+                best, best_score = (a, moved), score
+        return best
+
+    h, n, e = start.heading, start.north, start.east
+    steps = []
+    for _ in range(n_steps):
+        # Travel direction of a straight step is (sin h, cos h).
+        sh, ch = math.sin(h), math.cos(h)
+        dir_long, dir_lat = (sh, ch) if long_ax == 0 else (ch, sh)
+        if abs(dir_long) >= abs(dir_lat):
+            act = 0.0
+            moved = _advance(h, n, e, act, disp[act])
+            n2, e2 = moved[1], moved[2]
+            ahead_long = n2 if long_ax == 0 else e2
+            in_lane = lane_lo <= ahead_long <= lane_hi
+            if not (in_lane and lo0 <= n2 <= hi0 and lo1 <= e2 <= hi1):
+                # Begin a turn pair toward the roomier side of the lane.
+                pos_lat = e if long_ax == 0 else n
+                room_up = (hi1 - pos_lat) if long_ax == 0 else (hi0 - pos_lat)
+                room_dn = (pos_lat - lo1) if long_ax == 0 else (pos_lat - lo0)
+                act, moved = pick_turn(
+                    1 - long_ax, 1.0 if room_up >= room_dn else -1.0, h, n, e
+                )
+        else:
+            # Mid-pair: turn back onto the long axis, toward open water.
+            pos_long = n if long_ax == 0 else e
+            room_fw = (hi0 - pos_long) if long_ax == 0 else (hi1 - pos_long)
+            room_bk = (pos_long - lo0) if long_ax == 0 else (pos_long - lo1)
+            act, moved = pick_turn(
+                long_ax, 1.0 if room_fw >= room_bk else -1.0, h, n, e
+            )
+        turned, n, e = moved
+        h = wrap_heading(turned)
+        steps.append((act, h, n, e))
+    return steps
 
 
 def global_data_from_scratch(result, upto_step: int | None = None) -> DataSet:

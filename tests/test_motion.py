@@ -14,6 +14,7 @@ from isobath.motion import (
     MotionParams,
     Path,
     _pose,
+    _sweep,
     action_index,
     lawnmower_path,
     rollout,
@@ -22,7 +23,7 @@ from isobath.motion import (
     sweep_locations,
     wrap_heading,
 )
-from reference import vectorized_sample_locations
+from reference import reference_sweep, vectorized_sample_locations
 
 PARAMS = MotionParams(turn_radius=15.0, theta_max=math.pi / 2.0, speed=1.5)
 AREA = OperationalArea((0.0, 0.0), (600.0, 1000.0))
@@ -317,6 +318,78 @@ class TestLawnmower:
         assert len(gaps), "a 200-step sweep must occupy several tracks"
         want = 2 * 15.0 + 15.0 * (math.pi / 2 + math.pi / 2)
         np.testing.assert_allclose(gaps, want, atol=1e-6)
+
+
+# Wide, tall, square and offset areas for the sweep against its oracle.
+SWEEP_AREAS = {
+    "wide": OperationalArea((0.0, 0.0), (600.0, 1000.0)),
+    "tall": OperationalArea((0.0, 0.0), (1000.0, 600.0)),
+    "square": OperationalArea((0.0, 0.0), (500.0, 500.0)),
+    "offset": OperationalArea((-310.0, 245.5), (120.0, 905.0)),
+}
+
+
+@st.composite
+def sweep_starts(draw):
+    """An area and a start up to 200 m outside it on every side."""
+    area = SWEEP_AREAS[draw(st.sampled_from(sorted(SWEEP_AREAS)))]
+    (lo_n, lo_e), (hi_n, hi_e) = area.min_corner, area.max_corner
+    start = AgentState(
+        draw(HEADINGS),
+        draw(st.floats(lo_n - 200.0, hi_n + 200.0)),
+        draw(st.floats(lo_e - 200.0, hi_e + 200.0)),
+    )
+    return area, start
+
+
+def _bits(rows):
+    """Every float of every row in hex, so -0.0 and 0.0 differ."""
+    return [tuple(float(x).hex() for x in row) for row in rows]
+
+
+class TestSweepOracle:
+    """The sweep's straight runs against stepping the policy one step at a time."""
+
+    @given(
+        sweep_starts(),
+        st.sampled_from([4.0, 15.0, 40.0]),
+        st.integers(0, 300),
+        SPACINGS,
+    )
+    @settings(max_examples=300, deadline=None)
+    @example((SWEEP_AREAS["wide"], AgentState(0.0, 150.0, 30.0)), 15.0, 300, 5.0)
+    @example((SWEEP_AREAS["tall"], AgentState(-0.0, 500.0, -0.0)), 4.0, 300, 1.0)
+    @example(
+        (SWEEP_AREAS["square"], AgentState(math.pi / 2, -200.0, 700.0)), 40.0, 300, 3.7
+    )
+    @example(
+        (SWEEP_AREAS["offset"], AgentState(-math.pi / 2, 0.0, 500.0)), 15.0, 300, 50.0
+    )
+    @example((SWEEP_AREAS["wide"], AgentState(math.pi, 300.0, 990.0)), 15.0, 300, 5.0)
+    # A state wrapped from just above pi heads -pi, which the next straight
+    # step records as pi. Their moves differ by about 6e-15 m north,
+    # which rounds away except close to north zero.
+    @example(
+        (SWEEP_AREAS["wide"], _pose(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
+        15.0, 40, 5.0,
+    )
+    def test_equals_the_step_by_step_policy(self, area_start, radius, n, spacing):
+        area, start = area_start
+        params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
+        want = reference_sweep(start, n, area, params)
+        assert _bits(_sweep(start, n, area, params)) == _bits(want)
+
+        oracle = Path(
+            (start, *[AgentState(h, north, east) for _, h, north, east in want]),
+            tuple(a for a, _, _, _ in want),
+        )
+        path = lawnmower_path(start, n, area, params)
+        assert _bits(zip(path.actions)) == _bits(zip(oracle.actions))
+        assert _bits((s.heading, s.north, s.east) for s in path.states) == _bits(
+            (s.heading, s.north, s.east) for s in oracle.states
+        )
+        locs = sweep_locations(start, n, area, params, spacing)
+        assert _bits(locs) == _bits(vectorized_sample_locations(oracle, spacing)[1:])
 
 
 class TestWalker:

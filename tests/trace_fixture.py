@@ -37,14 +37,35 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "traces.json"
 BELIEFS = ROOT / "tests" / "data" / "beliefs.json"
 
-# name -> (variant, steps); each runs at every seed. The lawnmower sweep
-# is cheap to simulate and long enough for the replay orders to diverge;
-# over the full 100 steps the replay windows are longest and the
-# vehicles' step orders drift furthest apart.
+# name -> overrides of the default config; each runs at every seed. The
+# lawnmower sweep is cheap to simulate and long enough for the replay
+# orders to diverge; over the full 100 steps the replay windows are
+# longest and the vehicles' step orders drift furthest apart. The ridge
+# runs askew to both axes, so its projection rounds; the two basins are
+# far enough apart that the isobath rings each on its own.
 CASES = {
-    "lawnmower": ("lawnmower", 30),
-    "terminal": ("terminal", 8),
-    "lawnmower_100": ("lawnmower", 100),
+    "lawnmower": {"variant": "lawnmower", "total_length": 30},
+    "terminal": {"variant": "terminal", "total_length": 8},
+    "lawnmower_100": {"variant": "lawnmower", "total_length": 100},
+    "ridge": {
+        "variant": "lawnmower",
+        "total_length": 30,
+        "bathymetry_family": "ridge",
+        "bathymetry_params": {
+            "background": 22.0, "start": (60.0, 120.0), "end": (540.0, 870.0),
+            "height": 14.0, "width": 90.0,
+        },
+    },
+    "two_basin": {
+        "variant": "lawnmower",
+        "total_length": 30,
+        "bathymetry_family": "two-basin",
+        "bathymetry_params": {
+            "background": 5.0,
+            "center1": (180.0, 280.0), "radius1": 90.0, "max_depth1": 24.0,
+            "center2": (420.0, 720.0), "radius2": 110.0, "max_depth2": 28.0,
+        },
+    },
 }
 SEEDS = (0, 1)
 
@@ -54,11 +75,9 @@ def missions() -> dict:
     """The result of every case and seed, keyed ``<name>/seed_<n>``."""
     base = load_config(str(ROOT / "configs" / "default.json"), env={})
     out = {}
-    for name, (variant, steps) in CASES.items():
+    for name, overrides in CASES.items():
         for seed in SEEDS:
-            cfg = dataclasses.replace(
-                base, variant=variant, total_length=steps, seed=seed
-            )
+            cfg = dataclasses.replace(base, **overrides, seed=seed)
             out[f"{name}/seed_{seed}"] = run_mission(cfg)
     return out
 
