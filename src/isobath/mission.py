@@ -614,15 +614,12 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
 
     With ``upto_step`` = k, only those of each vehicle's first k steps:
     what ``Replay.pooled`` kept at step k, walked here if no trace has.
-    The final step takes every sample, so with no walk yet it filters
-    them in collection order instead. A negative k raises ``ValueError``.
+    A negative k raises ``ValueError``.
     """
     if upto_step is not None and upto_step < 0:
         raise ValueError(f"upto_step must be non-negative, got {upto_step}")
     replay = result.replay
     last = result.config.total_length
-    if not replay.kept and (upto_step is None or upto_step >= last):
-        return DataSet(result.config.min_spacing, replay.samples)
     if len(replay.kept) <= last:
         collections.deque(replay.pooled(), maxlen=0)
     kept = replay.kept[last if upto_step is None else min(upto_step, last)]

@@ -25,8 +25,7 @@ step, which is most of what a planner candidate's locations would
 otherwise cost; a ``Path`` (``rollout``, ``lawnmower_path``) records a
 plan's actions and states, not its locations. Every step's world-frame
 move comes from one float-level helper, ``_move``, and its heading is
-wrapped once. A straight run of the sweep keeps its heading, so the
-policy takes its move once and adds it step by step.
+wrapped once.
 """
 
 from __future__ import annotations
@@ -261,24 +260,16 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
 
     h, n, e = start.heading, start.north, start.east
     steps = []
-    while len(steps) < n_steps:
+    for _ in range(n_steps):
         # A straight step travels along (sin h, cos h) in (north, east).
         along = (math.sin(h), math.cos(h))
         axis = ax  # mid-pair: turn back onto the long axis, toward open water
         if abs(along[ax]) >= abs(along[lat]):
-            # A straight run: one world-frame move, every step still tested
-            # against the lane and the area. Its steps record h + 0.0
-            # wrapped, which moves with the same bits as h (-0.0 turns into
-            # 0.0) unless h is -pi: that wraps to pi, so the run ends there.
             d_n, d_e = _move(h, disp[0.0])
-            ahead = wrap_heading(h + 0.0)
-            for _ in range(n_steps - len(steps) if ahead == h else 1):
-                q = (n + d_n, e + d_e)
-                if not (lane_lo <= q[ax] <= lane_hi and lo[lat] <= q[lat] <= hi[lat]):
-                    break
-                h, (n, e) = ahead, q
+            q = (n + d_n, e + d_e)
+            if lane_lo <= q[ax] <= lane_hi and lo[lat] <= q[lat] <= hi[lat]:
+                h, (n, e) = wrap_heading(h + 0.0), q
                 steps.append((0.0, h, n, e))
-            else:
                 continue
             axis = lat  # begin a turn pair toward the roomier side of the lane
         act, (n, e) = turn(axis, h, n, e)
@@ -300,7 +291,6 @@ def lawnmower_path(
     onto the adjacent track, and prefers turns that end within one turn
     diameter of the area. The policy depends only on the current state,
     so regenerating from any intermediate state reproduces the suffix.
-    A straight run rotates its move once, with the floats of single steps.
     """
     steps = _sweep(start, n_steps, area, params)
     states = (start, *[_pose(h, n, e) for _, h, n, e in steps])

@@ -348,7 +348,7 @@ def _bits(rows):
 
 
 class TestSweepOracle:
-    """The sweep's straight runs against stepping the policy one step at a time."""
+    """The axis-indexed sweep against the policy that branches on the long axis."""
 
     @given(
         sweep_starts(),

@@ -17,8 +17,6 @@ import numpy as np
 import pytest
 
 import trace_fixture
-from isobath.gp import DataSet
-from isobath.mission import MissionResult, global_data
 from trace_fixture import BELIEFS, FIXTURE, belief_hashes, reward_traces
 
 
@@ -41,24 +39,6 @@ def test_reward_trace_matches_the_fixture(traces, key):
 @pytest.mark.parametrize("key", sorted(json.loads(BELIEFS.read_text())))
 def test_per_step_beliefs_match_the_fixture(beliefs, key):
     assert beliefs[key] == json.loads(BELIEFS.read_text())[key]
-
-
-@pytest.mark.parametrize("key", sorted(json.loads(BELIEFS.read_text())))
-def test_final_team_set_needs_no_replay_walk(beliefs, key, monkeypatch):
-    # On a result whose trace has not run, the final team set is one
-    # filter of every sample: the walked set, one insert per sample at most.
-    result = trace_fixture.missions()[key]
-    inserts = []
-    insert = DataSet.insert
-    monkeypatch.setattr(
-        DataSet, "insert", lambda data, s: inserts.append(s) or insert(data, s)
-    )
-    for upto_step in (None, result.config.total_length, 10**6):
-        fresh = MissionResult(result.config, result.events)
-        inserts.clear()
-        got = global_data(fresh, upto_step)
-        assert trace_fixture._digest(got) == beliefs[key]["global"][-1]
-        assert len(inserts) <= len(fresh.replay.samples)
 
 
 def test_check_reports_without_rewriting(traces, beliefs, monkeypatch, capsys):
