@@ -116,11 +116,11 @@ def parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _write_depth_csv(path, points, values):
-    rows = zip(points.tolist(), values.tolist())
+def _write_grid_csv(path, column, prefixes, values):
+    """One value per output-grid point, after its ``north,east,`` prefix."""
     with open(path, "w") as fh:
-        fh.write("north_m,east_m,depth_m\n")
-        fh.writelines(f"{n!r},{e!r},{d!r}\n" for (n, e), d in rows)
+        fh.write(f"north_m,east_m,{column}\n")
+        fh.writelines(f"{p}{v!r}\n" for p, v in zip(prefixes, values.tolist()))
 
 
 def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
@@ -134,11 +134,18 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         fh.write("step,accumulated_reward\n")
         for k, v in enumerate(trace):
             fh.write(f"{k},{float(v)!r}\n")
-    risk_snapshot(result).write_csv(out_dir / "risk_global.csv")
-    for i in range(cfg.team_size):
-        risk_snapshot(result, agent=i).write_csv(out_dir / f"risk_agent_{i}.csv")
+    # Every grid file is on the output grid: its points prefix each row.
     points, depths = truth_grid(result)
-    _write_depth_csv(out_dir / "depth_truth.csv", points, depths)
+    prefixes = [f"{n!r},{e!r}," for n, e in points.tolist()]
+    _write_grid_csv(
+        out_dir / "risk_global.csv", "risk", prefixes, risk_snapshot(result).values
+    )
+    for i in range(cfg.team_size):
+        _write_grid_csv(
+            out_dir / f"risk_agent_{i}.csv", "risk", prefixes,
+            risk_snapshot(result, agent=i).values,
+        )
+    _write_grid_csv(out_dir / "depth_truth.csv", "depth_m", prefixes, depths)
     summary = {
         "seed": seed,
         "variant": cfg.variant,

@@ -131,40 +131,61 @@ class Sample:
 
 
 class _SpacingGrid:
-    """Points kept pairwise at least ``min_spacing`` apart (inclusive).
+    """Points hashed into cells for the density rule, each with an item.
 
-    Kept points are hashed into square cells a hair wider than
-    ``min_spacing``, so every kept point closer than ``min_spacing`` to a
-    candidate lies in the 3x3 cells around it, even under rounding. With
-    ``min_spacing == 0`` every point is admitted and none is stored.
+    Cells are squares a hair over twice ``min_spacing`` wide, so every
+    stored point closer than ``min_spacing`` to a query lies in the 2x2
+    block of cells whose corner is nearest the query, even under
+    rounding. ``near`` is the one place the rule is written: a point is
+    too close when ``dn*dn + de*de < r2``, so the boundary is inclusive.
+    A data set stores its retained points here, and the pooled replay
+    (``mission.Replay``) its samples. With ``min_spacing == 0`` no point
+    is too close and none is stored.
     """
 
     def __init__(self, min_spacing: float):
         self.r2 = min_spacing**2
-        self.cell = min_spacing * (1.0 + 1e-6)
-        self.cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        self.cell = 2.0 * min_spacing * (1.0 + 1e-6)
+        self.cells: dict[tuple[int, int], list[tuple[float, float, object]]] = {}
+
+    def near(self, north: float, east: float) -> list:
+        """The items of every stored point too close to the query."""
+        r2 = self.r2
+        found = []
+        if r2 == 0.0:
+            return found
+        # The block's first row: the query's own when it lies in the upper
+        # half of its cell, else the one below; likewise the column.
+        ci = math.floor(north / self.cell - 0.5)
+        cj = math.floor(east / self.cell - 0.5)
+        cells = self.cells
+        for key in ((ci, cj), (ci, cj + 1), (ci + 1, cj), (ci + 1, cj + 1)):
+            for k_n, k_e, item in cells.get(key, ()):
+                dn, de = k_n - north, k_e - east
+                if dn * dn + de * de < r2:
+                    found.append(item)
+        return found
 
     def admit(self, north: float, east: float) -> bool:
-        """Record the point and return True unless a kept one is too close."""
-        r2 = self.r2
-        if r2 == 0.0:
-            return True
-        ci, cj = math.floor(north / self.cell), math.floor(east / self.cell)
-        cells = self.cells
-        for a in (ci - 1, ci, ci + 1):
-            for b in (cj - 1, cj, cj + 1):
-                for k_n, k_e in cells.get((a, b), ()):
-                    dn, de = k_n - north, k_e - east
-                    if dn * dn + de * de < r2:
-                        return False
+        """Store the point and return True unless a stored one is too close."""
+        if self.near(north, east):
+            return False
         self.add(north, east)
         return True
 
-    def add(self, north: float, east: float) -> None:
-        """Record the point untested, as ``admit`` does once it passes."""
+    def _cell(self, north: float, east: float) -> list:
+        key = (math.floor(north / self.cell), math.floor(east / self.cell))
+        return self.cells.setdefault(key, [])
+
+    def add(self, north: float, east: float, item=None) -> None:
+        """Store the point untested, as ``admit`` does once it passes."""
         if self.r2 != 0.0:
-            key = (math.floor(north / self.cell), math.floor(east / self.cell))
-            self.cells.setdefault(key, []).append((north, east))
+            self._cell(north, east).append((north, east, item))
+
+    def remove(self, north: float, east: float, item) -> None:
+        """Drop a point stored by ``add`` with the same item."""
+        if self.r2 != 0.0:
+            self._cell(north, east).remove((north, east, item))
 
 
 class DataSet:
@@ -173,21 +194,37 @@ class DataSet:
     Insertion order is preserved; every pair of retained locations is at
     least ``min_spacing`` apart. On conflicts the first writer wins: a
     sample landing within ``min_spacing`` of a retained one is rejected,
-    whatever its value. The density test is one spacing-grid lookup.
-    ``locations`` and ``values`` are built on the first read after an
-    insert; an array once returned never changes.
+    whatever its value. The density test is one spacing-grid lookup; the
+    grid is built on the first insert, so a set that is only read, as a
+    replayed belief is, never builds one. ``locations`` and ``values``
+    are built on the first read after an insert; an array once returned
+    never changes.
     """
 
     def __init__(self, min_spacing: float, samples=()):
         if min_spacing < 0:
             raise ValueError("min_spacing must be non-negative")
         self.min_spacing = float(min_spacing)
-        self._grid = _SpacingGrid(self.min_spacing)
+        self._grid: _SpacingGrid | None = None
         self._locs: list[tuple[float, float]] = []
         self._vals: list[float] = []
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         for s in samples:
             self.insert(s)
+
+    @classmethod
+    def from_admitted(cls, min_spacing: float, locations, values) -> DataSet:
+        """A data set holding these retained locations and values, in order.
+
+        The density rule must admit them in order: each location far
+        enough from every one before it, so a fresh set would retain them
+        all. The result equals that set, built without spacing tests; the
+        locations are not checked.
+        """
+        out = cls(min_spacing)
+        out._locs = list(locations)
+        out._vals = list(values)
+        return out
 
     def __len__(self) -> int:
         return len(self._vals)
@@ -216,26 +253,16 @@ class DataSet:
         The boundary is inclusive: a sample exactly ``min_spacing`` away
         from its nearest retained neighbor is accepted.
         """
+        if self._grid is None:
+            self._grid = _SpacingGrid(self.min_spacing)
+            for north, east in self._locs:
+                self._grid.add(north, east)
         if not self._grid.admit(*sample.location):
             return False
         self._locs.append(sample.location)
         self._vals.append(sample.value)
         self._arrays = None
         return True
-
-    def prefix(self, n: int) -> DataSet:
-        """A new data set holding the first ``n`` retained samples, in order.
-
-        It equals a fresh set into which those samples were inserted, but
-        skips their spacing tests: each was retained after the ones
-        before it, so each goes straight into the new set's grid.
-        """
-        out = DataSet(self.min_spacing)
-        out._locs = self._locs[:n]
-        out._vals = self._vals[:n]
-        for north, east in out._locs:
-            out._grid.add(north, east)
-        return out
 
 
 def admissible_sets(

@@ -26,8 +26,11 @@ A finished mission keeps only its config and that event log, and every
 output derives from the two. One walk of the log (``Replay``) serves
 every belief: a vehicle's data only grows, so what it knew at step k
 (``agent_data``) is a prefix of what it inserted, and one incremental
-replay of the pooled samples gives the team's belief at each step
-(``global_data``) and the reward trace.
+pass over the pooled samples gives the team's belief at each step
+(``global_data``) and the reward trace. That pass judges each sample
+once, when its step comes into play, and again only when a nearby
+earlier verdict flips; every set it hands out is built from samples
+already admitted, without spacing tests.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .environment import (
     synthetic_lake,
 )
 from .errors import ConfigurationError, EncodeError
-from .gp import CONDITION_CAP, DataSet, KernelSpec, Sample
+from .gp import CONDITION_CAP, DataSet, KernelSpec, Sample, _SpacingGrid
 from .motion import (
     ACTION_SET,
     AgentState,
@@ -534,8 +537,8 @@ class Replay:
     the instant of a step end counts for that step on either side of the
     ``step`` event: events of one instant are ordered only by the heap.
 
-    ``samples`` and ``steps`` are the team's samples in collection order
-    and their steps; ``pooled`` records each step's indices in ``kept``.
+    ``locations``, ``values`` and ``steps`` are the team's samples in
+    collection order; ``pooled`` records each step's indices in ``kept``.
     """
 
     def __init__(self, result: MissionResult):
@@ -544,16 +547,19 @@ class Replay:
         self.inserted: list[list[Sample]] = [[] for _ in team]
         times: list[list[float]] = [[] for _ in team]
         ends: list[list[float]] = [[0.0] for _ in team]
-        self.samples: list[Sample] = []
+        self.locations: list[tuple[float, float]] = []
+        self.values: list[float] = []
         self.steps: list[int] = []
         for e in result.events:
             kind = e["kind"]
             if kind == "sample":
-                sample = Sample((e["north"], e["east"]), e["value"])
-                self.samples.append(sample)
+                location = (float(e["north"]), float(e["east"]))
+                value = float(e["value"])
+                self.locations.append(location)
+                self.values.append(value)
                 self.steps.append(e["step"])
                 if e["accepted"]:
-                    self.inserted[e["agent"]].append(sample)
+                    self.inserted[e["agent"]].append(Sample(location, value))
                     times[e["agent"]].append(e["t"])
             elif kind == "rx":
                 for north, east, value in e["inserted"]:
@@ -569,44 +575,75 @@ class Replay:
 
     def pooled(self):
         """Yield ``(data, changed)``, the team's data set after each step k:
-        every vehicle's first-k-step samples through one density filter.
+        every vehicle's first-k-step samples through one density filter,
+        in collection order.
 
-        Steps interleave in collection order, but a sample before the
-        earliest step-k sample keeps its step-(k-1) verdict. So step k
-        starts from the prefix of step k-1's set that holds its samples
-        before that point (``DataSet.prefix``, no spacing test) and
-        replays only the later samples of steps up to k. ``changed`` is
-        False, and ``data`` step k-1's set, when step k keeps the same
-        samples.
+        The walk is incremental and exact. A sample is kept iff no earlier
+        kept sample in play lies within ``min_spacing``, so when step k
+        comes into play only its own samples are judged, in index order.
+        A verdict that flips can move only later in-play samples within
+        ``min_spacing`` of it: a sample newly kept may evict a later kept
+        one, and one newly rejected may free a later rejected one. Those
+        are re-judged in turn, in index order off a heap, and their flips
+        cascade. An index leaves the heap only after every earlier verdict
+        is final, so its verdict then is final too. ``changed`` is False,
+        and ``data`` step k-1's set, when no verdict flipped.
         """
-        first: dict[int, int] = {}
-        end: dict[int, int] = {}
+        spacing = self.config.min_spacing
+        locations = self.locations
+        by_step: dict[int, list[int]] = collections.defaultdict(list)
         for i, step_index in enumerate(self.steps):
-            first.setdefault(step_index, i)
-            end[step_index] = i + 1
+            by_step[step_index].append(i)
+        kept_grid = _SpacingGrid(spacing)
+        # Every in-play sample, gridded only once a kept one is evicted:
+        # then its rejected neighbours are judged again.
+        in_play, unplaced = _SpacingGrid(spacing), []
+        is_kept = [False] * len(locations)
         self.kept = []
         kept: list[int] = []
-        stop = 0  # one past the last sample of any step up to k
         data = None
         for k in range(self.config.total_length + 1):
-            stop = max(stop, end.get(k, 0))
-            changed = data is None
-            if k in first or changed:
-                start = first.get(k, stop)
-                cut = bisect.bisect_left(kept, start)
-                fresh = (
-                    DataSet(self.config.min_spacing) if data is None
-                    else data.prefix(cut)
-                )
-                tail = []
-                for i in range(start, stop):
-                    if self.steps[i] <= k and fresh.insert(self.samples[i]):
-                        tail.append(i)
-                if changed or tail != kept[cut:]:
-                    kept = kept[:cut] + tail
-                    data, changed = fresh, True
+            heap = by_step.pop(k, [])  # ascending, so already a heap
+            unplaced += heap
+            flipped = []
+            while heap:
+                i = heapq.heappop(heap)
+                north, east = locations[i]
+                near = kept_grid.near(north, east)
+                keep = min(near, default=i) >= i  # no earlier one is near
+                if keep == is_kept[i]:
+                    continue
+                is_kept[i] = keep
+                flipped.append(i)
+                if keep:
+                    later = [j for j in near if j > i]
+                    kept_grid.add(north, east, i)
+                else:
+                    kept_grid.remove(north, east, i)
+                    for j in unplaced:
+                        in_play.add(*locations[j], j)
+                    unplaced = []
+                    later = [
+                        j for j in in_play.near(north, east)
+                        if j > i and not is_kept[j]
+                    ]
+                for j in later:
+                    heapq.heappush(heap, j)
+            changed = data is None or bool(flipped)
+            if changed:
+                # A flip, whichever way, toggles the index's membership.
+                kept = sorted(set(kept).symmetric_difference(flipped))
+                data = self.data_of(kept)
             self.kept.append(kept)
             yield data, changed
+
+    def data_of(self, kept: list[int]) -> DataSet:
+        """The data set of a step's kept indices, as ``kept`` records them."""
+        return DataSet.from_admitted(
+            self.config.min_spacing,
+            [self.locations[i] for i in kept],
+            [self.values[i] for i in kept],
+        )
 
 
 def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
@@ -622,8 +659,9 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     last = result.config.total_length
     if len(replay.kept) <= last:
         collections.deque(replay.pooled(), maxlen=0)
-    kept = replay.kept[last if upto_step is None else min(upto_step, last)]
-    return DataSet(result.config.min_spacing, [replay.samples[i] for i in kept])
+    return replay.data_of(
+        replay.kept[last if upto_step is None else min(upto_step, last)]
+    )
 
 
 def agent_data(
@@ -641,7 +679,11 @@ def agent_data(
     if upto_step is not None:
         cuts = replay.cuts[agent]
         inserted = inserted[: cuts[min(upto_step, len(cuts) - 1)]]
-    return DataSet(result.config.min_spacing, inserted)
+    return DataSet.from_admitted(
+        result.config.min_spacing,
+        [s.location for s in inserted],
+        [s.value for s in inserted],
+    )
 
 
 def delivery_rate(result: MissionResult) -> float | None:

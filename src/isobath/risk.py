@@ -205,16 +205,9 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
 
 @dataclass
 class RiskField:
-    """Conditional Bayes risk evaluated on a point lattice."""
+    """Conditional Bayes risk at each point of a lattice, in its order."""
 
-    points: np.ndarray
     values: np.ndarray
-
-    def write_csv(self, path):
-        rows = zip(self.points.tolist(), self.values.tolist())
-        with open(path, "w") as fh:
-            fh.write("north_m,east_m,risk\n")
-            fh.writelines(f"{n!r},{e!r},{r!r}\n" for (n, e), r in rows)
 
 
 def risk_field(
@@ -228,4 +221,4 @@ def risk_field(
     """Current conditional risk field under the given belief."""
     pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
     means, varis = Belief(kernel, prior_mean, data).predict_arrays(pts)
-    return RiskField(pts, bayes_risk_batch(means, varis, loss))
+    return RiskField(bayes_risk_batch(means, varis, loss))

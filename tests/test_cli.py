@@ -1,15 +1,24 @@
 """Command-line interface tests: config loading, seed parsing, exit
 codes, and the files a run writes."""
 
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isobath import cli
 from isobath.cli import load_config, main, parse_seeds
+from isobath.environment import eval_grid
 from isobath.errors import ConfigurationError, NumericalError
-from isobath.mission import MissionConfig, MissionResult
+from isobath.mission import (
+    MissionConfig,
+    MissionResult,
+    risk_snapshot,
+    run_mission,
+    truth_grid,
+)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -355,6 +364,29 @@ def test_outputs_rebuild_from_the_run_directory_alone(tmp_path, monkeypatch):
         assert (tmp_path / "second" / name).read_bytes() == (
             first / "seed_0" / name
         ).read_bytes(), name
+
+
+def test_grid_files_round_trip_the_output_grid(config_file, tmp_path, monkeypatch):
+    # Every grid file lists the output grid's points in order, each row
+    # with a value that reads back to the same float.
+    config = load_config(str(config_file), env={})
+    result = run_mission(config)
+    monkeypatch.setattr(cli, "run_mission", lambda cfg: result)
+    cli._run_one_seed(config, config.seed, tmp_path)
+    grid = eval_grid(config.area(), config.output_resolution)
+    files = {
+        "risk_global.csv": ("risk", risk_snapshot(result).values),
+        "risk_agent_0.csv": ("risk", risk_snapshot(result, agent=0).values),
+        "risk_agent_1.csv": ("risk", risk_snapshot(result, agent=1).values),
+        "depth_truth.csv": ("depth_m", truth_grid(result)[1]),
+    }
+    for name, (column, values) in files.items():
+        with open(tmp_path / name) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["north_m", "east_m", column], name
+        parsed = np.array([[float(x) for x in row] for row in rows[1:]])
+        np.testing.assert_array_equal(parsed[:, :2], grid)
+        np.testing.assert_array_equal(parsed[:, 2], values)
 
 
 def test_run_respects_the_seed_list(config_file, tmp_path):

@@ -363,25 +363,26 @@ class TestDensityFilter:
 
     @given(insert_cases(), st.integers(0, 80))
     @settings(max_examples=200, deadline=None)
-    def test_prefix_equals_a_fresh_set_of_its_samples(self, case, n):
+    def test_a_set_of_admitted_samples_equals_a_fresh_set(self, case, n):
         pts, vals, spacing = case
         samples = [Sample(p, v) for p, v in zip(pts.tolist(), vals.tolist())]
         data = DataSet(spacing, samples)
         n = min(n, len(data))
-        part = data.prefix(n)
-        fresh = DataSet(spacing, [
-            Sample(p, v)
-            for p, v in zip(data.locations[:n].tolist(), data.values[:n].tolist())
-        ])
+        locations = [tuple(p) for p in data.locations[:n].tolist()]
+        values = data.values[:n].tolist()
+        part = DataSet.from_admitted(spacing, locations, values)
+        fresh = DataSet(spacing, [Sample(p, v) for p, v in zip(locations, values)])
         assert np.array_equal(part.locations, fresh.locations)
         assert np.array_equal(part.values, fresh.values)
-        # The prefix's grid holds its samples: later inserts go the same way,
-        # and none of them reaches the source set.
+        # The grid built on the first insert holds the admitted samples:
+        # later inserts go the same way, and none of them reaches the
+        # source set.
         size = len(data)
         for s in samples[::-1]:
             assert part.insert(s) == fresh.insert(s)
         assert np.array_equal(part.locations, fresh.locations)
-        assert len(data) == size
+        assert np.array_equal(part.values, fresh.values)
+        assert len(data) == size and len(locations) == len(values) == n
 
     def test_copy_is_independent_of_its_source(self):
         data = DataSet(10.0, [Sample((0.0, 0.0), 1.0)])

@@ -166,14 +166,14 @@ def interleaved_samples(draw):
     before a slow one's step k. Locations lie on ``lattice``. A step may
     have no samples."""
     spacing = draw(st.sampled_from([0.0, 12.5, 30.0]))
-    total_length = draw(st.integers(1, 8))
+    total_length = draw(st.integers(1, 20))
     coordinate = lattice(spacing)
     size = draw(st.integers(2, 4))
     samples = []
     for agent in range(size):
         t = 0.0
         for k in range(total_length + 1):
-            for j in range(draw(st.integers(0, 3))):
+            for j in range(draw(st.integers(0, 6))):
                 samples.append((
                     t + 0.1 * j, agent, k, draw(coordinate), draw(coordinate),
                     draw(st.floats(0.0, 30.0)),
@@ -333,6 +333,21 @@ class TestRewardTrace:
             (3.1, 1, 1, 60.0, 30.0, 6.0),
             (3.2, 1, 1, 60.0, 15.0, 7.0),
             (9.0, 1, 3, 0.0, 0.0, 8.0),
+        ],
+    ))
+    @example((
+        30.0,
+        2,
+        2,
+        [
+            # Vehicle 1's step-2 sample A comes before vehicle 0's step-1
+            # samples B, C and D, 15 apart on a line. At step 1, B is kept,
+            # C is too close to B and D is kept. A at step 2 evicts B, which
+            # frees C, which evicts D: a three-link chain of flips.
+            (2.0, 1, 2, 0.0, 0.0, 1.0),
+            (3.0, 0, 1, 15.0, 0.0, 2.0),
+            (3.1, 0, 1, 30.0, 0.0, 3.0),
+            (3.2, 0, 1, 45.0, 0.0, 4.0),
         ],
     ))
     @settings(max_examples=200, deadline=None)
@@ -533,6 +548,15 @@ class TestPerStepBeliefs:
                 assert np.array_equal(got.locations, want.locations), (i, k)
                 assert np.array_equal(got.values, want.values), (i, k)
 
+    def test_an_untraced_mission_of_the_longest_length(self):
+        # No trace has walked the pooled replay, so global_data walks it
+        # alone, over the longest mission a config allows.
+        result = run_mission(MissionConfig(variant="lawnmower", total_length=255))
+        for k in [*range(0, 256, 5), None]:
+            got, want = global_data(result, k), global_data_from_scratch(result, k)
+            assert np.array_equal(got.locations, want.locations), k
+            assert np.array_equal(got.values, want.values), k
+
     def test_a_simulated_mission_with_instant_delivery(self):
         result = run_mission(micro(variant="lawnmower", comm_latency=0.0))
         assert any(e["kind"] == "rx" and e["t"] == 0.0 for e in result.events)
@@ -563,7 +587,7 @@ class TestSummaryProducts:
         peak = 5.0
         global_field = risk_snapshot(result)
         grid = eval_grid(cfg.area(), cfg.output_resolution)
-        np.testing.assert_array_equal(global_field.points, grid)
+        assert global_field.values.shape == (len(grid),)
         assert global_field.values.min() >= -1e-12
         assert global_field.values.max() <= peak + 1e-9
         agent_field = risk_snapshot(result, agent=0)

@@ -1,6 +1,5 @@
 """Bayes-risk objective: declarations, expected risk, benefit of search."""
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -14,7 +13,6 @@ from scipy import special
 from isobath.gp import Belief, DataSet, KernelSpec, Sample
 from isobath.risk import (
     LossParams,
-    RiskField,
     bayes_risk_batch,
     expected_bayes_risk_closed_batch,
     risk_field,
@@ -335,19 +333,6 @@ class TestRiskField:
         means, varis = Belief(KERNEL, 15.0, data).predict_arrays(pts)
         for val, mean, var in zip(field.values, means, varis):
             assert val == pytest.approx(bayes_risk(mean, var, EQUAL), rel=1e-12)
-
-    def test_csv_round_trip(self, tmp_path):
-        pts = np.array([[0.0, 0.0], [25.0, 50.0]])
-        vals = np.array([1.25, 0.5])
-        field = RiskField(pts, vals)
-        out = tmp_path / "risk.csv"
-        field.write_csv(out)
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["north_m", "east_m", "risk"]
-        parsed = np.array([[float(x) for x in r] for r in rows[1:]])
-        np.testing.assert_array_equal(parsed[:, :2], pts)
-        np.testing.assert_array_equal(parsed[:, 2], vals)
 
 
 PINNED = Path(__file__).resolve().parent / "data" / "closed_batch.json"
