@@ -8,7 +8,9 @@ one subdirectory per seed; with ``--compare`` it instead runs every
 planner variant over the seeds and writes a comparison summary.
 
 ``isobath validate`` checks that a configuration file is usable and
-exits without running anything: it builds every part a mission builds.
+exits without running anything: loading it rejects any non-finite
+number and builds the fixed parts (lake, grids, kernel, vehicles,
+schedule) that ``isobath run`` then runs on.
 
 Configuration files are JSON objects whose keys are MissionConfig
 fields. Any field can also be overridden through the environment as
@@ -137,13 +139,11 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
     # Every grid file is on the output grid: its points prefix each row.
     points, depths = truth_grid(result)
     prefixes = [f"{n!r},{e!r}," for n, e in points.tolist()]
-    _write_grid_csv(
-        out_dir / "risk_global.csv", "risk", prefixes, risk_snapshot(result).values
-    )
+    _write_grid_csv(out_dir / "risk_global.csv", "risk", prefixes, risk_snapshot(result))
     for i in range(cfg.team_size):
         _write_grid_csv(
             out_dir / f"risk_agent_{i}.csv", "risk", prefixes,
-            risk_snapshot(result, agent=i).values,
+            risk_snapshot(result, agent=i),
         )
     _write_grid_csv(out_dir / "depth_truth.csv", "depth_m", prefixes, depths)
     summary = {

@@ -22,15 +22,17 @@ Simulated planning time is zero: a vehicle replans in the instant a
 segment ends. Logs are plain dict events; the JSONL writer emits them
 with sorted keys so equal runs produce byte-equal files.
 
-A finished mission keeps only its config and that event log, and every
-output derives from the two. One walk of the log (``Replay``) serves
-every belief: a vehicle's data only grows, so what it knew at step k
-(``agent_data``) is a prefix of what it inserted, and one incremental
-pass over the pooled samples gives the team's belief at each step
-(``global_data``) and the reward trace. That pass judges each sample
-once, when its step comes into play, and again only when a nearby
-earlier verdict flips; every set it hands out is built from samples
-already admitted, without spacing tests.
+A config validates by building a mission's fixed parts once (lake,
+grids, kernel, vehicles, schedule) and keeps them; the simulator and
+every output read them there. A finished mission keeps only its config
+and that event log, and every output derives from the two. One walk of
+the log (``Replay``) serves every belief: a vehicle's data only grows,
+so what it knew at step k (``agent_data``) is a prefix of what it
+inserted, and one incremental pass over the pooled samples gives the
+team's belief at each step (``global_data``) and the reward trace. That
+pass judges each sample once, when its step comes into play, and again
+only when a nearby earlier verdict flips; every set it hands out is
+built from samples already admitted, without spacing tests.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,11 +74,14 @@ from .motion import (
     lawnmower_path,
     sample_locations,
 )
-# The benchmark's traced run (perfbench/tracing.py) wraps this name in
-# this module; a segment's end state comes from ``sample_locations``.
-from .motion import step  # noqa: F401
 from .planner import PlanConfig, PlanContext, PlanResult
-from .risk import LossParams, RiskField, bayes_risk_batch, risk_field
+from .risk import LossParams, risk_field
+
+# The benchmark's traced run (perfbench/tracing.py) wraps these names in
+# this module, which calls neither: a segment's end state comes from
+# ``sample_locations``, and ``risk_field`` scores every belief, the prior too.
+from .motion import step  # noqa: F401
+from .risk import bayes_risk_batch  # noqa: F401
 
 VARIANTS = ("terminal", "plain", "lawnmower")
 
@@ -89,9 +95,35 @@ COMPARED_VARIANTS = {
 }
 
 
-@dataclass
+# The fixed parts of a mission, built once by its ``MissionConfig``;
+# ``motions`` and ``starts`` hold one entry per vehicle.
+_Parts = collections.namedtuple(
+    "_Parts",
+    "area lake kernel loss plan motions starts sensor schedule"
+    " planning_grid output_grid trace_grid",
+)
+
+
+def _finite(value) -> bool:
+    """Whether every number in a config value, inside its tuples, lists
+    and dicts too, is finite as a float; other values are left to the parts."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, (tuple, list)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
+
+
+@dataclass(frozen=True)
 class MissionConfig:
-    """Scenario, team, planner, and channel settings for one mission."""
+    """Scenario, team, planner, and channel settings for one mission.
+
+    Frozen: ``dataclasses.replace`` makes a changed copy. Construction
+    validates, rejecting any non-finite number, by building every fixed
+    part a mission runs on once, into ``parts``, which the simulator and
+    every output read. The lake holds a closure, so a config does not
+    pickle: send another process the field values, not the config.
+    """
 
     # Operating area and true field (min corner is the origin).
     area_max: tuple[float, float] = (600.0, 1000.0)
@@ -143,14 +175,15 @@ class MissionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not _finite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must hold only finite numbers")
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
         if len(self.speeds) != len(self.starts):
             raise ConfigurationError("speeds and starts must match in length")
-        if not self.speeds:
-            raise ConfigurationError("the team must have at least one vehicle")
         if self.total_length < 1 or self.total_length > 255:
             raise ConfigurationError("total_length must be in 1..255")
         if self.drop_prob < 0 or self.drop_prob >= 1:
@@ -159,38 +192,51 @@ class MissionConfig:
             raise ConfigurationError("comm_latency must be non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-        # Build every part a mission builds, so that a config fails here,
-        # with the part's own message, rather than partway through a run.
+        # A part that refuses its settings fails here, with its own
+        # message, rather than partway through a run.
         try:
-            area = self.area()
-            self.kernel()
-            self.loss()
-            self.plan_config()
-            for agent in range(self.team_size):
-                AgentState(*self.starts[agent])
-                self.motion(agent)
-            SensorModel(self.noise_std, self.sample_spacing)
-            DataSet(self.min_spacing)
-            TdmaSchedule(self.slot_duration, self.team_size)
-            synthetic_lake(
-                self.bathymetry_family, self.bathymetry_params, area, level=self.level
+            area = OperationalArea((0.0, 0.0), self.area_max)
+            parts = _Parts(
+                area=area,
+                kernel=KernelSpec(self.length_scale, self.signal_variance, self.noise_std),
+                loss=LossParams(self.level, self.cost_deep_wrong, self.cost_shallow_wrong),
+                plan=PlanConfig(
+                    horizon=self.horizon,
+                    use_terminal_reward=self.variant == "terminal",
+                    mcts_iterations=self.mcts_iterations,
+                ),
+                starts=tuple(AgentState(*start) for start in self.starts),
+                motions=tuple(
+                    MotionParams(self.turn_radius, self.theta_max, speed)
+                    for speed in self.speeds
+                ),
+                sensor=SensorModel(self.noise_std, self.sample_spacing),
+                schedule=TdmaSchedule(self.slot_duration, self.team_size),
+                lake=synthetic_lake(
+                    self.bathymetry_family, self.bathymetry_params, area, level=self.level
+                ),
+                planning_grid=eval_grid(area, self.planning_resolution),
+                output_grid=eval_grid(area, self.output_resolution),
+                trace_grid=eval_grid(area, self.trace_resolution),
             )
-            for resolution in (
-                self.planning_resolution,
-                self.output_resolution,
-                self.trace_resolution,
-            ):
-                eval_grid(area, resolution)
+            DataSet(self.min_spacing)
             if self.variant != "lawnmower":
                 # The longest plan a vehicle broadcasts must fit a packet.
                 measurement_capacity(min(self.horizon, self.total_length))
         except (TypeError, ValueError, EncodeError) as exc:
             raise ConfigurationError(str(exc)) from exc
+        object.__setattr__(self, "parts", parts)
         # Every Gram matrix the mission factors is a covariance of at most
         # n points plus sn^2 on its diagonal, so its 2-norm condition
         # number, which bounds the factor's estimate from above, is at most
         # 1 + n sf^2 / sn^2.
-        n_max = self.gram_size_bound()
+        try:
+            n_max = self.gram_size_bound()
+        except ArithmeticError:
+            raise ConfigurationError(
+                "turn_radius, sample_spacing, min_spacing and area_max are too far "
+                "apart in scale to bound the samples in one Gram matrix"
+            ) from None
         noise_var = self.noise_std**2
         bound = (
             1.0 + n_max * self.signal_variance / noise_var if noise_var > 0 else math.inf
@@ -238,30 +284,14 @@ class MissionConfig:
         return len(self.speeds)
 
     def area(self) -> OperationalArea:
-        return OperationalArea((0.0, 0.0), self.area_max)
-
-    def kernel(self) -> KernelSpec:
-        return KernelSpec(self.length_scale, self.signal_variance, self.noise_std)
-
-    def loss(self) -> LossParams:
-        return LossParams(self.level, self.cost_deep_wrong, self.cost_shallow_wrong)
-
-    def motion(self, agent: int) -> MotionParams:
-        return MotionParams(self.turn_radius, self.theta_max, self.speeds[agent])
-
-    def plan_config(self) -> PlanConfig:
-        return PlanConfig(
-            horizon=self.horizon,
-            use_terminal_reward=self.variant == "terminal",
-            mcts_iterations=self.mcts_iterations,
-        )
+        return self.parts.area
 
 
 class _AgentRuntime:
     def __init__(self, agent_id, config: MissionConfig, sensor_rng, mcts_rng):
         self.id = agent_id
-        self.state = AgentState(*config.starts[agent_id])
-        self.motion = config.motion(agent_id)
+        self.state = config.parts.starts[agent_id]
+        self.motion = config.parts.motions[agent_id]
         self.data = DataSet(min_spacing=config.min_spacing)
         self.snapshot = JointPlanSnapshot()
         self.queue: list[tuple[float, float, float]] = []
@@ -299,16 +329,7 @@ class MissionResult:
 
 def run_mission(config: MissionConfig) -> MissionResult:
     """Simulate one mission and return its full log."""
-    area = config.area()
-    bathymetry = synthetic_lake(
-        config.bathymetry_family, config.bathymetry_params, area, level=config.level
-    )
-    kernel = config.kernel()
-    loss = config.loss()
-    sensor = SensorModel(config.noise_std, config.sample_spacing)
-    planning_grid = eval_grid(area, config.planning_resolution)
-    schedule = TdmaSchedule(config.slot_duration, config.team_size)
-    plan_cfg = config.plan_config()
+    parts = config.parts
 
     # Child generators: each vehicle's sensor, the channel, each search.
     n = config.team_size
@@ -351,22 +372,22 @@ def run_mission(config: MissionConfig) -> MissionResult:
             return
         if config.variant == "lawnmower":
             result = PlanResult(
-                lawnmower_path(agent.state, 1, area, agent.motion), 0.0, 0.0, False, 0
+                lawnmower_path(agent.state, 1, parts.area, agent.motion), 0.0, 0.0, False, 0
             )
         else:
             context = PlanContext(
-                kernel=kernel,
+                kernel=parts.kernel,
                 prior_mean=config.prior_mean,
                 data=agent.data,
-                loss=loss,
-                eval_points=planning_grid,
+                loss=parts.loss,
+                eval_points=parts.planning_grid,
                 motion=agent.motion,
-                area=area,
+                area=parts.area,
                 remaining_steps=remaining,
                 sensor_spacing=config.sample_spacing,
             )
             result = plan_with_predecessors(
-                agent.state, context, agent.snapshot, agent.id, plan_cfg, agent.mcts_rng
+                agent.state, context, agent.snapshot, agent.id, parts.plan, agent.mcts_rng
             )
         action = result.path.actions[0]
         agent.plan_state = agent.state
@@ -397,13 +418,13 @@ def run_mission(config: MissionConfig) -> MissionResult:
         chord = max(float(norms[-1]), 1e-12)
         # Time along the segment, scaled onto the full arc length.
         times = t + (norms[1:] / chord) * seg_len / agent.motion.speed
-        samples = sample_depth(bathymetry, sensor, locs[1:], agent.sensor_rng)
+        samples = sample_depth(parts.lake, parts.sensor, locs[1:], agent.sensor_rng)
         for t_sample, s in zip(times.tolist(), samples):
             push(t_sample, "sample", (agent.id, s))
         push(t_end, "segment_end", (agent.id, final, action))
 
     def broadcast(t, slot):
-        owner = agents[schedule.owner(slot)]
+        owner = agents[parts.schedule.owner(slot)]
         n_actions = len(owner.plan_actions)
         capacity = measurement_capacity(n_actions)
         chosen = select_measurements(range(len(owner.queue)), capacity)
@@ -466,8 +487,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
     # Mission start: every vehicle samples its start point, then plans.
     for agent in agents:
         start = [(agent.state.north, agent.state.east)]
-        push(0.0, "sample",
-             (agent.id, sample_depth(bathymetry, sensor, start, agent.sensor_rng)[0]))
+        sample = sample_depth(parts.lake, parts.sensor, start, agent.sensor_rng)[0]
+        push(0.0, "sample", (agent.id, sample))
     for agent in agents:
         push(0.0, "launch", (agent.id,))
     push(0.0, "slot", 0)
@@ -701,63 +722,50 @@ def delivery_rate(result: MissionResult) -> float | None:
 
 def risk_snapshot(
     result: MissionResult, agent: int | None = None, upto_step: int | None = None
-) -> RiskField:
+) -> np.ndarray:
     """Bayes-risk map on the output grid from a chosen belief.
 
     ``agent=None`` uses the omniscient team belief (``global_data``), an
     agent index what that vehicle knew (``agent_data``); ``upto_step``
     rewinds either to step k, which must not be negative.
     """
-    config = result.config
-    points = eval_grid(config.area(), config.output_resolution)
     if agent is None:
         data = global_data(result, upto_step)
     else:
         data = agent_data(result, agent, upto_step)
-    return risk_field(
-        config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
-    )
+    return _risk(result.config, data, result.config.parts.output_grid)
 
 
 def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
     """Team risk-reduction after each joint step.
 
     Entry k is the drop in summed Bayes risk over the trace grid from the
-    prior to the belief on ``global_data(result, k)``, every vehicle's
-    first k steps, scored as ``Replay.pooled`` builds it. A step that
-    keeps the previous step's samples keeps its risk sum.
+    prior, the belief on no data, to the belief on ``global_data(result,
+    k)``, every vehicle's first k steps, scored as ``Replay.pooled``
+    builds it. A step that keeps the previous step's samples keeps its
+    risk sum.
     """
     config = result.config
-    kernel, loss = config.kernel(), config.loss()
-    points = eval_grid(config.area(), config.trace_resolution)
-    prior = float(
-        np.sum(
-            bayes_risk_batch(
-                np.full(len(points), config.prior_mean),
-                np.full(len(points), config.signal_variance),
-                loss,
-            )
-        )
-    )
+    points = config.parts.trace_grid
+    prior = float(np.sum(_risk(config, DataSet(config.min_spacing), points)))
     trace = np.empty(config.total_length + 1)
     for k, (data, changed) in enumerate(result.replay.pooled()):
         if changed:
-            risk = float(np.sum(risk_field(
-                kernel, data, points, loss, prior_mean=config.prior_mean
-            ).values))
+            risk = float(np.sum(_risk(config, data, points)))
         trace[k] = prior - risk
     return trace
 
 
+def _risk(config: MissionConfig, data: DataSet, points) -> np.ndarray:
+    """Conditional Bayes risk at ``points`` under the config's belief on ``data``."""
+    parts = config.parts
+    return risk_field(parts.kernel, data, points, parts.loss, prior_mean=config.prior_mean)
+
+
 def truth_grid(result: MissionResult):
     """True depths on the output grid, as (points, values)."""
-    config = result.config
-    area = config.area()
-    bathymetry = synthetic_lake(
-        config.bathymetry_family, config.bathymetry_params, area, level=config.level
-    )
-    points = eval_grid(area, config.output_resolution)
-    return points, bathymetry.depth_grid(points)
+    parts = result.config.parts
+    return parts.output_grid, parts.lake.depth_grid(parts.output_grid)
 
 
 def compare_methods(base_config: MissionConfig, seeds) -> dict:

@@ -93,8 +93,6 @@ class LossParams:
     def __post_init__(self):
         if not (self.cost_deep_wrong > 0 and self.cost_shallow_wrong > 0):
             raise ValueError("misclassification costs must be positive")
-        if not math.isfinite(self.level):
-            raise ValueError("level must be finite")
 
 
 def _phi(x):
@@ -203,13 +201,6 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
     return np.minimum(np.maximum(out, 0.0), top)
 
 
-@dataclass
-class RiskField:
-    """Conditional Bayes risk at each point of a lattice, in its order."""
-
-    values: np.ndarray
-
-
 def risk_field(
     kernel: KernelSpec,
     data: DataSet,
@@ -217,8 +208,8 @@ def risk_field(
     loss: LossParams,
     *,
     prior_mean: float = 0.0,
-) -> RiskField:
-    """Current conditional risk field under the given belief."""
-    pts = np.asarray(eval_points, dtype=float).reshape(-1, 2)
-    means, varis = Belief(kernel, prior_mean, data).predict_arrays(pts)
-    return RiskField(bayes_risk_batch(means, varis, loss))
+) -> np.ndarray:
+    """Conditional Bayes risk at each of ``eval_points``, in their order,
+    under the given belief."""
+    means, varis = Belief(kernel, prior_mean, data).predict_arrays(eval_points)
+    return bayes_risk_batch(means, varis, loss)

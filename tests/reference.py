@@ -287,7 +287,7 @@ def benefit_of_search(
     negative for surprising measurements.
     """
     risk1 = float(np.sum(
-        risk_field(kernel, belief_data, eval_points, loss, prior_mean=prior_mean).values
+        risk_field(kernel, belief_data, eval_points, loss, prior_mean=prior_mean)
     ))
     merged = copy.deepcopy(belief_data)
     if isinstance(new_data, DataSet):
@@ -297,7 +297,7 @@ def benefit_of_search(
     for s in samples:
         merged.insert(s)
     risk2 = float(np.sum(
-        risk_field(kernel, merged, eval_points, loss, prior_mean=prior_mean).values
+        risk_field(kernel, merged, eval_points, loss, prior_mean=prior_mean)
     ))
     return risk1 - risk2
 

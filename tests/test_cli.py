@@ -1,14 +1,17 @@
 """Command-line interface tests: config loading, seed parsing, exit
 codes, and the files a run writes."""
 
+import collections
 import csv
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isobath import cli
+from isobath import cli, mission
 from isobath.cli import load_config, main, parse_seeds
 from isobath.environment import eval_grid
 from isobath.errors import ConfigurationError, NumericalError
@@ -203,8 +206,8 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
 
 # Each config builds a part that refuses it (a zero or negative scale,
 # an isobath outside the lake, a lake family without its parameters, a
-# plan longer than a packet holds, a start pose without three numbers),
-# so ``isobath run`` would stop partway.
+# plan longer than a packet holds, a start pose without three numbers,
+# a schedule for an empty team), so ``isobath run`` would stop partway.
 @pytest.mark.parametrize("env", [
     {"ISOBATH_HORIZON": "0"},
     {"ISOBATH_MCTS_ITERATIONS": "0"},
@@ -222,12 +225,56 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
     {"ISOBATH_HORIZON": "240", "ISOBATH_TOTAL_LENGTH": "250"},
     {"ISOBATH_STARTS": "[[0, 10], [0, 10], [0, 10]]"},
     {"ISOBATH_STARTS": "[[0, 10, 10, 5], [0, 10, 10, 5], [0, 10, 10, 5]]"},
+    {"ISOBATH_SPEEDS": "[]", "ISOBATH_STARTS": "[]"},
 ], ids=lambda env: ",".join(f"{k[8:].lower()}={v}" for k, v in env.items()))
 def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def with_first_number(value, number):
+    """A config value with its first number, depth first, set to ``number``."""
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: with_first_number(value[key], number)}
+    if isinstance(value, (tuple, list)):
+        return [with_first_number(value[0], number), *value[1:]]
+    return number
+
+
+DEFAULTS = dataclasses.asdict(MissionConfig())
+# (test id, field, value): every field that holds numbers, at NaN and at
+# either infinity.
+NON_FINITE = [
+    (f"{name}={number}", name, with_first_number(value, number))
+    for name, value in DEFAULTS.items()
+    if not isinstance(value, str)
+    for number in (math.nan, math.inf, -math.inf)
+] + [
+    # A top-level lake parameter, not only one inside the basin's center.
+    (f"bathymetry_params.radius={number}", "bathymetry_params",
+     {**DEFAULTS["bathymetry_params"], "radius": number})
+    for number in (math.nan, math.inf, -math.inf)
+] + [
+    # Finite, but the Gram size bound overflows on the turn apron.
+    ("turn_radius=1e308", "turn_radius", 1e308),
+]
+
+
+# A non-finite number used to pass validation and then give a NaN reward
+# or NaN event times, or stop the run with a traceback.
+@pytest.mark.parametrize(
+    "name, value", [case[1:] for case in NON_FINITE], ids=[case[0] for case in NON_FINITE]
+)
+def test_validate_rejects_non_finite_numbers_naming_the_field(
+    name, value, monkeypatch, capsys
+):
+    monkeypatch.setenv(f"ISOBATH_{name.upper()}", json.dumps(value))
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and name in err
 
 
 def test_the_longest_plan_a_packet_holds_validates(monkeypatch):
@@ -366,6 +413,23 @@ def test_outputs_rebuild_from_the_run_directory_alone(tmp_path, monkeypatch):
         ).read_bytes(), name
 
 
+def test_a_run_builds_the_lake_and_grids_once_per_config(
+    config_file, tmp_path, monkeypatch
+):
+    # One config for the file and one per seed each build the lake and
+    # the three grids; the simulator and every output reuse them.
+    builds = collections.Counter()
+    for name in ("synthetic_lake", "eval_grid"):
+        def counted(*args, _build=getattr(mission, name), _name=name, **kwargs):
+            builds[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(mission, name, counted)
+    argv = ["run", "--config", str(config_file), "--seeds", "0-1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert builds == {"synthetic_lake": 3, "eval_grid": 9}
+
+
 def test_grid_files_round_trip_the_output_grid(config_file, tmp_path, monkeypatch):
     # Every grid file lists the output grid's points in order, each row
     # with a value that reads back to the same float.
@@ -375,9 +439,9 @@ def test_grid_files_round_trip_the_output_grid(config_file, tmp_path, monkeypatc
     cli._run_one_seed(config, config.seed, tmp_path)
     grid = eval_grid(config.area(), config.output_resolution)
     files = {
-        "risk_global.csv": ("risk", risk_snapshot(result).values),
-        "risk_agent_0.csv": ("risk", risk_snapshot(result, agent=0).values),
-        "risk_agent_1.csv": ("risk", risk_snapshot(result, agent=1).values),
+        "risk_global.csv": ("risk", risk_snapshot(result)),
+        "risk_agent_0.csv": ("risk", risk_snapshot(result, agent=0)),
+        "risk_agent_1.csv": ("risk", risk_snapshot(result, agent=1)),
         "depth_truth.csv": ("depth_m", truth_grid(result)[1]),
     }
     for name, (column, values) in files.items():

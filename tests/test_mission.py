@@ -5,7 +5,6 @@ reference oracles' whole-log replays, and the summary products."""
 
 import json
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -113,13 +112,14 @@ def reference_reward_trace(result):
     """The reward trace with every step's data set rebuilt from scratch
     by the reference oracle."""
     config = result.config
+    kernel, loss = config.parts.kernel, config.parts.loss
     points = eval_grid(config.area(), config.trace_resolution)
     prior = float(
         np.sum(
             bayes_risk_batch(
                 np.full(len(points), config.prior_mean),
                 np.full(len(points), config.signal_variance),
-                config.loss(),
+                loss,
             )
         )
     )
@@ -127,8 +127,8 @@ def reference_reward_trace(result):
     for k in range(config.total_length + 1):
         data = global_data_from_scratch(result, k)
         risk = float(np.sum(risk_field(
-            config.kernel(), data, points, config.loss(), prior_mean=config.prior_mean
-        ).values))
+            kernel, data, points, loss, prior_mean=config.prior_mean
+        )))
         trace[k] = prior - risk
     return trace
 
@@ -143,12 +143,13 @@ def trace_data_sets(result):
 
     def indexed_risk_field(kernel, data, points, loss, prior_mean):
         seen.append((data.locations, data.values))
-        return SimpleNamespace(values=np.array([float(len(seen))]))
+        return np.array([float(len(seen) - 1)])
 
     with mock.patch.object(mission, "risk_field", indexed_risk_field):
         trace = accumulated_reward_trace(result)
-    # Entry k is prior - index, and step 0 always builds data set 1.
-    return [seen[round(trace[0] + 1.0 - t) - 1] for t in trace]
+    # The prior is data set 0, the empty one, so entry k is -index.
+    assert len(seen[0][0]) == 0
+    return [seen[round(-t)] for t in trace]
 
 
 def lattice(spacing):
@@ -163,8 +164,13 @@ def lattice(spacing):
 def interleaved_samples(draw):
     """(min_spacing, total_length, team size, samples) for vehicles whose
     steps take different times, so a fast vehicle's step k+1 can come
-    before a slow one's step k. Locations lie on ``lattice``. A step may
-    have no samples."""
+    before a slow one's step k. A step may have no samples.
+
+    Locations lie on ``lattice``, or on a line in collection order, each
+    0.5 to 1 ``min_spacing`` past the one before. On the line, a step
+    whose samples come before some already in play flips a chain of
+    verdicts: an eviction frees the next sample down the line, which
+    evicts the one after it."""
     spacing = draw(st.sampled_from([0.0, 12.5, 30.0]))
     total_length = draw(st.integers(1, 20))
     coordinate = lattice(spacing)
@@ -174,12 +180,17 @@ def interleaved_samples(draw):
         t = 0.0
         for k in range(total_length + 1):
             for j in range(draw(st.integers(0, 6))):
-                samples.append((
+                samples.append([
                     t + 0.1 * j, agent, k, draw(coordinate), draw(coordinate),
                     draw(st.floats(0.0, 30.0)),
-                ))
+                ])
             t += draw(st.integers(1, 4))
-    return spacing, total_length, size, samples
+    if draw(st.booleans()):
+        north = 0.0
+        for sample in sorted(samples):
+            sample[3:5] = north, 0.0
+            north += draw(st.floats(0.5, 1.0)) * (spacing or 10.0)
+    return spacing, total_length, size, [tuple(sample) for sample in samples]
 
 
 @st.composite
@@ -280,7 +291,7 @@ class TestEventLog:
                      if e["kind"] == "step" and e["agent"] == aid]
             assert [e["n"] for e in steps] == list(range(1, cfg.total_length + 1))
             for e in steps:
-                state = step(state, ACTION_SET[e["action"]], cfg.motion(aid))
+                state = step(state, ACTION_SET[e["action"]], cfg.parts.motions[aid])
                 assert (e["heading"], e["north"], e["east"]) == (
                     state.heading, state.north, state.east
                 )
@@ -587,15 +598,15 @@ class TestSummaryProducts:
         peak = 5.0
         global_field = risk_snapshot(result)
         grid = eval_grid(cfg.area(), cfg.output_resolution)
-        assert global_field.values.shape == (len(grid),)
-        assert global_field.values.min() >= -1e-12
-        assert global_field.values.max() <= peak + 1e-9
+        assert global_field.shape == (len(grid),)
+        assert global_field.min() >= -1e-12
+        assert global_field.max() <= peak + 1e-9
         agent_field = risk_snapshot(result, agent=0)
-        assert agent_field.values.shape == global_field.values.shape
+        assert agent_field.shape == global_field.shape
         # A single vehicle knows no more than the whole team.
-        assert agent_field.values.sum() >= global_field.values.sum() - 1e-6
+        assert agent_field.sum() >= global_field.sum() - 1e-6
         mid_field = risk_snapshot(result, agent=0, upto_step=3)
-        assert mid_field.values.shape == global_field.values.shape
+        assert mid_field.shape == global_field.shape
 
     def test_mid_mission_agent_snapshot_rewinds_comms(self):
         # The agent-belief rewind keeps only broadcasts received before
@@ -621,14 +632,14 @@ class TestSummaryProducts:
                 for north, east, value in e["inserted"]:
                     data.insert(Sample((north, east), value))
         want = risk_field(
-            cfg.kernel(),
+            cfg.parts.kernel,
             data,
             eval_grid(cfg.area(), cfg.output_resolution),
-            cfg.loss(),
+            cfg.parts.loss,
             prior_mean=cfg.prior_mean,
         )
         got = risk_snapshot(result, agent=aid, upto_step=k)
-        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         late = [
             e
             for e in result.events
@@ -655,7 +666,7 @@ class TestLawnmowerVariant:
         for aid in range(cfg.team_size):
             want = lawnmower_path(
                 AgentState(*cfg.starts[aid]), cfg.total_length, area,
-                cfg.motion(aid),
+                cfg.parts.motions[aid],
             )
             got = [e["action"] for e in res.events
                    if e["kind"] == "step" and e["agent"] == aid]

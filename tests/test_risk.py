@@ -331,7 +331,7 @@ class TestRiskField:
         pts = rng.uniform(0, 300, (20, 2))
         field = risk_field(KERNEL, data, pts, EQUAL, prior_mean=15.0)
         means, varis = Belief(KERNEL, 15.0, data).predict_arrays(pts)
-        for val, mean, var in zip(field.values, means, varis):
+        for val, mean, var in zip(field, means, varis):
             assert val == pytest.approx(bayes_risk(mean, var, EQUAL), rel=1e-12)
 
 
