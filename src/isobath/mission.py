@@ -178,6 +178,12 @@ class MissionConfig:
         for f in fields(self):
             if not _finite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must hold only finite numbers")
+        # Counts and the seed: 2.5 would be printed as a step count and
+        # stop a run with a TypeError, and True would pass as 1.
+        for name in ("total_length", "horizon", "mcts_iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, not {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"

@@ -246,13 +246,15 @@ class EpisodeEvaluator:
         near = np.logical_or.reduceat(close, [starts[i] for i in live], axis=0)
         which, at = near.nonzero()
         counts = np.bincount(which, minlength=len(live)).tolist()
+        # Each set's projections are its own columns of one gather.
+        projections = self.projections[:, at]
         dvars, scored, start = [], [], 0
         for i, count in zip(live, counts):
             if not count:
                 continue
             cols = at[start:start + count]
+            proj = projections[:, start:start + count]
             start += count
-            proj = self.projections[:, cols]
             r0, r1 = starts[i], starts[i] + sizes[i]
             b_a = _tri_solve(self.low_s, k[r0:r1, :n_s].T)
             c_aa = k[r0:r1, n_t + r0:n_t + r1] - b_a.T @ b_a

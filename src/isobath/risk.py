@@ -53,17 +53,41 @@ together, which happens for equal costs whenever mu_mu is the level,
 Phi2(0, 0; r) = 1/4 + asin(r)/(2 pi) gives T1 + T2 + beta =
 1/4 + asin(rho)/(2 pi) instead.
 
+Equal costs, which the default mission uses, put mu* at the level, since
+erfinv(0) = 0. Then a1 = +-0, so T1 = T(x, +-0) = 0; the factor c2 - c1
+makes the normal-CDF term a signed zero; and x and k both take the sign
+of l - mu_mu, so beta = 1/2 wherever neither is zero. What is left is
+
+    E[r] = (c1 + c2) (1/2 - T2 - 1/2),
+
+with T2 = T(k, a2) and a2 computed as in the general form, (l - mu*) s^2
+being 0. Dropping a term that is exactly zero leaves every bit as it was,
+sign bits included: 1/2 - T2 is 1/2 whether T2 is +0 or -0, and the
+product with c1 + c2 is never -0. So the batch skips T1, the normal CDF
+and the mu* chain, and makes half the Owen's T evaluations, when the
+costs are equal, every element is live and no head is zero. A zero head
+(mu_mu exactly at the level, as at every grid point far from all data
+when the prior mean is the level) needs the limits above, so such a
+batch takes the general form. So does one where the reduction's guard,
+the product of k^2 and a2's denominator sigma_mu sigma_q (l - mu_mu),
+underflows to zero. Where k^2 is not zero, neither is x k, as
+|x| >= |k|. Where both factors are not zero, neither is a1's denominator
+sigma_q (l - mu_mu): for sigma_mu <= 1 it is at least a2's, and for
+sigma_mu > 1 a nonzero k^2 keeps |l - mu_mu| above 1e-162, while
+sigma_q > 1e-150. ``tests/reference.py`` keeps the general form the
+tests compare the batch with.
+
 Reference: D. B. Owen, "Tables for computing bivariate normal
 probabilities", Annals of Mathematical Statistics 27 (1956), 1075-1090.
 
 The form is exact; its two independent cross-checks, an adaptive
 quadrature evaluator and a Monte Carlo evaluator, are test oracles and
-live in ``tests/reference.py``. The batch evaluator makes one Owen's T
-call over T1's and T2's arguments together and one normal-CDF call over
-x and k, so a call costs about the same for one element as for a few
-dozen. Every step is elementwise, so each element's result is
-independent of the batch it is evaluated in; the planner relies on that
-when it scores several location sets in one call.
+live in ``tests/reference.py``. For unequal costs the batch evaluator
+makes one Owen's T call over T1's and T2's arguments together and one
+normal-CDF call over x and k, so a call costs about the same for one
+element as for a few dozen. Every step is elementwise, so each element's
+result is independent of the batch it is evaluated in; the planner
+relies on that when it scores several location sets in one call.
 """
 
 from __future__ import annotations
@@ -168,6 +192,17 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
     sd_mu = np.sqrt(vmu)
     sd_q = np.sqrt(vq)
     s2 = vmu + vq
+    if out is None and c1 == c2:
+        # The equal-cost reduction of the module docstring; where its
+        # guard is zero, the general form below takes over.
+        d_l = level - mm
+        k = d_l / np.sqrt(s2)
+        den = sd_mu * sd_q * d_l
+        if np.logical_and.reduce(k * k * den):
+            # a2 as below, with (l - mu*) s^2 = 0.
+            t2 = special.owens_t(k, (0.0 - d_l * vq) / den)
+            expected = (c1 + c2) * (0.5 - t2 - 0.5)
+            return np.minimum(np.maximum(expected, 0.0), top).reshape(mu_mu.shape)
     ms = level - _flip_erfinv(c1, c2) * sd_q * math.sqrt(2.0)
     d_ms = ms - mm
     d_l = level - mm

@@ -10,6 +10,10 @@ against the other:
   ``bayes_risk``, ``mu_star``);
 - the expected post-measurement risk by adaptive quadrature and by
   Monte Carlo draws, and the planner's closed form on one element;
+- the closed-form batch for any pair of costs, evaluated through both
+  Owen's T terms and the normal-CDF term
+  (``expected_bayes_risk_general``), where the package drops the terms
+  that vanish for equal costs;
 - the variance decomposition by re-factoring the GP on data plus the
   planned locations (``variance_reduction``);
 - the realized and expected benefit of search, and the joint expected
@@ -165,6 +169,79 @@ def expected_bayes_risk_closed(inputs, loss: LossParams) -> float:
             loss,
         )[0]
     )
+
+
+def _owen_slopes(sd_mu, sd_q, s2, vq, ms, d_ms, d_l, level):
+    """Owen's T arguments a1 and a2 of ``risk``'s docstring, concatenated."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.concatenate([
+            sd_mu * (ms - level) / (sd_q * d_ms),
+            ((level - ms) * s2 - d_l * vq) / (sd_mu * sd_q * d_l),
+        ])
+
+
+def expected_bayes_risk_general(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: LossParams):
+    """The closed-form batch as it is written for any pair of costs.
+
+    A copy of ``risk.expected_bayes_risk_closed_batch`` from before it
+    took the equal-cost reduction: every element, equal costs included,
+    goes through the flip point mu*, both Owen's T terms, beta and the
+    normal-CDF term, and zero heads take their limits. The package must
+    return these values to the last bit, sign bits included.
+    """
+    mu_mu = np.asarray(mu_mu, dtype=float)
+    s2mu = np.asarray(sigma_mu_sq, dtype=float)
+    s2q = np.asarray(sigma_pq_sq, dtype=float)
+    if not mu_mu.shape == s2mu.shape == s2q.shape:
+        mu_mu, s2mu, s2q = np.broadcast_arrays(mu_mu, s2mu, s2q)
+    c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
+    level = loss.level
+    top = max(c1, c2)
+    if (
+        mu_mu.size
+        and np.minimum.reduce(s2mu, axis=None) > 1e-300
+        and np.minimum.reduce(s2q, axis=None) > 1e-300
+    ):
+        out = None
+        mm, vmu, vq = mu_mu.ravel(), s2mu.ravel(), s2q.ravel()
+    else:
+        out = np.zeros(mu_mu.shape)
+        no_spread = s2mu <= 1e-300
+        if no_spread.any():
+            out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
+        live = ~no_spread & (s2q > 1e-300)
+        if not live.any():
+            return np.minimum(np.maximum(out, 0.0), top)
+        mm, vmu, vq = mu_mu[live], s2mu[live], s2q[live]
+    sd_mu = np.sqrt(vmu)
+    sd_q = np.sqrt(vq)
+    s2 = vmu + vq
+    flip = float(special.erfinv((c2 - c1) / (c1 + c2)))
+    ms = level - flip * sd_q * math.sqrt(2.0)
+    d_ms = ms - mm
+    d_l = level - mm
+    heads = np.concatenate([d_ms / sd_mu, d_l / np.sqrt(s2)])
+    slopes = _owen_slopes(sd_mu, sd_q, s2, vq, ms, d_ms, d_l, level)
+    owen = special.owens_t(heads, slopes)
+    n = mm.shape[0]
+    x, k = heads[:n], heads[n:]
+    if np.logical_and.reduce(heads):
+        t_sum = owen[:n] + owen[n:]
+    else:
+        zero = heads == 0.0
+        owen[zero] = 0.25
+        t_sum = owen[:n] + owen[n:]
+        both = zero[:n] & zero[n:]
+        if both.any():
+            rho = sd_mu[both] / np.sqrt(s2[both])
+            t_sum[both] = 0.25 + np.arcsin(rho) / (2.0 * math.pi)
+    phi = special.ndtr(heads)
+    beta = 0.5 * (x * k > 0.0)
+    expected = (c1 + c2) * (0.5 - t_sum - beta) + 0.5 * (c2 - c1) * (phi[:n] - phi[n:])
+    if out is None:
+        return np.minimum(np.maximum(expected, 0.0), top).reshape(mu_mu.shape)
+    out[live] = expected
+    return np.minimum(np.maximum(out, 0.0), top)
 
 
 def expected_bayes_risk_quadrature(

@@ -207,7 +207,8 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
 # Each config builds a part that refuses it (a zero or negative scale,
 # an isobath outside the lake, a lake family without its parameters, a
 # plan longer than a packet holds, a start pose without three numbers,
-# a schedule for an empty team), so ``isobath run`` would stop partway.
+# a schedule for an empty team) or holds a count or seed that is not an
+# integer, so ``isobath run`` would stop partway. Both commands refuse it.
 @pytest.mark.parametrize("env", [
     {"ISOBATH_HORIZON": "0"},
     {"ISOBATH_MCTS_ITERATIONS": "0"},
@@ -226,12 +227,29 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
     {"ISOBATH_STARTS": "[[0, 10], [0, 10], [0, 10]]"},
     {"ISOBATH_STARTS": "[[0, 10, 10, 5], [0, 10, 10, 5], [0, 10, 10, 5]]"},
     {"ISOBATH_SPEEDS": "[]", "ISOBATH_STARTS": "[]"},
+    *(
+        {f"ISOBATH_{name}": value}
+        for name in ("TOTAL_LENGTH", "HORIZON", "MCTS_ITERATIONS", "SEED")
+        for value in ("2.5", "true", "3.0")
+    ),
+    {"ISOBATH_TOTAL_LENGTH": "2.5", "ISOBATH_VARIANT": '"lawnmower"'},
 ], ids=lambda env: ",".join(f"{k[8:].lower()}={v}" for k, v in env.items()))
-def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys):
+def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys, tmp_path):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(DEFAULT_CONFIG), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["total_length", "horizon", "mcts_iterations", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_count_and_seed_fields_must_be_integers_naming_the_field(name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+        MissionConfig(**{name: value})
 
 
 def with_first_number(value, number):

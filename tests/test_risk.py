@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from reference import (
     bayes_risk,
     benefit_of_search,
     expected_bayes_risk_closed,
+    expected_bayes_risk_general,
     expected_bayes_risk_mc,
     expected_bayes_risk_quadrature,
     expected_benefit_of_search,
@@ -333,6 +335,107 @@ class TestRiskField:
         means, varis = Belief(KERNEL, 15.0, data).predict_arrays(pts)
         for val, mean, var in zip(field, means, varis):
             assert val == pytest.approx(bayes_risk(mean, var, EQUAL), rel=1e-12)
+
+
+def _spreads(live: bool):
+    """Variances: ordinary ones, 1e-300-scale ones either side of the
+    degenerate threshold, and (unless ``live``) exact zeros."""
+    kinds = [
+        st.floats(1e-12, 50.0),
+        st.floats(1.0000001e-300, 1e-297),
+    ]
+    if not live:
+        kinds += [st.just(0.0), st.floats(0.0, 1e-300)]
+    return st.one_of(*kinds)
+
+
+@st.composite
+def closed_batches(draw):
+    """(mu_mu, sigma_mu_sq, sigma_pq_sq, loss) as the evaluator calls the batch.
+
+    Half the batches have only live elements, the ones the equal-cost
+    reduction serves; the rest mix in degenerate spreads. Means sit at
+    the level (zero heads), an ulp or a hair from it, or anywhere near
+    it. Some elements are built as ``EpisodeEvaluator`` builds them,
+    from a grid variance, the base plan's residual and a reduction,
+    each clipped at zero.
+    """
+    level = draw(st.sampled_from([15.0, 0.0, -3.5]))
+    c1 = draw(st.floats(0.5, 50.0))
+    c2 = draw(st.one_of(st.just(c1), st.floats(0.5, 50.0)))
+    live = draw(st.booleans())
+    at_level = draw(st.booleans())
+    means = [
+        st.floats(level - 40.0, level + 40.0),
+        st.floats(-1e-160, 1e-160).map(lambda d: level + d),
+        st.sampled_from([np.nextafter(level, -1.0), np.nextafter(level, 1.0)]),
+    ]
+    if at_level:
+        means.append(st.just(level))
+    element = st.tuples(st.one_of(*means), _spreads(live), _spreads(live))
+    mu, s2mu, s2q = (np.array(v, dtype=float) for v in zip(
+        *draw(st.lists(element, min_size=1, max_size=60))
+    ))
+    if draw(st.booleans()):
+        # The evaluator's own clipping: var_qfull = max(var_qbase - dvar, 0)
+        # and sigma_mu^2 = max(var_s - var_qfull, 0).
+        var_s = np.array(draw(st.lists(
+            st.floats(0.0, 25.0), min_size=mu.size, max_size=mu.size)))
+        var_qbase = var_s * draw(st.floats(0.0, 1.0))
+        dvar = var_qbase * draw(st.floats(0.0, 1.2))
+        s2q = np.maximum(var_qbase - dvar, 0.0)
+        s2mu = np.maximum(var_s - s2q, 0.0)
+    if draw(st.booleans()) and mu.size % 2 == 0:
+        mu, s2mu, s2q = (v.reshape(2, -1) for v in (mu, s2mu, s2q))
+    return mu, s2mu, s2q, LossParams(level, c1, c2)
+
+
+class TestClosedBatchMatchesTheGeneralForm:
+    """For equal costs the batch drops T(x, a1) and the normal-CDF term.
+
+    Equal costs put mu* at the level, so a1 = +-0 and T(x, +-0) = 0, and
+    (c2 - c1)(Phi(x) - Phi(k))/2 is a signed zero. The batch skips them,
+    so it must still return, bit for bit, what the general form returns.
+    """
+
+    @given(closed_batches())
+    @settings(max_examples=400, deadline=None)
+    def test_values_and_sign_bits_equal_the_general_form(self, batch):
+        mu, s2mu, s2q, loss = batch
+        got = expected_bayes_risk_closed_batch(mu, s2mu, s2q, loss)
+        want = expected_bayes_risk_general(mu, s2mu, s2q, loss)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    # (level, mean, sigma_mu^2, sigma_pq^2) of the elements the reduction
+    # must hand back to the general form, and of one it must not.
+    EDGES = {
+        # A zero head: both limits of the module docstring apply.
+        "mean_at_the_level": (15.0, 15.0, 3.0, 2.0),
+        # x k underflows, so beta is 0 where it would be 1/2.
+        "xk_underflows": (0.0, -4.95e-162, 49.0, 49.0),
+        # a2's denominator underflows and the slope is 0/0.
+        "slope_denominator_underflows": (0.0, 1e-30, 2e-300, 2e-300),
+        # Taken by the reduction: an ulp from the level at tiny spreads.
+        "an_ulp_from_the_level": (15.0, float(np.nextafter(15.0, 16.0)), 2e-300, 2e-300),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGES))
+    def test_edge_elements_alone_and_in_a_batch(self, name):
+        level, mean, s2mu, s2q = self.EDGES[name]
+        loss = LossParams(level, 10.0, 10.0)
+        rng = np.random.default_rng(3)
+        mu = np.append(rng.normal(level, 4.0, 5), mean)
+        a = np.append(rng.exponential(3.0, 5), s2mu)
+        q = np.append(rng.exponential(3.0, 5), s2q)
+        for part in (slice(5, 6), slice(0, 6)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = expected_bayes_risk_closed_batch(mu[part], a[part], q[part], loss)
+            want = expected_bayes_risk_general(mu[part], a[part], q[part], loss)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 PINNED = Path(__file__).resolve().parent / "data" / "closed_batch.json"
