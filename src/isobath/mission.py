@@ -85,6 +85,12 @@ from .risk import bayes_risk_batch  # noqa: F401
 
 VARIANTS = ("terminal", "plain", "lawnmower")
 
+# Most measurement locations one vehicle step may take (15 at the
+# defaults). The simulator and every planner candidate walk a step's
+# locations one by one, so a spacing far below the step's length would
+# stall a run that validation passed.
+STEP_SAMPLE_CAP = 1000
+
 # What ``compare_methods`` runs: MissionConfig overrides per variant, so
 # the terminal-reward planner, the plain short-horizon planner and the
 # lawnmower baseline each fly with the horizon the comparison pairs them at.
@@ -237,6 +243,14 @@ class MissionConfig:
         # number, which bounds the factor's estimate from above, is at most
         # 1 + n sf^2 / sn^2.
         try:
+            per_step = self.step_sample_bound()
+            if per_step > STEP_SAMPLE_CAP:
+                raise ConfigurationError(
+                    f"sample_spacing {self.sample_spacing:g} is too small for "
+                    f"turn_radius {self.turn_radius:g}: one step may take {per_step:.3g} "
+                    f"samples, above the cap {STEP_SAMPLE_CAP}; raise sample_spacing "
+                    "or lower turn_radius"
+                )
             n_max = self.gram_size_bound()
         except ArithmeticError:
             raise ConfigurationError(
@@ -267,12 +281,7 @@ class MissionConfig:
         every sample the team can take, twice over: the data, and the
         plans scored against it.
         """
-        longest_step = self.turn_radius * (
-            self.theta_max + 2.0 * max(abs(a) for a in ACTION_SET)
-        )
-        per_vehicle = 1 + self.total_length * (
-            math.floor(longest_step / self.sample_spacing) + 1
-        )
+        per_vehicle = 1 + self.total_length * self.step_sample_bound()
         n_max = 2 * self.team_size * per_vehicle
         if self.min_spacing > 0:
             half = 0.5 * self.min_spacing
@@ -284,6 +293,15 @@ class MissionConfig:
             )
             n_max = min(n_max, math.floor(box / (math.pi * half * half)))
         return n_max
+
+    def step_sample_bound(self) -> int:
+        """Most measurement locations one vehicle step takes: the longest
+        step, the largest turn's arc and run-out, sampled every
+        ``sample_spacing`` meters, plus its end."""
+        longest_step = self.turn_radius * (
+            self.theta_max + 2.0 * max(abs(a) for a in ACTION_SET)
+        )
+        return math.floor(longest_step / self.sample_spacing) + 1
 
     @property
     def team_size(self) -> int:
@@ -399,9 +417,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         agent.plan_state = agent.state
         agent.plan_epoch = agent.executed
         # A lawnmower plan is announced by the packet's tail flag alone.
-        agent.plan_actions = () if config.variant == "lawnmower" else tuple(
-            ACTION_SET.index(a) for a in result.path.actions
-        )
+        agent.plan_actions = () if config.variant == "lawnmower" else result.path.actions
         log(
             t,
             "plan",
@@ -418,7 +434,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
         )
         # Along-track length of the step: the turn arc plus the run-out.
         r = agent.motion.turn_radius
-        seg_len = r * abs(action) + r * (agent.motion.theta_max + abs(action))
+        turn = abs(ACTION_SET[action])
+        seg_len = r * turn + r * (agent.motion.theta_max + turn)
         t_end = t + seg_len / agent.motion.speed
         norms = np.linalg.norm(locs - locs[0], axis=1)
         chord = max(float(norms[-1]), 1e-12)
@@ -519,7 +536,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
                 "step",
                 agent=agent_id,
                 n=agent.executed,
-                action=ACTION_SET.index(action),
+                action=action,
                 heading=float(final_state.heading),
                 north=float(final_state.north),
                 east=float(final_state.east),

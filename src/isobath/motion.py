@@ -15,7 +15,10 @@ under these rotation formulas; the convention is self-consistent and
 nothing downstream depends on the compass label.
 
 Angles are radians everywhere. The action set spans {-90, -30, -20,
--10, -5, 0, 5, 10, 20, 30, 90} degrees.
+-10, -5, 0, 5, 10, 20, 30, 90} degrees. Every function here takes and
+returns actions as indices into ``ACTION_SET``, the form a plan has in
+the planner and in a packet; only this module's arithmetic reads an
+index's angle, as ``ACTION_SET[i]``.
 
 Measurement locations come from one chord walker on plain floats, fed
 in two ways: an action sequence stepped with ``step``'s arithmetic
@@ -38,7 +41,10 @@ import numpy as np
 
 ACTION_SET_DEG = (-90.0, -30.0, -20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 20.0, 30.0, 90.0)
 ACTION_SET = tuple(math.radians(a) for a in ACTION_SET_DEG)
-_ACTIONS = frozenset(ACTION_SET)
+# The sweep's actions: its straight step, and its quarter turns in the
+# order it tries them.
+STRAIGHT = ACTION_SET_DEG.index(0.0)
+_QUARTER_TURNS = (ACTION_SET_DEG.index(90.0), ACTION_SET_DEG.index(-90.0))
 
 
 def wrap_heading(h: float) -> float:
@@ -86,32 +92,20 @@ class MotionParams:
             raise ValueError("motion parameters must be positive")
 
 
-def action_index(action: float) -> int:
-    """Index of an action within the canonical set (1e-9 rad tolerance)."""
-    for i, a in enumerate(ACTION_SET):
-        if abs(a - action) <= 1e-9:
-            return i
-    raise ValueError(f"action {action!r} is not in the action set")
+@functools.lru_cache(maxsize=16)
+def _displacements(params: MotionParams) -> tuple[tuple[float, float], ...]:
+    """Body-frame (dx, dy) of one step, by action index: arc through |a|, run out.
 
-
-@functools.lru_cache(maxsize=256)
-def _body_displacement(action: float, params: MotionParams) -> tuple[float, float]:
-    """Body-frame (dx, dy) of one step: arc through |action|, then run out.
-
-    Cached: a mission only ever asks for its few vehicles' eleven actions.
+    Cached: a mission only ever asks for its few vehicles' tables.
     """
     r = params.turn_radius
-    a = float(action)
-    d = r * (params.theta_max + abs(a))
-    dx = math.copysign(1.0, a) * (r - r * math.cos(abs(a)) + d * math.sin(abs(a)))
-    dy = r * math.sin(abs(a)) + d * math.cos(abs(a))
-    return dx, dy
-
-
-@functools.lru_cache(maxsize=16)
-def _action_table(params: MotionParams) -> dict[float, tuple[float, float]]:
-    """``_body_displacement`` of every action in the set, for one vehicle."""
-    return {a: _body_displacement(a, params) for a in ACTION_SET}
+    table = []
+    for a in ACTION_SET:
+        d = r * (params.theta_max + abs(a))
+        dx = math.copysign(1.0, a) * (r - r * math.cos(abs(a)) + d * math.sin(abs(a)))
+        dy = r * math.sin(abs(a)) + d * math.cos(abs(a))
+        table.append((dx, dy))
+    return tuple(table)
 
 
 def _move(h: float, disp: tuple[float, float]) -> tuple[float, float]:
@@ -125,21 +119,19 @@ def _move(h: float, disp: tuple[float, float]) -> tuple[float, float]:
     return ch * dx + sh * dy, -(sh * dx) + ch * dy
 
 
-def step(state: AgentState, action: float, params: MotionParams) -> AgentState:
-    """Advance one action: arc through the heading change, then run out."""
-    if action not in _ACTIONS:
-        action_index(action)  # membership within tolerance, or raise
+def step(state: AgentState, action: int, params: MotionParams) -> AgentState:
+    """Advance one action index: arc through its heading change, then run out."""
     h = state.heading
-    d_n, d_e = _move(h, _body_displacement(action, params))
-    return _pose(h + float(action), state.north + d_n, state.east + d_e)
+    d_n, d_e = _move(h, _displacements(params)[action])
+    return _pose(h + ACTION_SET[action], state.north + d_n, state.east + d_e)
 
 
 @dataclass(frozen=True)
 class Path:
-    """A start state, the actions taken, and every resulting state."""
+    """A start state, the action indices taken, and every resulting state."""
 
     states: tuple[AgentState, ...]
-    actions: tuple[float, ...]
+    actions: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.states) != len(self.actions) + 1:
@@ -150,11 +142,11 @@ class Path:
 
 
 def rollout(start: AgentState, actions, params: MotionParams) -> Path:
-    """Apply an action sequence and record the visited states."""
+    """Apply a sequence of action indices and record the visited states."""
     states = [start]
     for a in actions:
         states.append(step(states[-1], a, params))
-    return Path(tuple(states), tuple(float(a) for a in actions))
+    return Path(tuple(states), tuple(actions))
 
 
 def _chord_walk(n0: float, e0: float, ends, spacing: float) -> list[float]:
@@ -193,7 +185,7 @@ def _chord_walk(n0: float, e0: float, ends, spacing: float) -> list[float]:
 def sample_locations(
     start: AgentState, actions, params: MotionParams, spacing: float
 ) -> tuple[np.ndarray, AgentState, tuple[float, float, float, float]]:
-    """Measurement locations of an action sequence, its final state and their box.
+    """Measurement locations of action indices, their final state and their box.
 
     The locations run along the chords between consecutive states, as
     ``_chord_walk`` spaces them: each state's position appears once, and
@@ -201,17 +193,13 @@ def sample_locations(
     max north, max east)``. Each step is ``step``'s arithmetic on plain
     floats; no state is built but the final one, ``rollout``'s last.
     """
-    table = _action_table(params)
+    table = _displacements(params)
     h, n, e = start.heading, start.north, start.east
     final = start
     ends = []
     for a in actions:
-        d = table.get(a)
-        if d is None:
-            action_index(a)  # membership within tolerance, or raise
-            d = _body_displacement(a, params)
-        d_n, d_e = _move(h, d)
-        turned, n, e = h + float(a), n + d_n, e + d_e
+        d_n, d_e = _move(h, table[a])
+        turned, n, e = h + ACTION_SET[a], n + d_n, e + d_e
         h = wrap_heading(turned)
         ends.append((n, e))
     if ends:
@@ -225,7 +213,7 @@ def sample_locations(
 
 
 def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
-    """The sweep policy's ``(action, heading, north, east)`` for each step.
+    """The sweep policy's ``(action index, heading, north, east)`` for each step.
 
     Bounds and positions are indexed by axis, 0 north and 1 east.
     """
@@ -239,8 +227,7 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
     # step tests the area only across it.
     lane_lo, lane_hi = lo[ax] + margin, hi[ax] - margin
     clo, chi = (lo[0] - margin, lo[1] - margin), (hi[0] + margin, hi[1] + margin)
-    disp = _action_table(params)  # holds 0 and both quarter turns
-    quarter = math.pi / 2.0
+    disp = _displacements(params)
 
     def turn(axis, h, n, e):
         # The quarter turn, and where it goes, that moves furthest along
@@ -248,7 +235,7 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
         at = (n, e)[axis]
         toward = 1.0 if hi[axis] - at >= at - lo[axis] else -1.0
         best = None
-        for a in (quarter, -quarter):
+        for a in _QUARTER_TURNS:
             d_n, d_e = _move(h, disp[a])
             moved = (n + d_n, e + d_e)
             score = toward * (moved[axis] - at)
@@ -265,15 +252,15 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
         along = (math.sin(h), math.cos(h))
         axis = ax  # mid-pair: turn back onto the long axis, toward open water
         if abs(along[ax]) >= abs(along[lat]):
-            d_n, d_e = _move(h, disp[0.0])
+            d_n, d_e = _move(h, disp[STRAIGHT])
             q = (n + d_n, e + d_e)
             if lane_lo <= q[ax] <= lane_hi and lo[lat] <= q[lat] <= hi[lat]:
-                h, (n, e) = wrap_heading(h + 0.0), q
-                steps.append((0.0, h, n, e))
+                h, (n, e) = wrap_heading(h + ACTION_SET[STRAIGHT]), q
+                steps.append((STRAIGHT, h, n, e))
                 continue
             axis = lat  # begin a turn pair toward the roomier side of the lane
         act, (n, e) = turn(axis, h, n, e)
-        h = wrap_heading(h + act)
+        h = wrap_heading(h + ACTION_SET[act])
         steps.append((act, h, n, e))
     return steps
 
@@ -281,7 +268,7 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
 def lawnmower_path(
     start: AgentState, n_steps: int, area, params: MotionParams
 ) -> Path:
-    """Deterministic boustrophedon sweep built from the action set.
+    """Deterministic boustrophedon sweep built from the action set's indices.
 
     Straight runs parallel to the area's long axis. A turn pair starts
     one turn diameter inside the area's edge: when the next straight

@@ -87,6 +87,7 @@ from .risk import LossParams, expected_bayes_risk_closed_batch
 from .risk import bayes_risk_batch  # noqa: F401
 from .motion import (
     ACTION_SET,
+    STRAIGHT,
     AgentState,
     MotionParams,
     Path,
@@ -326,8 +327,7 @@ def plan_locations(
     once; with no tail steps this is the short path's locations alone.
     """
     locs, final, _ = sample_locations(
-        start, [ACTION_SET[i] for i in action_indices], context.motion,
-        context.sensor_spacing,
+        start, action_indices, context.motion, context.sensor_spacing
     )
     if tail_steps > 0:
         locs = np.vstack([locs, _tail_path(final, tail_steps, context)])
@@ -359,9 +359,6 @@ class _Node:
         self.visits = 0
         self.total = 0.0
         self.expanded = 0
-
-
-_STRAIGHT = ACTION_SET.index(0.0)
 
 
 def _quantize(state: AgentState) -> tuple[int, int, int]:
@@ -415,7 +412,7 @@ def _descend(
     # Rollout to the horizon: straight half the time, else uniform.
     while len(actions) < horizon:
         if rng.random() < 0.5:
-            actions.append(_STRAIGHT)
+            actions.append(STRAIGHT)
         else:
             actions.append(int(rng.integers(n_actions)))
     return tuple(actions), visited
@@ -465,8 +462,7 @@ def plan_episode(
             if actions in value_memo or actions in fresh:
                 continue
             short_locs, final, bounds = sample_locations(
-                start, [ACTION_SET[i] for i in actions], context.motion,
-                context.sensor_spacing,
+                start, actions, context.motion, context.sensor_spacing
             )
             key, tail_steps = None, 0
             if config.use_terminal_reward:
@@ -492,8 +488,7 @@ def plan_episode(
     # Evaluate the sweep policy's own prefix first, so the returned plan
     # never falls below the policy the terminal reward extrapolates: the
     # anytime argmax then dominates it by construction.
-    seed_path = lawnmower_path(start, horizon, context.area, context.motion)
-    seed_actions = tuple(ACTION_SET.index(a) for a in seed_path.actions)
+    seed_actions = lawnmower_path(start, horizon, context.area, context.motion).actions
     n_actions = len(ACTION_SET)
     root = _Node(rng.permutation(n_actions).tolist())
     # The first iterations, one per root action, read no value, so they
@@ -548,5 +543,5 @@ def plan_episode(
             best_actions = seed_actions
             jbar = naive_value
             fell_back = True
-    best_path = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
+    best_path = rollout(start, best_actions, context.motion)
     return PlanResult(best_path, jbar, naive_value, fell_back, evaluations)

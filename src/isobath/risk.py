@@ -143,7 +143,7 @@ def _flip_erfinv(c1: float, c2: float) -> float:
     return float(special.erfinv((c2 - c1) / (c1 + c2)))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _owen_slopes(sd_mu, sd_q, s2, vq, ms, d_ms, d_l, level):
     """Owen's T arguments a1 and a2 of the module docstring, concatenated.
 

@@ -53,7 +53,7 @@ from isobath.gp import (
     _chol_with_jitter,
     admissible_locations,
 )
-from isobath.motion import _action_table, wrap_heading
+from isobath.motion import wrap_heading
 from isobath.risk import (
     LossParams,
     _phi,
@@ -173,7 +173,7 @@ def expected_bayes_risk_closed(inputs, loss: LossParams) -> float:
 
 def _owen_slopes(sd_mu, sd_q, s2, vq, ms, d_ms, d_l, level):
     """Owen's T arguments a1 and a2 of ``risk``'s docstring, concatenated."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.concatenate([
             sd_mu * (ms - level) / (sd_q * d_ms),
             ((level - ms) * s2 - d_l * vq) / (sd_mu * sd_q * d_l),
@@ -470,6 +470,21 @@ def vectorized_sample_locations(path, spacing: float) -> np.ndarray:
     return out
 
 
+def body_displacement(action: float, params) -> tuple[float, float]:
+    """Body-frame (dx, dy) of one step through the angle ``action``.
+
+    The formula of ``motion``'s module docstring, on an angle rather
+    than an index into the action set.
+    """
+    r = params.turn_radius
+    d = r * (params.theta_max + abs(action))
+    dx = math.copysign(1.0, action) * (
+        r - r * math.cos(abs(action)) + d * math.sin(abs(action))
+    )
+    dy = r * math.sin(abs(action)) + d * math.cos(abs(action))
+    return dx, dy
+
+
 def reference_sweep(start, n_steps: int, area, params):
     """The sweep policy's ``(action, heading, north, east)`` for each step.
 
@@ -491,7 +506,7 @@ def reference_sweep(start, n_steps: int, area, params):
     quarter = math.pi / 2.0
     margin = 2.0 * params.turn_radius
     clo0, clo1, chi0, chi1 = lo0 - margin, lo1 - margin, hi0 + margin, hi1 + margin
-    disp = _action_table(params)  # holds 0 and both quarter turns
+    disp = {a: body_displacement(a, params) for a in (0.0, quarter, -quarter)}
     if long_ax == 0:
         lane_lo, lane_hi = lo0 + margin, hi0 - margin
     else:

@@ -434,7 +434,7 @@ def test_acceptance_8_horizon1_matches_brute_force():
                     rollout(start, [a], motion), context.sensor_spacing
                 )
             )[0]
-            for a in ACTION_SET
+            for a in range(len(ACTION_SET))
         }
         best = max(brute.values())
         if brute[path.actions[0]] != best:

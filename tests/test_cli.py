@@ -207,8 +207,10 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
 # Each config builds a part that refuses it (a zero or negative scale,
 # an isobath outside the lake, a lake family without its parameters, a
 # plan longer than a packet holds, a start pose without three numbers,
-# a schedule for an empty team) or holds a count or seed that is not an
-# integer, so ``isobath run`` would stop partway. Both commands refuse it.
+# a schedule for an empty team), holds a count or seed that is not an
+# integer, or spaces samples so finely that one step would take more
+# than ``mission.STEP_SAMPLE_CAP``, so ``isobath run`` would stop partway
+# or stall. Both commands refuse it.
 @pytest.mark.parametrize("env", [
     {"ISOBATH_HORIZON": "0"},
     {"ISOBATH_MCTS_ITERATIONS": "0"},
@@ -227,6 +229,8 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
     {"ISOBATH_STARTS": "[[0, 10], [0, 10], [0, 10]]"},
     {"ISOBATH_STARTS": "[[0, 10, 10, 5], [0, 10, 10, 5], [0, 10, 10, 5]]"},
     {"ISOBATH_SPEEDS": "[]", "ISOBATH_STARTS": "[]"},
+    {"ISOBATH_SAMPLE_SPACING": "0.001"},
+    {"ISOBATH_SAMPLE_SPACING": "1e-300"},
     *(
         {f"ISOBATH_{name}": value}
         for name in ("TOTAL_LENGTH", "HORIZON", "MCTS_ITERATIONS", "SEED")
@@ -293,6 +297,30 @@ def test_validate_rejects_non_finite_numbers_naming_the_field(
     assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and name in err
+
+
+# A step of the default 15 m turn radius runs up to 15 (pi/2 + pi) m:
+# 71 samples at a 1 m spacing, 70,686 at 1 mm, about 7e301 at 1e-300 m.
+def test_validate_rejects_too_many_samples_a_step_naming_the_fields(
+    monkeypatch, capsys
+):
+    monkeypatch.setenv("ISOBATH_SAMPLE_SPACING", "0.001")
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+    err = capsys.readouterr().err
+    assert "sample_spacing" in err and "turn_radius" in err
+    assert f"the cap {mission.STEP_SAMPLE_CAP}" in err
+
+
+def test_a_spacing_at_the_step_sample_cap_validates(monkeypatch):
+    cfg = MissionConfig()
+    longest_step = cfg.turn_radius * (cfg.theta_max + math.pi)
+    cap = mission.STEP_SAMPLE_CAP
+    # cap - 0.5 spacings to the longest step: floor(cap - 0.5) + 1 = cap samples.
+    monkeypatch.setenv("ISOBATH_SAMPLE_SPACING", json.dumps(longest_step / (cap - 0.5)))
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 0
+    # cap + 0.5 spacings: cap + 1 samples.
+    monkeypatch.setenv("ISOBATH_SAMPLE_SPACING", json.dumps(longest_step / (cap + 0.5)))
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
 
 
 def test_the_longest_plan_a_packet_holds_validates(monkeypatch):

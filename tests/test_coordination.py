@@ -16,7 +16,7 @@ from isobath.coordination import (
 from isobath.environment import OperationalArea, eval_grid
 from isobath.gp import DataSet, KernelSpec, Sample, admissible_locations
 from isobath.motion import (
-    ACTION_SET,
+    STRAIGHT,
     AgentState,
     MotionParams,
     lawnmower_path,
@@ -40,7 +40,7 @@ def oracle_locations(plan: PeerPlan, spacing=5.0) -> np.ndarray:
     """What ``plan`` commits its sender to, sampled from built paths: the
     short plan rolled out of the broadcast pose, then its flagged sweep
     continuation without the short plan's final position."""
-    short = rollout(plan.state, [ACTION_SET[i] for i in plan.action_indices], MOTION)
+    short = rollout(plan.state, plan.action_indices, MOTION)
     locs = vectorized_sample_locations(short, spacing)
     if plan.tail_steps:
         tail = lawnmower_path(short.states[-1], plan.tail_steps, AREA, MOTION)
@@ -84,7 +84,7 @@ class TestPeerPlan:
         snap = JointPlanSnapshot({0: plan})
         got = snap.preceding_locations(1, make_context(None, n_data=0))
 
-        short = rollout(state, [ACTION_SET[i] for i in actions], MOTION)
+        short = rollout(state, actions, MOTION)
         want = vectorized_sample_locations(short, 5.0)
         tail = lawnmower_path(short.states[-1], 40 - 20 - 3, AREA, MOTION)
         want = np.vstack([want, vectorized_sample_locations(tail, 5.0)[1:]])
@@ -95,7 +95,7 @@ class TestPeerPlan:
         plan = PeerPlan(0, 0, state, (5, 5), False, 100)
         snap = JointPlanSnapshot({0: plan})
         got = snap.preceding_locations(1, make_context(None, n_data=0))
-        short = rollout(state, [ACTION_SET[5]] * 2, MOTION)
+        short = rollout(state, [STRAIGHT] * 2, MOTION)
         assert np.array_equal(got, vectorized_sample_locations(short, 5.0))
 
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from isobath.environment import OperationalArea
 from isobath.motion import (
     ACTION_SET,
+    STRAIGHT,
     AgentState,
     MotionParams,
     Path,
     _pose,
     _sweep,
-    action_index,
     lawnmower_path,
     rollout,
     sample_locations,
@@ -73,18 +73,9 @@ class TestStep:
         assert len(ACTION_SET) == 11
         degs = [round(math.degrees(a), 6) for a in ACTION_SET]
         assert degs == [-90, -30, -20, -10, -5, 0, 5, 10, 20, 30, 90]
-        with pytest.raises(ValueError):
-            step(AgentState(0, 0, 0), 0.123, PARAMS)
-        assert action_index(0.0) == 5
-
-    def test_action_within_tolerance_of_the_set_is_accepted(self):
-        # Exact set members take a hash lookup; a value within the 1e-9
-        # tolerance still steps, with its own displacement.
-        near = ACTION_SET[3] + 1e-12
-        state = AgentState(0.3, 100.0, 100.0)
-        want = reference_step(state, near, PARAMS)
-        got = step(state, near, PARAMS)
-        assert (got.heading, got.north, got.east) == pytest.approx(want, abs=1e-9)
+        assert ACTION_SET[STRAIGHT] == 0.0
+        with pytest.raises(IndexError):
+            step(AgentState(0, 0, 0), len(ACTION_SET), PARAMS)
 
     @given(st.floats(-20.0, 20.0), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
     @settings(max_examples=100, deadline=None)
@@ -97,7 +88,7 @@ class TestStep:
 
     def test_straight_step_advances_one_run_length(self):
         # theta_max * r forward, no lateral drift, heading unchanged.
-        s = step(AgentState(0.0, 100.0, 100.0), 0.0, PARAMS)
+        s = step(AgentState(0.0, 100.0, 100.0), STRAIGHT, PARAMS)
         assert s.heading == 0.0
         assert s.north == pytest.approx(100.0)
         assert s.east == pytest.approx(100.0 + 15.0 * math.pi / 2.0)
@@ -111,7 +102,7 @@ class TestStep:
     @settings(max_examples=150, deadline=None)
     def test_matches_rotation_matrix_reference(self, h, n, e, ai):
         state = AgentState(h, n, e)
-        got = step(state, ACTION_SET[ai], PARAMS)
+        got = step(state, ai, PARAMS)
         want_h, want_n, want_e = reference_step(state, ACTION_SET[ai], PARAMS)
         assert got.heading == pytest.approx(want_h, abs=1e-12)
         assert got.north == pytest.approx(want_n, abs=1e-9)
@@ -119,8 +110,8 @@ class TestStep:
 
     def test_left_right_symmetry(self):
         start = AgentState(0.3, 0.0, 0.0)
-        left = step(start, ACTION_SET[1], PARAMS)  # -30 degrees
-        right = step(start, ACTION_SET[9], PARAMS)  # +30 degrees
+        left = step(start, 1, PARAMS)  # -30 degrees
+        right = step(start, 9, PARAMS)  # +30 degrees
         # Mirrored headings about the start heading.
         assert left.heading - 0.3 == pytest.approx(-(right.heading - 0.3))
         # Equal step length either way.
@@ -131,7 +122,7 @@ class TestStep:
     def test_step_length_grows_with_turn_angle(self):
         start = AgentState(0.0, 0.0, 0.0)
         lengths = []
-        for a in (0.0, ACTION_SET[6], ACTION_SET[9], ACTION_SET[10]):
+        for a in (STRAIGHT, 6, 9, 10):
             s = step(start, a, PARAMS)
             lengths.append(math.hypot(s.north, s.east))
         assert lengths == sorted(lengths)
@@ -139,7 +130,7 @@ class TestStep:
 
 class TestRollout:
     def test_chains_states(self):
-        actions = [0.0, ACTION_SET[10], 0.0]
+        actions = [STRAIGHT, 10, STRAIGHT]
         path = rollout(AgentState(0.0, 50.0, 50.0), actions, PARAMS)
         assert len(path) == 3
         assert len(path.states) == 4
@@ -148,7 +139,7 @@ class TestRollout:
 
     def test_path_requires_consistent_lengths(self):
         with pytest.raises(ValueError):
-            Path((AgentState(0, 0, 0),), (0.0,))
+            Path((AgentState(0, 0, 0),), (STRAIGHT,))
 
 
 # Headings where the sweep's ties and signs of zero sit, plus any heading.
@@ -161,6 +152,7 @@ STARTS = st.builds(
     AgentState, HEADINGS, st.floats(-200.0, 800.0), st.floats(-200.0, 1200.0)
 )
 SPACINGS = st.sampled_from([1.0, 3.7, 5.0, 50.0, 15.0 * math.pi / 2.0])
+ACTIONS = st.lists(st.integers(0, len(ACTION_SET) - 1), max_size=12)
 
 
 class TestSampleLocations:
@@ -172,7 +164,7 @@ class TestSampleLocations:
         assert bounds == (10.0, 20.0, 10.0, 20.0)
 
     def test_straight_chord_spacing_and_endpoint(self):
-        locs, _, _ = sample_locations(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS, 5.0)
+        locs, _, _ = sample_locations(AgentState(0.0, 0.0, 0.0), [STRAIGHT], PARAMS, 5.0)
         # Chord is r*pi/2 = 23.56 m: start, 4 interior points, endpoint.
         chord = 15.0 * math.pi / 2.0
         assert locs.shape == (6, 2)
@@ -184,14 +176,14 @@ class TestSampleLocations:
 
     def test_short_chord_contributes_endpoint_only(self):
         tiny = MotionParams(turn_radius=1.0, theta_max=1.0, speed=1.0)
-        locs, _, _ = sample_locations(AgentState(0.0, 0.0, 0.0), [0.0], tiny, 5.0)
+        locs, _, _ = sample_locations(AgentState(0.0, 0.0, 0.0), [STRAIGHT], tiny, 5.0)
         assert locs.shape == (2, 2)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_each_state_position_appears_once(self, seed, n_actions):
         rng = np.random.default_rng(seed)
-        actions = [ACTION_SET[i] for i in rng.integers(0, 11, n_actions)]
+        actions = rng.integers(0, len(ACTION_SET), n_actions).tolist()
         start = AgentState(0.5, 100.0, 100.0)
         path = rollout(start, actions, PARAMS)
         locs, _, _ = sample_locations(start, actions, PARAMS, 5.0)
@@ -206,7 +198,7 @@ class TestSampleLocations:
 
     @given(
         STARTS,
-        st.lists(st.sampled_from(ACTION_SET), max_size=12),
+        ACTIONS,
         # The last spacing is the length of a straight run, so straight
         # chords end on a spacing multiple up to rounding.
         SPACINGS,
@@ -218,7 +210,7 @@ class TestSampleLocations:
     # pow) differs from numpy's square by one ulp and moves a location.
     @example(
         AgentState(2.3957757130889403, 416.499135630341, -493.7148927698892),
-        [ACTION_SET[i] for i in (4, 3, 9, 2, 6, 3, 3, 2, 9, 5, 10, 1)],
+        [4, 3, 9, 2, 6, 3, 3, 2, 9, 5, 10, 1],
         5.0,
         15.0,
     )
@@ -233,7 +225,7 @@ class TestSampleLocations:
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
-            sample_locations(AgentState(0.0, 0.0, 0.0), [0.0], PARAMS, 0.0)
+            sample_locations(AgentState(0.0, 0.0, 0.0), [STRAIGHT], PARAMS, 0.0)
 
 
 class TestLawnmower:
@@ -266,22 +258,22 @@ class TestLawnmower:
 
     def test_mostly_straight_runs(self):
         path = lawnmower_path(AgentState(0.0, 150.0, 30.0), 100, AREA, PARAMS)
-        straight = sum(1 for a in path.actions if a == 0.0)
+        straight = sum(1 for a in path.actions if a == STRAIGHT)
         assert straight / len(path.actions) > 0.6
 
     def test_turns_come_in_consecutive_quarter_turn_pairs(self):
         path = lawnmower_path(AgentState(0.0, 300.0, 30.0), 150, AREA, PARAMS)
-        turns = [a for a in path.actions if a != 0.0]
+        turns = [a for a in path.actions if a != STRAIGHT]
         assert turns, "a 150-step sweep must reach a margin"
-        assert all(abs(a) == pytest.approx(math.pi / 2) for a in turns)
+        assert all(abs(ACTION_SET[a]) == pytest.approx(math.pi / 2) for a in turns)
         # A margin maneuver is two back-to-back quarter turns of the same
         # sign, reversing the travel direction onto the adjacent track.
-        acts = list(path.actions) + [0.0]  # sentinel simplifies scanning
+        acts = list(path.actions) + [STRAIGHT]  # sentinel simplifies scanning
         i = 0
         while i < len(path.actions):
-            if acts[i] != 0.0:
+            if acts[i] != STRAIGHT:
                 assert acts[i + 1] == acts[i], "maneuver must pair its turns"
-                assert acts[i + 2] == 0.0, "pairs never chain into a third turn"
+                assert acts[i + 2] == STRAIGHT, "pairs never chain into a third turn"
                 i += 2
             else:
                 i += 1
@@ -309,7 +301,7 @@ class TestLawnmower:
         tracks: list[float] = []
         streak = 0
         for action, state in zip(path.actions, path.states[1:]):
-            streak = streak + 1 if action == 0.0 else 0
+            streak = streak + 1 if action == STRAIGHT else 0
             if streak >= 3:
                 north = round(state.north, 6)
                 if not tracks or tracks[-1] != north:
@@ -347,6 +339,11 @@ def _bits(rows):
     return [tuple(float(x).hex() for x in row) for row in rows]
 
 
+def _poses(path):
+    """``(heading, north, east)`` of every state of a path."""
+    return [(s.heading, s.north, s.east) for s in path.states]
+
+
 class TestSweepOracle:
     """The axis-indexed sweep against the policy that branches on the long axis."""
 
@@ -376,20 +373,50 @@ class TestSweepOracle:
     def test_equals_the_step_by_step_policy(self, area_start, radius, n, spacing):
         area, start = area_start
         params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
+        # The oracle steps by angle; the sweep by index into the set.
         want = reference_sweep(start, n, area, params)
-        assert _bits(_sweep(start, n, area, params)) == _bits(want)
+        got = [(ACTION_SET[a], h, north, east) for a, h, north, east in _sweep(
+            start, n, area, params
+        )]
+        assert _bits(got) == _bits(want)
 
         oracle = Path(
             (start, *[AgentState(h, north, east) for _, h, north, east in want]),
-            tuple(a for a, _, _, _ in want),
+            tuple(ACTION_SET.index(a) for a, _, _, _ in want),
         )
         path = lawnmower_path(start, n, area, params)
-        assert _bits(zip(path.actions)) == _bits(zip(oracle.actions))
-        assert _bits((s.heading, s.north, s.east) for s in path.states) == _bits(
-            (s.heading, s.north, s.east) for s in oracle.states
-        )
+        assert path.actions == oracle.actions
+        assert _bits(_poses(path)) == _bits(_poses(oracle))
         locs = sweep_locations(start, n, area, params, spacing)
         assert _bits(locs) == _bits(vectorized_sample_locations(oracle, spacing)[1:])
+
+    @given(
+        sweep_starts(),
+        st.sampled_from([4.0, 15.0, 40.0]),
+        st.integers(0, 120),
+        SPACINGS,
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(
+        (SWEEP_AREAS["wide"], _pose(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
+        15.0, 40, 5.0,
+    )
+    def test_sweep_actions_replay_to_the_sweep(self, area_start, radius, n, spacing):
+        # The planner's fallback plan is the sweep's prefix, valued at the
+        # naive value, which scores the sweep's own locations: its actions,
+        # walked from the same start, must reproduce them bit for bit.
+        area, start = area_start
+        params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
+        path = lawnmower_path(start, n, area, params)
+        replayed = rollout(start, path.actions, params)
+        assert replayed.actions == path.actions
+        assert _bits(_poses(replayed)) == _bits(_poses(path))
+        locs, final, _ = sample_locations(start, path.actions, params, spacing)
+        assert _bits(locs[1:]) == _bits(sweep_locations(start, n, area, params, spacing))
+        last = path.states[-1]
+        assert _bits([(final.heading, final.north, final.east)]) == _bits(
+            [(last.heading, last.north, last.east)]
+        )
 
 
 class TestWalker:
@@ -405,21 +432,11 @@ class TestWalker:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    @given(
-        STARTS,
-        st.lists(st.sampled_from(ACTION_SET), max_size=12),
-        SPACINGS,
-        st.sampled_from([1.0, 15.0]),
-    )
+    @given(STARTS, ACTIONS, SPACINGS, st.sampled_from([1.0, 15.0]))
     @settings(max_examples=300, deadline=None)
     # The last turn wraps the heading to exactly -pi; wrapped a second
     # time it would read pi.
-    @example(
-        AgentState(math.pi, 0.0, 0.0),
-        [ACTION_SET[i] for i in (3, 3, 3, 0, 0, 9, 10, 10)],
-        1.0,
-        1.0,
-    )
+    @example(AgentState(math.pi, 0.0, 0.0), [3, 3, 3, 0, 0, 9, 10, 10], 1.0, 1.0)
     def test_walk_equals_the_sampled_rollout(self, start, actions, spacing, radius):
         # The final state and box of one walk equal those of the built path.
         params = MotionParams(turn_radius=radius, theta_max=math.pi / 2.0, speed=1.5)
@@ -433,16 +450,6 @@ class TestWalker:
         )
         assert bounds == (*want.min(axis=0), *want.max(axis=0))
 
-    def test_walk_accepts_actions_within_tolerance_and_rejects_others(self):
-        start = AgentState(0.3, 10.0, 20.0)
-        near = [ACTION_SET[3] + 5e-10]
-        locs, final, _ = sample_locations(start, near, PARAMS, 5.0)
-        path = rollout(start, near, PARAMS)
-        assert np.array_equal(locs, vectorized_sample_locations(path, 5.0))
-        assert final == path.states[-1]
-        with pytest.raises(ValueError):
-            sample_locations(start, [0.1], PARAMS, 5.0)
-
     def test_rejects_bad_arguments(self):
         start = AgentState(0.0, 10.0, 20.0)
         with pytest.raises(ValueError):
@@ -450,4 +457,4 @@ class TestWalker:
         with pytest.raises(ValueError):
             sweep_locations(start, 3, AREA, PARAMS, 0.0)
         with pytest.raises(ValueError):
-            sample_locations(start, [0.0], PARAMS, 0.0)
+            sample_locations(start, [STRAIGHT], PARAMS, 0.0)

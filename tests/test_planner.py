@@ -20,6 +20,7 @@ from isobath.gp import (
 )
 from isobath.motion import (
     ACTION_SET,
+    STRAIGHT,
     AgentState,
     MotionParams,
     Path,
@@ -167,7 +168,7 @@ class TestMarginalObjective:
         ev = EpisodeEvaluator(ctx)
         start = AgentState(0.3, 80.0, 60.0)
         short = vectorized_sample_locations(
-            rollout(start, [0.0, ACTION_SET[3]], MOTION), 5.0
+            rollout(start, [5, 3], MOTION), 5.0
         )
         sweep = lawnmower_path(start, 12, AREA, MOTION)
         tail = vectorized_sample_locations(sweep, 5.0)[1:]
@@ -212,7 +213,7 @@ class TestMarginalObjective:
 def oracle_plan_locations(start, action_indices, tail_steps, spacing):
     """The oracle's samples of the rolled-out short path, then those of
     the sweep from its final state, that state's position left out."""
-    short = rollout(start, [ACTION_SET[i] for i in action_indices], MOTION)
+    short = rollout(start, action_indices, MOTION)
     locs = vectorized_sample_locations(short, spacing)
     if tail_steps <= 0:
         return locs
@@ -222,9 +223,8 @@ def oracle_plan_locations(start, action_indices, tail_steps, spacing):
 
 def credited(start, action_indices, context):
     """``_tail_credit`` of a short path, given the walker's box."""
-    actions = [ACTION_SET[i] for i in action_indices]
-    _, _, bounds = sample_locations(start, actions, MOTION, context.sensor_spacing)
-    return _tail_credit(len(actions), bounds, context)
+    _, _, bounds = sample_locations(start, action_indices, MOTION, context.sensor_spacing)
+    return _tail_credit(len(action_indices), bounds, context)
 
 
 # Starts up to 200 m outside the 300 x 400 m area on every side.
@@ -254,7 +254,7 @@ class TestPlanLocations:
         start = AgentState(0.0, 100.0, 50.0)
         ctx = make_context(np.random.default_rng(0), n_data=0)
         got = plan_locations(start, (5, 2), 0, ctx)
-        short = rollout(start, [0.0, ACTION_SET[2]], MOTION)
+        short = rollout(start, [5, 2], MOTION)
         assert np.array_equal(got, vectorized_sample_locations(short, 5.0))
 
     @given(STARTS, ACTION_INDICES, st.integers(0, 120), SPACINGS)
@@ -437,15 +437,14 @@ class TestPlanEpisode:
             brute = ev.marginal(*(
                 vectorized_sample_locations(rollout(start, [a], MOTION),
                                             ctx.sensor_spacing)
-                for a in ACTION_SET
+                for a in range(len(ACTION_SET))
             ))
             res = plan_episode(start, ctx,
                                plan_cfg(use_terminal_reward=False, horizon=1,
                                         mcts_iterations=40),
                                np.random.default_rng(k))
             assert res.value == pytest.approx(max(brute), rel=1e-12, abs=1e-12)
-            chosen = ACTION_SET.index(res.path.actions[0])
-            assert brute[chosen] == pytest.approx(max(brute), rel=1e-12, abs=1e-12)
+            assert brute[res.path.actions[0]] == pytest.approx(max(brute), rel=1e-12, abs=1e-12)
 
     def test_zero_remaining_returns_empty_plan(self):
         ctx = make_context(np.random.default_rng(14), remaining=0)
@@ -469,7 +468,6 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     horizon = min(config.horizon, context.remaining_steps)
     evaluator = EpisodeEvaluator(context)
     n_actions = len(ACTION_SET)
-    straight = ACTION_SET.index(0.0)
     spacing = context.sensor_spacing
     if config.use_terminal_reward:
         sweep = lawnmower_path(start, context.remaining_steps, context.area,
@@ -494,7 +492,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
             if in_warm_up:
                 counts["memo_hit"] = counts.get("memo_hit", 0) + 1
             return value_memo[actions]
-        short = rollout(start, [ACTION_SET[i] for i in actions], context.motion)
+        short = rollout(start, actions, context.motion)
         short_locs = vectorized_sample_locations(short, spacing)
         sets = [short_locs]
         key = None
@@ -521,8 +519,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
         value_memo[actions] = value
         return value
 
-    seed_path = lawnmower_path(start, horizon, context.area, context.motion)
-    seed_actions = tuple(ACTION_SET.index(a) for a in seed_path.actions)
+    seed_actions = lawnmower_path(start, horizon, context.area, context.motion).actions
     best_actions = seed_actions
     best_value = evaluate(seed_actions)
     root = _Node(tuple(rng.permutation(n_actions)))
@@ -556,7 +553,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
             visited.append(node)
         while len(actions) < horizon:
             if rng.random() < 0.5:
-                actions.append(straight)
+                actions.append(STRAIGHT)
             else:
                 actions.append(int(rng.integers(n_actions)))
         value = evaluate(tuple(actions))
@@ -572,7 +569,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     jbar = best_value
     fell_back = False
     if config.use_terminal_reward:
-        short = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
+        short = rollout(start, best_actions, context.motion)
         locs = vectorized_sample_locations(short, spacing)
         box = (*locs.min(axis=0), *locs.max(axis=0))
         tail_steps = _tail_credit(len(short), box, context)
@@ -586,7 +583,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
             best_actions = seed_actions
             jbar = naive_value
             fell_back = True
-    best_path = rollout(start, [ACTION_SET[i] for i in best_actions], context.motion)
+    best_path = rollout(start, best_actions, context.motion)
     return PlanResult(best_path, jbar, naive_value, fell_back, evaluations)
 
 

@@ -437,6 +437,24 @@ class TestClosedBatchMatchesTheGeneralForm:
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("mean", [1e-160, -1e-160])
+    def test_an_overflowing_slope_warns_nothing(self, mean):
+        # Unequal costs put mu* off the level, so with a mean 1e-160 from
+        # it and a 1e-300-scale mean spread a2 overflows to an infinite
+        # slope, whose Owen's T is its limit: no warning, no other value.
+        loss = LossParams(0.0, 10.0, 4.0)
+        rng = np.random.default_rng(3)
+        mu = np.append(rng.normal(0.0, 4.0, 5), mean)
+        a = np.append(rng.exponential(3.0, 5), 2e-300)
+        q = np.append(rng.exponential(3.0, 5), 3.0)
+        for part in (slice(5, 6), slice(0, 6)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = expected_bayes_risk_closed_batch(mu[part], a[part], q[part], loss)
+                want = expected_bayes_risk_general(mu[part], a[part], q[part], loss)
+            assert np.array_equal(got, want)
+            assert np.all(np.isfinite(got))
+
 
 PINNED = Path(__file__).resolve().parent / "data" / "closed_batch.json"
 
