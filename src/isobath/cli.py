@@ -130,7 +130,7 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
     result = run_mission(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(result, out_dir / "events.jsonl")
-    # The trace walks the pooled replay, which the global risk map reuses.
+    # The trace builds the replay, whose one pooled walk the risk maps reuse.
     trace = accumulated_reward_trace(result)
     with open(out_dir / "trace.csv", "w") as fh:
         fh.write("step,accumulated_reward\n")

@@ -30,56 +30,38 @@ from .motion import lawnmower_path, rollout, sample_locations  # noqa: F401
 from .planner import PlanConfig, PlanContext, PlanResult, plan_episode, plan_locations
 
 
-@dataclass(frozen=True)
-class PeerPlan:
-    """A teammate's last heard plan, as reconstructed from one packet."""
-
-    agent_id: int
-    plan_epoch: int
-    state: AgentState
-    action_indices: tuple[int, ...]
-    lawnmower_tail: bool
-    total_length: int
-
-    @classmethod
-    def from_packet(cls, packet: Packet, total_length: int) -> "PeerPlan":
-        return cls(
-            agent_id=packet.agent_id,
-            plan_epoch=packet.plan_epoch,
-            state=AgentState(packet.heading, packet.north, packet.east),
-            action_indices=packet.actions,
-            lawnmower_tail=packet.lawnmower_tail,
-            total_length=int(total_length),
-        )
-
-    @property
-    def tail_steps(self) -> int:
-        """Steps of flagged lawnmower continuation after the short plan."""
-        if not self.lawnmower_tail:
-            return 0
-        return max(
-            self.total_length - self.plan_epoch - len(self.action_indices), 0
-        )
-
-
 @dataclass
 class JointPlanSnapshot:
-    """Latest known plan per agent, as one agent currently sees the team."""
+    """Latest plan heard from each teammate, as one agent sees the team.
 
-    plans: dict[int, PeerPlan] = field(default_factory=dict)
+    ``plans`` holds the last decoded packet from each sender, by agent
+    id; ``total_length`` is the mission length, which sets how long a
+    flagged lawnmower continuation runs.
+    """
 
-    def update(self, plan: PeerPlan) -> None:
-        self.plans[plan.agent_id] = plan
+    total_length: int
+    plans: dict[int, Packet] = field(default_factory=dict)
+
+    def update(self, packet: Packet) -> None:
+        self.plans[packet.agent_id] = packet
 
     def preceding_locations(self, agent_id: int, context: PlanContext) -> np.ndarray:
-        """Planned locations of the agents with lower ids, in id order."""
+        """Planned locations of the agents with lower ids, in id order.
+
+        Each plan is walked from its broadcast pose; a flagged one then
+        sweeps for the steps its sender had left after it.
+        """
         blocks = []
         for peer in range(agent_id):
-            plan = self.plans.get(peer)
-            if plan is not None:
-                blocks.append(plan_locations(
-                    plan.state, plan.action_indices, plan.tail_steps, context
-                ))
+            packet = self.plans.get(peer)
+            if packet is None:
+                continue
+            tail_steps = 0
+            if packet.lawnmower_tail:
+                left = self.total_length - packet.plan_epoch - len(packet.actions)
+                tail_steps = max(left, 0)
+            start = AgentState(packet.heading, packet.north, packet.east)
+            blocks.append(plan_locations(start, packet.actions, tail_steps, context))
         if not blocks:
             return np.empty((0, 2))
         return np.vstack(blocks)

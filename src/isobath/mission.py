@@ -57,7 +57,7 @@ from .comms import (
     measurement_capacity,
     select_measurements,
 )
-from .coordination import JointPlanSnapshot, PeerPlan, plan_with_predecessors
+from .coordination import JointPlanSnapshot, plan_with_predecessors
 from .environment import (
     OperationalArea,
     SensorModel,
@@ -66,22 +66,22 @@ from .environment import (
     synthetic_lake,
 )
 from .errors import ConfigurationError, EncodeError
-from .gp import CONDITION_CAP, DataSet, KernelSpec, Sample, _SpacingGrid
+from .gp import CONDITION_CAP, Belief, DataSet, KernelSpec, Sample, _SpacingGrid
 from .motion import (
     ACTION_SET,
     AgentState,
     MotionParams,
     lawnmower_path,
     sample_locations,
+    step_length,
 )
 from .planner import PlanConfig, PlanContext, PlanResult
-from .risk import LossParams, risk_field
+from .risk import LossParams, bayes_risk_batch
 
-# The benchmark's traced run (perfbench/tracing.py) wraps these names in
-# this module, which calls neither: a segment's end state comes from
-# ``sample_locations``, and ``risk_field`` scores every belief, the prior too.
+# The benchmark's traced run (perfbench/tracing.py) wraps this name in
+# this module, which does not call it: a segment's end state comes from
+# ``sample_locations``.
 from .motion import step  # noqa: F401
-from .risk import bayes_risk_batch  # noqa: F401
 
 VARIANTS = ("terminal", "plain", "lawnmower")
 
@@ -298,8 +298,10 @@ class MissionConfig:
         """Most measurement locations one vehicle step takes: the longest
         step, the largest turn's arc and run-out, sampled every
         ``sample_spacing`` meters, plus its end."""
-        longest_step = self.turn_radius * (
-            self.theta_max + 2.0 * max(abs(a) for a in ACTION_SET)
+        longest_step = max(
+            step_length(a, motion)
+            for motion in self.parts.motions
+            for a in range(len(ACTION_SET))
         )
         return math.floor(longest_step / self.sample_spacing) + 1
 
@@ -317,7 +319,7 @@ class _AgentRuntime:
         self.state = config.parts.starts[agent_id]
         self.motion = config.parts.motions[agent_id]
         self.data = DataSet(min_spacing=config.min_spacing)
-        self.snapshot = JointPlanSnapshot()
+        self.snapshot = JointPlanSnapshot(config.total_length)
         self.queue: list[tuple[float, float, float]] = []
         self.sensor_rng = sensor_rng
         self.mcts_rng = mcts_rng
@@ -432,10 +434,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         locs, final, _ = sample_locations(
             agent.state, (action,), agent.motion, config.sample_spacing
         )
-        # Along-track length of the step: the turn arc plus the run-out.
-        r = agent.motion.turn_radius
-        turn = abs(ACTION_SET[action])
-        seg_len = r * turn + r * (agent.motion.theta_max + turn)
+        seg_len = step_length(action, agent.motion)
         t_end = t + seg_len / agent.motion.speed
         norms = np.linalg.norm(locs - locs[0], axis=1)
         chord = max(float(norms[-1]), 1e-12)
@@ -492,7 +491,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
     def deliver(t, recipient_id, raw):
         agent = agents[recipient_id]
         packet = decode_packet(raw)
-        agent.snapshot.update(PeerPlan.from_packet(packet, config.total_length))
+        agent.snapshot.update(packet)
         inserted = []
         for north, east, value in packet.measurements:
             ok = agent.data.insert(Sample((north, east), value))
@@ -582,7 +581,8 @@ class Replay:
     ``step`` event: events of one instant are ordered only by the heap.
 
     ``locations``, ``values`` and ``steps`` are the team's samples in
-    collection order; ``pooled`` records each step's indices in ``kept``.
+    collection order; ``kept[k]`` indexes those the pooled walk keeps at
+    step k.
     """
 
     def __init__(self, result: MissionResult):
@@ -615,12 +615,12 @@ class Replay:
             [bisect.bisect_right(agent_times, t) for t in agent_ends]
             for agent_times, agent_ends in zip(times, ends)
         ]
-        self.kept: list[list[int]] = []
+        self.kept = self.pooled()
 
-    def pooled(self):
-        """Yield ``(data, changed)``, the team's data set after each step k:
-        every vehicle's first-k-step samples through one density filter,
-        in collection order.
+    def pooled(self) -> list[list[int]]:
+        """The indices of the team's data set after each step k: every
+        vehicle's first-k-step samples through one density filter, in
+        collection order.
 
         The walk is incremental and exact. A sample is kept iff no earlier
         kept sample in play lies within ``min_spacing``, so when step k
@@ -630,8 +630,8 @@ class Replay:
         one, and one newly rejected may free a later rejected one. Those
         are re-judged in turn, in index order off a heap, and their flips
         cascade. An index leaves the heap only after every earlier verdict
-        is final, so its verdict then is final too. ``changed`` is False,
-        and ``data`` step k-1's set, when no verdict flipped.
+        is final, so its verdict then is final too. A step where no
+        verdict flipped shares step k-1's list.
         """
         spacing = self.config.min_spacing
         locations = self.locations
@@ -643,9 +643,8 @@ class Replay:
         # then its rejected neighbours are judged again.
         in_play, unplaced = _SpacingGrid(spacing), []
         is_kept = [False] * len(locations)
-        self.kept = []
+        steps: list[list[int]] = []
         kept: list[int] = []
-        data = None
         for k in range(self.config.total_length + 1):
             heap = by_step.pop(k, [])  # ascending, so already a heap
             unplaced += heap
@@ -673,13 +672,11 @@ class Replay:
                     ]
                 for j in later:
                     heapq.heappush(heap, j)
-            changed = data is None or bool(flipped)
-            if changed:
+            if flipped or not steps:
                 # A flip, whichever way, toggles the index's membership.
                 kept = sorted(set(kept).symmetric_difference(flipped))
-                data = self.data_of(kept)
-            self.kept.append(kept)
-            yield data, changed
+            steps.append(kept)
+        return steps
 
     def data_of(self, kept: list[int]) -> DataSet:
         """The data set of a step's kept indices, as ``kept`` records them."""
@@ -694,15 +691,13 @@ def global_data(result: MissionResult, upto_step: int | None = None) -> DataSet:
     """Team-wide data set: every vehicle's samples through one filter.
 
     With ``upto_step`` = k, only those of each vehicle's first k steps:
-    what ``Replay.pooled`` kept at step k, walked here if no trace has.
-    A negative k raises ``ValueError``.
+    what ``Replay.pooled`` kept at step k. A negative k raises
+    ``ValueError``.
     """
     if upto_step is not None and upto_step < 0:
         raise ValueError(f"upto_step must be non-negative, got {upto_step}")
     replay = result.replay
     last = result.config.total_length
-    if len(replay.kept) <= last:
-        collections.deque(replay.pooled(), maxlen=0)
     return replay.data_of(
         replay.kept[last if upto_step is None else min(upto_step, last)]
     )
@@ -764,17 +759,19 @@ def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
 
     Entry k is the drop in summed Bayes risk over the trace grid from the
     prior, the belief on no data, to the belief on ``global_data(result,
-    k)``, every vehicle's first k steps, scored as ``Replay.pooled``
-    builds it. A step that keeps the previous step's samples keeps its
-    risk sum.
+    k)``, every vehicle's first k steps, as ``Replay.pooled`` kept them.
+    A step that shares the previous step's kept list keeps its risk sum.
     """
     config = result.config
     points = config.parts.trace_grid
+    replay = result.replay
     prior = float(np.sum(_risk(config, DataSet(config.min_spacing), points)))
     trace = np.empty(config.total_length + 1)
-    for k, (data, changed) in enumerate(result.replay.pooled()):
-        if changed:
-            risk = float(np.sum(_risk(config, data, points)))
+    previous = None
+    for k, kept in enumerate(replay.kept):
+        if kept is not previous:
+            risk = float(np.sum(_risk(config, replay.data_of(kept), points)))
+            previous = kept
         trace[k] = prior - risk
     return trace
 
@@ -782,7 +779,8 @@ def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
 def _risk(config: MissionConfig, data: DataSet, points) -> np.ndarray:
     """Conditional Bayes risk at ``points`` under the config's belief on ``data``."""
     parts = config.parts
-    return risk_field(parts.kernel, data, points, parts.loss, prior_mean=config.prior_mean)
+    means, varis = Belief(parts.kernel, config.prior_mean, data).predict_arrays(points)
+    return bayes_risk_batch(means, varis, parts.loss)
 
 
 def truth_grid(result: MissionResult):

@@ -108,6 +108,13 @@ def _displacements(params: MotionParams) -> tuple[tuple[float, float], ...]:
     return tuple(table)
 
 
+def step_length(action: int, params: MotionParams) -> float:
+    """Along-track length of one step: the arc through |a| plus the run-out."""
+    r = params.turn_radius
+    turn = abs(ACTION_SET[action])
+    return r * turn + r * (params.theta_max + turn)
+
+
 def _move(h: float, disp: tuple[float, float]) -> tuple[float, float]:
     """A body-frame displacement as the (north, east) move from heading ``h``.
 

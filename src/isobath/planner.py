@@ -129,7 +129,8 @@ class PlanContext:
     ``preceding_planned`` carries the planned measurement locations of
     strictly-preceding teammates (possibly stale); the agent's reward is
     marginal with respect to them. ``remaining_steps`` is the mission
-    length still ahead of the start state. A planned measurement earns
+    length still ahead of the start state, at least one step: a vehicle
+    with nothing left does not plan. A planned measurement earns
     benefit only at evaluation points within ``d_eps``, three length
     scales, of it.
     """
@@ -148,6 +149,8 @@ class PlanContext:
     sensor_spacing: float = 5.0
 
     def __post_init__(self):
+        if self.remaining_steps < 1:
+            raise ValueError("remaining_steps must be at least 1")
         self.eval_points = np.asarray(self.eval_points, dtype=float).reshape(-1, 2)
         self.preceding_planned = np.asarray(
             self.preceding_planned, dtype=float
@@ -436,10 +439,6 @@ def plan_episode(
     naive_sets = []
     if config.use_terminal_reward:
         naive_sets.append(plan_locations(start, (), context.remaining_steps, context))
-
-    if horizon <= 0:
-        naive_value = evaluator.marginal(*naive_sets)[0] if naive_sets else 0.0
-        return PlanResult(Path((start,), ()), naive_value, naive_value, False, 0)
 
     tail_memo: dict[tuple[int, int, int], float] = {}
     # Action tuple -> (value, sweep steps its short path earns).

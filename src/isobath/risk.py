@@ -99,7 +99,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gp import Belief, DataSet, KernelSpec
 
 @dataclass(frozen=True)
 class LossParams:
@@ -234,17 +233,3 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
         return np.minimum(np.maximum(expected, 0.0), top).reshape(mu_mu.shape)
     out[live] = expected
     return np.minimum(np.maximum(out, 0.0), top)
-
-
-def risk_field(
-    kernel: KernelSpec,
-    data: DataSet,
-    eval_points,
-    loss: LossParams,
-    *,
-    prior_mean: float = 0.0,
-) -> np.ndarray:
-    """Conditional Bayes risk at each of ``eval_points``, in their order,
-    under the given belief."""
-    means, varis = Belief(kernel, prior_mean, data).predict_arrays(eval_points)
-    return bayes_risk_batch(means, varis, loss)

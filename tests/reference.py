@@ -7,7 +7,8 @@ the same quantities by independent routes, so the tests can check one
 against the other:
 
 - the scalar declaration, risk and declaration flip (``bayes_estimate``,
-  ``bayes_risk``, ``mu_star``);
+  ``bayes_risk``, ``mu_star``), and the risk at many points under one
+  belief (``risk_field``);
 - the expected post-measurement risk by adaptive quadrature and by
   Monte Carlo draws, and the planner's closed form on one element;
 - the closed-form batch for any pair of costs, evaluated through both
@@ -59,7 +60,6 @@ from isobath.risk import (
     _phi,
     bayes_risk_batch,
     expected_bayes_risk_closed_batch,
-    risk_field,
 )
 
 
@@ -149,6 +149,20 @@ def mu_star(sigma_pq: float, loss: LossParams) -> float:
         return loss.level
     q = (c2 - c1) / (c1 + c2)
     return loss.level - float(special.erfinv(q)) * sigma_pq * math.sqrt(2.0)
+
+
+def risk_field(
+    kernel: KernelSpec,
+    data: DataSet,
+    eval_points,
+    loss: LossParams,
+    *,
+    prior_mean: float = 0.0,
+) -> np.ndarray:
+    """Conditional Bayes risk at each of ``eval_points``, in their order,
+    under the given belief."""
+    means, varis = Belief(kernel, prior_mean, data).predict_arrays(eval_points)
+    return bayes_risk_batch(means, varis, loss)
 
 
 def expected_bayes_risk_closed(inputs, loss: LossParams) -> float:

@@ -40,7 +40,6 @@ from isobath.risk import (
     LossParams,
     bayes_risk_batch,
     expected_bayes_risk_closed_batch,
-    risk_field,
 )
 from isobath.environment import OperationalArea, eval_grid
 from reference import (

@@ -1,4 +1,4 @@
-"""Coordination tests: peer-plan reconstruction from packets, snapshot
+"""Coordination tests: peer-plan reconstruction from packets as heard, snapshot
 semantics (predecessors are the lower agent ids), and the
 sequential-greedy episode wrapper."""
 
@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from isobath.comms import Packet, decode_packet, encode_packet
-from isobath.coordination import (
-    JointPlanSnapshot,
-    PeerPlan,
-    plan_with_predecessors,
-)
+from isobath.coordination import JointPlanSnapshot, plan_with_predecessors
 from isobath.environment import OperationalArea, eval_grid
 from isobath.gp import DataSet, KernelSpec, Sample, admissible_locations
 from isobath.motion import (
@@ -36,37 +32,48 @@ LOSS = LossParams(15.0, 10.0, 10.0)
 MOTION = MotionParams(15.0, math.pi / 2, 1.5)
 
 
-def oracle_locations(plan: PeerPlan, spacing=5.0) -> np.ndarray:
-    """What ``plan`` commits its sender to, sampled from built paths: the
-    short plan rolled out of the broadcast pose, then its flagged sweep
-    continuation without the short plan's final position."""
-    short = rollout(plan.state, plan.action_indices, MOTION)
+def heard(agent_id, plan_epoch, state, actions, tail):
+    """The packet a teammate's plan arrives in, as decoded."""
+    return Packet(agent_id=agent_id, plan_epoch=plan_epoch, heading=state.heading,
+                  north=state.north, east=state.east, actions=actions,
+                  lawnmower_tail=tail)
+
+
+def oracle_locations(state, actions, tail_steps, spacing=5.0) -> np.ndarray:
+    """What a plan commits its sender to, sampled from built paths: the
+    short plan rolled out of the broadcast pose, then ``tail_steps`` of
+    sweep continuation without the short plan's final position."""
+    short = rollout(state, actions, MOTION)
     locs = vectorized_sample_locations(short, spacing)
-    if plan.tail_steps:
-        tail = lawnmower_path(short.states[-1], plan.tail_steps, AREA, MOTION)
+    if tail_steps:
+        tail = lawnmower_path(short.states[-1], tail_steps, AREA, MOTION)
         locs = np.vstack([locs, vectorized_sample_locations(tail, spacing)[1:]])
     return locs
 
 
 class TestPeerPlan:
-    def test_tail_steps_arithmetic(self):
-        plan = PeerPlan(1, 40, AgentState(0.0, 10.0, 20.0), (5, 5, 5), True, 100)
-        assert plan.tail_steps == 100 - 40 - 3
-        flat = PeerPlan(1, 40, AgentState(0.0, 10.0, 20.0), (5, 5, 5), False, 100)
-        assert flat.tail_steps == 0
-        spent = PeerPlan(1, 99, AgentState(0.0, 10.0, 20.0), (5, 5, 5), True, 100)
-        assert spent.tail_steps == 0
+    """A teammate's plan as heard: the last decoded packet it sent."""
 
-    def test_from_packet_copies_fields(self):
-        pkt = Packet(agent_id=2, plan_epoch=17, heading=0.5, north=150.0,
-                     east=30.0, actions=(5, 9, 1), lawnmower_tail=True)
-        plan = PeerPlan.from_packet(pkt, total_length=100)
-        assert plan.agent_id == 2
-        assert plan.plan_epoch == 17
-        assert plan.action_indices == (5, 9, 1)
-        assert plan.lawnmower_tail
-        assert plan.state.north == pkt.north and plan.state.east == pkt.east
-        assert plan.tail_steps == 100 - 17 - 3
+    def test_tail_steps_arithmetic(self):
+        # A flagged plan sweeps for the steps its sender had left after
+        # it; an unflagged one, or one with no steps left, adds none.
+        state = AgentState(0.0, 10.0, 20.0)
+        ctx = make_context(None, n_data=0)
+        for epoch, tail, tail_steps in ((40, True, 100 - 40 - 3), (40, False, 0),
+                                        (99, True, 0)):
+            snap = JointPlanSnapshot(100)
+            snap.update(heard(1, epoch, state, (5, 5, 5), tail))
+            got = snap.preceding_locations(2, ctx)
+            assert np.array_equal(got, oracle_locations(state, (5, 5, 5), tail_steps))
+
+    def test_the_snapshot_keeps_each_packet_as_heard(self):
+        pkt = decode_packet(encode_packet(Packet(
+            agent_id=2, plan_epoch=17, heading=0.5, north=150.0, east=30.0,
+            actions=(5, 9, 1), lawnmower_tail=True,
+        )))
+        snap = JointPlanSnapshot(100)
+        snap.update(pkt)
+        assert snap.plans == {2: pkt} and snap.plans[2] is pkt
 
     def test_reconstruction_matches_sender_locations(self):
         # What the receiver reconstructs from the wire must equal the
@@ -75,13 +82,9 @@ class TestPeerPlan:
         # continuation for the rest of the mission.
         state = AgentState(0.0, 150.0, 30.0)
         actions = (5, 9, 5)
-        pkt = decode_packet(encode_packet(Packet(
-            agent_id=0, plan_epoch=20, heading=state.heading,
-            north=state.north, east=state.east, actions=actions,
-            lawnmower_tail=True,
-        )))
-        plan = PeerPlan.from_packet(pkt, total_length=40)
-        snap = JointPlanSnapshot({0: plan})
+        pkt = decode_packet(encode_packet(heard(0, 20, state, actions, True)))
+        snap = JointPlanSnapshot(40)
+        snap.update(pkt)
         got = snap.preceding_locations(1, make_context(None, n_data=0))
 
         short = rollout(state, actions, MOTION)
@@ -92,8 +95,8 @@ class TestPeerPlan:
 
     def test_unflagged_plan_has_no_continuation(self):
         state = AgentState(0.0, 150.0, 30.0)
-        plan = PeerPlan(0, 0, state, (5, 5), False, 100)
-        snap = JointPlanSnapshot({0: plan})
+        snap = JointPlanSnapshot(100)
+        snap.update(heard(0, 0, state, (5, 5), False))
         got = snap.preceding_locations(1, make_context(None, n_data=0))
         short = rollout(state, [STRAIGHT] * 2, MOTION)
         assert np.array_equal(got, vectorized_sample_locations(short, 5.0))
@@ -101,32 +104,32 @@ class TestPeerPlan:
 
 class TestJointPlanSnapshot:
     def make_plan(self, agent_id, north):
-        return PeerPlan(agent_id, 0, AgentState(0.0, north, 30.0), (5,), False, 100)
+        return heard(agent_id, 0, AgentState(0.0, north, 30.0), (5,), False)
+
+    def oracle(self, north):
+        return oracle_locations(AgentState(0.0, north, 30.0), (5,), 0)
 
     def test_only_strictly_preceding_plans_count(self):
-        snap = JointPlanSnapshot()
+        snap = JointPlanSnapshot(100)
         for aid, north in ((0, 100.0), (1, 200.0), (2, 300.0)):
             snap.update(self.make_plan(aid, north))
         first = snap.preceding_locations(0, make_context(None, n_data=0))
         assert first.shape == (0, 2)
         last = snap.preceding_locations(2, make_context(None, n_data=0))
-        want = np.vstack([
-            oracle_locations(self.make_plan(0, 100.0)),
-            oracle_locations(self.make_plan(1, 200.0)),
-        ])
+        want = np.vstack([self.oracle(100.0), self.oracle(200.0)])
         assert np.array_equal(last, want)
 
     def test_missing_peers_are_skipped(self):
-        snap = JointPlanSnapshot()
+        snap = JointPlanSnapshot(100)
         snap.update(self.make_plan(1, 200.0))
         got = snap.preceding_locations(2, make_context(None, n_data=0))
-        assert np.array_equal(got, oracle_locations(self.make_plan(1, 200.0)))
+        assert np.array_equal(got, self.oracle(200.0))
 
     def test_update_replaces_older_plan(self):
-        snap = JointPlanSnapshot()
+        snap = JointPlanSnapshot(100)
         snap.update(self.make_plan(1, 200.0))
         snap.update(self.make_plan(1, 250.0))
-        assert snap.plans[1].state.north == 250.0
+        assert snap.plans[1].north == 250.0
 
 
 def make_context(rng, n_data=10, remaining=10):
@@ -148,8 +151,8 @@ class TestPlanWithPredecessors:
         # Poison the context's own field: the wrapper must overwrite it
         # with what the snapshot says about preceding teammates.
         ctx.preceding_planned = np.array([[1e6, 1e6]])
-        snap = JointPlanSnapshot()
-        snap.update(PeerPlan(0, 5, AgentState(0.0, 200.0, 100.0), (5, 5, 5), True, 30))
+        snap = JointPlanSnapshot(30)
+        snap.update(heard(0, 5, AgentState(0.0, 200.0, 100.0), (5, 5, 5), True))
         cfg = PlanConfig(horizon=3, mcts_iterations=10)
         got = plan_with_predecessors(
             AgentState(0.0, 100.0, 50.0), ctx, snap, 1, cfg,
@@ -165,8 +168,8 @@ class TestPlanWithPredecessors:
     def test_first_agent_ignores_snapshot(self):
         rng = np.random.default_rng(22)
         ctx = make_context(rng)
-        snap = JointPlanSnapshot()
-        snap.update(PeerPlan(1, 0, AgentState(0.0, 200.0, 100.0), (5,), False, 30))
+        snap = JointPlanSnapshot(30)
+        snap.update(heard(1, 0, AgentState(0.0, 200.0, 100.0), (5,), False))
         cfg = PlanConfig(horizon=2, mcts_iterations=8)
         with_snap = plan_with_predecessors(
             AgentState(0.0, 100.0, 50.0), ctx, snap, 0, cfg,

@@ -31,10 +31,11 @@ from isobath.mission import (
     write_jsonl,
 )
 from isobath.motion import AgentState, lawnmower_path, step
-from isobath.risk import bayes_risk_batch, risk_field
+from isobath.risk import bayes_risk_batch
 from reference import (
     agent_data_by_two_rules,
     global_data_from_scratch,
+    risk_field,
     sensor_readings,
 )
 
@@ -136,16 +137,17 @@ def reference_reward_trace(result):
 def trace_data_sets(result):
     """The data set behind each entry of ``accumulated_reward_trace``.
 
-    Each risk field is replaced by the index of the data set it was given,
-    so an entry reused from an earlier step names that step's data set.
+    Each scored belief's risk is replaced by the index of the data set it
+    was given, so an entry reused from an earlier step names that step's
+    data set.
     """
     seen = []
 
-    def indexed_risk_field(kernel, data, points, loss, prior_mean):
+    def indexed_risk(config, data, points):
         seen.append((data.locations, data.values))
         return np.array([float(len(seen) - 1)])
 
-    with mock.patch.object(mission, "risk_field", indexed_risk_field):
+    with mock.patch.object(mission, "_risk", indexed_risk):
         trace = accumulated_reward_trace(result)
     # The prior is data set 0, the empty one, so entry k is -index.
     assert len(seen[0][0]) == 0
@@ -374,6 +376,39 @@ class TestRewardTrace:
             assert np.array_equal(locations, want.locations), k
             assert np.array_equal(values, want.values), k
 
+    def test_the_pooled_walk_runs_once_for_every_trace(self):
+        # The replay walks the pool when it is built. A trace scores the
+        # prior and each step whose kept list is not the step before's;
+        # a second trace and the team's data read the same lists.
+        result = run_mission(micro(variant="lawnmower"))
+        with mock.patch.object(mission.Replay, "pooled", autospec=True,
+                               side_effect=mission.Replay.pooled) as walk, \
+                mock.patch.object(mission, "_risk", wraps=mission._risk) as risk:
+            first = accumulated_reward_trace(result)
+            kept = result.replay.kept
+            assert risk.call_count == 2 + sum(
+                kept[k] is not kept[k - 1] for k in range(1, len(kept))
+            )
+            second = accumulated_reward_trace(result)
+            global_data(result, 3)
+        assert walk.call_count == 1
+        assert np.array_equal(first, second)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant,horizon", [("terminal", 3), ("plain", 10)])
+def test_a_mission_at_unequal_costs_stays_finite(variant, horizon):
+    # Declaring shallow water safe costs four times the opposite error,
+    # so every closed-form call takes the general form.
+    result = run_mission(MissionConfig(
+        variant=variant, horizon=horizon, total_length=10,
+        cost_deep_wrong=16.0, cost_shallow_wrong=4.0,
+    ))
+    plans = [e for e in result.events if e["kind"] == "plan"]
+    assert len(plans) == 10 * result.config.team_size
+    assert all(math.isfinite(e["value"]) and math.isfinite(e["naive"]) for e in plans)
+    assert np.all(np.isfinite(accumulated_reward_trace(result)))
+
 
 class TestTdma:
     def test_tx_times_and_ownership(self, result):
@@ -560,8 +595,8 @@ class TestPerStepBeliefs:
                 assert np.array_equal(got.values, want.values), (i, k)
 
     def test_an_untraced_mission_of_the_longest_length(self):
-        # No trace has walked the pooled replay, so global_data walks it
-        # alone, over the longest mission a config allows.
+        # No trace has run, so global_data alone reads the pooled walk,
+        # over the longest mission a config allows.
         result = run_mission(MissionConfig(variant="lawnmower", total_length=255))
         for k in [*range(0, 256, 5), None]:
             got, want = global_data(result, k), global_data_from_scratch(result, k)

@@ -23,7 +23,6 @@ from isobath.motion import (
     STRAIGHT,
     AgentState,
     MotionParams,
-    Path,
     lawnmower_path,
     rollout,
     sample_locations,
@@ -339,8 +338,9 @@ class TestBoundaryContainment:
                                                       tail_steps, spacing):
         # The rule's steps come from the walker's box; the oracle decides
         # from the sampled path's every location. ``remaining_steps`` may
-        # fall short of the actions, which must earn nothing.
-        remaining = max(len(indices) + tail_steps - 2, 0)
+        # fall short of the actions, which must earn nothing; a context
+        # holds at least one step.
+        remaining = max(len(indices) + tail_steps - 2, 1)
         ctx = replace(make_context(np.random.default_rng(25), n_data=0),
                       sensor_spacing=spacing, remaining_steps=remaining)
         locs = oracle_plan_locations(start, indices, 0, spacing)
@@ -446,12 +446,11 @@ class TestPlanEpisode:
             assert res.value == pytest.approx(max(brute), rel=1e-12, abs=1e-12)
             assert brute[res.path.actions[0]] == pytest.approx(max(brute), rel=1e-12, abs=1e-12)
 
-    def test_zero_remaining_returns_empty_plan(self):
-        ctx = make_context(np.random.default_rng(14), remaining=0)
-        res = plan_episode(AgentState(0.0, 150.0, 30.0), ctx, plan_cfg(),
-                           np.random.default_rng(0))
-        assert len(res.path) == 0
-        assert res.value == res.naive_value
+    def test_a_context_with_no_steps_left_is_rejected(self):
+        # A vehicle with nothing left is done before it would plan.
+        for remaining in (0, -1):
+            with pytest.raises(ValueError, match="remaining_steps"):
+                make_context(np.random.default_rng(14), remaining=remaining)
 
 
 def one_at_a_time_plan(start, context, config, rng, warm_up=None):
@@ -475,8 +474,6 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
         naive_value = evaluator.marginal(vectorized_sample_locations(sweep, spacing))[0]
     else:
         naive_value = 0.0
-    if horizon <= 0:
-        return PlanResult(Path((start,), ()), naive_value, naive_value, False, 0)
 
     tail_memo, value_memo = {}, {}
     evaluations = 0

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from isobath.gp import Belief, DataSet, KernelSpec, Sample
+from isobath.gp import DataSet, KernelSpec, Sample
 from isobath.risk import (
     LossParams,
     bayes_risk_batch,
     expected_bayes_risk_closed_batch,
-    risk_field,
 )
 from reference import (
     VarianceReduction,
@@ -322,19 +321,6 @@ class TestBenefitOfSearch:
         b_surprise = benefit_of_search(data, surprising, pts, KERNEL, EQUAL, prior_mean=15.0)
         b_helpful = benefit_of_search(data, helpful, pts, KERNEL, EQUAL, prior_mean=15.0)
         assert b_helpful > b_surprise
-
-
-class TestRiskField:
-    def test_field_matches_direct_risk(self):
-        rng = np.random.default_rng(5)
-        data = DataSet(min_spacing=30.0)
-        for _ in range(10):
-            data.insert(Sample(tuple(rng.uniform(0, 300, 2)), float(rng.normal(15, 3))))
-        pts = rng.uniform(0, 300, (20, 2))
-        field = risk_field(KERNEL, data, pts, EQUAL, prior_mean=15.0)
-        means, varis = Belief(KERNEL, 15.0, data).predict_arrays(pts)
-        for val, mean, var in zip(field, means, varis):
-            assert val == pytest.approx(bayes_risk(mean, var, EQUAL), rel=1e-12)
 
 
 def _spreads(live: bool):

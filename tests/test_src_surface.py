@@ -16,7 +16,11 @@ read.
 
 A name a ``src/`` module imports but never uses is there only for the
 benchmark's tracer (``perfbench/tracing.py``), which wraps it in that
-module, so it must be one of the tracer's targets.
+module. Those names are listed here, each one of the tracer's targets,
+so the list can only shrink unless a change names the import it adds.
+
+Only ``motion`` turns an action index into an angle: no other module
+reads an element of ``ACTION_SET``, though it may count them.
 """
 
 import ast
@@ -170,8 +174,52 @@ def unused_imports() -> list[str]:
     return unused
 
 
+# ``module:name`` of the imports that only the tracer uses, in the order
+# ``unused_imports`` reports them.
+TRACER_ONLY_IMPORTS = [
+    "coordination:lawnmower_path",
+    "coordination:rollout",
+    "coordination:sample_locations",
+    "mission:step",
+    "planner:bayes_risk_batch",
+]
+
+
 def test_tracer_only_imports_are_trace_targets():
     targets = trace_targets()
     assert "isobath.planner:EpisodeEvaluator.marginal" in targets
-    stale = [name for name in unused_imports() if f"isobath.{name}" not in targets]
-    assert not stale, f"imported, unused, and wrapped by no tracer target: {stale}"
+    assert unused_imports() == TRACER_ONLY_IMPORTS
+    untraced = [name for name in TRACER_ONLY_IMPORTS if f"isobath.{name}" not in targets]
+    assert not untraced, f"imported, unused, and wrapped by no tracer target: {untraced}"
+
+
+def action_angle_reads() -> list[str]:
+    """``module:line`` of each use of the action set outside ``motion``
+    other than ``len(ACTION_SET)``; any other use reads an action's angle."""
+    names = {"ACTION_SET", "ACTION_SET_DEG"}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "motion":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        counted = {
+            id(call.args[0])
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "len" and len(call.args) == 1
+        }
+        reads += [
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (
+                (isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr in names)
+            )
+            and id(node) not in counted
+        ]
+    return reads
+
+
+def test_only_motion_reads_an_action_angle():
+    reads = action_angle_reads()
+    assert not reads, f"action set read outside motion: {reads}"
