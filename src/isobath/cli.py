@@ -9,8 +9,8 @@ planner variant over the seeds and writes a comparison summary.
 
 ``isobath validate`` checks that a configuration file is usable and
 exits without running anything: loading it rejects any non-finite
-number and builds the fixed parts (lake, grids, kernel, vehicles,
-schedule) that ``isobath run`` then runs on.
+number and builds the fixed parts (lake, grids, kernel, vehicles) that
+``isobath run`` then runs on.
 
 Configuration files are JSON objects whose keys are MissionConfig
 fields. Any field can also be overridden through the environment as

@@ -1,4 +1,4 @@
-"""Acoustic-modem packet format, measurement subsampling, and TDMA schedule.
+"""Acoustic-modem packet format and measurement subsampling.
 
 One broadcast packet fits a 252-byte payload and carries the sender's
 pose and plan plus as many measurement triples as the remaining bytes
@@ -186,22 +186,4 @@ def select_measurements(samples, capacity: int):
         return []
     stride = math.ceil(len(items) / capacity)
     return items[::stride]
-
-
-@dataclass(frozen=True)
-class TdmaSchedule:
-    """Round-robin slot ownership over the team."""
-
-    slot_duration: float
-    team_size: int
-
-    def __post_init__(self):
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        if self.team_size < 1:
-            raise ValueError("team_size must be at least 1")
-
-    def owner(self, slot: int) -> int:
-        """Agent index owning slot number ``slot``."""
-        return slot % self.team_size
 

@@ -1,4 +1,4 @@
-"""Operational area, bathymetry truth models, and the depth sensor.
+"""Operational area, bathymetry truth models, and the depth sounder.
 
 Coordinates are planar (north_m, east_m). Depths are positive-down
 meters. The truth field is an analytic synthetic lake, one of a few
@@ -7,6 +7,7 @@ closed-form families, defined everywhere on the plane.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,46 @@ class AnalyticBathymetry:
         return np.asarray(self._fn(pts), dtype=float)
 
 
-_LAKE_FAMILIES = ("plane", "gaussian-basin", "two-basin", "ridge")
+# Each lake family and the parameters it requires.
+_LAKE_PARAMS = {
+    "plane": ("depth0", "gradient_north", "gradient_east"),
+    "gaussian-basin": ("background", "center", "radius", "max_depth"),
+    "two-basin": (
+        "background", "center1", "radius1", "max_depth1",
+        "center2", "radius2", "max_depth2",
+    ),
+    "ridge": ("background", "start", "end", "height", "width"),
+}
+
+
+# Each family's depth at (n, 2) points ``pts``, its parameters bound by
+# ``functools.partial``, so that a lake is plain data and pickles.
+
+
+def _plane_depth(depth0, gradient_north, gradient_east, origin, pts):
+    return depth0 + gradient_north * (pts[:, 0] - origin[0]) + gradient_east * (
+        pts[:, 1] - origin[1]
+    )
+
+
+def _basins_depth(background, basins, pts):
+    """Background plus each (center, radius, amplitude) Gaussian basin, in order."""
+    depth = background
+    for center, radius, amplitude in basins:
+        d2 = np.sum((pts - center) ** 2, axis=1)
+        depth = depth + amplitude * np.exp(-d2 / (2 * radius * radius))
+    return depth
+
+
+def _ridge_depth(background, start, seg, seg_len2, height, width, pts):
+    # Elementwise, not ``(pts - start) @ seg``: a matrix product rounds
+    # differently with the number of rows, and each depth must not depend
+    # on the points evaluated with it.
+    rel = pts - start
+    t = np.clip((rel[:, 0] * seg[0] + rel[:, 1] * seg[1]) / seg_len2, 0.0, 1.0)
+    foot = start[None, :] + t[:, None] * seg[None, :]
+    d2 = np.sum((pts - foot) ** 2, axis=1)
+    return background - height * np.exp(-d2 / (2 * width * width))
 
 
 def synthetic_lake(
@@ -72,81 +112,46 @@ def synthetic_lake(
     parameter is missing, or the ``level`` isobath does not intersect the
     area (the depth range on a dense probe grid must straddle the level).
     """
+    if family not in _LAKE_PARAMS:
+        raise ConfigurationError(
+            f"unknown lake family {family!r}; choose one of {tuple(_LAKE_PARAMS)}"
+        )
     p = dict(params)
-
-    def need(*keys):
-        missing = [k for k in keys if k not in p]
-        if missing:
-            raise ConfigurationError(
-                f"lake family {family!r} missing parameters: {missing}"
-            )
+    missing = [k for k in _LAKE_PARAMS[family] if k not in p]
+    if missing:
+        raise ConfigurationError(f"lake family {family!r} missing parameters: {missing}")
 
     if family == "plane":
-        need("depth0", "gradient_north", "gradient_east")
-        d0 = float(p["depth0"])
-        gn, ge = float(p["gradient_north"]), float(p["gradient_east"])
-        lo = area.min_corner
+        fn = functools.partial(
+            _plane_depth, float(p["depth0"]), float(p["gradient_north"]),
+            float(p["gradient_east"]), area.min_corner,
+        )
 
-        def fn(pts):
-            return d0 + gn * (pts[:, 0] - lo[0]) + ge * (pts[:, 1] - lo[1])
-
-    elif family == "gaussian-basin":
-        need("background", "center", "radius", "max_depth")
+    elif family in ("gaussian-basin", "two-basin"):
+        # A gaussian basin is the two-basin formula with one basin.
+        suffixes = ("",) if family == "gaussian-basin" else ("1", "2")
         bg = float(p["background"])
-        c = np.asarray(p["center"], dtype=float)
-        r = float(p["radius"])
-        md = float(p["max_depth"])
-        if r <= 0:
-            raise ConfigurationError("basin radius must be positive")
-
-        def fn(pts):
-            d2 = np.sum((pts - c) ** 2, axis=1)
-            return bg + (md - bg) * np.exp(-d2 / (2 * r * r))
-
-    elif family == "two-basin":
-        need("background", "center1", "radius1", "max_depth1",
-             "center2", "radius2", "max_depth2")
-        bg = float(p["background"])
-        c1 = np.asarray(p["center1"], dtype=float)
-        c2 = np.asarray(p["center2"], dtype=float)
-        r1, r2 = float(p["radius1"]), float(p["radius2"])
-        a1 = float(p["max_depth1"]) - bg
-        a2 = float(p["max_depth2"]) - bg
-        if r1 <= 0 or r2 <= 0:
+        basins = tuple(
+            (np.asarray(p[f"center{s}"], dtype=float), float(p[f"radius{s}"]),
+             float(p[f"max_depth{s}"]) - bg)
+            for s in suffixes
+        )
+        if any(radius <= 0 for _, radius, _ in basins):
             raise ConfigurationError("basin radii must be positive")
+        fn = functools.partial(_basins_depth, bg, basins)
 
-        def fn(pts):
-            d1 = np.sum((pts - c1) ** 2, axis=1)
-            d2 = np.sum((pts - c2) ** 2, axis=1)
-            return bg + a1 * np.exp(-d1 / (2 * r1 * r1)) + a2 * np.exp(-d2 / (2 * r2 * r2))
-
-    elif family == "ridge":
-        need("background", "start", "end", "height", "width")
-        bg = float(p["background"])
-        a = np.asarray(p["start"], dtype=float)
-        bpt = np.asarray(p["end"], dtype=float)
-        h = float(p["height"])
-        w = float(p["width"])
-        if w <= 0:
-            raise ConfigurationError("ridge width must be positive")
-        seg = bpt - a
+    else:  # ridge
+        start = np.asarray(p["start"], dtype=float)
+        seg = np.asarray(p["end"], dtype=float) - start
         seg_len2 = float(seg @ seg)
+        width = float(p["width"])
+        if width <= 0:
+            raise ConfigurationError("ridge width must be positive")
         if seg_len2 <= 0:
             raise ConfigurationError("ridge endpoints must be distinct")
-
-        def fn(pts):
-            # Elementwise, not ``(pts - a) @ seg``: a matrix product rounds
-            # differently with the number of rows, and each depth must not
-            # depend on the points evaluated with it.
-            rel = pts - a
-            t = np.clip((rel[:, 0] * seg[0] + rel[:, 1] * seg[1]) / seg_len2, 0.0, 1.0)
-            foot = a[None, :] + t[:, None] * seg[None, :]
-            d2 = np.sum((pts - foot) ** 2, axis=1)
-            return bg - h * np.exp(-d2 / (2 * w * w))
-
-    else:
-        raise ConfigurationError(
-            f"unknown lake family {family!r}; choose one of {_LAKE_FAMILIES}"
+        fn = functools.partial(
+            _ridge_depth, float(p["background"]), start, seg, seg_len2,
+            float(p["height"]), width,
         )
 
     bathy = AnalyticBathymetry(fn)
@@ -160,32 +165,19 @@ def synthetic_lake(
     return bathy
 
 
-@dataclass(frozen=True)
-class SensorModel:
-    """Depth sounder: unbiased Gaussian noise, fixed along-track spacing."""
-
-    noise_std: float
-    sample_spacing: float = 5.0
-
-    def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if not (self.sample_spacing > 0):
-            raise ValueError("sample_spacing must be positive")
-
-
-def sample_depth(bathymetry, sensor: SensorModel, locations, rng) -> list[Sample]:
+def sample_depth(bathymetry, noise_std: float, locations, rng) -> list[Sample]:
     """Draw one noisy depth measurement at each row of ``locations``, (n, 2).
 
-    One truth evaluation and one draw of n normals: each lake family
-    computes a depth from its own row alone, and ``rng`` yields the same
-    values as n single draws, so the samples do not depend on how the
-    locations are batched.
+    The sounder's noise is unbiased Gaussian with standard deviation
+    ``noise_std``. One truth evaluation and one draw of n normals: each
+    lake family computes a depth from its own row alone, and ``rng``
+    yields the same values as n single draws, so the samples do not
+    depend on how the locations are batched.
     """
     pts = np.asarray(locations, dtype=float).reshape(-1, 2)
     values = bathymetry.depth_grid(pts)
-    if sensor.noise_std > 0:
-        values = values + rng.normal(0.0, sensor.noise_std, size=len(pts))
+    if noise_std > 0:
+        values = values + rng.normal(0.0, noise_std, size=len(pts))
     return [
         Sample((north, east), value)
         for (north, east), value in zip(pts.tolist(), values.tolist())

@@ -23,7 +23,7 @@ segment ends. Logs are plain dict events; the JSONL writer emits them
 with sorted keys so equal runs produce byte-equal files.
 
 A config validates by building a mission's fixed parts once (lake,
-grids, kernel, vehicles, schedule) and keeps them; the simulator and
+grids, kernel, vehicles) and keeps them; the simulator and
 every output read them there. A finished mission keeps only its config
 and that event log, and every output derives from the two. One walk of
 the log (``Replay``) serves every belief: a vehicle's data only grows,
@@ -51,20 +51,13 @@ import numpy as np
 
 from .comms import (
     Packet,
-    TdmaSchedule,
     decode_packet,
     encode_packet,
     measurement_capacity,
     select_measurements,
 )
 from .coordination import JointPlanSnapshot, plan_with_predecessors
-from .environment import (
-    OperationalArea,
-    SensorModel,
-    eval_grid,
-    sample_depth,
-    synthetic_lake,
-)
+from .environment import OperationalArea, eval_grid, sample_depth, synthetic_lake
 from .errors import ConfigurationError, EncodeError
 from .gp import CONDITION_CAP, Belief, DataSet, KernelSpec, Sample, _SpacingGrid
 from .motion import (
@@ -105,8 +98,7 @@ COMPARED_VARIANTS = {
 # ``motions`` and ``starts`` hold one entry per vehicle.
 _Parts = collections.namedtuple(
     "_Parts",
-    "area lake kernel loss plan motions starts sensor schedule"
-    " planning_grid output_grid trace_grid",
+    "area lake kernel loss plan motions starts planning_grid output_grid trace_grid",
 )
 
 
@@ -127,8 +119,7 @@ class MissionConfig:
     Frozen: ``dataclasses.replace`` makes a changed copy. Construction
     validates, rejecting any non-finite number, by building every fixed
     part a mission runs on once, into ``parts``, which the simulator and
-    every output read. The lake holds a closure, so a config does not
-    pickle: send another process the field values, not the config.
+    every output read. Every part is plain data, so a config pickles.
     """
 
     # Operating area and true field (min corner is the origin).
@@ -204,6 +195,12 @@ class MissionConfig:
             raise ConfigurationError("comm_latency must be non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
+        if not self.speeds:
+            raise ConfigurationError("the team must have at least one vehicle")
+        if not (self.sample_spacing > 0):
+            raise ConfigurationError("sample_spacing must be positive")
+        if not (self.slot_duration > 0):
+            raise ConfigurationError("slot_duration must be positive")
         # A part that refuses its settings fails here, with its own
         # message, rather than partway through a run.
         try:
@@ -222,8 +219,6 @@ class MissionConfig:
                     MotionParams(self.turn_radius, self.theta_max, speed)
                     for speed in self.speeds
                 ),
-                sensor=SensorModel(self.noise_std, self.sample_spacing),
-                schedule=TdmaSchedule(self.slot_duration, self.team_size),
                 lake=synthetic_lake(
                     self.bathymetry_family, self.bathymetry_params, area, level=self.level
                 ),
@@ -440,13 +435,14 @@ def run_mission(config: MissionConfig) -> MissionResult:
         chord = max(float(norms[-1]), 1e-12)
         # Time along the segment, scaled onto the full arc length.
         times = t + (norms[1:] / chord) * seg_len / agent.motion.speed
-        samples = sample_depth(parts.lake, parts.sensor, locs[1:], agent.sensor_rng)
+        samples = sample_depth(parts.lake, config.noise_std, locs[1:], agent.sensor_rng)
+        # Samples taken along the segment belong to the step it executes.
         for t_sample, s in zip(times.tolist(), samples):
-            push(t_sample, "sample", (agent.id, s))
+            push(t_sample, "sample", (agent.id, s, agent.executed + 1))
         push(t_end, "segment_end", (agent.id, final, action))
 
     def broadcast(t, slot):
-        owner = agents[parts.schedule.owner(slot)]
+        owner = agents[slot % config.team_size]
         n_actions = len(owner.plan_actions)
         capacity = measurement_capacity(n_actions)
         chosen = select_measurements(range(len(owner.queue)), capacity)
@@ -506,11 +502,12 @@ def run_mission(config: MissionConfig) -> MissionResult:
             inserted=inserted,
         )
 
-    # Mission start: every vehicle samples its start point, then plans.
+    # Mission start: every vehicle samples its start point, as step 0,
+    # then plans.
     for agent in agents:
         start = [(agent.state.north, agent.state.east)]
-        sample = sample_depth(parts.lake, parts.sensor, start, agent.sensor_rng)[0]
-        push(0.0, "sample", (agent.id, sample))
+        sample = sample_depth(parts.lake, config.noise_std, start, agent.sensor_rng)[0]
+        push(0.0, "sample", (agent.id, sample, 0))
     for agent in agents:
         push(0.0, "launch", (agent.id,))
     push(0.0, "slot", 0)
@@ -518,11 +515,8 @@ def run_mission(config: MissionConfig) -> MissionResult:
     while heap:
         t_now, _, kind, payload = heapq.heappop(heap)
         if kind == "sample":
-            agent = agents[payload[0]]
-            # Mission-start samples carry step 0; samples taken while a
-            # segment is underway belong to the step being executed.
-            step_index = 0 if t_now == 0.0 else agent.executed + 1
-            take_sample(t_now, agent, payload[1], step_index)
+            agent_id, s, step_index = payload
+            take_sample(t_now, agents[agent_id], s, step_index)
         elif kind == "launch":
             plan_and_go(t_now, agents[payload[0]])
         elif kind == "segment_end":

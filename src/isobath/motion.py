@@ -68,17 +68,6 @@ class AgentState:
         object.__setattr__(self, "east", float(self.east))
 
 
-def _pose(heading: float, north: float, east: float) -> AgentState:
-    """``AgentState(heading, north, east)`` for values that are already floats.
-
-    Skips the dataclass's field-by-field initialisation, which costs more
-    than the rest of a sweep step; the heading is still wrapped.
-    """
-    state = object.__new__(AgentState)
-    vars(state).update(heading=wrap_heading(heading), north=north, east=east)
-    return state
-
-
 @dataclass(frozen=True)
 class MotionParams:
     """Turn radius, mandatory-run angle, and cruise speed."""
@@ -130,7 +119,7 @@ def step(state: AgentState, action: int, params: MotionParams) -> AgentState:
     """Advance one action index: arc through its heading change, then run out."""
     h = state.heading
     d_n, d_e = _move(h, _displacements(params)[action])
-    return _pose(h + ACTION_SET[action], state.north + d_n, state.east + d_e)
+    return AgentState(h + ACTION_SET[action], state.north + d_n, state.east + d_e)
 
 
 @dataclass(frozen=True)
@@ -212,7 +201,7 @@ def sample_locations(
     if ends:
         # Wrapped once, as ``step`` wraps it: wrapping can round to -pi,
         # which a second wrap would turn into pi.
-        final = _pose(turned, n, e)
+        final = AgentState(turned, n, e)
     out = _chord_walk(start.north, start.east, ends, spacing)
     norths, easts = out[0::2], out[1::2]
     bounds = (min(norths), min(easts), max(norths), max(easts))
@@ -287,7 +276,7 @@ def lawnmower_path(
     so regenerating from any intermediate state reproduces the suffix.
     """
     steps = _sweep(start, n_steps, area, params)
-    states = (start, *[_pose(h, n, e) for _, h, n, e in steps])
+    states = (start, *[AgentState(h, n, e) for _, h, n, e in steps])
     return Path(states, tuple([a for a, _, _, _ in steps]))
 
 

@@ -206,15 +206,21 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
 
 # Each config builds a part that refuses it (a zero or negative scale,
 # an isobath outside the lake, a lake family without its parameters, a
-# plan longer than a packet holds, a start pose without three numbers,
-# a schedule for an empty team), holds a count or seed that is not an
+# plan longer than a packet holds, a start pose without three numbers),
+# names an empty team, a sample spacing or slot duration that is not
+# positive or a negative noise, holds a count or seed that is not an
 # integer, or spaces samples so finely that one step would take more
 # than ``mission.STEP_SAMPLE_CAP``, so ``isobath run`` would stop partway
-# or stall. Both commands refuse it.
+# or stall. A negative spacing would pass that cap and stop the run in
+# the chord walk; a negative slot duration would schedule slot after
+# slot ahead of every other event, so the run would never end. Both
+# commands refuse it.
 @pytest.mark.parametrize("env", [
     {"ISOBATH_HORIZON": "0"},
     {"ISOBATH_MCTS_ITERATIONS": "0"},
     {"ISOBATH_SLOT_DURATION": "0"},
+    {"ISOBATH_SLOT_DURATION": "-10"},
+    {"ISOBATH_NOISE_STD": "-0.1"},
     {"ISOBATH_TURN_RADIUS": "0"},
     {"ISOBATH_THETA_MAX": "0"},
     {"ISOBATH_COST_DEEP_WRONG": "0"},
@@ -231,6 +237,8 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
     {"ISOBATH_SPEEDS": "[]", "ISOBATH_STARTS": "[]"},
     {"ISOBATH_SAMPLE_SPACING": "0.001"},
     {"ISOBATH_SAMPLE_SPACING": "1e-300"},
+    {"ISOBATH_SAMPLE_SPACING": "0"},
+    {"ISOBATH_SAMPLE_SPACING": "-5"},
     *(
         {f"ISOBATH_{name}": value}
         for name in ("TOTAL_LENGTH", "HORIZON", "MCTS_ITERATIONS", "SEED")

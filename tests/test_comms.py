@@ -1,4 +1,4 @@
-"""Codec, capacity, measurement subsampling, and TDMA schedule tests.
+"""Codec, capacity, and measurement subsampling tests.
 
 The golden byte vectors are frozen from the wire format's definition
 (little-endian header <BB3f, one byte per action index, 0xFF/0xFE plan
@@ -17,7 +17,6 @@ from isobath.comms import (
     MAX_PACKET_BYTES,
     MEASUREMENT_BYTES,
     Packet,
-    TdmaSchedule,
     decode_packet,
     encode_packet,
     measurement_capacity,
@@ -211,22 +210,3 @@ class TestSelectMeasurements:
         assert out == sorted(out)
         if n:
             assert out[0] == 0
-
-
-class TestTdma:
-    def test_owner_cycles_round_robin(self):
-        sched = TdmaSchedule(slot_duration=10.0, team_size=3)
-        assert [sched.owner(k) for k in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TdmaSchedule(slot_duration=0.0, team_size=3)
-        with pytest.raises(ValueError):
-            TdmaSchedule(slot_duration=10.0, team_size=0)
-
-    def test_each_agent_owns_one_slot_per_round(self):
-        sched = TdmaSchedule(slot_duration=3.3, team_size=3)
-        for first_slot in (0, 3, 6):
-            owners = {sched.owner(first_slot + j) for j in range(3)}
-            assert owners == {0, 1, 2}
-

@@ -1,4 +1,4 @@
-"""Tests for the operational area, truth bathymetry models, and sensor."""
+"""Tests for the operational area, truth bathymetry models, and depth sounding."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from isobath.environment import (
     AnalyticBathymetry,
     OperationalArea,
-    SensorModel,
     eval_grid,
     sample_depth,
     synthetic_lake,
@@ -187,49 +186,39 @@ def test_lake_must_straddle_the_critical_level():
 # Sensor
 
 
-def test_sensor_model_validation():
-    with pytest.raises(ValueError):
-        SensorModel(noise_std=-0.1)
-    with pytest.raises(ValueError):
-        SensorModel(noise_std=0.5, sample_spacing=0.0)
-
-
 def test_noiseless_sensor_returns_truth():
     lake = synthetic_lake("gaussian-basin", LAKES["gaussian-basin"], AREA)
-    sensor = SensorModel(noise_std=0.0)
     rng = np.random.default_rng(0)
     pts = np.array([[100.0, 150.0], [0.0, 0.0], [37.5, 212.25], [180.0, 150.0]])
-    samples = sample_depth(lake, sensor, pts, rng)
+    samples = sample_depth(lake, 0.0, pts, rng)
     assert len(samples) == len(pts)
     for s, p in zip(samples, pts):
         assert isinstance(s, Sample)
         assert s.location == (p[0], p[1])
         assert s.value == depth_of(lake, p)
     assert samples[0].value == pytest.approx(25.0, abs=0.0)
-    assert sample_depth(lake, sensor, np.empty((0, 2)), rng) == []
+    assert sample_depth(lake, 0.0, np.empty((0, 2)), rng) == []
 
 
 def test_noisy_sensor_is_unbiased_with_matching_spread():
     lake = AnalyticBathymetry(lambda pts: np.full(pts.shape[0], 12.0))
-    sensor = SensorModel(noise_std=0.5)
     rng = np.random.default_rng(42)
     pts = np.tile([10.0, 10.0], (4000, 1))
-    values = np.array([s.value for s in sample_depth(lake, sensor, pts, rng)])
+    values = np.array([s.value for s in sample_depth(lake, 0.5, pts, rng)])
     assert values.mean() == pytest.approx(12.0, abs=0.05)
     assert values.std() == pytest.approx(0.5, abs=0.05)
 
 
 def test_sensor_draws_are_seed_reproducible():
     lake = AnalyticBathymetry(lambda pts: np.full(pts.shape[0], 12.0))
-    sensor = SensorModel(noise_std=0.5)
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
-    a = sample_depth(lake, sensor, pts, np.random.default_rng(3))
-    b = sample_depth(lake, sensor, pts, np.random.default_rng(3))
+    a = sample_depth(lake, 0.5, pts, np.random.default_rng(3))
+    b = sample_depth(lake, 0.5, pts, np.random.default_rng(3))
     assert a == b
     assert len({s.value for s in a}) == len(pts)
     # One call draws what one call per row draws from the same generator.
     rng = np.random.default_rng(3)
-    assert [sample_depth(lake, sensor, [p], rng)[0] for p in pts] == a
+    assert [sample_depth(lake, 0.5, [p], rng)[0] for p in pts] == a
 
 
 # ---------------------------------------------------------------------------

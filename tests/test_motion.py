@@ -14,7 +14,6 @@ from isobath.motion import (
     AgentState,
     MotionParams,
     Path,
-    _pose,
     _sweep,
     lawnmower_path,
     rollout,
@@ -76,15 +75,6 @@ class TestStep:
         assert ACTION_SET[STRAIGHT] == 0.0
         with pytest.raises(IndexError):
             step(AgentState(0, 0, 0), len(ACTION_SET), PARAMS)
-
-    @given(st.floats(-20.0, 20.0), st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
-    @settings(max_examples=100, deadline=None)
-    def test_pose_builds_the_same_state(self, h, n, e):
-        # The sweep and ``step`` build states without the dataclass
-        # initialiser; the result must be the state it would build.
-        got, want = _pose(h, n, e), AgentState(h, n, e)
-        assert got == want and hash(got) == hash(want)
-        assert (got.heading, got.north, got.east) == (want.heading, want.north, want.east)
 
     def test_straight_step_advances_one_run_length(self):
         # theta_max * r forward, no lateral drift, heading unchanged.
@@ -367,7 +357,7 @@ class TestSweepOracle:
     # step records as pi. Their moves differ by about 6e-15 m north,
     # which rounds away except close to north zero.
     @example(
-        (SWEEP_AREAS["wide"], _pose(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
+        (SWEEP_AREAS["wide"], AgentState(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
         15.0, 40, 5.0,
     )
     def test_equals_the_step_by_step_policy(self, area_start, radius, n, spacing):
@@ -398,7 +388,7 @@ class TestSweepOracle:
     )
     @settings(max_examples=200, deadline=None)
     @example(
-        (SWEEP_AREAS["wide"], _pose(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
+        (SWEEP_AREAS["wide"], AgentState(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
         15.0, 40, 5.0,
     )
     def test_sweep_actions_replay_to_the_sweep(self, area_start, radius, n, spacing):
