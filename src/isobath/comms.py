@@ -37,8 +37,14 @@ END_OF_PLAN = 0xFF
 LAWNMOWER_CONTINUATION = 0xFE
 
 
+# The least magnitude that rounds to infinity in single precision:
+# halfway between its largest finite value and 2**128.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def _f32(x) -> float:
-    v = float(np.float32(x))
+    # Tested before the cast, which would warn of the overflow it returns.
+    v = float(np.float32(x)) if abs(x) < _F32_OVERFLOW else math.inf
     if not math.isfinite(v):
         raise EncodeError(f"value {x!r} is not a finite float32")
     return v

@@ -73,12 +73,23 @@ def _plane_depth(depth0, gradient_north, gradient_east, origin, pts):
     )
 
 
+def _gaussian(d2, width):
+    """``exp(-d2 / (2 width^2))``, at squared distances ``d2`` from the peak.
+
+    Far from a narrow peak the exponent overflows to -inf and the value
+    is 0, its limit, so that overflow is not reported. The validator
+    rejects a width whose square is 0, where the peak itself is 0/0.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(-d2 / (2 * width * width))
+
+
 def _basins_depth(background, basins, pts):
     """Background plus each (center, radius, amplitude) Gaussian basin, in order."""
     depth = background
     for center, radius, amplitude in basins:
         d2 = np.sum((pts - center) ** 2, axis=1)
-        depth = depth + amplitude * np.exp(-d2 / (2 * radius * radius))
+        depth = depth + amplitude * _gaussian(d2, radius)
     return depth
 
 
@@ -90,7 +101,7 @@ def _ridge_depth(background, start, seg, seg_len2, height, width, pts):
     t = np.clip((rel[:, 0] * seg[0] + rel[:, 1] * seg[1]) / seg_len2, 0.0, 1.0)
     foot = start[None, :] + t[:, None] * seg[None, :]
     d2 = np.sum((pts - foot) ** 2, axis=1)
-    return background - height * np.exp(-d2 / (2 * width * width))
+    return background - height * _gaussian(d2, width)
 
 
 def synthetic_lake(
@@ -111,6 +122,7 @@ def synthetic_lake(
     Raises ConfigurationError when the requested family is unknown, a
     parameter is missing, or the ``level`` isobath does not intersect the
     area (the depth range on a dense probe grid must straddle the level).
+    The probe's depths must also fit the packets' single precision.
     """
     if family not in _LAKE_PARAMS:
         raise ConfigurationError(
@@ -136,8 +148,10 @@ def synthetic_lake(
              float(p[f"max_depth{s}"]) - bg)
             for s in suffixes
         )
-        if any(radius <= 0 for _, radius, _ in basins):
-            raise ConfigurationError("basin radii must be positive")
+        # A radius whose square underflows would turn the depth at its
+        # center into 0/0.
+        if not all(radius > 0 and 2 * radius * radius > 0 for _, radius, _ in basins):
+            raise ConfigurationError("basin radii must be positive, with a nonzero square")
         fn = functools.partial(_basins_depth, bg, basins)
 
     else:  # ridge
@@ -145,8 +159,8 @@ def synthetic_lake(
         seg = np.asarray(p["end"], dtype=float) - start
         seg_len2 = float(seg @ seg)
         width = float(p["width"])
-        if width <= 0:
-            raise ConfigurationError("ridge width must be positive")
+        if not (width > 0 and 2 * width * width > 0):
+            raise ConfigurationError("ridge width must be positive, with a nonzero square")
         if seg_len2 <= 0:
             raise ConfigurationError("ridge endpoints must be distinct")
         fn = functools.partial(
@@ -157,6 +171,11 @@ def synthetic_lake(
     bathy = AnalyticBathymetry(fn)
     probe = eval_grid(area, resolution=min(area.extent) / 60.0)
     depths = bathy.depth_grid(probe)
+    # Packets carry each measured depth in single precision.
+    if not (np.abs(depths) <= np.finfo(np.float32).max).all():
+        raise ConfigurationError(
+            "the lake's depths over the area must be finite in single precision"
+        )
     if not (depths.min() < level < depths.max()):
         raise ConfigurationError(
             f"the {level} m isobath does not intersect the area "

@@ -119,21 +119,24 @@ class KernelSpec:
         return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sample:
     """One noisy scalar measurement at a planar location."""
 
     location: tuple[float, float]
     value: float
 
-    def __post_init__(self):
-        loc = (float(self.location[0]), float(self.location[1]))
-        object.__setattr__(self, "location", loc)
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, location, value):
+        loc = (float(location[0]), float(location[1]))
+        value = float(value)
         if not (math.isfinite(loc[0]) and math.isfinite(loc[1])):
             raise ValueError("sample location must be finite")
-        if not math.isfinite(self.value):
+        if not math.isfinite(value):
             raise ValueError("sample value must be finite")
+        # Each field is set once, as ``motion.AgentState`` sets its own.
+        fields = self.__dict__
+        fields["location"] = loc
+        fields["value"] = value
 
 
 class _SpacingGrid:

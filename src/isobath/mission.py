@@ -227,6 +227,9 @@ class MissionConfig:
                 trace_grid=eval_grid(area, self.trace_resolution),
             )
             DataSet(self.min_spacing)
+            # Every vehicle's id and start pose go out in its packets' header.
+            for i, start in enumerate(parts.starts):
+                Packet(i, 0, start.heading, start.north, start.east)
             if self.variant != "lawnmower":
                 # The longest plan a vehicle broadcasts must fit a packet.
                 measurement_capacity(min(self.horizon, self.total_length))
@@ -431,7 +434,10 @@ def run_mission(config: MissionConfig) -> MissionResult:
         )
         seg_len = step_length(action, agent.motion)
         t_end = t + seg_len / agent.motion.speed
-        norms = np.linalg.norm(locs - locs[0], axis=1)
+        # The ufuncs numpy's norm runs for a real 2-norm along axis 1,
+        # without its wrapper's cost.
+        rel = locs - locs[0]
+        norms = np.sqrt(np.add.reduce(rel * rel, axis=1))
         chord = max(float(norms[-1]), 1e-12)
         # Time along the segment, scaled onto the full arc length.
         times = t + (norms[1:] / chord) * seg_len / agent.motion.speed

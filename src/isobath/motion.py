@@ -29,6 +29,15 @@ otherwise cost; a ``Path`` (``rollout``, ``lawnmower_path``) records a
 plan's actions and states, not its locations. Every step's world-frame
 move comes from one float-level helper, ``_move``, and its heading is
 wrapped once.
+
+The sweep policy decides every lawnmower step, the planner's seed
+prefix and every terminal tail, so its per-call setup is shared by all
+of them: what it reads of an area and motion parameters (the long axis,
+the lane's ends, the turn apron and the step displacements) is one
+frame, cached on plain floats, and its quarter-turn choice is a function
+of that frame. A pose (``AgentState``), like a ``Path``, sets each field
+once in its own ``__init__``, already coerced, rather than having a
+generated ``__init__`` set it and ``__post_init__`` set it again.
 """
 
 from __future__ import annotations
@@ -51,10 +60,13 @@ def wrap_heading(h: float) -> float:
     """Wrap an angle to the interval (-pi, pi]. Identity when in range."""
     if -math.pi < h <= math.pi:
         return h
-    return -((math.pi - h) % (2.0 * math.pi) - math.pi)
+    w = -((math.pi - h) % (2.0 * math.pi) - math.pi)
+    # Just past an odd multiple of pi the remainder can round up to
+    # 2 pi, which would give -pi, outside the interval.
+    return w if w > -math.pi else math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AgentState:
     """Vehicle pose: heading (rad, wrapped) and planar position (m)."""
 
@@ -62,10 +74,13 @@ class AgentState:
     north: float
     east: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "heading", wrap_heading(float(self.heading)))
-        object.__setattr__(self, "north", float(self.north))
-        object.__setattr__(self, "east", float(self.east))
+    def __init__(self, heading, north, east):
+        # Each field is set once, already coerced, past the frozen
+        # dataclass's ``__setattr__``.
+        fields = self.__dict__
+        fields["heading"] = wrap_heading(float(heading))
+        fields["north"] = float(north)
+        fields["east"] = float(east)
 
 
 @dataclass(frozen=True)
@@ -82,15 +97,17 @@ class MotionParams:
 
 
 @functools.lru_cache(maxsize=16)
-def _displacements(params: MotionParams) -> tuple[tuple[float, float], ...]:
+def _displacements(r: float, theta_max: float) -> tuple[tuple[float, float], ...]:
     """Body-frame (dx, dy) of one step, by action index: arc through |a|, run out.
 
-    Cached: a mission only ever asks for its few vehicles' tables.
+    For turn radius ``r`` and mandatory-run angle ``theta_max``, the only
+    parameters a step reads. Cached: a mission only ever asks for its few
+    vehicles' tables, and a key of plain floats hashes in C, where a
+    ``MotionParams`` key would run its dataclass ``__hash__``.
     """
-    r = params.turn_radius
     table = []
     for a in ACTION_SET:
-        d = r * (params.theta_max + abs(a))
+        d = r * (theta_max + abs(a))
         dx = math.copysign(1.0, a) * (r - r * math.cos(abs(a)) + d * math.sin(abs(a)))
         dy = r * math.sin(abs(a)) + d * math.cos(abs(a))
         table.append((dx, dy))
@@ -118,18 +135,22 @@ def _move(h: float, disp: tuple[float, float]) -> tuple[float, float]:
 def step(state: AgentState, action: int, params: MotionParams) -> AgentState:
     """Advance one action index: arc through its heading change, then run out."""
     h = state.heading
-    d_n, d_e = _move(h, _displacements(params)[action])
+    d_n, d_e = _move(h, _displacements(params.turn_radius, params.theta_max)[action])
     return AgentState(h + ACTION_SET[action], state.north + d_n, state.east + d_e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Path:
     """A start state, the action indices taken, and every resulting state."""
 
     states: tuple[AgentState, ...]
     actions: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, states, actions):
+        # Set once, as ``AgentState`` sets its fields.
+        fields = self.__dict__
+        fields["states"] = states
+        fields["actions"] = actions
         if len(self.states) != len(self.actions) + 1:
             raise ValueError("a path holds one more state than actions")
 
@@ -189,58 +210,75 @@ def sample_locations(
     max north, max east)``. Each step is ``step``'s arithmetic on plain
     floats; no state is built but the final one, ``rollout``'s last.
     """
-    table = _displacements(params)
+    table = _displacements(params.turn_radius, params.theta_max)
     h, n, e = start.heading, start.north, start.east
     final = start
     ends = []
     for a in actions:
         d_n, d_e = _move(h, table[a])
-        turned, n, e = h + ACTION_SET[a], n + d_n, e + d_e
-        h = wrap_heading(turned)
+        h, n, e = wrap_heading(h + ACTION_SET[a]), n + d_n, e + d_e
         ends.append((n, e))
     if ends:
-        # Wrapped once, as ``step`` wraps it: wrapping can round to -pi,
-        # which a second wrap would turn into pi.
-        final = AgentState(turned, n, e)
+        final = AgentState(h, n, e)
     out = _chord_walk(start.north, start.east, ends, spacing)
     norths, easts = out[0::2], out[1::2]
     bounds = (min(norths), min(easts), max(norths), max(easts))
     return np.array(out).reshape(-1, 2), final, bounds
 
 
-def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
-    """The sweep policy's ``(action index, heading, north, east)`` for each step.
+@functools.lru_cache(maxsize=16)
+def _sweep_frame(lo, hi, r: float, theta_max: float):
+    """The sweep's frame of the area from ``lo`` to ``hi`` at turn radius ``r``.
 
-    Bounds and positions are indexed by axis, 0 north and 1 east.
+    ``(ax, lat, lo, hi, lane_lo, lane_hi, apron_lo, apron_hi, disp)``:
+    the long axis and the one across it, the area's corners, the lane's
+    ends along the long axis, the corners of the apron (the area grown
+    by one turn diameter) and the step displacements. Bounds and
+    positions are indexed by axis, 0 north and 1 east. Cached as
+    ``_displacements`` is, on the same plain floats: a mission sweeps one
+    area with its few vehicles' parameters.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    lo, hi = area.min_corner, area.max_corner
-    ax = 0 if (hi[0] - lo[0]) >= (hi[1] - lo[1]) else 1  # the long axis
-    lat = 1 - ax
-    margin = 2.0 * params.turn_radius
+    ax = 0 if (hi[0] - lo[0]) >= (hi[1] - lo[1]) else 1
+    margin = 2.0 * r
     # The lane lies within the area along the long axis, so a straight
     # step tests the area only across it.
-    lane_lo, lane_hi = lo[ax] + margin, hi[ax] - margin
-    clo, chi = (lo[0] - margin, lo[1] - margin), (hi[0] + margin, hi[1] + margin)
-    disp = _displacements(params)
+    return (
+        ax, 1 - ax, lo, hi, lo[ax] + margin, hi[ax] - margin,
+        (lo[0] - margin, lo[1] - margin), (hi[0] + margin, hi[1] + margin),
+        _displacements(r, theta_max),
+    )
 
-    def turn(axis, h, n, e):
-        # The quarter turn, and where it goes, that moves furthest along
-        # axis toward its roomier side, preferring ends near the area.
-        at = (n, e)[axis]
-        toward = 1.0 if hi[axis] - at >= at - lo[axis] else -1.0
-        best = None
-        for a in _QUARTER_TURNS:
-            d_n, d_e = _move(h, disp[a])
-            moved = (n + d_n, e + d_e)
-            score = toward * (moved[axis] - at)
-            if not (clo[0] <= moved[0] <= chi[0] and clo[1] <= moved[1] <= chi[1]):
-                score -= 1e6
-            if best is None or score > best[0]:
-                best = (score, a, moved)
-        return best[1:]
 
+def _quarter_turn(frame, axis: int, h: float, n: float, e: float):
+    """The quarter turn from pose (h, n, e) in a sweep frame, and where it ends.
+
+    It is the one that moves furthest along ``axis`` toward that axis's
+    roomier side, preferring ends within the apron.
+    """
+    _, _, lo, hi, _, _, clo, chi, disp = frame
+    at = (n, e)[axis]
+    toward = 1.0 if hi[axis] - at >= at - lo[axis] else -1.0
+    best = None
+    for a in _QUARTER_TURNS:
+        d_n, d_e = _move(h, disp[a])
+        moved = (n + d_n, e + d_e)
+        score = toward * (moved[axis] - at)
+        if not (clo[0] <= moved[0] <= chi[0] and clo[1] <= moved[1] <= chi[1]):
+            score -= 1e6
+        if best is None or score > best[0]:
+            best = (score, a, moved)
+    return best[1:]
+
+
+def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
+    """The sweep policy's ``(action index, heading, north, east)`` for each step."""
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
+    frame = _sweep_frame(
+        area.min_corner, area.max_corner, params.turn_radius, params.theta_max
+    )
+    ax, lat, lo, hi, lane_lo, lane_hi, _, _, disp = frame
+    straight = disp[STRAIGHT]
     h, n, e = start.heading, start.north, start.east
     steps = []
     for _ in range(n_steps):
@@ -248,14 +286,14 @@ def _sweep(start: AgentState, n_steps: int, area, params: MotionParams):
         along = (math.sin(h), math.cos(h))
         axis = ax  # mid-pair: turn back onto the long axis, toward open water
         if abs(along[ax]) >= abs(along[lat]):
-            d_n, d_e = _move(h, disp[STRAIGHT])
+            d_n, d_e = _move(h, straight)
             q = (n + d_n, e + d_e)
             if lane_lo <= q[ax] <= lane_hi and lo[lat] <= q[lat] <= hi[lat]:
                 h, (n, e) = wrap_heading(h + ACTION_SET[STRAIGHT]), q
                 steps.append((STRAIGHT, h, n, e))
                 continue
             axis = lat  # begin a turn pair toward the roomier side of the lane
-        act, (n, e) = turn(axis, h, n, e)
+        act, (n, e) = _quarter_turn(frame, axis, h, n, e)
         h = wrap_heading(h + ACTION_SET[act])
         steps.append((act, h, n, e))
     return steps
@@ -275,9 +313,11 @@ def lawnmower_path(
     diameter of the area. The policy depends only on the current state,
     so regenerating from any intermediate state reproduces the suffix.
     """
-    steps = _sweep(start, n_steps, area, params)
-    states = (start, *[AgentState(h, n, e) for _, h, n, e in steps])
-    return Path(states, tuple([a for a, _, _, _ in steps]))
+    states, actions = [start], []
+    for a, h, n, e in _sweep(start, n_steps, area, params):
+        actions.append(a)
+        states.append(AgentState(h, n, e))
+    return Path(tuple(states), tuple(actions))
 
 
 def sweep_locations(

@@ -6,10 +6,14 @@ import csv
 import dataclasses
 import json
 import math
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isobath import cli, mission
 from isobath.cli import load_config, main, parse_seeds
@@ -538,3 +542,111 @@ def test_compare_writes_a_comparison_report(config_file, tmp_path, capsys):
         assert "mean_final" in row and "mean_mid" in row
     printed = capsys.readouterr().out
     assert "terminal:" in printed and "lawnmower:" in printed
+
+
+# ---------------------------------------------------------------------------
+# Config fuzz: every config that validates runs to completion
+
+
+def _points(north, east):
+    """A point within a quarter of the area's size of it, on either side."""
+    return st.tuples(
+        st.floats(-0.25 * north, 1.25 * north), st.floats(-0.25 * east, 1.25 * east)
+    ).map(list)
+
+
+@st.composite
+def _lakes(draw, north, east):
+    """A lake family and its parameters, invalid ones included.
+
+    Basins and ridges mostly cross the default 15 m level and span a
+    fair part of the area, so that most examples get past validation.
+    """
+    family = draw(st.sampled_from(["plane", "gaussian-basin", "two-basin", "ridge"]))
+    # Radii and widths from a little below zero to past the area's size.
+    width = st.floats(-0.05, 1.5).map(lambda f: f * min(north, east))
+    if family == "plane":
+        slope = st.floats(-0.3, 0.3)
+        params = {"depth0": draw(st.floats(0.0, 30.0)), "gradient_north": draw(slope),
+                  "gradient_east": draw(slope)}
+    elif family == "ridge":
+        params = {"background": draw(st.floats(15.5, 40.0)),
+                  "start": draw(_points(north, east)), "end": draw(_points(north, east)),
+                  "height": draw(st.floats(-5.0, 40.0)), "width": draw(width)}
+    else:
+        params = {"background": draw(st.floats(0.0, 14.5))}
+        deep = st.floats(15.5, 40.0)
+        for s in ("",) if family == "gaussian-basin" else ("1", "2"):
+            params[f"center{s}"] = draw(_points(north, east))
+            params[f"radius{s}"] = draw(width)
+            params[f"max_depth{s}"] = draw(deep)
+            deep = st.floats(0.0, 40.0)  # a second basin may be a shoal
+    return family, params
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A small config file's fields: lake, team, variant, costs and counts."""
+    north, east = draw(st.floats(40.0, 400.0)), draw(st.floats(40.0, 400.0))
+    family, params = draw(_lakes(north, east))
+    team = draw(st.integers(1, 4))
+    # Starts up to 100 m outside the area on every side.
+    start = st.tuples(
+        st.floats(-math.pi, math.pi),
+        st.floats(-100.0, north + 100.0),
+        st.floats(-100.0, east + 100.0),
+    ).map(list)
+    cost = st.floats(0.5, 20.0)
+    costs = draw(st.one_of(cost.map(lambda c: (c, c)), st.tuples(cost, cost)))
+    return {
+        "area_max": [north, east],
+        "bathymetry_family": family,
+        "bathymetry_params": params,
+        "speeds": draw(st.lists(st.floats(0.5, 3.0), min_size=team, max_size=team)),
+        "starts": draw(st.lists(start, min_size=team, max_size=team)),
+        "variant": draw(st.sampled_from(["terminal", "plain", "lawnmower"])),
+        "cost_deep_wrong": costs[0],
+        "cost_shallow_wrong": costs[1],
+        "total_length": draw(st.integers(1, 3)),
+        "horizon": draw(st.integers(1, 4)),
+        "mcts_iterations": draw(st.integers(1, 4)),
+        "planning_resolution": 50.0,
+        "output_resolution": 50.0,
+        "trace_resolution": 50.0,
+        "seed": draw(st.integers(0, 3)),
+    }
+
+
+def _micro_lake(family, **params):
+    return dict(MICRO, variant="lawnmower", total_length=2, speeds=[1.5],
+                starts=[[0.0, 10.0, 10.0]], bathymetry_family=family,
+                bathymetry_params=params)
+
+
+RUN_FILES = ("events.jsonl", "trace.csv", "risk_global.csv", "depth_truth.csv",
+             "summary.json")
+
+
+@given(fuzzed_configs())
+@settings(max_examples=200, deadline=timedelta(seconds=3))
+# A basin whose radius squares to zero: its first straight step samples
+# (10, 15), its center, where the depth is 0/0.
+@example(_micro_lake(
+    "two-basin", background=5.0, center1=[10.0, 15.0], radius1=1e-200, max_depth1=25.0,
+    center2=[100.0, 150.0], radius2=80.0, max_depth2=25.0,
+))
+# Depths past single precision, which packets carry.
+@example(_micro_lake("plane", depth0=0.0, gradient_north=1e300, gradient_east=0.0))
+# A start pose past single precision, which a packet's header carries.
+@example(dict(MICRO, starts=[[0.0, 1e39, 20.0], [0.0, 100.0, 20.0]]))
+def test_every_config_that_validates_runs_to_completion(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(config))
+        if main(["validate", "--config", str(path)]) == 2:
+            return
+        out = Path(tmp) / "runs"
+        assert main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)]) == 0
+        team = range(len(config["starts"]))
+        for name in (*RUN_FILES, *(f"risk_agent_{i}.csv" for i in team)):
+            assert (out / "seed_0" / name).stat().st_size > 0, name

@@ -1,7 +1,9 @@
 """Belief maintenance: kernel, conditioning, density filter, thinning."""
 
 import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -67,6 +69,28 @@ def make_data(rng, n, min_spacing=0.0, span=400.0):
         loc = tuple(rng.uniform(0, span, 2))
         data.insert(Sample(loc, float(rng.normal(15, 4))))
     return data
+
+
+class TestSample:
+    def test_fields_are_floats_set_from_any_number(self):
+        sample = Sample(np.array([3, np.float32(2.5)]), np.int64(7))
+        assert sample.location == (3.0, 2.5) and sample.value == 7.0
+        assert all(type(v) is float for v in (*sample.location, sample.value))
+        assert sample == Sample((3.0, 2.5), 7.0)
+        assert hash(sample) == hash(((3.0, 2.5), 7.0))
+        assert repr(sample) == "Sample(location=(3.0, 2.5), value=7.0)"
+        assert pickle.loads(pickle.dumps(sample)) == sample
+        assert dataclasses.replace(sample, value=1).value == 1.0
+
+    @pytest.mark.parametrize("location, value, message", [
+        ((math.nan, 0.0), 1.0, "location"),
+        ((0.0, -math.inf), 1.0, "location"),
+        ((0.0, 0.0), math.inf, "value"),
+        ((0.0, 0.0), math.nan, "value"),
+    ])
+    def test_rejects_non_finite_fields(self, location, value, message):
+        with pytest.raises(ValueError, match=f"sample {message} must be finite"):
+            Sample(location, value)
 
 
 class TestKernel:

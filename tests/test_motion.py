@@ -1,6 +1,8 @@
 """Vehicle kinematics, path sampling, and the boustrophedon sweep."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -65,6 +67,50 @@ class TestWrapHeading:
         assert wrap_heading(math.pi) == math.pi
         assert wrap_heading(-math.pi) == math.pi
         assert wrap_heading(3 * math.pi) == math.pi
+        # The remainder rounds up to 2 pi here; -pi would be out of range.
+        assert wrap_heading(math.nextafter(math.pi, 4.0)) == math.pi
+
+
+# Each field as ``AgentState`` coerces it: wrapped float heading, float
+# position. Ints, single precision, both sides of +-pi and several turns.
+POSE_INPUTS = [
+    (3, 2, -1),
+    (np.float32(0.1), np.float32(2.5), np.float32(-7.3)),
+    (math.pi, 0.0, -0.0),
+    (-math.pi, 1, 1),
+    (math.nextafter(math.pi, 4.0), 1.0, 2.0),
+    (math.nextafter(-math.pi, -4.0), 1.0, 2.0),
+    (7 * math.pi, np.float64(5.5), 10**3),
+    (np.float32(-7 * math.pi), -3, np.int64(4)),
+]
+
+
+def _hexes(state):
+    return [float.hex(v) for v in (state.heading, state.north, state.east)]
+
+
+class TestAgentState:
+    @pytest.mark.parametrize("h, n, e", POSE_INPUTS)
+    def test_fields_are_the_coerced_values_bit_for_bit(self, h, n, e):
+        state = AgentState(h, n, e)
+        assert all(type(v) is float for v in (state.heading, state.north, state.east))
+        want = [float.hex(v) for v in (wrap_heading(float(h)), float(n), float(e))]
+        assert _hexes(state) == want
+
+    def test_equality_hash_and_repr_are_the_dataclass_ones(self):
+        state = AgentState(0.5, 1, 2)
+        assert state == AgentState(0.5, 1.0, 2.0) != AgentState(0.5, 1.0, 2.5)
+        assert hash(state) == hash((0.5, 1.0, 2.0))
+        assert repr(state) == "AgentState(heading=0.5, north=1.0, east=2.0)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.north = 3.0
+
+    @pytest.mark.parametrize("h, n, e", POSE_INPUTS)
+    def test_replace_and_pickle_keep_the_fields(self, h, n, e):
+        state = AgentState(h, n, e)
+        assert _hexes(pickle.loads(pickle.dumps(state))) == _hexes(state)
+        moved = dataclasses.replace(state, heading=h + 2 * math.pi, east=e)
+        assert _hexes(moved) == _hexes(AgentState(h + 2 * math.pi, n, e))
 
 
 class TestStep:
@@ -353,9 +399,8 @@ class TestSweepOracle:
         (SWEEP_AREAS["offset"], AgentState(-math.pi / 2, 0.0, 500.0)), 15.0, 300, 50.0
     )
     @example((SWEEP_AREAS["wide"], AgentState(math.pi, 300.0, 990.0)), 15.0, 300, 5.0)
-    # A state wrapped from just above pi heads -pi, which the next straight
-    # step records as pi. Their moves differ by about 6e-15 m north,
-    # which rounds away except close to north zero.
+    # A heading just above pi must wrap to pi: a move from -pi differs by
+    # about 6e-15 m north, which rounds away except close to north zero.
     @example(
         (SWEEP_AREAS["wide"], AgentState(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
         15.0, 40, 5.0,
@@ -390,6 +435,11 @@ class TestSweepOracle:
     @example(
         (SWEEP_AREAS["wide"], AgentState(math.nextafter(math.pi, 4.0), 0.5, 500.0)),
         15.0, 40, 5.0,
+    )
+    # Step 33's quarter turn sums to just past pi, where the remainder in
+    # the wrap rounds up; the replay's heading must still be the sweep's pi.
+    @example(
+        (SWEEP_AREAS["offset"], AgentState(-3.1415926535897927, 0.0, 46.0)), 15.0, 33, 1.0
     )
     def test_sweep_actions_replay_to_the_sweep(self, area_start, radius, n, spacing):
         # The planner's fallback plan is the sweep's prefix, valued at the
