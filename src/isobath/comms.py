@@ -14,7 +14,9 @@ The plan epoch counts actions already executed, so a receiver can
 reconstruct how many steps of the sender's mission remain and therefore
 how long a flagged lawnmower continuation is. All floats are straight
 IEEE-754 single precision: a Packet coerces its fields to float32 on
-construction, so encode/decode round-trips are identities.
+construction, so encode/decode round-trips are identities. A sender's
+queue of unsent triples splits, by ``select_measurements``, into what
+one packet carries and what waits for the sender's next slot.
 """
 
 from __future__ import annotations
@@ -178,18 +180,20 @@ def decode_packet(raw: bytes) -> Packet:
     )
 
 
-def select_measurements(samples, capacity: int):
-    """Evenly strided subset of at most ``capacity`` queued samples.
+def select_measurements(queue, capacity: int):
+    """Split ``queue`` into what one packet sends and the rest, as two lists.
 
-    Keeps indices 0, n, 2n, ... with n = ceil(len/capacity), preserving
-    order: under a tight byte budget the subset spans the whole queue
-    rather than truncating it.
+    Sends an evenly strided subset of at most ``capacity``, indices 0, n,
+    2n, ... with n = ceil(len/capacity), in order: under a tight byte
+    budget it spans the whole queue rather than truncating it.
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    items = list(samples)
-    if capacity == 0 or not items:
-        return []
-    stride = math.ceil(len(items) / capacity)
-    return items[::stride]
+    rest = list(queue)
+    if capacity == 0 or not rest:
+        return [], rest
+    stride = math.ceil(len(rest) / capacity)
+    sent = rest[::stride]
+    del rest[::stride]
+    return sent, rest
 

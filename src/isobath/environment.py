@@ -2,7 +2,9 @@
 
 Coordinates are planar (north_m, east_m). Depths are positive-down
 meters. The truth field is an analytic synthetic lake, one of a few
-closed-form families, defined everywhere on the plane.
+closed-form families, defined everywhere on the plane. A lake is its
+depth function: called on an (n, 2) float array of points, it returns
+their n depths.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .comms import _F32_OVERFLOW
 from .errors import ConfigurationError
 from .gp import Sample
 
@@ -38,17 +41,6 @@ class OperationalArea:
             self.max_corner[0] - self.min_corner[0],
             self.max_corner[1] - self.min_corner[1],
         )
-
-
-class AnalyticBathymetry:
-    """Truth depth defined by a closed-form function of position."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def depth_grid(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return np.asarray(self._fn(pts), dtype=float)
 
 
 # Each lake family and the parameters it requires.
@@ -105,9 +97,10 @@ def _ridge_depth(background, start, seg, seg_len2, height, width, pts):
 
 
 def synthetic_lake(
-    family: str, params: dict, area: OperationalArea, *, level: float = 15.0
-) -> AnalyticBathymetry:
-    """Construct an analytic lake and check the critical isobath exists.
+    family: str, params: dict, area: OperationalArea, *, level: float = 15.0,
+    reach: OperationalArea | None = None,
+) -> functools.partial:
+    """Construct an analytic lake's depth function; check the isobath exists.
 
     Families and their parameters:
 
@@ -122,7 +115,7 @@ def synthetic_lake(
     Raises ConfigurationError when the requested family is unknown, a
     parameter is missing, or the ``level`` isobath does not intersect the
     area (the depth range on a dense probe grid must straddle the level).
-    The probe's depths must also fit the packets' single precision.
+    The depths must fit float32, as packets carry them, over ``reach`` (or the area).
     """
     if family not in _LAKE_PARAMS:
         raise ConfigurationError(
@@ -138,6 +131,11 @@ def synthetic_lake(
             _plane_depth, float(p["depth0"]), float(p["gradient_north"]),
             float(p["gradient_east"]), area.min_corner,
         )
+        # A plane's extremes over a box lie at its corners.
+        box = area if reach is None else reach
+        (n0, e0), (n1, e1) = box.min_corner, box.max_corner
+        with np.errstate(over="ignore", invalid="ignore"):
+            extreme = np.abs(fn(np.array([[n0, e0], [n0, e1], [n1, e0], [n1, e1]]))).max()
 
     elif family in ("gaussian-basin", "two-basin"):
         # A gaussian basin is the two-basin formula with one basin.
@@ -153,6 +151,7 @@ def synthetic_lake(
         if not all(radius > 0 and 2 * radius * radius > 0 for _, radius, _ in basins):
             raise ConfigurationError("basin radii must be positive, with a nonzero square")
         fn = functools.partial(_basins_depth, bg, basins)
+        extreme = abs(bg) + sum(abs(amplitude) for _, _, amplitude in basins)
 
     else:  # ridge
         start = np.asarray(p["start"], dtype=float)
@@ -163,28 +162,24 @@ def synthetic_lake(
             raise ConfigurationError("ridge width must be positive, with a nonzero square")
         if seg_len2 <= 0:
             raise ConfigurationError("ridge endpoints must be distinct")
-        fn = functools.partial(
-            _ridge_depth, float(p["background"]), start, seg, seg_len2,
-            float(p["height"]), width,
-        )
+        bg, height = float(p["background"]), float(p["height"])
+        fn = functools.partial(_ridge_depth, bg, start, seg, seg_len2, height, width)
+        extreme = abs(bg) + abs(height)
 
-    bathy = AnalyticBathymetry(fn)
-    probe = eval_grid(area, resolution=min(area.extent) / 60.0)
-    depths = bathy.depth_grid(probe)
     # Packets carry each measured depth in single precision.
-    if not (np.abs(depths) <= np.finfo(np.float32).max).all():
-        raise ConfigurationError(
-            "the lake's depths over the area must be finite in single precision"
-        )
+    if not extreme < _F32_OVERFLOW:
+        raise ConfigurationError(f"lake depths reach {extreme:.3g} m, past float32")
+    probe = eval_grid(area, resolution=min(area.extent) / 60.0)
+    depths = fn(probe)
     if not (depths.min() < level < depths.max()):
         raise ConfigurationError(
             f"the {level} m isobath does not intersect the area "
             f"(depth range {depths.min():.2f}..{depths.max():.2f})"
         )
-    return bathy
+    return fn
 
 
-def sample_depth(bathymetry, noise_std: float, locations, rng) -> list[Sample]:
+def sample_depth(lake, noise_std: float, locations, rng) -> list[Sample]:
     """Draw one noisy depth measurement at each row of ``locations``, (n, 2).
 
     The sounder's noise is unbiased Gaussian with standard deviation
@@ -194,7 +189,7 @@ def sample_depth(bathymetry, noise_std: float, locations, rng) -> list[Sample]:
     depend on how the locations are batched.
     """
     pts = np.asarray(locations, dtype=float).reshape(-1, 2)
-    values = bathymetry.depth_grid(pts)
+    values = lake(pts)
     if noise_std > 0:
         values = values + rng.normal(0.0, noise_std, size=len(pts))
     return [

@@ -13,16 +13,16 @@ Two ingredients keep belief maintenance cheap enough for embedded-style
 planning loops. First, sample insertion is density-limited: a new sample
 is only accepted when it is at least ``min_spacing`` away from every
 retained sample, so the kernel-center count is bounded by area coverage
-rather than by mission length. A data set keeps its samples in a
-spacing grid (``_SpacingGrid``), so ``DataSet.insert`` tests only the
-retained points nearby. Planned measurements are thinned by the same
-rule (``admissible_sets``): one distance pass removes those too close to
-the data, and each set's greedy walk then scans its own kept points, a
-few dozen at most, in a plain list, which costs less than building a
-grid per set. Second, planned
-measurements are scored as low-rank updates against one factor of the
-data (``Belief.solve`` and ``Belief.project``), so a candidate plan
-costs a few small triangular solves rather than a fresh GP solve.
+rather than by mission length. A data set starts empty, and
+``DataSet.insert`` admits each sample by one lookup in a spacing grid
+(``_SpacingGrid``) of the retained points. Planned measurements are
+thinned by the same rule (``admissible_sets``): one distance pass
+removes those too close to the data, and each set's greedy walk then
+scans its own kept points, a few dozen at most, in a plain list, which
+costs less than building a grid per set. Second, planned measurements
+are scored as low-rank updates against one factor of the data
+(``Belief.solve`` and ``Belief.project``), so a candidate plan costs a
+few small triangular solves rather than a fresh GP solve.
 
 :class:`Belief` is the one implementation of these equations. It factors
 the data Gram matrix once, at construction. Every prediction in this
@@ -175,19 +175,12 @@ class _SpacingGrid:
                     found.append(item)
         return found
 
-    def admit(self, north: float, east: float) -> bool:
-        """Store the point and return True unless a stored one is too close."""
-        if self.near(north, east):
-            return False
-        self.add(north, east)
-        return True
-
     def _cell(self, north: float, east: float) -> list:
         key = (math.floor(north / self.cell), math.floor(east / self.cell))
         return self.cells.setdefault(key, [])
 
     def add(self, north: float, east: float, item=None) -> None:
-        """Store the point untested, as ``admit`` does once it passes."""
+        """Store the point untested; ``near`` is the caller's test."""
         if self.r2 != 0.0:
             self._cell(north, east).append((north, east, item))
 
@@ -210,7 +203,7 @@ class DataSet:
     never changes.
     """
 
-    def __init__(self, min_spacing: float, samples=()):
+    def __init__(self, min_spacing: float):
         if min_spacing < 0:
             raise ValueError("min_spacing must be non-negative")
         self.min_spacing = float(min_spacing)
@@ -218,8 +211,6 @@ class DataSet:
         self._locs: list[tuple[float, float]] = []
         self._vals: list[float] = []
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-        for s in samples:
-            self.insert(s)
 
     @classmethod
     def from_admitted(cls, min_spacing: float, locations, values) -> DataSet:
@@ -266,8 +257,9 @@ class DataSet:
             self._grid = _SpacingGrid(self.min_spacing)
             for north, east in self._locs:
                 self._grid.add(north, east)
-        if not self._grid.admit(*sample.location):
+        if self._grid.near(*sample.location):
             return False
+        self._grid.add(*sample.location)
         self._locs.append(sample.location)
         self._vals.append(sample.value)
         self._arrays = None

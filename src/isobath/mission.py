@@ -84,6 +84,10 @@ VARIANTS = ("terminal", "plain", "lawnmower")
 # stall a run that validation passed.
 STEP_SAMPLE_CAP = 1000
 
+# Most TDMA slots a mission may open, about 524 at the defaults: each is
+# a heap event and a ``tx`` event, so far more would stall a run.
+SLOT_CAP = 10_000
+
 # What ``compare_methods`` runs: MissionConfig overrides per variant, so
 # the terminal-reward planner, the plain short-horizon planner and the
 # lawnmower baseline each fly with the horizon the comparison pairs them at.
@@ -205,6 +209,28 @@ class MissionConfig:
         # message, rather than partway through a run.
         try:
             area = OperationalArea((0.0, 0.0), self.area_max)
+            starts = tuple(AgentState(*start) for start in self.starts)
+            motions = tuple(
+                MotionParams(self.turn_radius, self.theta_max, speed) for speed in self.speeds
+            )
+            # The longest step is the largest turn's arc and run-out. A chord
+            # is no longer than its step, so every pose and sample lies in ``box``.
+            longest = max(step_length(a, motions[0]) for a in range(len(ACTION_SET)))
+            reach = self.total_length * longest
+            slots = reach / min(self.speeds) / self.slot_duration
+            if slots > SLOT_CAP:
+                raise ConfigurationError(
+                    f"total_length, turn_radius, theta_max, speeds and slot_duration "
+                    f"allow {slots:.3g} TDMA slots, above the cap {SLOT_CAP}"
+                )
+            axes = list(zip(*((s.north, s.east) for s in starts)))
+            box = OperationalArea(
+                [min(0.0, min(ax) - reach) for ax in axes],
+                [max(top, max(ax) + reach) for top, ax in zip(self.area_max, axes)],
+            )
+            # Packets carry the largest id, and every point of ``box``, in float32.
+            Packet(self.team_size - 1, 0, 0.0, *box.min_corner,
+                   measurements=[(*box.max_corner, 0.0)])
             parts = _Parts(
                 area=area,
                 kernel=KernelSpec(self.length_scale, self.signal_variance, self.noise_std),
@@ -214,22 +240,17 @@ class MissionConfig:
                     use_terminal_reward=self.variant == "terminal",
                     mcts_iterations=self.mcts_iterations,
                 ),
-                starts=tuple(AgentState(*start) for start in self.starts),
-                motions=tuple(
-                    MotionParams(self.turn_radius, self.theta_max, speed)
-                    for speed in self.speeds
-                ),
+                starts=starts,
+                motions=motions,
                 lake=synthetic_lake(
-                    self.bathymetry_family, self.bathymetry_params, area, level=self.level
+                    self.bathymetry_family, self.bathymetry_params, area,
+                    level=self.level, reach=box,
                 ),
                 planning_grid=eval_grid(area, self.planning_resolution),
                 output_grid=eval_grid(area, self.output_resolution),
                 trace_grid=eval_grid(area, self.trace_resolution),
             )
             DataSet(self.min_spacing)
-            # Every vehicle's id and start pose go out in its packets' header.
-            for i, start in enumerate(parts.starts):
-                Packet(i, 0, start.heading, start.north, start.east)
             if self.variant != "lawnmower":
                 # The longest plan a vehicle broadcasts must fit a packet.
                 measurement_capacity(min(self.horizon, self.total_length))
@@ -241,7 +262,9 @@ class MissionConfig:
         # number, which bounds the factor's estimate from above, is at most
         # 1 + n sf^2 / sn^2.
         try:
-            per_step = self.step_sample_bound()
+            # Most locations one step takes: its longest, sampled every
+            # ``sample_spacing`` meters, plus its end.
+            per_step = math.floor(longest / self.sample_spacing) + 1
             if per_step > STEP_SAMPLE_CAP:
                 raise ConfigurationError(
                     f"sample_spacing {self.sample_spacing:g} is too small for "
@@ -249,7 +272,7 @@ class MissionConfig:
                     f"samples, above the cap {STEP_SAMPLE_CAP}; raise sample_spacing "
                     "or lower turn_radius"
                 )
-            n_max = self.gram_size_bound()
+            n_max = self.gram_size_bound(per_step)
         except ArithmeticError:
             raise ConfigurationError(
                 "turn_radius, sample_spacing, min_spacing and area_max are too far "
@@ -267,8 +290,9 @@ class MissionConfig:
                 f"the cap {CONDITION_CAP:.0e}; raise noise_std or min_spacing"
             )
 
-    def gram_size_bound(self) -> int:
-        """Most points one Gram matrix of the mission can hold.
+    def gram_size_bound(self, per_step: int) -> int:
+        """Most points one Gram matrix of the mission can hold, at most
+        ``per_step`` locations a step.
 
         Data, admitted plans and their union are thinned to be pairwise
         at least ``min_spacing`` apart, so disks of half that radius
@@ -279,7 +303,7 @@ class MissionConfig:
         every sample the team can take, twice over: the data, and the
         plans scored against it.
         """
-        per_vehicle = 1 + self.total_length * self.step_sample_bound()
+        per_vehicle = 1 + self.total_length * per_step
         n_max = 2 * self.team_size * per_vehicle
         if self.min_spacing > 0:
             half = 0.5 * self.min_spacing
@@ -291,17 +315,6 @@ class MissionConfig:
             )
             n_max = min(n_max, math.floor(box / (math.pi * half * half)))
         return n_max
-
-    def step_sample_bound(self) -> int:
-        """Most measurement locations one vehicle step takes: the longest
-        step, the largest turn's arc and run-out, sampled every
-        ``sample_spacing`` meters, plus its end."""
-        longest_step = max(
-            step_length(a, motion)
-            for motion in self.parts.motions
-            for a in range(len(ACTION_SET))
-        )
-        return math.floor(longest_step / self.sample_spacing) + 1
 
     @property
     def team_size(self) -> int:
@@ -451,10 +464,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         owner = agents[slot % config.team_size]
         n_actions = len(owner.plan_actions)
         capacity = measurement_capacity(n_actions)
-        chosen = select_measurements(range(len(owner.queue)), capacity)
-        triples = tuple(owner.queue[i] for i in chosen)
-        taken = set(chosen)
-        owner.queue = [q for i, q in enumerate(owner.queue) if i not in taken]
+        triples, owner.queue = select_measurements(owner.queue, capacity)
         tail_flag = (not owner.done) and config.variant in ("terminal", "lawnmower")
         packet = Packet(
             agent_id=owner.id,
@@ -786,7 +796,7 @@ def _risk(config: MissionConfig, data: DataSet, points) -> np.ndarray:
 def truth_grid(result: MissionResult):
     """True depths on the output grid, as (points, values)."""
     parts = result.config.parts
-    return parts.output_grid, parts.lake.depth_grid(parts.output_grid)
+    return parts.output_grid, parts.lake(parts.output_grid)
 
 
 def compare_methods(base_config: MissionConfig, seeds) -> dict:

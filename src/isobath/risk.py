@@ -65,7 +65,7 @@ being 0. Dropping a term that is exactly zero leaves every bit as it was,
 sign bits included: 1/2 - T2 is 1/2 whether T2 is +0 or -0, and the
 product with c1 + c2 is never -0. So the batch skips T1, the normal CDF
 and the mu* chain, and makes half the Owen's T evaluations, when the
-costs are equal, every element is live and no head is zero. A zero head
+costs are equal and no live element's head is zero. A zero head
 (mu_mu exactly at the level, as at every grid point far from all data
 when the prior mean is the level) needs the limits above, so such a
 batch takes the general form. So does one where the reduction's guard,
@@ -170,28 +170,28 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
     c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
     level = loss.level
     top = max(c1, c2)
-    if (
+    if not (
         mu_mu.size
         and np.minimum.reduce(s2mu, axis=None) > 1e-300
         and np.minimum.reduce(s2q, axis=None) > 1e-300
     ):
-        # Every element is live, so nothing is masked out or scattered
-        # back: every step below is elementwise.
-        out = None
-        mm, vmu, vq = mu_mu.ravel(), s2mu.ravel(), s2q.ravel()
-    else:
         out = np.zeros(mu_mu.shape)
         no_spread = s2mu <= 1e-300
         if no_spread.any():
             out[no_spread] = bayes_risk_batch(mu_mu[no_spread], s2q[no_spread], loss)
-        live = ~no_spread & (s2q > 1e-300)
-        if not live.any():
-            return np.minimum(np.maximum(out, 0.0), top)
-        mm, vmu, vq = mu_mu[live], s2mu[live], s2q[live]
+        live = (s2mu > 1e-300) & (s2q > 1e-300)
+        if live.any():
+            out[live] = expected_bayes_risk_closed_batch(
+                mu_mu[live], s2mu[live], s2q[live], loss
+            )
+        return np.minimum(np.maximum(out, 0.0), top)
+    # Every element is live, so nothing is masked out or scattered back:
+    # every step below is elementwise.
+    mm, vmu, vq = mu_mu.ravel(), s2mu.ravel(), s2q.ravel()
     sd_mu = np.sqrt(vmu)
     sd_q = np.sqrt(vq)
     s2 = vmu + vq
-    if out is None and c1 == c2:
+    if c1 == c2:
         # The equal-cost reduction of the module docstring; where its
         # guard is zero, the general form below takes over.
         d_l = level - mm
@@ -229,7 +229,4 @@ def expected_bayes_risk_closed_batch(mu_mu, sigma_mu_sq, sigma_pq_sq, loss: Loss
     expected = (c1 + c2) * (0.5 - t_sum - beta) + 0.5 * (c2 - c1) * (phi[:n] - phi[n:])
     # Bounded by the costs; np.minimum(np.maximum(...)) is np.clip
     # without its argument handling.
-    if out is None:
-        return np.minimum(np.maximum(expected, 0.0), top).reshape(mu_mu.shape)
-    out[live] = expected
-    return np.minimum(np.maximum(out, 0.0), top)
+    return np.minimum(np.maximum(expected, 0.0), top).reshape(mu_mu.shape)

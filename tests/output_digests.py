@@ -18,6 +18,9 @@ two commits write byte-identical outputs exactly when the output of one
     PYTHONPATH=src python tests/output_digests.py > after.txt
     diff before.txt after.txt
 
+or in one command, with ``--against before.txt``, which prints each path
+whose digest moved, appeared or vanished, and exits 1 if any did.
+
 The package is run from the ``src/`` beside this script. The runs go to
 a temporary directory that is removed afterwards, or with ``--out DIR``
 to DIR, which is kept and must not exist or be empty, so that no file
@@ -69,17 +72,41 @@ def digests(out: Path) -> list[str]:
     ]
 
 
+def changes(before: list[str], after: list[str]) -> list[str]:
+    """``moved``, ``new`` or ``gone``, and the path, of every file whose
+    ``sha256  path`` line differs between the two lists, by path."""
+    def by_path(lines):
+        return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+    old, new = by_path(before), by_path(after)
+    return [
+        f"{'new' if path not in old else 'gone' if path not in new else 'moved'}  {path}"
+        for path in sorted(old.keys() | new.keys())
+        if old.get(path) != new.get(path)
+    ]
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="keep the runs in this directory")
+    parser.add_argument(
+        "--against", type=Path,
+        help="a file this script printed: list what changed, exit 1 if anything did",
+    )
     args = parser.parse_args(argv)
     if args.out is not None and args.out.exists() and any(args.out.iterdir()):
         parser.error(f"--out {args.out} is not empty")
+    before = args.against.read_text().splitlines() if args.against else None
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or Path(tmp)
         run_all(out)
-        print("\n".join(digests(out)))
-    return 0
+        after = digests(out)
+    if before is None:
+        print("\n".join(after))
+        return 0
+    changed = changes(before, after)
+    print("\n".join([*changed, f"{len(after)} files, {len(changed)} changed"]))
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

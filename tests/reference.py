@@ -644,7 +644,7 @@ def sensor_readings(result) -> list[float]:
     for e in result.events:
         if e["kind"] != "sample":
             continue
-        truth = float(lake.depth_grid(np.array([[e["north"], e["east"]]]))[0])
+        truth = float(lake(np.array([[e["north"], e["east"]]]))[0])
         noise = 0.0
         if config.noise_std > 0:
             noise = float(rngs[e["agent"]].normal(0.0, config.noise_std))

@@ -213,12 +213,15 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
 # plan longer than a packet holds, a start pose without three numbers),
 # names an empty team, a sample spacing or slot duration that is not
 # positive or a negative noise, holds a count or seed that is not an
-# integer, or spaces samples so finely that one step would take more
-# than ``mission.STEP_SAMPLE_CAP``, so ``isobath run`` would stop partway
-# or stall. A negative spacing would pass that cap and stop the run in
-# the chord walk; a negative slot duration would schedule slot after
-# slot ahead of every other event, so the run would never end. Both
-# commands refuse it.
+# integer, spaces samples so finely that one step would take more
+# than ``mission.STEP_SAMPLE_CAP``, or needs more TDMA slots than
+# ``mission.SLOT_CAP``, so ``isobath run`` would stop partway or stall.
+# A negative spacing would pass that cap and stop the run in the chord
+# walk; a negative slot duration would schedule slot after slot ahead of
+# every other event, so the run would never end. So would a team so
+# slow, or steps so long, that its mission lasts for millions of slots:
+# one vehicle at 1e-4 m/s broadcast in 47,125 slots over 2 steps, and
+# steps of 1e37 m never finished. Both commands refuse it.
 @pytest.mark.parametrize("env", [
     {"ISOBATH_HORIZON": "0"},
     {"ISOBATH_MCTS_ITERATIONS": "0"},
@@ -249,6 +252,15 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
         for value in ("2.5", "true", "3.0")
     ),
     {"ISOBATH_TOTAL_LENGTH": "2.5", "ISOBATH_VARIANT": '"lawnmower"'},
+    {"ISOBATH_SPEEDS": "[1e-4]", "ISOBATH_STARTS": "[[0, 10, 10]]",
+     "ISOBATH_VARIANT": '"lawnmower"', "ISOBATH_TOTAL_LENGTH": "2"},
+    {"ISOBATH_AREA_MAX": "[100, 100]", "ISOBATH_BATHYMETRY_FAMILY": '"plane"',
+     "ISOBATH_BATHYMETRY_PARAMS":
+         '{"depth0": 10, "gradient_north": 0.2, "gradient_east": 0}',
+     "ISOBATH_SPEEDS": "[1.5]", "ISOBATH_STARTS": "[[0, 10, 10]]",
+     "ISOBATH_VARIANT": '"lawnmower"', "ISOBATH_TOTAL_LENGTH": "5",
+     "ISOBATH_TURN_RADIUS": "1e37", "ISOBATH_SAMPLE_SPACING": "1e35",
+     "ISOBATH_MIN_SPACING": "1e36"},
 ], ids=lambda env: ",".join(f"{k[8:].lower()}={v}" for k, v in env.items()))
 def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys, tmp_path):
     for key, value in env.items():
@@ -333,6 +345,24 @@ def test_a_spacing_at_the_step_sample_cap_validates(monkeypatch):
     # cap + 0.5 spacings: cap + 1 samples.
     monkeypatch.setenv("ISOBATH_SAMPLE_SPACING", json.dumps(longest_step / (cap + 0.5)))
     assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+
+
+def test_a_slot_duration_at_the_slot_cap_validates(monkeypatch, capsys):
+    cfg = MissionConfig()
+    # The slowest vehicle flies 100 steps of 15 (pi/2 + pi) m at 1.35 m/s:
+    # about 524 slots of 10 s.
+    longest_step = cfg.turn_radius * (cfg.theta_max + math.pi)
+    flight = cfg.total_length * longest_step / min(cfg.speeds)
+    assert 523 < flight / cfg.slot_duration < 525
+    cap = mission.SLOT_CAP
+    monkeypatch.setenv("ISOBATH_SLOT_DURATION", json.dumps(flight / (cap - 0.5)))
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 0
+    monkeypatch.setenv("ISOBATH_SLOT_DURATION", json.dumps(flight / (cap + 0.5)))
+    assert main(["validate", "--config", str(DEFAULT_CONFIG)]) == 2
+    err = capsys.readouterr().err
+    for name in ("total_length", "turn_radius", "theta_max", "speeds", "slot_duration"):
+        assert name in err
+    assert f"the cap {cap}" in err
 
 
 def test_the_longest_plan_a_packet_holds_validates(monkeypatch):
@@ -614,6 +644,8 @@ def fuzzed_configs(draw):
         "output_resolution": 50.0,
         "trace_resolution": 50.0,
         "seed": draw(st.integers(0, 3)),
+        # Down to where a slow team needs more slots than the cap.
+        "slot_duration": draw(st.floats(0.01, 60.0)),
     }
 
 
@@ -639,6 +671,12 @@ RUN_FILES = ("events.jsonl", "trace.csv", "risk_global.csv", "depth_truth.csv",
 @example(_micro_lake("plane", depth0=0.0, gradient_north=1e300, gradient_east=0.0))
 # A start pose past single precision, which a packet's header carries.
 @example(dict(MICRO, starts=[[0.0, 1e39, 20.0], [0.0, 100.0, 20.0]]))
+# A start far outside the area, where a steep plane is 1e39 m deep: the
+# area's own depths fit single precision, the sounded ones do not.
+@example(dict(
+    _micro_lake("plane", depth0=10.0, gradient_north=100.0, gradient_east=0.0),
+    area_max=[100.0, 100.0], starts=[[0.0, 1e37, 10.0]],
+))
 def test_every_config_that_validates_runs_to_completion(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"

@@ -187,26 +187,28 @@ class TestDecodeErrorOffsets:
 class TestSelectMeasurements:
     def test_under_capacity_is_identity(self):
         items = list(range(7))
-        assert select_measurements(items, 19) == items
+        assert select_measurements(items, 19) == (items, [])
 
     def test_tight_budget_spans_the_queue(self):
         items = list(range(40))
-        out = select_measurements(items, 19)
+        out, rest = select_measurements(items, 19)
         assert out[0] == 0
         assert out == items[::3]  # ceil(40/19) == 3
         assert len(out) <= 19
+        assert rest == [i for i in items if i % 3]
 
     def test_zero_capacity_or_empty(self):
-        assert select_measurements(range(5), 0) == []
-        assert select_measurements([], 10) == []
+        assert select_measurements(range(5), 0) == ([], [0, 1, 2, 3, 4])
+        assert select_measurements([], 10) == ([], [])
         with pytest.raises(ValueError):
             select_measurements(range(5), -1)
 
     @given(st.integers(0, 400), st.integers(1, 60))
     @settings(max_examples=200, deadline=None)
     def test_count_bounded_and_order_kept(self, n, cap):
-        out = select_measurements(range(n), cap)
+        out, rest = select_measurements(range(n), cap)
         assert len(out) <= cap
-        assert out == sorted(out)
+        assert out == sorted(out) and rest == sorted(rest)
+        assert sorted(out + rest) == list(range(n))
         if n:
             assert out[0] == 0

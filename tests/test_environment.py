@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from isobath.environment import (
-    AnalyticBathymetry,
     OperationalArea,
     eval_grid,
     sample_depth,
@@ -38,7 +37,7 @@ LAKES = {
 
 def depth_of(lake, point) -> float:
     """The lake's depth at one point, from a one-row evaluation."""
-    return float(lake.depth_grid([point])[0])
+    return float(lake(np.array([point], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +60,15 @@ def test_area_rejects_degenerate_rectangle():
 
 
 def test_analytic_depth_grid_evaluates_its_function_row_by_row():
-    bathy = AnalyticBathymetry(lambda pts: 3.0 + 0.1 * pts[:, 0] - 0.05 * pts[:, 1])
+    lake = synthetic_lake(
+        "plane", {"depth0": 3.0, "gradient_north": 0.1, "gradient_east": -0.05}, AREA
+    )
     pts = np.array([[0.0, 0.0], [10.0, 20.0], [100.0, 5.0]])
-    grid = bathy.depth_grid(pts)
+    grid = lake(pts)
     assert grid.shape == (3,)
     for k, p in enumerate(pts):
-        assert depth_of(bathy, p) == grid[k]
-    assert depth_of(bathy, (10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
-    # A flat (n*2,) input is read as rows too.
-    assert np.array_equal(bathy.depth_grid(pts.ravel()), grid)
+        assert depth_of(lake, p) == grid[k]
+    assert depth_of(lake, (10.0, 20.0)) == pytest.approx(3.0 + 1.0 - 1.0)
 
 
 @pytest.mark.parametrize("family", sorted(LAKES))
@@ -83,7 +82,7 @@ def test_every_family_depth_is_independent_of_the_batch(family):
     one_by_one = np.array([depth_of(lake, p) for p in pts])
     for size in (2, 3, 5, 7, len(pts)):
         batched = np.concatenate(
-            [lake.depth_grid(pts[i:i + size]) for i in range(0, len(pts), size)]
+            [lake(pts[i:i + size]) for i in range(0, len(pts), size)]
         )
         assert np.array_equal(batched, one_by_one), (family, size)
 
@@ -182,6 +181,23 @@ def test_lake_must_straddle_the_critical_level():
     )
 
 
+def test_depths_must_round_to_finite_float32_where_the_vehicles_go():
+    # Packets carry depths in float32. A plane's extremes over a box lie at
+    # its corners: 2e37 m at the area's far corner, 1e39 m 10 km north.
+    plane = {"depth0": 10.0, "gradient_north": 1e35, "gradient_east": 0.0}
+    synthetic_lake("plane", plane, AREA)
+    with pytest.raises(ConfigurationError, match="float32"):
+        synthetic_lake("plane", plane, AREA, reach=OperationalArea((0, 0), (1e4, 300)))
+    # A basin stays within its background plus its amplitude. Past
+    # float32's largest finite value, a depth still fits until it rounds
+    # to infinity.
+    basin = dict(LAKES["gaussian-basin"], background=0.0, radius=5.0)
+    top = float(np.finfo(np.float32).max)
+    synthetic_lake("gaussian-basin", dict(basin, max_depth=top + 1e31), AREA)
+    with pytest.raises(ConfigurationError, match="float32"):
+        synthetic_lake("gaussian-basin", dict(basin, max_depth=2.0**128), AREA)
+
+
 # ---------------------------------------------------------------------------
 # Sensor
 
@@ -201,7 +217,9 @@ def test_noiseless_sensor_returns_truth():
 
 
 def test_noisy_sensor_is_unbiased_with_matching_spread():
-    lake = AnalyticBathymetry(lambda pts: np.full(pts.shape[0], 12.0))
+    def lake(pts):
+        return np.full(pts.shape[0], 12.0)
+
     rng = np.random.default_rng(42)
     pts = np.tile([10.0, 10.0], (4000, 1))
     values = np.array([s.value for s in sample_depth(lake, 0.5, pts, rng)])
@@ -210,7 +228,9 @@ def test_noisy_sensor_is_unbiased_with_matching_spread():
 
 
 def test_sensor_draws_are_seed_reproducible():
-    lake = AnalyticBathymetry(lambda pts: np.full(pts.shape[0], 12.0))
+    def lake(pts):
+        return np.full(pts.shape[0], 12.0)
+
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0]])
     a = sample_depth(lake, 0.5, pts, np.random.default_rng(3))
     b = sample_depth(lake, 0.5, pts, np.random.default_rng(3))

@@ -63,6 +63,14 @@ def dense_reference(kernel, locations, values, prior_mean, queries):
     return means, varis
 
 
+def filled(min_spacing, samples):
+    """A data set with ``samples`` inserted in order under the density rule."""
+    data = DataSet(min_spacing)
+    for s in samples:
+        data.insert(s)
+    return data
+
+
 def make_data(rng, n, min_spacing=0.0, span=400.0):
     data = DataSet(min_spacing=min_spacing)
     for _ in range(n):
@@ -195,13 +203,13 @@ class TestPosterior:
         assert belief.solve(np.empty((0, 4))).shape == (0, 4)
 
     def test_reverts_to_prior_far_from_data(self):
-        data = DataSet(0.0, [Sample((0.0, 0.0), 22.0)])
+        data = filled(0.0, [Sample((0.0, 0.0), 22.0)])
         (mean,), (var,) = Belief(KERNEL, 15.0, data).predict_arrays([[5000.0, 5000.0]])
         assert mean == pytest.approx(15.0, abs=1e-9)
         assert var == pytest.approx(25.0, abs=1e-9)
 
     def test_variance_shrinks_at_observed_location(self):
-        data = DataSet(0.0, [Sample((100.0, 100.0), 20.0)])
+        data = filled(0.0, [Sample((100.0, 100.0), 20.0)])
         (mean,), (var,) = Belief(KERNEL, 15.0, data).predict_arrays([[100.0, 100.0]])
         # At the sample, residual variance is sf^2 sn^2 / (sf^2 + sn^2).
         want = 25.0 * 0.25 / 25.25
@@ -218,7 +226,7 @@ class TestPosterior:
 
     def test_duplicate_locations_jitter_recovery(self):
         kernel = KernelSpec(60.0, 25.0, 0.0)
-        data = DataSet(0.0, [Sample((50.0, 50.0), 20.0), Sample((50.0, 50.0), 20.0)])
+        data = filled(0.0, [Sample((50.0, 50.0), 20.0), Sample((50.0, 50.0), 20.0)])
         (mean,), (var,) = Belief(kernel, 15.0, data).predict_arrays([[50.0, 50.0]])
         assert mean == pytest.approx(20.0, abs=1e-3)
         assert var >= 0.0
@@ -390,12 +398,12 @@ class TestDensityFilter:
     def test_a_set_of_admitted_samples_equals_a_fresh_set(self, case, n):
         pts, vals, spacing = case
         samples = [Sample(p, v) for p, v in zip(pts.tolist(), vals.tolist())]
-        data = DataSet(spacing, samples)
+        data = filled(spacing, samples)
         n = min(n, len(data))
         locations = [tuple(p) for p in data.locations[:n].tolist()]
         values = data.values[:n].tolist()
         part = DataSet.from_admitted(spacing, locations, values)
-        fresh = DataSet(spacing, [Sample(p, v) for p, v in zip(locations, values)])
+        fresh = filled(spacing, [Sample(p, v) for p, v in zip(locations, values)])
         assert np.array_equal(part.locations, fresh.locations)
         assert np.array_equal(part.values, fresh.values)
         # The grid built on the first insert holds the admitted samples:
@@ -409,7 +417,7 @@ class TestDensityFilter:
         assert len(data) == size and len(locations) == len(values) == n
 
     def test_copy_is_independent_of_its_source(self):
-        data = DataSet(10.0, [Sample((0.0, 0.0), 1.0)])
+        data = filled(10.0, [Sample((0.0, 0.0), 1.0)])
         twin = copy.deepcopy(data)
         assert twin.insert(Sample((50.0, 0.0), 2.0))
         assert len(data) == 1
@@ -422,7 +430,7 @@ class TestDensityFilter:
         assert twin.values.tolist() == [1.0, 2.0]
 
     def test_arrays_read_before_an_insert_do_not_change(self):
-        data = DataSet(30.0, [Sample((0.0, 0.0), 20.0)])
+        data = filled(30.0, [Sample((0.0, 0.0), 20.0)])
         locs, vals = data.locations, data.values
         belief = Belief(KERNEL, 15.0, data)
         queries = np.array([[10.0, 0.0], [70.0, 0.0]])
@@ -615,7 +623,7 @@ class TestVarianceReduction:
         assert vr.sigma_mu_sq + vr.sigma_pq_sq == pytest.approx(varis[0], rel=1e-7)
 
     def test_empty_plan_reduces_nothing(self):
-        data = DataSet(0.0, [Sample((0.0, 0.0), 20.0)])
+        data = filled(0.0, [Sample((0.0, 0.0), 20.0)])
         vr = variance_reduction(KERNEL, data, np.empty((0, 2)), (50.0, 50.0), 15.0)
         assert vr.sigma_mu_sq == 0.0
 
