@@ -119,10 +119,11 @@ def parse_seeds(spec: str) -> list[int]:
 
 
 def _write_grid_csv(path, column, prefixes, values):
-    """One value per output-grid point, after its ``north,east,`` prefix."""
+    """One value per output-grid point, after its ``north,east,`` prefix,
+    joined and written in one call."""
+    rows = "".join([f"{p}{v!r}\n" for p, v in zip(prefixes, values.tolist())])
     with open(path, "w") as fh:
-        fh.write(f"north_m,east_m,{column}\n")
-        fh.writelines(f"{p}{v!r}\n" for p, v in zip(prefixes, values.tolist()))
+        fh.write(f"north_m,east_m,{column}\n{rows}")
 
 
 def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
@@ -132,10 +133,9 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
     write_jsonl(result, out_dir / "events.jsonl")
     # The trace builds the replay, whose one pooled walk the risk maps reuse.
     trace = accumulated_reward_trace(result)
+    rows = "".join([f"{k},{v!r}\n" for k, v in enumerate(trace.tolist())])
     with open(out_dir / "trace.csv", "w") as fh:
-        fh.write("step,accumulated_reward\n")
-        for k, v in enumerate(trace):
-            fh.write(f"{k},{float(v)!r}\n")
+        fh.write(f"step,accumulated_reward\n{rows}")
     # Every grid file is on the output grid: its points prefix each row.
     points, depths = truth_grid(result)
     prefixes = [f"{n!r},{e!r}," for n, e in points.tolist()]

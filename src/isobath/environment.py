@@ -55,6 +55,15 @@ _LAKE_PARAMS = {
 }
 
 
+# The most standard deviations a reading's noise can stray from its
+# depth. numpy's normal generator (a ziggurat) returns less than its
+# r = 3.6542 in magnitude outside the tail, and r + x in the tail, where
+# x is kept only when x^2 < 2y and y = -log(1 - u) is at most 53 ln 2
+# for its 53-bit uniforms u; so no draw reaches 3.6542 + sqrt(73.48) =
+# 12.23. Rounded up, which also covers the rounding of depth + noise.
+NOISE_REACH = 13.0
+
+
 # Each family's depth at (n, 2) points ``pts``, its parameters bound by
 # ``functools.partial``, so that a lake is plain data and pickles.
 
@@ -98,7 +107,7 @@ def _ridge_depth(background, start, seg, seg_len2, height, width, pts):
 
 def synthetic_lake(
     family: str, params: dict, area: OperationalArea, *, level: float = 15.0,
-    reach: OperationalArea | None = None,
+    reach: OperationalArea | None = None, noise_std: float = 0.0,
 ) -> functools.partial:
     """Construct an analytic lake's depth function; check the isobath exists.
 
@@ -115,7 +124,8 @@ def synthetic_lake(
     Raises ConfigurationError when the requested family is unknown, a
     parameter is missing, or the ``level`` isobath does not intersect the
     area (the depth range on a dense probe grid must straddle the level).
-    The depths must fit float32, as packets carry them, over ``reach`` (or the area).
+    The depths must fit float32, as packets carry them, over ``reach`` (or the area),
+    and so must every reading there, up to ``NOISE_REACH`` times ``noise_std`` off.
     """
     if family not in _LAKE_PARAMS:
         raise ConfigurationError(
@@ -169,6 +179,11 @@ def synthetic_lake(
     # Packets carry each measured depth in single precision.
     if not extreme < _F32_OVERFLOW:
         raise ConfigurationError(f"lake depths reach {extreme:.3g} m, past float32")
+    if not extreme + NOISE_REACH * noise_std < _F32_OVERFLOW:
+        raise ConfigurationError(
+            f"noise_std {noise_std:g} is too large: readings may reach {extreme:.3g} m "
+            f"plus {NOISE_REACH:g} standard deviations, past float32"
+        )
     probe = eval_grid(area, resolution=min(area.extent) / 60.0)
     depths = fn(probe)
     if not (depths.min() < level < depths.max()):

@@ -403,7 +403,11 @@ class Belief:
         self.data = data
         self._locs = data.locations
         n = len(data)
-        gram = kernel(self._locs, self._locs) + kernel.noise_std**2 * np.eye(n)
+        gram = kernel(self._locs, self._locs)
+        # ``K + sn^2 I`` without the identity: adding sn^2 * 1.0 on the
+        # diagonal is adding sn^2, and adding sn^2 * 0.0 off it leaves the
+        # non-negative covariances as they are, to the bit.
+        gram.reshape(-1)[:: n + 1] += kernel.noise_std**2
         # The lower factor L, which the planner's low-rank updates solve
         # against directly.
         self.low = _chol_with_jitter(gram, kernel, n) if n else np.empty((0, 0))

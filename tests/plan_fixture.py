@@ -28,15 +28,21 @@ from isobath.mission import run_mission
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "data" / "plans.json"
 
-# name -> (variant, horizon, mcts_iterations); each runs for STEPS steps
-# at every seed. Six iterations stop the search inside the root's first
+# name -> overrides of the default config; each runs for STEPS steps at
+# every seed. Six iterations stop the search inside the root's first
 # round of expansions, before UCB selection runs; at horizon 1 the sweep
-# prefix is always one of those expansions.
+# prefix is always one of those expansions. At costs 16/4, declaring
+# shallow water safe costs four times the opposite error, so every
+# closed-form call takes the general form.
 CASES = {
-    "terminal": ("terminal", 3, 48),
-    "plain": ("plain", 10, 48),
-    "terminal_it6": ("terminal", 3, 6),
-    "terminal_h1": ("terminal", 1, 48),
+    "terminal": {"variant": "terminal", "horizon": 3, "mcts_iterations": 48},
+    "plain": {"variant": "plain", "horizon": 10, "mcts_iterations": 48},
+    "terminal_it6": {"variant": "terminal", "horizon": 3, "mcts_iterations": 6},
+    "terminal_h1": {"variant": "terminal", "horizon": 1, "mcts_iterations": 48},
+    "terminal_16_4": {
+        "variant": "terminal", "horizon": 3, "mcts_iterations": 48,
+        "cost_deep_wrong": 16.0, "cost_shallow_wrong": 4.0,
+    },
 }
 SEEDS = (0, 1)
 STEPS = 8
@@ -46,12 +52,9 @@ def plan_events() -> dict[str, list[dict]]:
     """Every ``plan`` event of every case and seed, keyed ``<case>/seed_<n>``."""
     base = load_config(str(ROOT / "configs" / "default.json"), env={})
     out = {}
-    for name, (variant, horizon, iterations) in CASES.items():
+    for name, overrides in CASES.items():
         for seed in SEEDS:
-            cfg = dataclasses.replace(
-                base, variant=variant, horizon=horizon,
-                mcts_iterations=iterations, total_length=STEPS, seed=seed,
-            )
+            cfg = dataclasses.replace(base, **overrides, total_length=STEPS, seed=seed)
             out[f"{name}/seed_{seed}"] = [
                 {k: ev[k] for k in ("agent", "epoch", "actions", "evaluations",
                                     "value", "naive")}

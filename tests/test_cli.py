@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from isobath import cli, mission
 from isobath.cli import load_config, main, parse_seeds
-from isobath.environment import eval_grid
+from isobath.comms import _F32_OVERFLOW
+from isobath.environment import NOISE_REACH, eval_grid
 from isobath.errors import ConfigurationError, NumericalError
 from isobath.mission import (
     MissionConfig,
@@ -208,6 +209,15 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
     assert "1 + n*sf^2/sn^2" in err and "1e+14" in err
 
 
+# One vehicle sweeping 2 steps of a gentle plane, in a 100 m area.
+NOISY_PLANE = {
+    "ISOBATH_AREA_MAX": "[100, 100]", "ISOBATH_BATHYMETRY_FAMILY": '"plane"',
+    "ISOBATH_BATHYMETRY_PARAMS": '{"depth0": 10, "gradient_north": 0.2, "gradient_east": 0}',
+    "ISOBATH_SPEEDS": "[1.5]", "ISOBATH_STARTS": "[[0, 10, 10]]",
+    "ISOBATH_VARIANT": '"lawnmower"', "ISOBATH_TOTAL_LENGTH": "2",
+}
+
+
 # Each config builds a part that refuses it (a zero or negative scale,
 # an isobath outside the lake, a lake family without its parameters, a
 # plan longer than a packet holds, a start pose without three numbers),
@@ -221,7 +231,9 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
 # every other event, so the run would never end. So would a team so
 # slow, or steps so long, that its mission lasts for millions of slots:
 # one vehicle at 1e-4 m/s broadcast in 47,125 slots over 2 steps, and
-# steps of 1e37 m never finished. Both commands refuse it.
+# steps of 1e37 m never finished. Both commands refuse it, and a noise
+# so large that a reading may pass float32, which stopped the run in
+# the packet encoder.
 @pytest.mark.parametrize("env", [
     {"ISOBATH_HORIZON": "0"},
     {"ISOBATH_MCTS_ITERATIONS": "0"},
@@ -261,6 +273,7 @@ def test_validate_rejects_a_noise_free_belief_it_cannot_factor(monkeypatch, caps
      "ISOBATH_VARIANT": '"lawnmower"', "ISOBATH_TOTAL_LENGTH": "5",
      "ISOBATH_TURN_RADIUS": "1e37", "ISOBATH_SAMPLE_SPACING": "1e35",
      "ISOBATH_MIN_SPACING": "1e36"},
+    {"ISOBATH_NOISE_STD": "1e39", **NOISY_PLANE},
 ], ids=lambda env: ",".join(f"{k[8:].lower()}={v}" for k, v in env.items()))
 def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys, tmp_path):
     for key, value in env.items():
@@ -271,6 +284,18 @@ def test_validate_rejects_configs_a_run_cannot_finish(env, monkeypatch, capsys, 
     assert main(["run", "--config", str(DEFAULT_CONFIG), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
+
+
+def test_a_noise_whose_readings_may_pass_float32_is_rejected_naming_it(monkeypatch):
+    # No draw strays past NOISE_REACH standard deviations, so a noise
+    # that keeps the lake's extreme plus that many below float32's
+    # overflow validates.
+    for key, value in NOISY_PLANE.items():
+        monkeypatch.setenv(key, value)
+    config = load_config(str(DEFAULT_CONFIG))
+    dataclasses.replace(config, noise_std=0.99 * _F32_OVERFLOW / NOISE_REACH)
+    with pytest.raises(ConfigurationError, match="^noise_std .* is too large"):
+        dataclasses.replace(config, noise_std=1.01 * _F32_OVERFLOW / NOISE_REACH)
 
 
 @pytest.mark.parametrize("name", ["total_length", "horizon", "mcts_iterations", "seed"])
@@ -501,6 +526,50 @@ def test_outputs_rebuild_from_the_run_directory_alone(tmp_path, monkeypatch):
         ).read_bytes(), name
 
 
+@pytest.mark.parametrize("variant", ["lawnmower", "terminal"])
+def test_each_run_file_line_is_its_values_printed(variant, tmp_path, monkeypatch):
+    # Every events.jsonl line is the sorted-keys dump of the header or its
+    # event, a trace row is ``step,reward`` and a grid row
+    # ``north,east,value``, each number by repr; every file ends in
+    # exactly one newline.
+    results = []
+
+    def recorded(cfg):
+        results.append(run_mission(cfg))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_mission", recorded)
+    path = tmp_path / "micro.json"
+    path.write_text(json.dumps({**MICRO, "variant": variant}))
+    assert main(["run", "--config", str(path), "--seeds", "3", "--out", str(tmp_path)]) == 0
+    (result,) = results
+    seed_dir = tmp_path / "seed_3"
+
+    def lines(name):
+        text = (seed_dir / name).read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n"), name
+        return text[:-1].split("\n")
+
+    header = {"kind": "config", **dataclasses.asdict(result.config)}
+    assert lines("events.jsonl") == [
+        json.dumps(obj, sort_keys=True) for obj in (header, *result.events)
+    ]
+    trace = mission.accumulated_reward_trace(result)
+    assert lines("trace.csv") == [
+        "step,accumulated_reward", *(f"{k},{v!r}" for k, v in enumerate(trace.tolist()))
+    ]
+    points, depths = truth_grid(result)
+    grids = {"risk_global.csv": ("risk", risk_snapshot(result)),
+             "depth_truth.csv": ("depth_m", depths)}
+    for i in range(result.config.team_size):
+        grids[f"risk_agent_{i}.csv"] = ("risk", risk_snapshot(result, agent=i))
+    for name, (column, values) in grids.items():
+        assert lines(name) == [
+            f"north_m,east_m,{column}",
+            *(f"{n!r},{e!r},{v!r}" for (n, e), v in zip(points.tolist(), values.tolist())),
+        ], name
+
+
 def test_a_run_builds_the_lake_and_grids_once_per_config(
     config_file, tmp_path, monkeypatch
 ):
@@ -646,6 +715,10 @@ def fuzzed_configs(draw):
         "seed": draw(st.integers(0, 3)),
         # Down to where a slow team needs more slots than the cap.
         "slot_duration": draw(st.floats(0.01, 60.0)),
+        # From below the Gram condition cap to past what float32 carries.
+        "noise_std": 10.0 ** draw(st.floats(-4.0, 40.0)),
+        "comm_latency": draw(st.floats(0.0, 1e4)),
+        "drop_prob": draw(st.floats(0.0, 1.0)),
     }
 
 

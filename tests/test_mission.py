@@ -3,6 +3,7 @@ consistency, TDMA timing, channel behavior and delivery rate, belief
 reconstruction from the log, every per-step belief against the
 reference oracles' whole-log replays, and the summary products."""
 
+import dataclasses
 import json
 import math
 import pickle
@@ -316,13 +317,19 @@ class TestEventLog:
 
     def test_booleans_are_written_as_integers(self, result, tmp_path):
         # Flags are logged as 0/1 integers and every event is written as
-        # logged, so the file reads back as the log itself.
+        # logged, so the file reads back as the log itself. Each line is
+        # the sorted-keys dump of the header or its event, and the file
+        # ends in exactly one newline.
         flags = [e[k] for e in result.events
                  for k in ("accepted", "fell_back", "tail") if k in e]
         assert {type(f) for f in flags} == {int} and set(flags) == {0, 1}
         p = tmp_path / "log.jsonl"
         write_jsonl(result, p)
         text = p.read_text()
+        header = {"kind": "config", **dataclasses.asdict(result.config)}
+        assert text.split("\n") == [
+            *(json.dumps(obj, sort_keys=True) for obj in (header, *result.events)), ""
+        ]
         assert [json.loads(line) for line in text.splitlines()[1:]] == result.events
         assert '"accepted": 1' in text and '"fell_back": 0' in text
         assert '"tail": 1' in text

@@ -42,10 +42,16 @@ BELIEFS = ROOT / "tests" / "data" / "beliefs.json"
 # orders to diverge; over the full 100 steps the replay windows are
 # longest and the vehicles' step orders drift furthest apart. The ridge
 # runs askew to both axes, so its projection rounds; the two basins are
-# far enough apart that the isobath rings each on its own.
+# far enough apart that the isobath rings each on its own. At costs
+# 16/4 every closed-form call, in the planner and in the trace, takes
+# the general form.
 CASES = {
     "lawnmower": {"variant": "lawnmower", "total_length": 30},
     "terminal": {"variant": "terminal", "total_length": 8},
+    "terminal_16_4": {
+        "variant": "terminal", "total_length": 8,
+        "cost_deep_wrong": 16.0, "cost_shallow_wrong": 4.0,
+    },
     "lawnmower_100": {"variant": "lawnmower", "total_length": 100},
     "ridge": {
         "variant": "lawnmower",
