@@ -25,8 +25,6 @@ import math
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DecodeError, EncodeError
 from .motion import ACTION_SET
 
@@ -43,16 +41,27 @@ LAWNMOWER_CONTINUATION = 0xFE
 # halfway between its largest finite value and 2**128.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
 
+_F32 = struct.Struct("<f")
+
 
 def _f32(x) -> float:
-    # Tested before the cast, which would warn of the overflow it returns.
-    v = float(np.float32(x)) if abs(x) < _F32_OVERFLOW else math.inf
-    if not math.isfinite(v):
-        raise EncodeError(f"value {x!r} is not a finite float32")
-    return v
+    """``x`` rounded to the nearest float32, as a float; EncodeError if none is finite.
+
+    The pack converts ``x`` to a double and casts that to single
+    precision, round-half-even, as ``float(np.float32(x))`` does for a
+    float, a Python int or a numpy float scalar: the same bits, sign of
+    zero and subnormals included, at a fraction of numpy's per-call cost.
+    (A numpy integer scalar past 2**53 is rounded twice here, to a double
+    and then to single, where numpy rounds it once; no packet field is
+    one.) The magnitude test comes first, so the pack never overflows,
+    and NaN fails it.
+    """
+    if abs(x) < _F32_OVERFLOW:
+        return _F32.unpack(_F32.pack(x))[0]
+    raise EncodeError(f"value {x!r} is not a finite float32")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Packet:
     """One broadcast: sender pose, short plan, and measurement triples.
 
@@ -61,6 +70,14 @@ class Packet:
     deterministic lawnmower sweep for the rest of its mission.
     ``measurements`` are (north, east, value) triples. Floats are stored
     at float32 precision.
+
+    Construction checks agent_id, plan_epoch, heading, north, east,
+    actions and then measurements, raising EncodeError at the first
+    fault. Each field is set once, already coerced, through the
+    instance dict, past the frozen dataclass's ``__setattr__``, as
+    ``motion.AgentState`` sets its own; the coercions are those a
+    ``__post_init__`` made, so the fields keep their bits, and equality,
+    hash, repr, ``dataclasses.replace`` and pickling are the dataclass's.
     """
 
     agent_id: int
@@ -72,25 +89,29 @@ class Packet:
     lawnmower_tail: bool = False
     measurements: tuple[tuple[float, float, float], ...] = ()
 
-    def __post_init__(self):
-        if not 0 <= int(self.agent_id) <= 255:
+    def __init__(self, agent_id, plan_epoch, heading, north, east,
+                 actions=(), lawnmower_tail=False, measurements=()):
+        agent_id = int(agent_id)
+        if not 0 <= agent_id <= 255:
             raise EncodeError("agent_id must fit one byte")
-        if not 0 <= int(self.plan_epoch) <= 255:
+        plan_epoch = int(plan_epoch)
+        if not 0 <= plan_epoch <= 255:
             raise EncodeError("plan_epoch must fit one byte")
-        object.__setattr__(self, "agent_id", int(self.agent_id))
-        object.__setattr__(self, "plan_epoch", int(self.plan_epoch))
-        for name in ("heading", "north", "east"):
-            object.__setattr__(self, name, _f32(getattr(self, name)))
-        acts = tuple(int(a) for a in self.actions)
+        fields = self.__dict__
+        fields["agent_id"] = agent_id
+        fields["plan_epoch"] = plan_epoch
+        fields["heading"] = _f32(heading)
+        fields["north"] = _f32(north)
+        fields["east"] = _f32(east)
+        acts = tuple(int(a) for a in actions)
         for a in acts:
             if not 0 <= a < len(ACTION_SET):
                 raise EncodeError(f"action index {a} outside the action set")
-        object.__setattr__(self, "actions", acts)
-        object.__setattr__(self, "lawnmower_tail", bool(self.lawnmower_tail))
-        meas = tuple(
-            (_f32(m[0]), _f32(m[1]), _f32(m[2])) for m in self.measurements
+        fields["actions"] = acts
+        fields["lawnmower_tail"] = bool(lawnmower_tail)
+        fields["measurements"] = tuple(
+            (_f32(m[0]), _f32(m[1]), _f32(m[2])) for m in measurements
         )
-        object.__setattr__(self, "measurements", meas)
 
 
 def measurement_capacity(n_actions: int) -> int:

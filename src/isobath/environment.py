@@ -10,6 +10,7 @@ their n depths.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,15 @@ _LAKE_PARAMS = {
         "center2", "radius2", "max_depth2",
     ),
     "ridge": ("background", "start", "end", "height", "width"),
+    "gp-draw": ("mean", "variance", "length_scale", "draw", "features"),
 }
+
+# Most random features a ``gp-draw`` lake may sum.
+GP_DRAW_FEATURES_CAP = 4096
+
+# Elements in each of a ``gp-draw`` lake's (rows, features) work arrays,
+# at most: 512 KB of float64.
+_GP_DRAW_BLOCK = 1 << 16
 
 
 # The most standard deviations a reading's noise can stray from its
@@ -77,20 +86,45 @@ def _plane_depth(depth0, gradient_north, gradient_east, origin, pts):
 def _gaussian(d2, width):
     """``exp(-d2 / (2 width^2))``, at squared distances ``d2`` from the peak.
 
+    Worked in place on one new array: dividing by the negated
+    denominator gives ``-d2 / (2 width^2)`` to the last bit, as in
+    ``KernelSpec.from_sqdist``, without a pass to negate ``d2``.
     Far from a narrow peak the exponent overflows to -inf and the value
     is 0, its limit, so that overflow is not reported. The validator
     rejects a width whose square is 0, where the peak itself is 0/0.
     """
     with np.errstate(over="ignore"):
-        return np.exp(-d2 / (2 * width * width))
+        g = np.divide(d2, -2 * width * width)
+    np.exp(g, out=g)
+    return g
+
+
+def _squared_norms(rel):
+    """Each row's ``n*n + e*e``, squaring ``rel``, (n, 2), in place.
+
+    What ``np.sum(rel ** 2, axis=1)`` gives, bit for bit: ``** 2`` is
+    numpy's square, ``x * x``, and ``np.sum`` is ``np.add.reduce``, here
+    a single addition per row, called without its Python wrapper. A step
+    sounds a handful of points, so these calls cost more than their
+    arithmetic.
+    """
+    rel *= rel
+    return np.add.reduce(rel, axis=1)
 
 
 def _basins_depth(background, basins, pts):
-    """Background plus each (center, radius, amplitude) Gaussian basin, in order."""
+    """Background plus each (center, radius, amplitude) Gaussian basin, in order.
+
+    ``background + amplitude * g`` for the first basin and
+    ``depth + amplitude * g`` for the next, summed in place into ``g``:
+    IEEE addition and multiplication commute, so each depth keeps its bits.
+    """
     depth = background
     for center, radius, amplitude in basins:
-        d2 = np.sum((pts - center) ** 2, axis=1)
-        depth = depth + amplitude * _gaussian(d2, radius)
+        g = _gaussian(_squared_norms(pts - center), radius)
+        g *= amplitude
+        g += depth
+        depth = g
     return depth
 
 
@@ -101,8 +135,41 @@ def _ridge_depth(background, start, seg, seg_len2, height, width, pts):
     rel = pts - start
     t = np.clip((rel[:, 0] * seg[0] + rel[:, 1] * seg[1]) / seg_len2, 0.0, 1.0)
     foot = start[None, :] + t[:, None] * seg[None, :]
-    d2 = np.sum((pts - foot) ** 2, axis=1)
-    return background - height * _gaussian(d2, width)
+    return background - height * _gaussian(_squared_norms(pts - foot), width)
+
+
+def _gp_draw_depth(mean, scale, w_north, w_east, phase, pts):
+    """``mean + scale * sum_i cos(w_i . x + phase_i)`` at each row ``x`` of ``pts``.
+
+    Rows are worked in blocks of at most ``_GP_DRAW_BLOCK`` elements.
+    ``w_i . x`` is formed elementwise, as ``_ridge_depth`` forms its
+    projection, and each row's features are summed along that row alone,
+    so a depth does not depend on the rows evaluated with it.
+    """
+    rows = max(1, _GP_DRAW_BLOCK // len(phase))
+    total = np.empty(len(pts))
+    for i in range(0, len(pts), rows):
+        block = pts[i:i + rows]
+        arg = np.multiply.outer(block[:, 0], w_north)
+        arg += np.multiply.outer(block[:, 1], w_east)
+        arg += phase
+        np.cos(arg, out=arg)
+        total[i:i + rows] = np.add.reduce(arg, axis=1)
+    total *= scale
+    total += mean
+    return total
+
+
+def _count(params, name, lo, hi=None) -> int:
+    """``params[name]``, which must be an integer from ``lo`` to ``hi``."""
+    value = params[name]
+    if (
+        not isinstance(value, int) or isinstance(value, bool)
+        or value < lo or (hi is not None and value > hi)
+    ):
+        span = f"{lo}..{hi}" if hi is not None else f"at least {lo}"
+        raise ConfigurationError(f"gp-draw {name} must be an integer {span}, not {value!r}")
+    return value
 
 
 def synthetic_lake(
@@ -120,6 +187,13 @@ def synthetic_lake(
       radius1/2, max_depth1/2).
     - ``ridge``: background depth minus a Gaussian ridge of given height
       and width running between two endpoint locations.
+    - ``gp-draw``: one draw of a Gaussian process with constant ``mean``
+      and a squared-exponential kernel of ``variance`` and
+      ``length_scale``, by ``features`` random Fourier features (Rahimi &
+      Recht, NIPS 2007): ``mean + sqrt(2 variance / D) sum_i cos(w_i . x +
+      b_i)``, with ``w_i ~ N(0, I / length_scale^2)`` and ``b_i ~ U(0,
+      2 pi)`` from the generator seeded with ``draw``. A lake drawn from
+      the belief's own prior.
 
     Raises ConfigurationError when the requested family is unknown, a
     parameter is missing, or the ``level`` isobath does not intersect the
@@ -162,6 +236,34 @@ def synthetic_lake(
             raise ConfigurationError("basin radii must be positive, with a nonzero square")
         fn = functools.partial(_basins_depth, bg, basins)
         extreme = abs(bg) + sum(abs(amplitude) for _, _, amplitude in basins)
+
+    elif family == "gp-draw":
+        features = _count(p, "features", 1, GP_DRAW_FEATURES_CAP)
+        draw = _count(p, "draw", 0)
+        mean, variance = float(p["mean"]), float(p["variance"])
+        length_scale = float(p["length_scale"])
+        if not (variance > 0 and length_scale > 0):
+            raise ConfigurationError("gp-draw variance and length_scale must be positive")
+        rng = np.random.default_rng(draw)
+        with np.errstate(over="ignore"):
+            omega = rng.normal(size=(features, 2)) / length_scale
+        phase = rng.uniform(0.0, 2 * np.pi, size=features)
+        # A bound on the cosines' arguments over ``box``, which must be finite.
+        box = area if reach is None else reach
+        far_n, far_e = np.abs([box.min_corner, box.max_corner]).max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            argument = (np.abs(omega[:, 0]) * far_n + np.abs(omega[:, 1]) * far_e).max()
+        if not argument + 2 * math.pi < math.inf:
+            raise ConfigurationError(
+                f"gp-draw length_scale {length_scale:g} is too small for the reach "
+                f"of the mission: its features' phases overflow"
+            )
+        fn = functools.partial(
+            _gp_draw_depth, mean, math.sqrt(2.0 * variance / features),
+            omega[:, 0].copy(), omega[:, 1].copy(), phase,
+        )
+        # Each cosine is at most 1 in magnitude.
+        extreme = abs(mean) + math.sqrt(2.0 * variance * features)
 
     else:  # ridge
         start = np.asarray(p["start"], dtype=float)

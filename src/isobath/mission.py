@@ -365,6 +365,24 @@ class MissionResult:
         return Replay(self)
 
 
+def _sample_times(t, locs, seg_len, speed) -> list[float]:
+    """When a step started at ``t`` passes each of ``locs[1:]``, (n, 2).
+
+    Time along the chord from ``locs[0]`` to ``locs[-1]`` is scaled onto
+    the step's arc length ``seg_len``: ``t + (d / chord) * seg_len /
+    speed``, with ``chord`` at least 1e-12. Worked on Python floats, as a
+    step has a handful of locations, where numpy's per-call cost outweighs
+    the arithmetic. The bits are those of the array form, ``np.sqrt`` of
+    ``np.add.reduce`` of the squared offsets along axis 1: a two-term
+    reduce is the one addition ``dn*dn + de*de``, and ``math.sqrt`` and
+    ``np.sqrt`` both round correctly.
+    """
+    (n0, e0), *rest = locs.tolist()
+    dists = [math.sqrt((n - n0) * (n - n0) + (e - e0) * (e - e0)) for n, e in rest]
+    chord = max(dists[-1] if dists else 0.0, 1e-12)
+    return [t + (d / chord) * seg_len / speed for d in dists]
+
+
 def run_mission(config: MissionConfig) -> MissionResult:
     """Simulate one mission and return its full log."""
     parts = config.parts
@@ -385,24 +403,34 @@ def run_mission(config: MissionConfig) -> MissionResult:
         heapq.heappush(heap, (t, next(seq), kind, payload))
 
     def log(t, kind, **fields):
-        events.append({"t": float(t), "kind": kind, **fields})
+        # The keyword dict is new to each call: it becomes the event.
+        fields["t"] = float(t)
+        fields["kind"] = kind
+        events.append(fields)
 
     def take_sample(t, agent: _AgentRuntime, s: Sample, step_index):
         accepted = agent.data.insert(s)
+        # A sample's fields are floats already.
+        north, east = s.location
         if accepted:
-            agent.queue.append((s.location[0], s.location[1], s.value))
+            agent.queue.append((north, east, s.value))
         log(
             t,
             "sample",
             agent=agent.id,
             step=step_index,
-            north=float(s.location[0]),
-            east=float(s.location[1]),
-            value=float(s.value),
+            north=north,
+            east=east,
+            value=s.value,
             accepted=int(accepted),
         )
 
     def plan_and_go(t, agent: _AgentRuntime):
+        """Plan at ``t``, then start the plan's first step and its soundings.
+
+        The step's sample times are worked on Python floats
+        (``_sample_times``), with the bits numpy's array form gave.
+        """
         remaining = config.total_length - agent.executed
         if remaining <= 0:
             agent.done = True
@@ -448,16 +476,10 @@ def run_mission(config: MissionConfig) -> MissionResult:
         )
         seg_len = step_length(action, agent.motion)
         t_end = t + seg_len / agent.motion.speed
-        # The ufuncs numpy's norm runs for a real 2-norm along axis 1,
-        # without its wrapper's cost.
-        rel = locs - locs[0]
-        norms = np.sqrt(np.add.reduce(rel * rel, axis=1))
-        chord = max(float(norms[-1]), 1e-12)
-        # Time along the segment, scaled onto the full arc length.
-        times = t + (norms[1:] / chord) * seg_len / agent.motion.speed
+        times = _sample_times(t, locs, seg_len, agent.motion.speed)
         samples = sample_depth(parts.lake, config.noise_std, locs[1:], agent.sensor_rng)
         # Samples taken along the segment belong to the step it executes.
-        for t_sample, s in zip(times.tolist(), samples):
+        for t_sample, s in zip(times, samples):
             push(t_sample, "sample", (agent.id, s, agent.executed + 1))
         push(t_end, "segment_end", (agent.id, final, action))
 

@@ -32,7 +32,13 @@ against the other:
   walks the log once;
 - the value of every logged sample, sounded one at a time in each
   vehicle's sample order (``sensor_readings``), where the mission sounds
-  a whole segment in one call.
+  a whole segment in one call;
+- the per-event numerics in their plain numpy form: float32 rounding
+  through a numpy scalar (``f32_by_numpy``), the Gaussian basin and
+  ridge depths through ``np.sum`` of squares and a negated exponent
+  (``basins_depth_by_sum``, ``ridge_depth_by_sum``), and a step's sample
+  times through numpy's 2-norm (``sample_times_by_norm``), where the
+  package cuts the per-call cost of each and must keep its bits.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from isobath.comms import _F32_OVERFLOW
 from isobath.environment import synthetic_lake
-from isobath.errors import NumericalError
+from isobath.errors import EncodeError, NumericalError
 from isobath.gp import (
     Belief,
     DataSet,
@@ -650,3 +657,42 @@ def sensor_readings(result) -> list[float]:
             noise = float(rngs[e["agent"]].normal(0.0, config.noise_std))
         readings.append(truth + noise)
     return readings
+
+
+def f32_by_numpy(x) -> float:
+    """``x`` rounded to float32 through a numpy scalar; EncodeError past its range."""
+    v = float(np.float32(x)) if abs(x) < _F32_OVERFLOW else math.inf
+    if not math.isfinite(v):
+        raise EncodeError(f"value {x!r} is not a finite float32")
+    return v
+
+
+def _gaussian_by_negation(d2, width):
+    with np.errstate(over="ignore"):
+        return np.exp(-d2 / (2 * width * width))
+
+
+def basins_depth_by_sum(background, basins, pts):
+    """Background plus each (center, radius, amplitude) Gaussian basin, in order."""
+    depth = background
+    for center, radius, amplitude in basins:
+        d2 = np.sum((pts - center) ** 2, axis=1)
+        depth = depth + amplitude * _gaussian_by_negation(d2, radius)
+    return depth
+
+
+def ridge_depth_by_sum(background, start, seg, seg_len2, height, width, pts):
+    """Background minus a Gaussian ridge along the segment from ``start``."""
+    rel = pts - start
+    t = np.clip((rel[:, 0] * seg[0] + rel[:, 1] * seg[1]) / seg_len2, 0.0, 1.0)
+    foot = start[None, :] + t[:, None] * seg[None, :]
+    d2 = np.sum((pts - foot) ** 2, axis=1)
+    return background - height * _gaussian_by_negation(d2, width)
+
+
+def sample_times_by_norm(t, locs, seg_len, speed) -> list[float]:
+    """A step's sample times from numpy's 2-norm of each offset, as arrays."""
+    rel = locs - locs[0]
+    norms = np.linalg.norm(rel, axis=1)
+    chord = max(float(norms[-1]), 1e-12)
+    return (t + (norms[1:] / chord) * seg_len / speed).tolist()

@@ -406,6 +406,21 @@ def test_default_config_file_validates(capsys):
     assert capsys.readouterr().out.startswith("ok: 3 vehicles")
 
 
+def test_the_gp_draw_config_file_validates_and_runs(tmp_path, monkeypatch, capsys):
+    # The default mission on a lake drawn from the belief's own prior.
+    path = DEFAULT_CONFIG.parent / "gp-draw.json"
+    config = load_config(str(path), env={})
+    assert config.bathymetry_family == "gp-draw"
+    assert config.bathymetry_params["length_scale"] == config.length_scale
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 3 vehicles")
+    monkeypatch.setenv("ISOBATH_TOTAL_LENGTH", "4")
+    out = tmp_path / "runs"
+    assert main(["run", "--config", str(path), "--seeds", "0", "--out", str(out)]) == 0
+    for name in RUN_FILES:
+        assert (out / "seed_0" / name).stat().st_size > 0, name
+
+
 def test_configuration_problems_exit_two(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -647,78 +662,141 @@ def test_compare_writes_a_comparison_report(config_file, tmp_path, capsys):
 # Config fuzz: every config that validates runs to completion
 
 
-def _points(north, east):
+# Each float below scales a draw of one fixed strategy: strategies built
+# from each example's own bounds cost hypothesis more than most of the
+# runs. Hypothesis favours floats of least magnitude, so a range from 0
+# would pile up at its low end; one centred on 0 spreads about evenly.
+_CENTRED = st.floats(-1.0, 1.0)
+_ONE_IN_TWENTY = st.integers(0, 19)
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+def _uniform(draw, lo, hi):
+    """A float drawn from ``lo`` to ``hi``."""
+    return lo + (hi - lo) * (draw(_CENTRED) + 1.0) / 2.0
+
+
+def _log_uniform(draw, lo, hi):
+    """10 to a power drawn from ``lo`` to ``hi``."""
+    return 10.0 ** _uniform(draw, lo, hi)
+
+
+def _rarely(draw) -> bool:
+    """True on about one draw in twenty."""
+    return draw(_ONE_IN_TWENTY) == 0
+
+
+def _point(draw, north, east):
     """A point within a quarter of the area's size of it, on either side."""
-    return st.tuples(
-        st.floats(-0.25 * north, 1.25 * north), st.floats(-0.25 * east, 1.25 * east)
-    ).map(list)
+    return [_uniform(draw, -0.25 * north, 1.25 * north),
+            _uniform(draw, -0.25 * east, 1.25 * east)]
 
 
-@st.composite
-def _lakes(draw, north, east):
+def _lake(draw, north, east, level):
     """A lake family and its parameters, invalid ones included.
 
-    Basins and ridges mostly cross the default 15 m level and span a
-    fair part of the area, so that most examples get past validation.
+    Depths are drawn about ``level``, and basins, ridges and draws mostly
+    cross it and span a fair part of the area, so that most examples get
+    past validation.
     """
-    family = draw(st.sampled_from(["plane", "gaussian-basin", "two-basin", "ridge"]))
-    # Radii and widths from a little below zero to past the area's size.
-    width = st.floats(-0.05, 1.5).map(lambda f: f * min(north, east))
+    family = draw(st.sampled_from(["plane", "gaussian-basin", "two-basin", "ridge", "gp-draw"]))
+    size = min(north, east)
+
+    def width():
+        # From the area's 50th to past its size, and now and then zero or below.
+        return size * (_uniform(draw, -0.05, 0.0) if _rarely(draw) else _uniform(draw, 0.02, 1.5))
+
     if family == "plane":
-        slope = st.floats(-0.3, 0.3)
-        params = {"depth0": draw(st.floats(0.0, 30.0)), "gradient_north": draw(slope),
-                  "gradient_east": draw(slope)}
+        # A tilt the level crosses at a drawn point of the area, or a flat.
+        gn, ge = draw(_SIGN) * _uniform(draw, 0.0, 0.3), draw(_SIGN) * _uniform(draw, 0.0, 0.3)
+        at = _uniform(draw, 0.0, north), _uniform(draw, 0.0, east)
+        params = {"depth0": level - gn * at[0] - ge * at[1],
+                  "gradient_north": gn, "gradient_east": ge}
     elif family == "ridge":
-        params = {"background": draw(st.floats(15.5, 40.0)),
-                  "start": draw(_points(north, east)), "end": draw(_points(north, east)),
-                  "height": draw(st.floats(-5.0, 40.0)), "width": draw(width)}
+        above = _uniform(draw, 0.5, 25.0)
+        start = _point(draw, north, east)
+        # A segment of a drawn bearing, and now and then of no length.
+        bearing = _uniform(draw, -math.pi, math.pi)
+        length = 0.0 if _rarely(draw) else size * _uniform(draw, 0.1, 1.5)
+        end = [start[0] + length * math.cos(bearing), start[1] + length * math.sin(bearing)]
+        params = {"background": level + above, "start": start, "end": end,
+                  "height": above + _uniform(draw, 0.5, 25.0), "width": width()}
+    elif family == "gp-draw":
+        variance = _log_uniform(draw, -1.0, 2.5)
+        params = {"mean": level + math.sqrt(variance) * _uniform(draw, -2.0, 2.0),
+                  "variance": variance,
+                  "length_scale": size * _log_uniform(draw, -1.5, 0.3),
+                  "draw": draw(st.integers(0, 3)), "features": draw(st.integers(0, 100))}
     else:
-        params = {"background": draw(st.floats(0.0, 14.5))}
-        deep = st.floats(15.5, 40.0)
+        params = {"background": level - _uniform(draw, 0.5, 15.0)}
+        deep = (0.5, 25.0)
         for s in ("",) if family == "gaussian-basin" else ("1", "2"):
-            params[f"center{s}"] = draw(_points(north, east))
-            params[f"radius{s}"] = draw(width)
-            params[f"max_depth{s}"] = draw(deep)
-            deep = st.floats(0.0, 40.0)  # a second basin may be a shoal
+            params[f"center{s}"] = _point(draw, north, east)
+            params[f"radius{s}"] = width()
+            params[f"max_depth{s}"] = level + _uniform(draw, *deep)
+            deep = (-15.0, 25.0)  # a second basin may be a shoal
     return family, params
 
 
 @st.composite
 def fuzzed_configs(draw):
-    """A small config file's fields: lake, team, variant, costs and counts."""
-    north, east = draw(st.floats(40.0, 400.0)), draw(st.floats(40.0, 400.0))
-    family, params = draw(_lakes(north, east))
+    """A small config file's every field, in ranges that mostly validate.
+
+    Grids are bounded to 21 points a side, and steps sample at a fifth of
+    the turn radius or coarser, thinned to the turn radius's scale, so
+    that each run stays small.
+    """
+    north, east = _uniform(draw, 40.0, 400.0), _uniform(draw, 40.0, 400.0)
+    level = _uniform(draw, -20.0, 60.0)
+    family, params = _lake(draw, north, east, level)
     team = draw(st.integers(1, 4))
-    # Starts up to 100 m outside the area on every side.
-    start = st.tuples(
-        st.floats(-math.pi, math.pi),
-        st.floats(-100.0, north + 100.0),
-        st.floats(-100.0, east + 100.0),
-    ).map(list)
-    cost = st.floats(0.5, 20.0)
-    costs = draw(st.one_of(cost.map(lambda c: (c, c)), st.tuples(cost, cost)))
+
+    def offset(extent):
+        # Up to 100 m outside the area, or from 100 m to 1e8 m past it.
+        if draw(st.booleans()):
+            return _uniform(draw, -100.0, extent + 100.0)
+        far = _log_uniform(draw, 2.0, 8.0)
+        return extent + far if draw(st.booleans()) else -far
+
+    starts = [[_uniform(draw, -math.pi, math.pi), offset(north), offset(east)]
+              for _ in range(team)]
+    cost_deep = _uniform(draw, 0.5, 20.0)
+    cost_shallow = cost_deep if draw(st.booleans()) else _uniform(draw, 0.5, 20.0)
+    turn_radius = _log_uniform(draw, 0.0, 2.0)
+
+    def resolution():
+        return max(north, east) * _uniform(draw, 0.05, 1.0)
+
     return {
         "area_max": [north, east],
         "bathymetry_family": family,
         "bathymetry_params": params,
-        "speeds": draw(st.lists(st.floats(0.5, 3.0), min_size=team, max_size=team)),
-        "starts": draw(st.lists(start, min_size=team, max_size=team)),
+        "level": level,
+        "prior_mean": level + _uniform(draw, -30.0, 30.0),
+        "length_scale": _log_uniform(draw, 0.0, 3.0),
+        "signal_variance": _log_uniform(draw, -2.0, 3.0),
+        "min_spacing": turn_radius * _log_uniform(draw, -0.7, 0.7),
+        "sample_spacing": turn_radius * _log_uniform(draw, -0.7, 0.5),
+        "turn_radius": turn_radius,
+        "theta_max": _uniform(draw, 0.05, math.pi),
+        "speeds": [_uniform(draw, 0.5, 3.0) for _ in range(team)],
+        "starts": starts,
         "variant": draw(st.sampled_from(["terminal", "plain", "lawnmower"])),
-        "cost_deep_wrong": costs[0],
-        "cost_shallow_wrong": costs[1],
+        "cost_deep_wrong": cost_deep,
+        "cost_shallow_wrong": cost_shallow,
         "total_length": draw(st.integers(1, 3)),
         "horizon": draw(st.integers(1, 4)),
         "mcts_iterations": draw(st.integers(1, 4)),
-        "planning_resolution": 50.0,
-        "output_resolution": 50.0,
-        "trace_resolution": 50.0,
+        "planning_resolution": _uniform(draw, -10.0, 0.0) if _rarely(draw) else resolution(),
+        "output_resolution": resolution(),
+        "trace_resolution": resolution(),
         "seed": draw(st.integers(0, 3)),
-        # Down to where a slow team needs more slots than the cap.
-        "slot_duration": draw(st.floats(0.01, 60.0)),
+        # Down to where a slow team of wide turns needs more slots than the cap.
+        "slot_duration": _log_uniform(draw, -2.0, 1.8),
         # From below the Gram condition cap to past what float32 carries.
-        "noise_std": 10.0 ** draw(st.floats(-4.0, 40.0)),
-        "comm_latency": draw(st.floats(0.0, 1e4)),
-        "drop_prob": draw(st.floats(0.0, 1.0)),
+        "noise_std": _log_uniform(draw, -4.0, 40.0),
+        "comm_latency": _uniform(draw, 0.0, 1e4),
+        "drop_prob": _uniform(draw, 0.0, 1.0),
     }
 
 
@@ -749,6 +827,12 @@ RUN_FILES = ("events.jsonl", "trace.csv", "risk_global.csv", "depth_truth.csv",
 @example(dict(
     _micro_lake("plane", depth0=10.0, gradient_north=100.0, gradient_east=0.0),
     area_max=[100.0, 100.0], starts=[[0.0, 1e37, 10.0]],
+))
+# A draw whose phases overflow at the far start, where the lake would be NaN.
+@example(dict(
+    _micro_lake("gp-draw", mean=15.0, variance=25.0, length_scale=1e-290, draw=0,
+                features=8),
+    starts=[[0.0, 1e30, 10.0]],
 ))
 def test_every_config_that_validates_runs_to_completion(config):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,18 +1,26 @@
 """Tests for the operational area, truth bathymetry models, and depth sounding."""
 
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isobath.environment import (
+    GP_DRAW_FEATURES_CAP,
     OperationalArea,
+    _basins_depth,
+    _ridge_depth,
     eval_grid,
     sample_depth,
     synthetic_lake,
 )
 from isobath.errors import ConfigurationError
 from isobath.gp import Sample
+from reference import basins_depth_by_sum, ridge_depth_by_sum
 
 AREA = OperationalArea((0.0, 0.0), (200.0, 300.0))
 
@@ -31,6 +39,9 @@ LAKES = {
     "ridge": {
         "background": 22.0, "start": (10.0, 40.0), "end": (190.0, 260.0),
         "height": 12.0, "width": 30.0,
+    },
+    "gp-draw": {
+        "mean": 15.0, "variance": 25.0, "length_scale": 60.0, "draw": 3, "features": 300,
     },
 }
 
@@ -85,6 +96,58 @@ def test_every_family_depth_is_independent_of_the_batch(family):
             [lake(pts[i:i + size]) for i in range(0, len(pts), size)]
         )
         assert np.array_equal(batched, one_by_one), (family, size)
+
+
+# ---------------------------------------------------------------------------
+# The depth functions keep the bits of the numpy forms they replaced
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# Near the lake, and as far as a float32 reach box allows.
+_coordinate = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3), st.floats(-1e37, 1e37)
+)
+_point = st.tuples(_coordinate, _coordinate)
+_points = st.lists(_point, min_size=1, max_size=9).map(np.array)
+# Down to radii whose doubled square is subnormal, where the exponent
+# overflows a short way from the peak.
+_radius = st.one_of(
+    st.floats(1e-3, 1e4), st.floats(1e-161, 1e-150), st.floats(1e10, 1e30)
+).filter(lambda r: 2 * r * r > 0)
+_depth = st.floats(-100.0, 100.0)
+
+
+@given(
+    background=_depth,
+    basins=st.lists(st.tuples(_point, _radius, _depth), min_size=1, max_size=2),
+    pts=_points,
+)
+@settings(max_examples=300, deadline=None)
+def test_basin_depths_keep_the_bits_of_the_summed_squares(background, basins, pts):
+    # One basin is the gaussian-basin family, two the two-basin family.
+    basins = tuple((np.array(c), r, a) for c, r, a in basins)
+    want = basins_depth_by_sum(background, basins, pts)
+    assert _bits(_basins_depth(background, basins, pts)) == _bits(want)
+
+
+@given(
+    background=_depth, start=_point, end=_point, height=_depth, width=_radius,
+    pts=_points,
+)
+@settings(max_examples=300, deadline=None)
+def test_ridge_depths_keep_the_bits_of_the_summed_squares(
+    background, start, end, height, width, pts
+):
+    start = np.array(start)
+    seg = np.array(end) - start
+    seg_len2 = float(seg @ seg)
+    if not 0 < seg_len2 < math.inf:
+        return
+    args = (background, start, seg, seg_len2, height, width)
+    assert _bits(_ridge_depth(*args, pts)) == _bits(ridge_depth_by_sum(*args, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +212,66 @@ def test_ridge_family_is_shallowest_on_the_crest():
     assert depth_of(lake, (30.0, 150.0)) == pytest.approx(10.0)
     # Off-crest it deepens back toward the background.
     assert depth_of(lake, (100.0, 240.0)) > 20.0
+
+
+def test_gp_draw_is_the_random_feature_sum_of_its_draw():
+    params = LAKES["gp-draw"]
+    lake = synthetic_lake("gp-draw", params, AREA)
+    rng = np.random.default_rng(params["draw"])
+    omega = rng.normal(size=(params["features"], 2)) / params["length_scale"]
+    phase = rng.uniform(0.0, 2 * math.pi, size=params["features"])
+    scale = math.sqrt(2 * params["variance"] / params["features"])
+    for point in [(0.0, 0.0), (37.5, 212.25), (-1e5, 3e6)]:
+        terms = [math.cos(w[0] * point[0] + w[1] * point[1] + b) for w, b in zip(omega, phase)]
+        want = params["mean"] + scale * math.fsum(terms)
+        assert depth_of(lake, point) == pytest.approx(want, rel=1e-12, abs=1e-9)
+    # Plain data: a pickled lake gives the same depths.
+    grid = eval_grid(AREA, 25.0)
+    assert _bits(pickle.loads(pickle.dumps(lake))(grid)) == _bits(lake(grid))
+
+
+def test_gp_draw_features_reproduce_the_squared_exponential_kernel():
+    # sf^2 / D * sum_i 2 cos(w_i.x + b_i) cos(w_i.y + b_i) estimates
+    # sf^2 exp(-|x - y|^2 / (2 l^2)), to about sf^2 / sqrt(D).
+    params = dict(LAKES["gp-draw"], features=GP_DRAW_FEATURES_CAP, draw=11)
+    _, scale, w_north, w_east, phase = synthetic_lake("gp-draw", params, AREA).args
+    x = np.array([100.0, 150.0])
+    for r in (0.0, 30.0, 60.0, 120.0, 240.0):
+        y = x + r * np.array([0.6, 0.8])
+        fx = np.cos(w_north * x[0] + w_east * x[1] + phase)
+        fy = np.cos(w_north * y[0] + w_east * y[1] + phase)
+        covariance = scale * scale * float(fx @ fy)
+        kernel = params["variance"] * math.exp(-r * r / (2 * params["length_scale"] ** 2))
+        assert covariance == pytest.approx(kernel, abs=0.06 * params["variance"])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"features": 0}, "gp-draw features must be an integer 1..4096, not 0"),
+    ({"features": GP_DRAW_FEATURES_CAP + 1}, "gp-draw features must be an integer 1..4096"),
+    ({"features": 20.0}, "gp-draw features must be an integer"),
+    ({"features": True}, "gp-draw features must be an integer"),
+    ({"draw": -1}, "gp-draw draw must be an integer at least 0, not -1"),
+    ({"draw": 1.5}, "gp-draw draw must be an integer"),
+    ({"variance": 0.0}, "variance and length_scale must be positive"),
+    ({"length_scale": -60.0}, "variance and length_scale must be positive"),
+    ({"length_scale": 1e-310}, "length_scale 1e-310 is too small for the reach"),
+    ({"variance": 1e80}, "past float32"),
+    ({"mean": 200.0}, "does not intersect the area"),
+])
+def test_gp_draw_rejects_what_it_cannot_draw(change, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        synthetic_lake("gp-draw", dict(LAKES["gp-draw"], **change), AREA)
+
+
+def test_gp_draw_float32_bound_is_the_mean_plus_every_feature_at_full_scale():
+    # |mean| + sqrt(2 variance D) = 15 + sqrt(2 * 25 * 300) = 137.47 m.
+    with pytest.raises(ConfigurationError, match=r"readings may reach 137 m"):
+        synthetic_lake("gp-draw", LAKES["gp-draw"], AREA, noise_std=1e38)
+    # Phases must stay finite at the far corner of the reach.
+    far = OperationalArea((0.0, 0.0), (1e300, 300.0))
+    with pytest.raises(ConfigurationError, match="too small for the reach"):
+        synthetic_lake("gp-draw", dict(LAKES["gp-draw"], length_scale=1e-10), AREA,
+                       reach=far)
 
 
 def test_unknown_family_and_missing_params_raise():

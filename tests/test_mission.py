@@ -31,12 +31,21 @@ from isobath.mission import (
     truth_grid,
     write_jsonl,
 )
-from isobath.motion import AgentState, lawnmower_path, step
+from isobath.motion import (
+    ACTION_SET,
+    AgentState,
+    MotionParams,
+    lawnmower_path,
+    sample_locations,
+    step,
+    step_length,
+)
 from isobath.risk import bayes_risk_batch
 from reference import (
     agent_data_by_two_rules,
     global_data_from_scratch,
     risk_field,
+    sample_times_by_norm,
     sensor_readings,
 )
 from test_environment import LAKES
@@ -284,6 +293,42 @@ class TestDeterminism:
         assert header["kind"] == "config"
         assert header["seed"] == 0
         assert header["total_length"] == 6
+
+
+class TestSampleTimes:
+    """A step's sample times, on Python floats, keep the bits of numpy's norm."""
+
+    @given(
+        heading=st.floats(-math.pi, math.pi),
+        north=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e7, 1e7)),
+        east=st.one_of(st.floats(-1e3, 1e3), st.floats(-1e7, 1e7)),
+        action=st.integers(0, len(ACTION_SET) - 1),
+        turn_radius=st.floats(0.5, 200.0),
+        theta_max=st.floats(0.05, math.pi),
+        spacing=st.floats(0.3, 400.0),
+        t=st.one_of(st.just(0.0), st.floats(0.0, 1e5)),
+        speed=st.floats(0.1, 5.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_times_match_the_array_form(
+        self, heading, north, east, action, turn_radius, theta_max, spacing, t, speed
+    ):
+        motion = MotionParams(turn_radius, theta_max, speed)
+        locs, _, _ = sample_locations(
+            AgentState(heading, north, east), (action,), motion, spacing
+        )
+        seg_len = step_length(action, motion)
+        got = mission._sample_times(t, locs, seg_len, speed)
+        want = sample_times_by_norm(t, locs, seg_len, speed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_a_one_row_walk_has_no_times_and_a_zero_chord_no_nan(self):
+        one = np.array([[3.0, 4.0]])
+        assert mission._sample_times(5.0, one, 10.0, 1.5) == []
+        assert sample_times_by_norm(5.0, one, 10.0, 1.5) == []
+        still = np.array([[3.0, 4.0], [3.0, 4.0]])
+        assert mission._sample_times(5.0, still, 10.0, 1.5) == [5.0]
+        assert sample_times_by_norm(5.0, still, 10.0, 1.5) == [5.0]
 
 
 class TestEventLog:
