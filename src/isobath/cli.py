@@ -4,8 +4,11 @@ Two subcommands:
 
 ``isobath run`` simulates missions and writes their outputs (event log,
 risk maps, truth grid, reward trace, summary) under an output directory,
-one subdirectory per seed; with ``--compare`` it instead runs every
-planner variant over the seeds and writes a comparison summary.
+one subdirectory per seed, each with the run's record as
+``summary.json``; with ``--compare`` it instead runs every planner
+variant over the seeds and writes their records and a comparison
+summary. Every seed's config derives from the one loaded, sharing its
+parts, so a command builds the lake and grids once.
 
 ``isobath validate`` checks that a configuration file is usable and
 exits without running anything: loading it rejects any non-finite
@@ -36,9 +39,9 @@ from .mission import (
     MissionConfig,
     accumulated_reward_trace,
     compare_methods,
-    delivery_rate,
     risk_snapshot,
     run_mission,
+    run_record,
     truth_grid,
     write_jsonl,
 )
@@ -127,8 +130,8 @@ def _write_grid_csv(path, column, prefixes, values):
 
 
 def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
-    cfg = dataclasses.replace(config, seed=seed)
-    result = run_mission(cfg)
+    """Fly ``config`` at ``seed``, write its run directory, return its record."""
+    result = run_mission(config.with_seed(seed))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_jsonl(result, out_dir / "events.jsonl")
     # The trace builds the replay, whose one pooled walk the risk maps reuse.
@@ -140,27 +143,17 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
     points, depths = truth_grid(result)
     prefixes = [f"{n!r},{e!r}," for n, e in points.tolist()]
     _write_grid_csv(out_dir / "risk_global.csv", "risk", prefixes, risk_snapshot(result))
-    for i in range(cfg.team_size):
+    for i in range(config.team_size):
         _write_grid_csv(
             out_dir / f"risk_agent_{i}.csv", "risk", prefixes,
             risk_snapshot(result, agent=i),
         )
     _write_grid_csv(out_dir / "depth_truth.csv", "depth_m", prefixes, depths)
-    summary = {
-        "seed": seed,
-        "variant": cfg.variant,
-        "mission_duration_s": result.duration,
-        "final_accumulated_reward": float(trace[-1]),
-        "mid_accumulated_reward": float(trace[len(trace) // 2]),
-        # None, written as null, when nobody could receive: a lone vehicle.
-        "comm_delivery_rate": delivery_rate(result),
-        # What each vehicle inserted is its final data set, by construction.
-        "merged_belief_sizes": [len(inserted) for inserted in result.replay.inserted],
-    }
+    record = run_record(result, trace, depths)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return summary
+    return record
 
 
 def cmd_run(args) -> int:

@@ -53,10 +53,17 @@ def _f32(x) -> float:
     zero and subnormals included, at a fraction of numpy's per-call cost.
     (A numpy integer scalar past 2**53 is rounded twice here, to a double
     and then to single, where numpy rounds it once; no packet field is
-    one.) The magnitude test comes first, so the pack never overflows,
-    and NaN fails it.
+    one.) The magnitude test comes first, on that double, so the pack
+    never overflows, and NaN fails it. It compares in double precision
+    whatever ``x`` is: a numpy float32 or float16 scalar would compare in
+    its own type, where the threshold is inf. An int past the double
+    range fails it too.
     """
-    if abs(x) < _F32_OVERFLOW:
+    try:
+        magnitude = math.fabs(x)
+    except OverflowError:
+        magnitude = math.inf
+    if magnitude < _F32_OVERFLOW:
         return _F32.unpack(_F32.pack(x))[0]
     raise EncodeError(f"value {x!r} is not a finite float32")
 

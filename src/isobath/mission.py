@@ -24,7 +24,8 @@ with sorted keys so equal runs produce byte-equal files.
 
 A config validates by building a mission's fixed parts once (lake,
 grids, kernel, vehicles) and keeps them; the simulator and
-every output read them there. A finished mission keeps only its config
+every output read them there; a config for another seed shares them
+(``MissionConfig.with_seed``). A finished mission keeps only its config
 and that event log, and every output derives from the two. One walk of
 the log (``Replay``) serves every belief: a vehicle's data only grows,
 so what it knew at step k (``agent_data``) is a prefix of what it
@@ -33,12 +34,18 @@ team's belief at each step (``global_data``) and the reward trace. That
 pass judges each sample once, when its step comes into play, and again
 only when a nearby earlier verdict flips; every set it hands out is
 built from samples already admitted, without spacing tests.
+
+A run is recorded one way (``run_record``), as its ``summary.json``: its
+rewards, its channel and each belief's declarations scored against the
+true lake. ``run_grid`` flies config arms over paired seeds and returns
+those records; ``compare_methods`` summarizes the planner variants' grid.
 """
 
 from __future__ import annotations
 
 import bisect
 import collections
+import copy
 import functools
 import heapq
 import itertools
@@ -70,7 +77,7 @@ from .motion import (
     step_length,
 )
 from .planner import PlanConfig, PlanContext, PlanResult
-from .risk import LossParams, bayes_risk_batch
+from .risk import LossParams, _phi, bayes_risk_batch
 
 # The benchmark's traced run (perfbench/tracing.py) wraps this name in
 # this module, which does not call it: a segment's end state comes from
@@ -89,9 +96,10 @@ STEP_SAMPLE_CAP = 1000
 # a heap event and a ``tx`` event, so far more would stall a run.
 SLOT_CAP = 10_000
 
-# What ``compare_methods`` runs: MissionConfig overrides per variant, so
-# the terminal-reward planner, the plain short-horizon planner and the
-# lawnmower baseline each fly with the horizon the comparison pairs them at.
+# The arms ``compare_methods`` runs through ``run_grid``: MissionConfig
+# overrides per variant, so the terminal-reward planner, the plain
+# short-horizon planner and the lawnmower baseline each fly with the
+# horizon the comparison pairs them at.
 COMPARED_VARIANTS = {
     "terminal": {"variant": "terminal", "horizon": 3},
     "plain": {"variant": "plain", "horizon": 10},
@@ -115,6 +123,13 @@ def _finite(value) -> bool:
     if isinstance(value, (tuple, list)):
         return all(_finite(v) for v in value)
     return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
+
+
+def _check_integer(name: str, value) -> None:
+    # 2.5 would be printed as a step count and stop a run with a
+    # TypeError, and True would pass as 1.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,12 +195,8 @@ class MissionConfig:
         for f in fields(self):
             if not _finite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must hold only finite numbers")
-        # Counts and the seed: 2.5 would be printed as a step count and
-        # stop a run with a TypeError, and True would pass as 1.
         for name in ("total_length", "horizon", "mcts_iterations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{name} must be an integer, not {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
@@ -317,6 +328,23 @@ class MissionConfig:
             n_max = min(n_max, math.floor(box / (math.pi * half * half)))
         return n_max
 
+    def with_seed(self, seed) -> MissionConfig:
+        """``dataclasses.replace(self, seed=seed)``, sharing this config's parts.
+
+        No part depends on the seed, so the copy builds none of them again,
+        the costliest being a many-feature ``gp-draw`` lake. It equals that
+        replacement in every field, in ``asdict``, equality, hash and
+        pickle, and a bad seed raises the error construction raises.
+        """
+        if not _finite(seed):
+            raise ConfigurationError("seed must hold only finite numbers")
+        _check_integer("seed", seed)
+        if seed < 0:
+            raise ConfigurationError("seed must be non-negative")
+        twin = copy.copy(self)
+        object.__setattr__(twin, "seed", seed)
+        return twin
+
     @property
     def team_size(self) -> int:
         return len(self.speeds)
@@ -353,6 +381,8 @@ class MissionResult:
 
     config: MissionConfig
     events: list[dict]
+    # ``prediction``'s memo, by (agent, upto_step).
+    _predictions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def duration(self) -> float:
@@ -363,6 +393,23 @@ class MissionResult:
     def replay(self) -> Replay:
         """The one walk of ``events`` behind every replayed belief."""
         return Replay(self)
+
+    def prediction(
+        self, agent: int | None = None, upto_step: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(means, variances) on the output grid of a chosen belief, as
+        ``risk_snapshot`` chooses it; each belief is factored once per result,
+        so a risk map and the record's outcome fields read one prediction."""
+        key = (agent, upto_step)
+        if key not in self._predictions:
+            if agent is None:
+                data = global_data(self, upto_step)
+            else:
+                data = agent_data(self, agent, upto_step)
+            parts = self.config.parts
+            belief = Belief(parts.kernel, self.config.prior_mean, data)
+            self._predictions[key] = belief.predict_arrays(parts.output_grid)
+        return self._predictions[key]
 
 
 def _sample_times(t, locs, seg_len, speed) -> list[float]:
@@ -791,11 +838,7 @@ def risk_snapshot(
     agent index what that vehicle knew (``agent_data``); ``upto_step``
     rewinds either to step k, which must not be negative.
     """
-    if agent is None:
-        data = global_data(result, upto_step)
-    else:
-        data = agent_data(result, agent, upto_step)
-    return _risk(result.config, data, result.config.parts.output_grid)
+    return bayes_risk_batch(*result.prediction(agent, upto_step), result.config.parts.loss)
 
 
 def accumulated_reward_trace(result: MissionResult) -> np.ndarray:
@@ -833,26 +876,110 @@ def truth_grid(result: MissionResult):
     return parts.output_grid, parts.lake(parts.output_grid)
 
 
-def compare_methods(base_config: MissionConfig, seeds) -> dict:
-    """Run each variant of ``COMPARED_VARIANTS`` over the seeds and summarize.
+def _outcome(result: MissionResult, agent, upto_step, shallow) -> dict:
+    """How one belief's declarations fare against the truth (``shallow``,
+    where the true depth is below the level) on the output grid.
 
-    Returns per-variant final accumulated rewards and mean traces.
+    A cell is declared safe as ``risk.py`` states: iff c1 P(f < l) <= c2
+    P(f >= l) under the belief, a belief without variance knowing f is its
+    mean. The realized cost charges c1 per shallow cell declared safe and
+    c2 per deep cell declared shallow; the summed risk is that belief's
+    risk map summed, the map ``risk_snapshot`` gives.
     """
-    out: dict = {"seeds": [int(s) for s in seeds], "variants": {}}
-    for name, overrides in COMPARED_VARIANTS.items():
-        traces = [
-            accumulated_reward_trace(
-                run_mission(replace(base_config, seed=int(seed), **overrides))
-            )
-            for seed in seeds
-        ]
-        finals = [float(tr[-1]) for tr in traces]
-        mids = [float(tr[len(tr) // 2]) for tr in traces]
-        out["variants"][name] = {
+    loss = result.config.parts.loss
+    means, varis = result.prediction(agent, upto_step)
+    p_shallow = (means < loss.level).astype(float)
+    live = varis > 0
+    p_shallow[live] = _phi((loss.level - means[live]) / np.sqrt(varis[live]))
+    safe = loss.cost_deep_wrong * p_shallow <= loss.cost_shallow_wrong * (1.0 - p_shallow)
+    shallow_safe = int(np.count_nonzero(shallow & safe))
+    deep_shallow = int(np.count_nonzero(~shallow & ~safe))
+    return {
+        "shallow_declared_safe": shallow_safe,
+        "deep_declared_shallow": deep_shallow,
+        "realized_cost": loss.cost_deep_wrong * shallow_safe
+        + loss.cost_shallow_wrong * deep_shallow,
+        "summed_risk": float(np.sum(risk_snapshot(result, agent, upto_step))),
+    }
+
+
+def run_record(result: MissionResult, trace: np.ndarray, depths: np.ndarray) -> dict:
+    """The record of one run: what its ``summary.json`` holds, and what
+    ``run_grid`` keeps of it.
+
+    ``trace`` is ``accumulated_reward_trace(result)`` and ``depths`` the
+    truth of ``truth_grid(result)``, which the caller has built for its
+    own files. The mid step is ``len(trace) // 2``, where the mid reward
+    is read. Outcomes (``_outcome``) are those of the pooled belief and of
+    each vehicle's, at the mid step and at the end, the end's being the
+    beliefs the risk maps are written from.
+    """
+    config = result.config
+    mid = len(trace) // 2
+    shallow = depths < config.level
+
+    def outcomes(upto_step):
+        return {
+            "pooled": _outcome(result, None, upto_step, shallow),
+            "vehicles": [
+                _outcome(result, i, upto_step, shallow) for i in range(config.team_size)
+            ],
+        }
+
+    return {
+        "seed": config.seed,
+        "variant": config.variant,
+        "mission_duration_s": result.duration,
+        "final_accumulated_reward": float(trace[-1]),
+        "mid_accumulated_reward": float(trace[mid]),
+        "accumulated_reward_trace": trace.tolist(),
+        # None, written as null, when nobody could receive: a lone vehicle.
+        "comm_delivery_rate": delivery_rate(result),
+        # What each vehicle inserted is its final data set, by construction.
+        "merged_belief_sizes": [len(inserted) for inserted in result.replay.inserted],
+        "mid_outcome": outcomes(mid),
+        "final_outcome": outcomes(None),
+    }
+
+
+def run_grid(base: MissionConfig, arms: dict, seeds) -> dict[str, list[dict]]:
+    """Fly every arm over every seed; each run's ``run_record``, by arm,
+    in seed order.
+
+    ``arms`` maps a name to ``MissionConfig`` overrides of ``base``, as
+    ``COMPARED_VARIANTS`` does. Each arm's config is built once, and each
+    seed's derived from it (``MissionConfig.with_seed``). Every arm flies
+    the same seeds, so paired runs share their seed streams.
+    """
+    grid: dict[str, list[dict]] = {}
+    for name, overrides in arms.items():
+        arm = replace(base, **overrides)
+        grid[name] = []
+        for seed in seeds:
+            result = run_mission(arm.with_seed(seed))
+            trace = accumulated_reward_trace(result)
+            grid[name].append(run_record(result, trace, truth_grid(result)[1]))
+    return grid
+
+
+def compare_methods(base_config: MissionConfig, seeds) -> dict:
+    """Every variant of ``COMPARED_VARIANTS`` over the seeds, summarized.
+
+    ``runs`` holds ``run_grid``'s records, by variant; ``variants`` each
+    variant's final and mid rewards, their means and its mean trace.
+    """
+    seeds = [int(s) for s in seeds]
+    runs = run_grid(base_config, COMPARED_VARIANTS, seeds)
+    variants = {}
+    for name, records in runs.items():
+        finals = [r["final_accumulated_reward"] for r in records]
+        mids = [r["mid_accumulated_reward"] for r in records]
+        traces = [r["accumulated_reward_trace"] for r in records]
+        variants[name] = {
             "final_rewards": finals,
             "mid_rewards": mids,
             "mean_final": float(np.mean(finals)),
             "mean_mid": float(np.mean(mids)),
-            "mean_trace": np.mean(np.stack(traces), axis=0).tolist(),
+            "mean_trace": np.mean(traces, axis=0).tolist(),
         }
-    return out
+    return {"seeds": seeds, "variants": variants, "runs": runs}

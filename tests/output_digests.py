@@ -1,13 +1,15 @@
 """The sha256 of every file in the usual set of ``isobath run`` outputs.
 
 Runs ``isobath run`` on ``configs/default.json`` with OpenBLAS, OpenMP
-and MKL pinned to one thread, over 56 output files in all:
+and MKL pinned to one thread, over 57 output files in all:
 
 - ``terminal``: the terminal variant, horizon 3, 20 steps, seeds 0-1;
 - ``plain``: the plain variant, horizon 10, 20 steps, seeds 0-1;
 - ``lawnmower``: the lawnmower variant, 100 steps, seeds 0-1;
 - ``default``: the default config as it stands (the 100-step terminal
-  mission), seed 0.
+  mission), seed 0;
+- ``compare``: ``isobath run --compare`` at 20 steps, seeds 0-1, whose
+  one file is ``comparison.json``.
 
 It prints one ``sha256  path`` line per file, sorted by path, so that
 two commits write byte-identical outputs exactly when the output of one
@@ -24,7 +26,7 @@ whose digest moved, appeared or vanished, and exits 1 if any did.
 The package is run from the ``src/`` beside this script. The runs go to
 a temporary directory that is removed afterwards, or with ``--out DIR``
 to DIR, which is kept and must not exist or be empty, so that no file
-of an earlier run is hashed. The whole set takes about 25 s on two
+of an earlier run is hashed. The whole set takes about 30 s on two
 cores, most of it the 100-step terminal mission.
 """
 
@@ -38,12 +40,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# directory -> (seeds, config overrides)
+# directory -> (seeds, config overrides, further ``isobath run`` flags)
 RUNS = {
-    "terminal": ("0,1", {"VARIANT": "terminal", "HORIZON": "3", "TOTAL_LENGTH": "20"}),
-    "plain": ("0,1", {"VARIANT": "plain", "HORIZON": "10", "TOTAL_LENGTH": "20"}),
-    "lawnmower": ("0,1", {"VARIANT": "lawnmower", "TOTAL_LENGTH": "100"}),
-    "default": ("0", {}),
+    "terminal": ("0,1", {"VARIANT": "terminal", "HORIZON": "3", "TOTAL_LENGTH": "20"}, ()),
+    "plain": ("0,1", {"VARIANT": "plain", "HORIZON": "10", "TOTAL_LENGTH": "20"}, ()),
+    "lawnmower": ("0,1", {"VARIANT": "lawnmower", "TOTAL_LENGTH": "100"}, ()),
+    "default": ("0", {}, ()),
+    "compare": ("0,1", {"TOTAL_LENGTH": "20"}, ("--compare",)),
 }
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -52,13 +55,13 @@ def run_all(out: Path) -> None:
     """Write every run of ``RUNS`` under ``out``, one directory each."""
     base = {k: v for k, v in os.environ.items() if not k.startswith("ISOBATH_")}
     base.update(PINNED, PYTHONPATH=str(ROOT / "src"))
-    for name, (seeds, overrides) in RUNS.items():
+    for name, (seeds, overrides, flags) in RUNS.items():
         env = dict(base, **{f"ISOBATH_{k}": v for k, v in overrides.items()})
         subprocess.run(
             [
                 sys.executable, "-m", "isobath.cli", "run",
                 "--config", str(ROOT / "configs" / "default.json"),
-                "--seeds", seeds, "--out", str(out / name),
+                "--seeds", seeds, "--out", str(out / name), *flags,
             ],
             env=env, check=True, stdout=subprocess.DEVNULL,
         )

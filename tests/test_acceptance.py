@@ -3,11 +3,17 @@
 Each check prints one ``ACCEPTANCE n: PASS/FAIL (...)`` line (run pytest
 with ``-s`` to see them) and asserts the same condition, so the printed
 verdict and the suite verdict always agree. This file holds checks 1-8,
-10 and 13. Check 10 (``slow``, about 20 s) gates the belief gap under
-packet loss: it must rise strictly with ``drop_prob``. Check 13 gates
-the decentralisation guarantee: sequential greedy keeps at least half
-of the joint optimum of 2 and 3 vehicles at horizon 1, and it prints
-how far the summed marginals sit from the joint reward. Check 11
+10, 13 and 16. Checks 10 and 16 (``slow``) are each one
+``mission.run_grid`` call, over config arms and seeds, plus a statistic
+of the run records it returns. Check 10 (about 20 s) gates the belief
+gap under packet loss: over four ``drop_prob`` arms and seeds 0-4, it
+must rise strictly with ``drop_prob``. Check 16 (about 12 s) gates the
+risk as a forecast: over 20 arms, draws 0-19 of the lake of
+``configs/gp-draw.json`` flown by the lawnmower at seed 0, the pooled
+belief's realized cost over its summed risk lies in [0.8, 1.25]. Check
+13 gates the decentralisation guarantee: sequential greedy keeps at
+least half of the joint optimum of 2 and 3 vehicles at horizon 1, and
+it prints how far the summed marginals sit from the joint reward. Check 11
 (byte-identical logs on repeated runs) is
 ``tests/test_mission.py::TestDeterminism::test_identical_runs_write_identical_bytes``;
 check 9 (the 20-seed planner comparison) is not written yet. Checks 1,
@@ -20,11 +26,13 @@ import dataclasses
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from isobath.cli import load_config
 from isobath.comms import (
     MAX_PACKET_BYTES,
     Packet,
@@ -37,9 +45,8 @@ from isobath.errors import DecodeError
 from isobath.gp import Belief, DataSet, KernelSpec, Sample
 from isobath.mission import (
     MissionConfig,
-    accumulated_reward_trace,
     global_data,
-    risk_snapshot,
+    run_grid,
     run_mission,
     write_jsonl,
 )
@@ -66,6 +73,9 @@ from reference import (
     mu_star,
     vectorized_sample_locations,
 )
+
+
+GP_DRAW_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "gp-draw.json"
 
 
 def verdict(n: int, ok: bool, detail: str) -> str:
@@ -475,17 +485,15 @@ def test_acceptance_10_belief_gap_rises_with_packet_loss():
     # drop_prob. Terminal variant; lawnmower vehicles share one track.
     t0 = time.perf_counter()
     drops = (0.0, 0.3, 0.6, 0.9)
-    seeds = range(5)
+    base = MissionConfig(variant="terminal", total_length=20)
+    grid = run_grid(base, {drop: {"drop_prob": drop} for drop in drops}, range(5))
     means = []
     for drop in drops:
         gaps = []
-        for seed in seeds:
-            result = run_mission(
-                MissionConfig(variant="terminal", total_length=20, drop_prob=drop, seed=seed)
-            )
-            team = result.config.team_size
-            own = [float(risk_snapshot(result, agent=i).sum()) for i in range(team)]
-            gaps.append(sum(own) / team - float(risk_snapshot(result).sum()))
+        for record in grid[drop]:
+            final = record["final_outcome"]
+            own = [vehicle["summed_risk"] for vehicle in final["vehicles"]]
+            gaps.append(sum(own) / len(own) - final["pooled"]["summed_risk"])
         means.append(sum(gaps) / len(gaps))
     ok = all(lo < hi for lo, hi in itertools.pairwise(means))
     wall = time.perf_counter() - t0
@@ -579,3 +587,36 @@ def test_acceptance_13_sequential_greedy_keeps_half_the_joint_optimum():
         f"(the d_eps cut), {wall:.1f}s"
     )
     assert verdict(13, ok, detail) and ok
+
+
+# ---------------------------------------------------------------------------
+# 16. On lakes drawn from the belief's own prior, the risk is the cost.
+
+
+@pytest.mark.slow
+def test_acceptance_16_risk_forecasts_the_cost_on_lakes_from_the_prior():
+    # On a lake drawn from the belief's own prior, the Bayes risk of the
+    # optimal declaration is its expected cost. The gate, fixed before the
+    # first run: the pooled belief's final realized cost, summed over draws
+    # 0-19 of configs/gp-draw.json, over its summed risk, lies in
+    # [0.8, 1.25]. Lawnmower variant, 100 steps, seed 0.
+    t0 = time.perf_counter()
+    base = load_config(str(GP_DRAW_CONFIG), env={})
+    arms = {
+        draw: {"variant": "lawnmower", "total_length": 100,
+               "bathymetry_params": {**base.bathymetry_params, "draw": draw}}
+        for draw in range(20)
+    }
+    grid = run_grid(base, arms, [0])
+    pooled = [records[0]["final_outcome"]["pooled"] for records in grid.values()]
+    pairs = [(p["realized_cost"], p["summed_risk"]) for p in pooled]
+    ratio = sum(cost for cost, _ in pairs) / sum(risk for _, risk in pairs)
+    ok = 0.8 <= ratio <= 1.25
+    wall = time.perf_counter() - t0
+    detail = (
+        f"lawnmower, 100 steps, draws 0-19: realized cost over summed risk {ratio:.3f}, "
+        "in [0.8, 1.25]: " + str(ok) + "; (cost, risk) per draw "
+        + ", ".join(f"({cost:.0f}, {risk:.1f})" for cost, risk in pairs)
+        + f"; {wall:.1f}s"
+    )
+    assert verdict(16, ok, detail) and ok

@@ -534,6 +534,13 @@ def test_outputs_rebuild_from_the_run_directory_alone(tmp_path, monkeypatch):
 
     names = sorted(p.name for p in (first / "seed_0").iterdir())
     assert len(names) == 8
+    summary = json.loads((first / "seed_0" / "summary.json").read_text())
+    for when in ("mid_outcome", "final_outcome"):
+        beliefs = [summary[when]["pooled"], *summary[when]["vehicles"]]
+        assert len(beliefs) == 4
+        for belief in beliefs:
+            assert set(belief) == {"shallow_declared_safe", "deep_declared_shallow",
+                                   "realized_cost", "summed_risk"}
     assert sorted(p.name for p in (tmp_path / "second").iterdir()) == names
     for name in names:
         assert (tmp_path / "second" / name).read_bytes() == (
@@ -588,8 +595,9 @@ def test_each_run_file_line_is_its_values_printed(variant, tmp_path, monkeypatch
 def test_a_run_builds_the_lake_and_grids_once_per_config(
     config_file, tmp_path, monkeypatch
 ):
-    # One config for the file and one per seed each build the lake and
-    # the three grids; the simulator and every output reuse them.
+    # The loaded config builds the lake and the three grids; each seed's
+    # config shares them, and the simulator and every output reuse them.
+    # A comparison builds them again once per variant, not per run.
     builds = collections.Counter()
     for name in ("synthetic_lake", "eval_grid"):
         def counted(*args, _build=getattr(mission, name), _name=name, **kwargs):
@@ -597,9 +605,12 @@ def test_a_run_builds_the_lake_and_grids_once_per_config(
             return _build(*args, **kwargs)
 
         monkeypatch.setattr(mission, name, counted)
-    argv = ["run", "--config", str(config_file), "--seeds", "0-1", "--out", str(tmp_path)]
+    argv = ["run", "--config", str(config_file), "--seeds", "0-2", "--out", str(tmp_path)]
     assert main(argv) == 0
-    assert builds == {"synthetic_lake": 3, "eval_grid": 9}
+    assert builds == {"synthetic_lake": 1, "eval_grid": 3}
+    builds.clear()
+    assert main([*argv, "--compare"]) == 0
+    assert builds == {"synthetic_lake": 4, "eval_grid": 12}
 
 
 def test_grid_files_round_trip_the_output_grid(config_file, tmp_path, monkeypatch):
@@ -656,6 +667,42 @@ def test_compare_writes_a_comparison_report(config_file, tmp_path, capsys):
         assert "mean_final" in row and "mean_mid" in row
     printed = capsys.readouterr().out
     assert "terminal:" in printed and "lawnmower:" in printed
+    assert set(report["runs"]) == set(report["variants"])
+    assert all(len(records) == 1 for records in report["runs"].values())
+
+
+def test_a_compared_run_is_recorded_as_its_own_run_would_be(
+    config_file, tmp_path, monkeypatch
+):
+    # One builder records every run: a variant's record in comparison.json
+    # is the summary.json a plain run of that variant and seed writes.
+    argv = ["run", "--config", str(config_file), "--seeds", "1", "--out"]
+    assert main([*argv, str(tmp_path / "cmp"), "--compare"]) == 0
+    runs = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["runs"]
+    for name, overrides in mission.COMPARED_VARIANTS.items():
+        with monkeypatch.context() as env:
+            for field, value in overrides.items():
+                env.setenv(f"ISOBATH_{field.upper()}", str(value))
+            assert main([*argv, str(tmp_path / name)]) == 0
+        summary = json.loads((tmp_path / name / "seed_1" / "summary.json").read_text())
+        assert runs[name] == [summary], name
+
+
+def test_each_output_belief_is_factored_once(config_file, tmp_path, monkeypatch):
+    # The risk maps and the record's outcome fields read one prediction per
+    # belief: the pooled one and each vehicle's, at the mid step and the end.
+    config = load_config(str(config_file), env={})
+    on_output_grid = []
+    predict = mission.Belief.predict_arrays
+
+    def counted(belief, queries):
+        on_output_grid.append(queries is config.parts.output_grid)
+        return predict(belief, queries)
+
+    monkeypatch.setattr(mission.Belief, "predict_arrays", counted)
+    record = cli._run_one_seed(config, 0, tmp_path)
+    assert sum(on_output_grid) == 2 * (1 + config.team_size)
+    assert len(record["final_outcome"]["vehicles"]) == config.team_size
 
 
 # ---------------------------------------------------------------------------

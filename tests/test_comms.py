@@ -187,19 +187,23 @@ class TestValidation:
 
 
 def _f32_outcome(fn, x):
-    """``fn(x)`` as hex, sign of zero included, or the message it raised.
-
-    Both guards compare a float32 or float16 scalar with the overflow
-    threshold in the scalar's own type, where the threshold is inf, and
-    numpy warns of that cast; neither reaches the simulator.
-    """
+    """``fn(x)`` as hex, sign of zero included, or the message it raised."""
     try:
-        with np.errstate(over="ignore"):
-            v = fn(x)
+        v = fn(x)
     except EncodeError as exc:
         return "EncodeError: " + str(exc)
     assert type(v) is float
     return v.hex()
+
+
+def _f32_by_quiet_numpy(x) -> float:
+    """``f32_by_numpy`` with numpy's overflow warning off: its guard
+    compares a float32 or float16 scalar with the overflow threshold in
+    the scalar's own type, where the threshold is inf, and numpy warns of
+    that cast. ``_f32`` compares in double precision, so a warning from it
+    fails the test."""
+    with np.errstate(over="ignore"):
+        return f32_by_numpy(x)
 
 
 # Edges of single precision, as doubles: signed zeros, subnormal halfway
@@ -229,7 +233,7 @@ class TestFloat32Rounding:
 
     @pytest.mark.parametrize("x", F32_EDGES, ids=repr)
     def test_edges_round_or_fail_as_numpy_did(self, x):
-        assert _f32_outcome(_f32, x) == _f32_outcome(f32_by_numpy, x)
+        assert _f32_outcome(_f32, x) == _f32_outcome(_f32_by_quiet_numpy, x)
 
     @given(st.one_of(
         st.floats(),
@@ -242,7 +246,21 @@ class TestFloat32Rounding:
     ))
     @settings(max_examples=1000, deadline=None)
     def test_every_value_rounds_or_fails_as_numpy_did(self, x):
-        assert _f32_outcome(_f32, x) == _f32_outcome(f32_by_numpy, x)
+        assert _f32_outcome(_f32, x) == _f32_outcome(_f32_by_quiet_numpy, x)
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16])
+    def test_a_narrow_numpy_scalar_rounds_without_a_warning(self, kind):
+        # Under the test settings a RuntimeWarning is an error.
+        p = Packet(0, 0, kind(0.5), kind(-2.0), kind(0.1),
+                   measurements=[(kind(1.5), kind(-0.0), kind(3.0))])
+        assert [p.heading, p.north, p.east] == [0.5, -2.0, float(kind(0.1))]
+        assert [v.hex() for v in p.measurements[0]] == [1.5.hex(), (-0.0).hex(), 3.0.hex()]
+        inf = kind(math.inf)
+        with pytest.raises(EncodeError, match=f"^value {re.escape(repr(inf))} is not"):
+            _f32(inf)
+
+    def test_an_int_past_the_double_range_fails_as_numpy_did(self):
+        assert _f32_outcome(_f32, 2**1100) == _f32_outcome(_f32_by_quiet_numpy, 2**1100)
 
     def test_a_packet_holds_the_rounded_bits(self):
         p = Packet(0, 0, -0.0, 2.0**-150, 3 * 2.0**-150,

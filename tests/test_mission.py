@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from isobath import mission
 from isobath.environment import eval_grid
 from isobath.errors import ConfigurationError
-from isobath.gp import DataSet, Sample
+from isobath.gp import Belief, DataSet, Sample
 from isobath.mission import (
     MissionConfig,
     MissionResult,
@@ -775,6 +776,96 @@ class TestLawnmowerVariant:
             assert last_pose(res, aid) == want.states[-1]
 
 
+class TestRunRecord:
+    """``run_record``: the record behind ``summary.json`` and every grid run."""
+
+    def test_outcomes_score_each_belief_against_the_truth(self):
+        # Unequal costs, so a declaration is not the sign of mean - level.
+        cfg = micro(cost_deep_wrong=16.0, cost_shallow_wrong=4.0, drop_prob=0.5)
+        res = run_mission(cfg)
+        trace = accumulated_reward_trace(res)
+        points, depths = truth_grid(res)
+        record = mission.run_record(res, trace, depths)
+        shallow = depths < cfg.level
+        mid = len(trace) // 2
+        assert record["mid_accumulated_reward"] == trace[mid]
+        wrong = 0
+        for key, step_index in (("mid_outcome", mid), ("final_outcome", None)):
+            outcomes = record[key]
+            beliefs = [(outcomes["pooled"], None, global_data(res, step_index))]
+            beliefs += [
+                (outcomes["vehicles"][i], i, agent_data(res, i, step_index))
+                for i in range(cfg.team_size)
+            ]
+            assert len(outcomes["vehicles"]) == cfg.team_size
+            for got, agent, data in beliefs:
+                means, varis = Belief(cfg.parts.kernel, cfg.prior_mean, data).predict_arrays(
+                    points
+                )
+                p_shallow = ndtr((cfg.level - means) / np.sqrt(varis))
+                safe = 16.0 * p_shallow <= 4.0 * (1.0 - p_shallow)
+                a = int(np.sum(shallow & safe))
+                b = int(np.sum(~shallow & ~safe))
+                assert got == {
+                    "shallow_declared_safe": a,
+                    "deep_declared_shallow": b,
+                    "realized_cost": 16.0 * a + 4.0 * b,
+                    "summed_risk": float(risk_snapshot(res, agent, step_index).sum()),
+                }
+                wrong += a + b
+        assert wrong > 0, "fixture should misdeclare some cells"
+
+    def test_a_belief_without_variance_declares_by_its_mean(self):
+        cfg = micro(cost_deep_wrong=16.0, cost_shallow_wrong=4.0)
+        res = run_mission(cfg)
+        n = len(cfg.parts.output_grid)
+        means = np.linspace(cfg.level - 1.0, cfg.level + 1.0, n)
+        res._predictions[(None, None)] = (means, np.zeros(n))
+        shallow = np.arange(n) % 2 == 0
+        got = mission._outcome(res, None, None, shallow)
+        # Sure of its mean, a belief declares safe exactly where that is deep.
+        safe = means >= cfg.level
+        assert got["shallow_declared_safe"] == int(np.sum(shallow & safe))
+        assert got["deep_declared_shallow"] == int(np.sum(~shallow & ~safe))
+        assert got["summed_risk"] == 0.0
+
+    def test_each_record_names_its_run(self, result):
+        trace = accumulated_reward_trace(result)
+        record = mission.run_record(result, trace, truth_grid(result)[1])
+        assert record["seed"] == result.config.seed
+        assert record["variant"] == result.config.variant
+        assert record["accumulated_reward_trace"] == trace.tolist()
+        assert record["final_accumulated_reward"] == trace[-1]
+        assert record["merged_belief_sizes"] == [
+            len(agent_data(result, i)) for i in range(result.config.team_size)
+        ]
+        assert json.loads(json.dumps(record)) == record
+
+
+class TestRunGrid:
+    def test_each_arm_flies_each_seed_as_its_own_config_would(self):
+        base = micro(variant="lawnmower")
+        arms = {"calm": {"drop_prob": 0.0}, "lossy": {"drop_prob": 0.9, "total_length": 4}}
+        grid = mission.run_grid(base, arms, [2, 0])
+        assert list(grid) == ["calm", "lossy"]
+        for name, records in grid.items():
+            assert [r["seed"] for r in records] == [2, 0]
+            for record in records:
+                res = run_mission(dataclasses.replace(base, seed=record["seed"], **arms[name]))
+                trace = accumulated_reward_trace(res)
+                assert record == mission.run_record(res, trace, truth_grid(res)[1])
+
+    def test_each_arm_builds_its_config_once(self, monkeypatch):
+        base = micro(variant="lawnmower", total_length=2)
+        builds = []
+        real = mission.synthetic_lake
+        monkeypatch.setattr(
+            mission, "synthetic_lake", lambda *a, **k: builds.append(1) or real(*a, **k)
+        )
+        mission.run_grid(base, {"a": {}, "b": {"drop_prob": 0.0}}, [0, 1, 2])
+        assert len(builds) == 2
+
+
 class TestCompareMethods:
     def test_structure_and_thread_determinism(self):
         cfg = micro(total_length=4, mcts_iterations=3)
@@ -792,6 +883,52 @@ class TestCompareMethods:
             assert one["variants"][name]["final_rewards"] == pytest.approx(
                 two["variants"][name]["final_rewards"], rel=0, abs=0
             )
+
+    def test_the_summary_is_of_the_grid_records(self):
+        cfg = micro(total_length=4, mcts_iterations=3)
+        report = compare_methods(cfg, range(2))
+        assert report["seeds"] == [0, 1]
+        assert report["runs"] == mission.run_grid(cfg, mission.COMPARED_VARIANTS, [0, 1])
+        for name, records in report["runs"].items():
+            assert [(r["variant"], r["seed"]) for r in records] == [(name, 0), (name, 1)]
+            row = report["variants"][name]
+            traces = np.array([r["accumulated_reward_trace"] for r in records])
+            assert row["final_rewards"] == list(traces[:, -1])
+            assert row["mid_rewards"] == list(traces[:, len(traces[0]) // 2])
+            assert row["mean_final"] == float(np.mean(traces[:, -1]))
+            assert row["mean_trace"] == np.mean(traces, axis=0).tolist()
+
+
+class TestWithSeed:
+    """``with_seed`` is ``dataclasses.replace(config, seed=...)`` without the builds."""
+
+    def test_equals_the_replacement_and_shares_the_parts(self, tmp_path):
+        cfg = micro(variant="lawnmower", bathymetry_family="gp-draw",
+                    bathymetry_params=LAKES["gp-draw"])
+        got, want = cfg.with_seed(7), dataclasses.replace(cfg, seed=7)
+        assert got.parts is cfg.parts and cfg.seed == 0
+        for f in dataclasses.fields(MissionConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert got == want and not got != want
+        for config in (got, want):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(config)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_jsonl(run_mission(got), pa)
+        write_jsonl(run_mission(want), pb)
+        assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, None, "3", math.inf, math.nan])
+    def test_a_bad_seed_raises_as_construction_does(self, seed):
+        cfg = micro()
+        with pytest.raises(ConfigurationError) as want:
+            dataclasses.replace(cfg, seed=seed)
+        with pytest.raises(ConfigurationError) as got:
+            cfg.with_seed(seed)
+        assert str(got.value) == str(want.value)
 
 
 class TestConfigValidation:
