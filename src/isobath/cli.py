@@ -28,6 +28,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -99,7 +100,7 @@ def load_config(path: str | None, env: dict[str, str] | None = None) -> MissionC
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """Parse a seed list like ``0,1,2`` or ``0-19`` or ``0-3,7``."""
+    """Parse a seed list like ``0,1,2`` or ``0-19`` or ``0-3,7``, each seed once."""
     seeds: list[int] = []
     for part in spec.split(","):
         part = part.strip()
@@ -118,6 +119,9 @@ def parse_seeds(spec: str) -> list[int]:
         seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ConfigurationError(f"no seeds in {spec!r}")
+    for seed, count in collections.Counter(seeds).items():
+        if count > 1:
+            raise ConfigurationError(f"seed {seed} appears more than once in {spec!r}")
     return seeds
 
 
@@ -159,8 +163,17 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
 def cmd_run(args) -> int:
     config = load_config(args.config)
     seeds = parse_seeds(args.seeds)
+    for seed in seeds:
+        config.with_seed(seed)  # raises for a bad seed, before anything is written
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    dirs = [out] if args.compare else [out, *(out / f"seed_{seed}" for seed in seeds)]
+    for path in dirs:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create output directory {str(path)!r}: {exc.strerror}"
+            ) from exc
     if args.compare:
         report = compare_methods(config, seeds)
         with open(out / "comparison.json", "w") as fh:

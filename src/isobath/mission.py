@@ -1,14 +1,14 @@
 """Event-driven multi-vehicle survey simulation.
 
-Three things happen on the simulated clock: vehicles finish path
-segments (then replan and keep going), sample events fire as a vehicle
-passes each measurement point along its segment, and TDMA slots open,
-letting the slot's owner broadcast its plan and a byte-budgeted slice of
-its unsent measurements to the rest of the team. A step's soundings are
-drawn when its segment starts, in one ``sample_depth`` call; each is
-inserted and logged when its sample event fires. Slot k opens at
-``k * slot_duration`` and is vehicle ``k % team_size``'s. Deliveries
-land after a fixed latency and are dropped independently per recipient.
+Each event on the simulated clock is the call that handles it, a heap
+entry ``(t, seq, handler, args)``. ``plan_and_go`` plans a vehicle's
+next step and starts it, drawing its soundings in one ``sample_depth``
+call; ``take_sample`` inserts and logs each as the vehicle passes it;
+``end_step`` ends the step and plans again. ``broadcast`` opens TDMA slot
+k, at ``k * slot_duration`` and vehicle ``k % team_size``'s: the owner
+sends its plan and a byte-budgeted slice of its unsent measurements, and
+the next slot is armed. ``deliver`` hands a packet over after a fixed
+latency; each recipient's copy is dropped independently.
 
 Everything is deterministic for a fixed master seed: per-agent sensor
 noise, per-agent planner search, and the drop channel each consume their
@@ -77,7 +77,7 @@ from .motion import (
     step_length,
 )
 from .planner import PlanConfig, PlanContext, PlanResult
-from .risk import LossParams, _phi, bayes_risk_batch
+from .risk import LossParams, bayes_risk_batch, declare
 
 # The benchmark's traced run (perfbench/tracing.py) wraps this name in
 # this module, which does not call it: a segment's end state comes from
@@ -130,6 +130,15 @@ def _check_integer(name: str, value) -> None:
     # TypeError, and True would pass as 1.
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be an integer, not {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Raise unless ``seed`` is a finite, non-negative integer."""
+    if not _finite(seed):
+        raise ConfigurationError("seed must hold only finite numbers")
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ConfigurationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -195,8 +204,9 @@ class MissionConfig:
         for f in fields(self):
             if not _finite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must hold only finite numbers")
-        for name in ("total_length", "horizon", "mcts_iterations", "seed"):
+        for name in ("total_length", "horizon", "mcts_iterations"):
             _check_integer(name, getattr(self, name))
+        _check_seed(self.seed)
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
@@ -209,8 +219,6 @@ class MissionConfig:
             raise ConfigurationError("drop_prob must be in [0, 1)")
         if self.comm_latency < 0:
             raise ConfigurationError("comm_latency must be non-negative")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
         if not self.speeds:
             raise ConfigurationError("the team must have at least one vehicle")
         if not (self.sample_spacing > 0):
@@ -336,11 +344,7 @@ class MissionConfig:
         replacement in every field, in ``asdict``, equality, hash and
         pickle, and a bad seed raises the error construction raises.
         """
-        if not _finite(seed):
-            raise ConfigurationError("seed must hold only finite numbers")
-        _check_integer("seed", seed)
-        if seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+        _check_seed(seed)
         twin = copy.copy(self)
         object.__setattr__(twin, "seed", seed)
         return twin
@@ -446,8 +450,9 @@ def run_mission(config: MissionConfig) -> MissionResult:
     heap: list[tuple] = []
     seq = itertools.count()
 
-    def push(t, kind, payload):
-        heapq.heappush(heap, (t, next(seq), kind, payload))
+    def push(t, handler, *args):
+        # ``seq`` breaks time ties in push order, so handlers are never compared.
+        heapq.heappush(heap, (t, next(seq), handler, args))
 
     def log(t, kind, **fields):
         # The keyword dict is new to each call: it becomes the event.
@@ -473,11 +478,7 @@ def run_mission(config: MissionConfig) -> MissionResult:
         )
 
     def plan_and_go(t, agent: _AgentRuntime):
-        """Plan at ``t``, then start the plan's first step and its soundings.
-
-        The step's sample times are worked on Python floats
-        (``_sample_times``), with the bits numpy's array form gave.
-        """
+        """Plan at ``t``, then start the plan's first step and its soundings."""
         remaining = config.total_length - agent.executed
         if remaining <= 0:
             agent.done = True
@@ -527,8 +528,23 @@ def run_mission(config: MissionConfig) -> MissionResult:
         samples = sample_depth(parts.lake, config.noise_std, locs[1:], agent.sensor_rng)
         # Samples taken along the segment belong to the step it executes.
         for t_sample, s in zip(times, samples):
-            push(t_sample, "sample", (agent.id, s, agent.executed + 1))
-        push(t_end, "segment_end", (agent.id, final, action))
+            push(t_sample, take_sample, agent, s, agent.executed + 1)
+        push(t_end, end_step, agent, final, action)
+
+    def end_step(t, agent: _AgentRuntime, final: AgentState, action):
+        agent.state = final
+        agent.executed += 1
+        log(
+            t,
+            "step",
+            agent=agent.id,
+            n=agent.executed,
+            action=action,
+            heading=float(final.heading),
+            north=float(final.north),
+            east=float(final.east),
+        )
+        plan_and_go(t, agent)
 
     def broadcast(t, slot):
         owner = agents[slot % config.team_size]
@@ -549,12 +565,12 @@ def run_mission(config: MissionConfig) -> MissionResult:
         raw = encode_packet(packet)
         delivered_to, dropped_to = [], []
         for other in agents:
-            if other.id == owner.id:
+            if other is owner:
                 continue
             u = float(channel_rng.random())
             if u >= config.drop_prob:
                 delivered_to.append(other.id)
-                push(t + config.comm_latency, "deliver", (other.id, raw))
+                push(t + config.comm_latency, deliver, other, raw)
             else:
                 dropped_to.append(other.id)
         log(
@@ -569,20 +585,20 @@ def run_mission(config: MissionConfig) -> MissionResult:
             delivered_to=delivered_to,
             dropped_to=dropped_to,
         )
+        if not (all(a.done for a in agents) and all(not a.queue for a in agents)):
+            push((slot + 1) * config.slot_duration, broadcast, slot + 1)
 
-    def deliver(t, recipient_id, raw):
-        agent = agents[recipient_id]
+    def deliver(t, agent: _AgentRuntime, raw):
         packet = decode_packet(raw)
         agent.snapshot.update(packet)
         inserted = []
         for north, east, value in packet.measurements:
-            ok = agent.data.insert(Sample((north, east), value))
-            if ok:
+            if agent.data.insert(Sample((north, east), value)):
                 inserted.append([north, east, value])
         log(
             t,
             "rx",
-            agent=recipient_id,
+            agent=agent.id,
             sender=packet.agent_id,
             n_meas=len(packet.measurements),
             inserted=inserted,
@@ -593,42 +609,16 @@ def run_mission(config: MissionConfig) -> MissionResult:
     for agent in agents:
         start = [(agent.state.north, agent.state.east)]
         sample = sample_depth(parts.lake, config.noise_std, start, agent.sensor_rng)[0]
-        push(0.0, "sample", (agent.id, sample, 0))
+        push(0.0, take_sample, agent, sample, 0)
     for agent in agents:
-        push(0.0, "launch", (agent.id,))
-    push(0.0, "slot", 0)
+        push(0.0, plan_and_go, agent)
+    push(0.0, broadcast, 0)
 
     while heap:
-        t_now, _, kind, payload = heapq.heappop(heap)
-        if kind == "sample":
-            agent_id, s, step_index = payload
-            take_sample(t_now, agents[agent_id], s, step_index)
-        elif kind == "launch":
-            plan_and_go(t_now, agents[payload[0]])
-        elif kind == "segment_end":
-            agent_id, final_state, action = payload
-            agent = agents[agent_id]
-            agent.state = final_state
-            agent.executed += 1
-            log(
-                t_now,
-                "step",
-                agent=agent_id,
-                n=agent.executed,
-                action=action,
-                heading=float(final_state.heading),
-                north=float(final_state.north),
-                east=float(final_state.east),
-            )
-            plan_and_go(t_now, agent)
-        elif kind == "deliver":
-            deliver(t_now, *payload)
-        elif kind == "slot":
-            broadcast(t_now, payload)
-            if not (
-                all(a.done for a in agents) and all(not a.queue for a in agents)
-            ):
-                push((payload + 1) * config.slot_duration, "slot", payload + 1)
+        t, _, handler, args = heapq.heappop(heap)
+        handler(t, *args)
+    # Their closures reach themselves: emptying them frees the run's state now.
+    del broadcast, end_step
 
     return MissionResult(config, events)
 
@@ -877,21 +867,12 @@ def truth_grid(result: MissionResult):
 
 
 def _outcome(result: MissionResult, agent, upto_step, shallow) -> dict:
-    """How one belief's declarations fare against the truth (``shallow``,
-    where the true depth is below the level) on the output grid.
-
-    A cell is declared safe as ``risk.py`` states: iff c1 P(f < l) <= c2
-    P(f >= l) under the belief, a belief without variance knowing f is its
-    mean. The realized cost charges c1 per shallow cell declared safe and
-    c2 per deep cell declared shallow; the summed risk is that belief's
-    risk map summed, the map ``risk_snapshot`` gives.
-    """
+    """How one belief's declarations (``risk.declare``) fare against the truth
+    (``shallow``, where the true depth is below the level) on the output grid:
+    c1 per shallow cell declared safe and c2 per deep cell declared shallow,
+    beside its summed risk, the sum of the map ``risk_snapshot`` gives."""
     loss = result.config.parts.loss
-    means, varis = result.prediction(agent, upto_step)
-    p_shallow = (means < loss.level).astype(float)
-    live = varis > 0
-    p_shallow[live] = _phi((loss.level - means[live]) / np.sqrt(varis[live]))
-    safe = loss.cost_deep_wrong * p_shallow <= loss.cost_shallow_wrong * (1.0 - p_shallow)
+    safe, risk = declare(*result.prediction(agent, upto_step), loss)
     shallow_safe = int(np.count_nonzero(shallow & safe))
     deep_shallow = int(np.count_nonzero(~shallow & ~safe))
     return {
@@ -899,7 +880,7 @@ def _outcome(result: MissionResult, agent, upto_step, shallow) -> dict:
         "deep_declared_shallow": deep_shallow,
         "realized_cost": loss.cost_deep_wrong * shallow_safe
         + loss.cost_shallow_wrong * deep_shallow,
-        "summed_risk": float(np.sum(risk_snapshot(result, agent, upto_step))),
+        "summed_risk": float(np.sum(risk)),
     }
 
 

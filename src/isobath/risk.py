@@ -123,17 +123,22 @@ def _phi(x):
     return 0.5 * special.erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def bayes_risk_batch(means, variances, loss: LossParams) -> np.ndarray:
-    """Vectorized conditional Bayes risk of the optimal declaration."""
+def declare(means, variances, loss: LossParams) -> tuple[np.ndarray, np.ndarray]:
+    """(safe, risk) of the optimal declaration under N(means, variances), as
+    the module docstring states; without variance, f is the mean."""
     means = np.asarray(means, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    c1, c2 = loss.cost_deep_wrong, loss.cost_shallow_wrong
-    out = np.zeros(np.broadcast(means, variances).shape)
+    p_shallow = np.where(means < loss.level, 1.0, 0.0)
     live = variances > 0
-    z = (loss.level - means[live]) / np.sqrt(variances[live])
-    p_shallow = _phi(z)
-    out[live] = np.minimum(c1 * p_shallow, c2 * (1.0 - p_shallow))
-    return out
+    p_shallow[live] = _phi((loss.level - means[live]) / np.sqrt(variances[live]))
+    cost_safe = loss.cost_deep_wrong * p_shallow
+    cost_unsafe = loss.cost_shallow_wrong * (1.0 - p_shallow)
+    return cost_safe <= cost_unsafe, np.minimum(cost_safe, cost_unsafe)
+
+
+def bayes_risk_batch(means, variances, loss: LossParams) -> np.ndarray:
+    """Vectorized conditional Bayes risk of the optimal declaration."""
+    return declare(means, variances, loss)[1]
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,15 +3,19 @@
 Each check prints one ``ACCEPTANCE n: PASS/FAIL (...)`` line (run pytest
 with ``-s`` to see them) and asserts the same condition, so the printed
 verdict and the suite verdict always agree. This file holds checks 1-8,
-10, 13 and 16. Checks 10 and 16 (``slow``) are each one
+10, 12, 13 and 16. Checks 10, 12 and 16 (``slow``) are each one
 ``mission.run_grid`` call, over config arms and seeds, plus a statistic
 of the run records it returns. Check 10 (about 20 s) gates the belief
 gap under packet loss: over four ``drop_prob`` arms and seeds 0-4, it
-must rise strictly with ``drop_prob``. Check 16 (about 12 s) gates the
-risk as a forecast: over 20 arms, draws 0-19 of the lake of
-``configs/gp-draw.json`` flown by the lawnmower at seed 0, the pooled
-belief's realized cost over its summed risk lies in [0.8, 1.25]. Check
-13 gates the decentralisation guarantee: sequential greedy keeps at
+must rise strictly with ``drop_prob``. Check 12 (about 45 s) gates the
+team's reward under loss: over seeds 0-9 of 20-step terminal missions,
+the mean final reward at ``drop_prob`` 0.9 keeps at least 85% of drop
+0's, and the paired mean of final(0.9) - final(0.99) is positive; a
+slow-channel arm (30 s slots) is reported beside it. Check 16 (about
+12 s) gates the risk as a forecast: over 20 arms, draws 0-19 of the
+lake of ``configs/gp-draw.json`` flown by the lawnmower at seed 0, the
+pooled belief's realized cost over its summed risk lies in [0.8, 1.25].
+Check 13 gates the decentralisation guarantee: sequential greedy keeps at
 least half of the joint optimum of 2 and 3 vehicles at horizon 1, and
 it prints how far the summed marginals sit from the joint reward. Check 11
 (byte-identical logs on repeated runs) is
@@ -503,6 +507,50 @@ def test_acceptance_10_belief_gap_rises_with_packet_loss():
         + f", rising strictly: {ok}, {wall:.1f}s"
     )
     assert verdict(10, ok, detail) and ok
+
+
+# ---------------------------------------------------------------------------
+# 12. The team's reward survives a lossy channel, and talking pays.
+
+
+@pytest.mark.slow
+def test_acceptance_12_team_reward_survives_packet_loss():
+    # The paper's third claim: coordination keeps its value over slow,
+    # intermittent acoustic links. The gate, fixed before the first run,
+    # over seeds 0-9 of terminal h3 missions of 20 steps: the mean final
+    # reward at drop_prob 0.9 is at least 0.85 times the mean at drop 0,
+    # and the paired mean of final(0.9) - final(0.99) over the same seeds
+    # is positive. Validation rejects drop_prob 1, so 0.99 stands for
+    # silence. The slow channel, 30 s slots at drop 0.3, is reported, not
+    # gated.
+    t0 = time.perf_counter()
+    drops = (0.0, 0.3, 0.6, 0.9, 0.99)
+    arms = {f"drop {drop}": {"drop_prob": drop} for drop in drops}
+    arms["slot 30 s, drop 0.3"] = {"drop_prob": 0.3, "slot_duration": 30.0}
+    base = MissionConfig(variant="terminal", horizon=3, total_length=20)
+    grid = run_grid(base, arms, range(10))
+    finals = {
+        name: [r["final_accumulated_reward"] for r in records]
+        for name, records in grid.items()
+    }
+    mean_final = {name: sum(v) / len(v) for name, v in finals.items()}
+    mean_mid = {
+        name: sum(r["mid_accumulated_reward"] for r in records) / len(records)
+        for name, records in grid.items()
+    }
+    kept = mean_final["drop 0.9"] / mean_final["drop 0.0"]
+    diffs = [a - b for a, b in zip(finals["drop 0.9"], finals["drop 0.99"])]
+    paired = sum(diffs) / len(diffs)
+    ok = kept >= 0.85 and paired > 0
+    wall = time.perf_counter() - t0
+    detail = (
+        f"terminal h3, 20 steps, seeds 0-9: final at drop 0.9 keeps {kept:.3f} "
+        f"(>= 0.85) of drop 0's; paired mean final(0.9) - final(0.99) {paired:.2f} "
+        "(> 0); mean final / mid by arm: "
+        + ", ".join(f"{name} {mean_final[name]:.1f} / {mean_mid[name]:.1f}" for name in grid)
+        + f"; {wall:.1f}s"
+    )
+    assert verdict(12, ok, detail) and ok
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,11 @@ def test_parse_seeds_rejects_empty_and_backwards():
         parse_seeds(" , ")
     with pytest.raises(ConfigurationError):
         parse_seeds("5-2")
+    # A repeated seed would fly twice, write seed_<k> twice and count
+    # twice in a comparison's means.
+    for spec, seed in (("0-3,2", 2), ("0,0", 0), ("4,1-5", 4)):
+        with pytest.raises(ConfigurationError, match=f"seed {seed} appears more than once"):
+            parse_seeds(spec)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +439,30 @@ def test_configuration_problems_exit_two(tmp_path, capsys):
     assert main(
         ["run", "--config", str(cfg), "--seeds", "7-3", "--out", str(tmp_path / "o")]
     ) == 2
+
+
+def test_an_output_path_that_cannot_be_a_directory_exits_two_naming_it(
+    config_file, tmp_path, capsys
+):
+    taken = tmp_path / "F"
+    taken.write_text("a file")
+    for out in (taken, taken / "sub"):
+        for flags in ([], ["--compare"]):
+            argv = ["run", "--config", str(config_file), "--out", str(out), *flags]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and repr(str(out)) in err
+    # A seed directory that cannot be made: the path is a file.
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "seed_0").write_text("a file")
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+    assert repr(str(out / "seed_0")) in capsys.readouterr().err
+    # A bad seed stops the command before it makes a directory.
+    fresh = tmp_path / "fresh"
+    argv = ["run", "--config", str(config_file), "--seeds", "-1", "--out", str(fresh)]
+    assert main(argv) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err and not fresh.exists()
 
 
 def test_runtime_failures_exit_three(config_file, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ reconstruction from the log, every per-step belief against the
 reference oracles' whole-log replays, and the summary products."""
 
 import dataclasses
+import gc
 import json
 import math
 import pickle
@@ -294,6 +295,21 @@ class TestDeterminism:
         assert header["kind"] == "config"
         assert header["seed"] == 0
         assert header["total_length"] == 6
+
+
+@pytest.mark.parametrize("variant", mission.VARIANTS)
+def test_a_finished_mission_leaves_no_reference_cycle(variant):
+    # Event handlers that push themselves or one another hold each other
+    # through their closures; a run must still free its heap, vehicles and
+    # data sets when it returns, not at the garbage collector's next pass,
+    # or missions run back to back grow the process.
+    gc.collect()
+    gc.disable()
+    try:
+        run_mission(micro(variant=variant))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestSampleTimes:

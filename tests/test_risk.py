@@ -15,6 +15,7 @@ from isobath.gp import DataSet, KernelSpec, Sample
 from isobath.risk import (
     LossParams,
     bayes_risk_batch,
+    declare,
     expected_bayes_risk_closed_batch,
 )
 from reference import (
@@ -82,6 +83,29 @@ class TestBayesRisk:
         assert bayes_estimate(16.0, 1.0, SKEWED) == 1
         assert bayes_estimate(15.0, 0.0, EQUAL) == 1
         assert bayes_estimate(14.0, 0.0, EQUAL) == 0
+
+
+class TestDeclare:
+    @pytest.mark.parametrize("costs", [(10.0, 10.0), (16.0, 4.0)], ids=["10-10", "16-4"])
+    def test_the_declaration_is_the_reference_one_cell_by_cell(self, costs):
+        loss = LossParams(15.0, *costs)
+        rng = np.random.default_rng(3)
+        # Means about the level and at it, every fifth variance zero.
+        means = np.concatenate([rng.uniform(10.0, 20.0, 300), [15.0] * 4])
+        varis = np.concatenate([rng.uniform(0.0, 9.0, 300), [0.0, 1e-300, 1.0, 4.0]])
+        varis[::5] = 0.0
+        safe, risk = declare(means, varis, loss)
+        want = [bayes_estimate(m, v, loss) == 1 for m, v in zip(means, varis)]
+        assert safe.tolist() == want
+        assert sum(want) not in (0, len(want))
+        # The risk is the smaller expected cost; without variance it is +0.0.
+        live = varis > 0
+        p = np.array([phi((15.0 - m) / math.sqrt(v)) for m, v in zip(means[live], varis[live])])
+        want_risk = np.minimum(costs[0] * p, costs[1] * (1.0 - p))
+        np.testing.assert_allclose(risk[live], want_risk, rtol=1e-12, atol=1e-12)
+        dead = risk[~live]
+        assert dead.size and not dead.any() and not np.signbit(dead).any()
+        assert risk.tobytes() == bayes_risk_batch(means, varis, loss).tobytes()
 
 
 class TestMuStar:
