@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import json
 import os
@@ -52,12 +53,6 @@ ENV_PREFIX = "ISOBATH_"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
 
 
 def load_config(path: str | None, env: dict[str, str] | None = None) -> MissionConfig:
@@ -89,12 +84,8 @@ def load_config(path: str | None, env: dict[str, str] | None = None) -> MissionC
                 raw[name] = json.loads(text)
             except json.JSONDecodeError:
                 raw[name] = text
-    coerced = {
-        k: _tuplify(v) if k in ("area_max", "speeds", "starts") else v
-        for k, v in raw.items()
-    }
     try:
-        return MissionConfig(**coerced)
+        return MissionConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(str(exc)) from exc
 
@@ -125,24 +116,41 @@ def parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a run file that cannot be written as a configuration error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
+
+
+def _write_text(path, text):
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_json(path, obj):
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _write_grid_csv(path, column, prefixes, values):
     """One value per output-grid point, after its ``north,east,`` prefix,
     joined and written in one call."""
     rows = "".join([f"{p}{v!r}\n" for p, v in zip(prefixes, values.tolist())])
-    with open(path, "w") as fh:
-        fh.write(f"north_m,east_m,{column}\n{rows}")
+    _write_text(path, f"north_m,east_m,{column}\n{rows}")
 
 
 def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
     """Fly ``config`` at ``seed``, write its run directory, return its record."""
     result = run_mission(config.with_seed(seed))
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_jsonl(result, out_dir / "events.jsonl")
+    with _writing(out_dir / "events.jsonl"):
+        write_jsonl(result, out_dir / "events.jsonl")
     # The trace builds the replay, whose one pooled walk the risk maps reuse.
     trace = accumulated_reward_trace(result)
     rows = "".join([f"{k},{v!r}\n" for k, v in enumerate(trace.tolist())])
-    with open(out_dir / "trace.csv", "w") as fh:
-        fh.write(f"step,accumulated_reward\n{rows}")
+    _write_text(out_dir / "trace.csv", f"step,accumulated_reward\n{rows}")
     # Every grid file is on the output grid: its points prefix each row.
     points, depths = truth_grid(result)
     prefixes = [f"{n!r},{e!r}," for n, e in points.tolist()]
@@ -154,9 +162,7 @@ def _run_one_seed(config: MissionConfig, seed: int, out_dir: Path) -> dict:
         )
     _write_grid_csv(out_dir / "depth_truth.csv", "depth_m", prefixes, depths)
     record = run_record(result, trace, depths)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", record)
     return record
 
 
@@ -176,9 +182,7 @@ def cmd_run(args) -> int:
             ) from exc
     if args.compare:
         report = compare_methods(config, seeds)
-        with open(out / "comparison.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "comparison.json", report)
         for name, row in report["variants"].items():
             print(
                 f"{name}: mean final reward {row['mean_final']:.2f}, "

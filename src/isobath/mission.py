@@ -115,6 +115,16 @@ _Parts = collections.namedtuple(
 )
 
 
+def _tuplify(value):
+    """``value`` with every list in it, inside tuples and dicts too, a tuple;
+    a dict is rebuilt, never changed in place."""
+    if isinstance(value, dict):
+        return {k: _tuplify(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return tuple(_tuplify(v) for v in value)
+    return value
+
+
 def _finite(value) -> bool:
     """Whether every number in a config value, inside its tuples, lists
     and dicts too, is finite as a float; other values are left to the parts."""
@@ -202,6 +212,8 @@ class MissionConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            # JSON gives lists where the defaults hold tuples.
+            object.__setattr__(self, f.name, _tuplify(getattr(self, f.name)))
             if not _finite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must hold only finite numbers")
         for name in ("total_length", "horizon", "mcts_iterations"):

@@ -17,20 +17,19 @@ density rule would reject are dropped before scoring; revisiting known
 ground earns nothing.
 
 A candidate is scored as location sets of an evaluator call: its short
-path and, when no tail from the same final state has been scored yet,
-its lawnmower tail. Each set keeps its own greedy thinning walk, Schur
-block and Cholesky factor. Everything elementwise runs once per call
-instead: one prefilter ``cdist`` from the data and the base plan to all
-the call's locations, which drops those too close to them in any order
-(``gp.admissible_sets``); one ``cdist`` from all the call's surviving
-locations to the data, the base plan, the grid and one another, one
-kernel pass over that block, and one search for nearby evaluation
-points, each set slicing its own rows, columns and near mask; then the
-closed-form expected risk over the sets' concatenated evaluation
-points, each set's benefit being the sum over its own slice. An entry
-of those blocks depends only on its own pair of points, so this gives
-the same floats as scoring the sets one by one, at one set of per-call
-numpy overheads instead of one per set.
+path and, when it earns one, its own lawnmower tail. Each set keeps its
+own greedy thinning walk, Schur block and Cholesky factor. Everything
+elementwise runs once per call instead: one prefilter ``cdist`` from the
+data and the base plan to all the call's locations, which drops those
+too close to them in any order (``gp.admissible_sets``); one ``cdist``
+from all the call's surviving locations to the data, the base plan, the
+grid and one another, one kernel pass over that block, and one search
+for nearby evaluation points, each set slicing its own rows, columns and
+near mask; then the closed-form expected risk over the sets'
+concatenated evaluation points, each set's benefit being the sum over
+its own slice. An entry of those blocks depends only on its own pair of
+points, so this gives the same floats as scoring the sets one by one, at
+one set of per-call numpy overheads instead of one per set.
 
 That overhead, not arithmetic, is what a candidate costs: a score is
 about a hundred numpy and LAPACK calls on blocks of a few dozen rows.
@@ -46,8 +45,8 @@ every one has been tried no node is fully expanded, so selection never
 runs: the first ``len(ACTION_SET)`` iterations draw their expansions
 and rollouts from the rng alone and read no value. Their candidates,
 the sweep-prefix seed and the naive value are therefore scored in one
-evaluator call, and the values are then recorded (memo, value range,
-best plan, backups) in iteration order. Since a set's value does not
+evaluator call, and the values are then recorded (value range, best
+plan, backups) in iteration order. Since a set's value does not
 depend on the other sets of its call, every float, and so every plan,
 is the one a candidate-by-candidate search computes.
 
@@ -96,11 +95,6 @@ from .motion import (
     sample_locations,
     sweep_locations,
 )
-
-# Tail values are shared between candidates whose final states agree to
-# this resolution (meters, radians).
-TAIL_MEMO_POSITION = 1.0
-TAIL_MEMO_HEADING = math.radians(5.0)
 
 # Slack by which the exact rescore of the search's winner may trail the
 # naive value before the plan falls back to the sweep policy's prefix.
@@ -364,14 +358,6 @@ class _Node:
         self.expanded = 0
 
 
-def _quantize(state: AgentState) -> tuple[int, int, int]:
-    return (
-        round(state.north / TAIL_MEMO_POSITION),
-        round(state.east / TAIL_MEMO_POSITION),
-        round(state.heading / TAIL_MEMO_HEADING),
-    )
-
-
 def _descend(
     root: _Node, horizon: int, spread: float, rng
 ) -> tuple[tuple[int, ...], list[_Node]]:
@@ -440,7 +426,6 @@ def plan_episode(
     if config.use_terminal_reward:
         naive_sets.append(plan_locations(start, (), context.remaining_steps, context))
 
-    tail_memo: dict[tuple[int, int, int], float] = {}
     # Action tuple -> (value, sweep steps its short path earns).
     value_memo: dict[tuple[int, ...], tuple[float, int]] = {}
     evaluations = 0
@@ -449,37 +434,30 @@ def plan_episode(
         """Values of the ``extra`` location sets, then of each action tuple.
 
         All are scored in one evaluator call. A candidate's short path and,
-        when no tail from the same final state has been scored yet, its
-        tail are two of the call's sets; later candidates reuse the first
-        tail scored at a state, and a repeated tuple reuses its value.
+        when it earns one, its own tail are two of the call's sets, and
+        its value is their sum; a repeated tuple reuses its value.
         """
         nonlocal evaluations
         sets = list(extra)
-        fresh = {}  # new action tuple -> (index of its short set, tail key, steps)
-        tail_sets = {}  # tail key -> index of the tail set scored here
+        fresh = {}  # new action tuple -> (index of its short set, tail steps)
         for actions in batch:
             if actions in value_memo or actions in fresh:
                 continue
             short_locs, final, bounds = sample_locations(
                 start, actions, context.motion, context.sensor_spacing
             )
-            key, tail_steps = None, 0
+            tail_steps = 0
             if config.use_terminal_reward:
                 tail_steps = _tail_credit(len(actions), bounds, context)
-                if tail_steps:
-                    key = _quantize(final)
-            fresh[actions] = (len(sets), key, tail_steps)
+            fresh[actions] = (len(sets), tail_steps)
             sets.append(short_locs)
-            if key is not None and key not in tail_memo and key not in tail_sets:
-                tail_sets[key] = len(sets)
+            if tail_steps:
                 sets.append(_tail_path(final, tail_steps, context))
         values = evaluator.marginal(*sets) if sets else []
-        for key, i in tail_sets.items():
-            tail_memo[key] = values[i]
-        for actions, (i, key, tail_steps) in fresh.items():
+        for actions, (i, tail_steps) in fresh.items():
             value = values[i]
-            if key is not None:
-                value += tail_memo[key]
+            if tail_steps:
+                value += values[i + 1]
             value_memo[actions] = (value, tail_steps)
         evaluations += len(fresh)
         return values[:len(extra)] + [value_memo[actions][0] for actions in batch]

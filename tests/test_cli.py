@@ -106,6 +106,13 @@ def test_file_values_are_applied_and_lists_become_tuples(config_file):
     assert cfg.area_max == (200.0, 300.0)
 
 
+def test_the_default_config_file_equals_the_built_in_config():
+    # JSON holds lists, the defaults tuples, inside bathymetry_params too.
+    cfg = load_config(str(DEFAULT_CONFIG), env={})
+    assert cfg.bathymetry_params["center"] == (300.0, 500.0)
+    assert cfg == MissionConfig()
+
+
 def test_env_overrides_beat_the_file(config_file):
     cfg = load_config(
         str(config_file),
@@ -463,6 +470,23 @@ def test_an_output_path_that_cannot_be_a_directory_exits_two_naming_it(
     argv = ["run", "--config", str(config_file), "--seeds", "-1", "--out", str(fresh)]
     assert main(argv) == 2
     assert "seed must be non-negative" in capsys.readouterr().err and not fresh.exists()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("seed_0/events.jsonl", []),
+    ("seed_0/trace.csv", []),
+    ("seed_0/risk_agent_1.csv", []),
+    ("seed_0/summary.json", []),
+    ("comparison.json", ["--compare"]),
+])
+def test_a_run_file_that_cannot_be_written_exits_two_naming_it(
+    name, flags, config_file, tmp_path, capsys
+):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main(["run", "--config", str(config_file), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(str(out / name)) in err
 
 
 def test_runtime_failures_exit_three(config_file, tmp_path, monkeypatch, capsys):

@@ -312,6 +312,31 @@ def test_a_finished_mission_leaves_no_reference_cycle(variant):
         gc.enable()
 
 
+OUTPUTS = {
+    "accumulated_reward_trace": accumulated_reward_trace,
+    "risk_snapshot": lambda result: (risk_snapshot(result),
+                                     risk_snapshot(result, agent=1, upto_step=3)),
+    "run_record": lambda result: mission.run_record(
+        result, accumulated_reward_trace(result), truth_grid(result)[1]),
+    "run_grid": lambda result: mission.run_grid(
+        result.config, {"terminal": {}, "lawnmower": {"variant": "lawnmower"}}, [0]),
+}
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_the_outputs_of_a_run_leave_no_reference_cycle(output):
+    # As a mission's own: garbage the collector has not reached yet
+    # grows the process between runs.
+    result = run_mission(micro())
+    gc.collect()
+    gc.disable()
+    try:
+        OUTPUTS[output](result)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestSampleTimes:
     """A step's sample times, on Python floats, keep the bits of numpy's norm."""
 

@@ -2,8 +2,8 @@
 the plan-to-locations rule, and anytime/determinism properties of the
 search."""
 
-import contextlib
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -461,8 +461,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
 
     ``warm_up``, when given, is a dict that counts what happened to the
     seed and the root's first expansions: ``"memo_hit"`` (a tuple scored
-    before), ``"shared_tail"`` (a tail scored before at the same key) and
-    ``"ineligible"`` (a short path whose tail is not granted).
+    before) and ``"ineligible"`` (a short path whose tail is not granted).
     """
     horizon = min(config.horizon, context.remaining_steps)
     evaluator = EpisodeEvaluator(context)
@@ -475,7 +474,7 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     else:
         naive_value = 0.0
 
-    tail_memo, value_memo = {}, {}
+    value_memo = {}
     evaluations = 0
     counts = warm_up if warm_up is not None else {}
     n_warm = 1 + min(config.mcts_iterations, n_actions)
@@ -492,26 +491,19 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
         short = rollout(start, actions, context.motion)
         short_locs = vectorized_sample_locations(short, spacing)
         sets = [short_locs]
-        key = None
         if config.use_terminal_reward:
             tail_steps = max(context.remaining_steps - len(short), 0)
             box = (*short_locs.min(axis=0), *short_locs.max(axis=0))
             if _tail_credit(len(short), box, context):
-                key = planner._quantize(short.states[-1])
-                if key not in tail_memo:
-                    tail = lawnmower_path(short.states[-1], tail_steps, context.area,
-                                          context.motion)
-                    sets.append(vectorized_sample_locations(tail, spacing)[1:])
-                elif in_warm_up:
-                    counts["shared_tail"] = counts.get("shared_tail", 0) + 1
+                tail = lawnmower_path(short.states[-1], tail_steps, context.area,
+                                      context.motion)
+                sets.append(vectorized_sample_locations(tail, spacing)[1:])
             elif tail_steps > 0 and in_warm_up:
                 counts["ineligible"] = counts.get("ineligible", 0) + 1
         values = evaluator.marginal(*sets)
-        if len(values) > 1:
-            tail_memo[key] = values[1]
         value = values[0]
-        if key is not None:
-            value += tail_memo[key]
+        if len(values) > 1:
+            value += values[1]
         evaluations += 1
         value_memo[actions] = value
         return value
@@ -584,12 +576,6 @@ def one_at_a_time_plan(start, context, config, rng, warm_up=None):
     return PlanResult(best_path, jbar, naive_value, fell_back, evaluations)
 
 
-def coarse_quantize(state):
-    """A tail-memo key of 60-degree heading bins alone, so that several
-    of a search's first candidates share one tail."""
-    return (0, 0, round(state.heading / math.radians(60.0)))
-
-
 # Heading straight out through the north edge: three straight steps
 # leave the apron, so those short paths are denied their tail.
 EXIT_NORTH = (math.pi / 2, 290.0, 200.0)
@@ -602,15 +588,13 @@ class TestBatchedWarmUp:
 
     @staticmethod
     def both(start, horizon, iterations, terminal, remaining, ctx_seed, rng_seed,
-             coarse, warm_up=None):
+             warm_up=None):
         ctx = make_context(np.random.default_rng(ctx_seed),
                            n_data=int(ctx_seed % 13), n_base=int(ctx_seed % 4),
                            remaining=remaining)
         cfg = PlanConfig(horizon=horizon, use_terminal_reward=terminal,
                          mcts_iterations=iterations)
         state = AgentState(*start)
-        key = (mock.patch.object(planner, "_quantize", coarse_quantize)
-               if coarse else contextlib.nullcontext())
         marginal = EpisodeEvaluator.marginal
         set_counts = []
 
@@ -618,11 +602,10 @@ class TestBatchedWarmUp:
             set_counts.append(len(location_sets))
             return marginal(self, *location_sets)
 
-        with key:
-            with mock.patch.object(EpisodeEvaluator, "marginal", counted):
-                got = plan_episode(state, ctx, cfg, np.random.default_rng(rng_seed))
-            want = one_at_a_time_plan(state, ctx, cfg, np.random.default_rng(rng_seed),
-                                      warm_up)
+        with mock.patch.object(EpisodeEvaluator, "marginal", counted):
+            got = plan_episode(state, ctx, cfg, np.random.default_rng(rng_seed))
+        want = one_at_a_time_plan(state, ctx, cfg, np.random.default_rng(rng_seed),
+                                  warm_up)
         # A candidate scored before is answered from the memo, not by an
         # evaluator call with nothing to score.
         assert 0 not in set_counts
@@ -648,39 +631,81 @@ class TestBatchedWarmUp:
         remaining=st.integers(1, 14),
         ctx_seed=st.integers(0, 1000),
         rng_seed=st.integers(0, 1000),
-        coarse=st.booleans(),
     )
     @example(start=(0.0, 150.0, 30.0), horizon=1, iterations=11, terminal=True,
-             remaining=12, ctx_seed=7, rng_seed=11, coarse=False)
-    @example(start=(0.3, 80.0, 60.0), horizon=3, iterations=48, terminal=True,
-             remaining=12, ctx_seed=21, rng_seed=24, coarse=True)
+             remaining=12, ctx_seed=7, rng_seed=11)
     @example(start=EXIT_NORTH, horizon=3, iterations=6, terminal=True,
-             remaining=12, ctx_seed=22, rng_seed=5, coarse=False)
+             remaining=12, ctx_seed=22, rng_seed=5)
     @example(start=(1.0, 200.0, 300.0), horizon=10, iterations=48, terminal=False,
-             remaining=14, ctx_seed=3, rng_seed=9, coarse=False)
+             remaining=14, ctx_seed=3, rng_seed=9)
     # The search falls back to the sweep prefix.
     @example(start=(0.0, 150.0, 30.0), horizon=3, iterations=1, terminal=True,
-             remaining=12, ctx_seed=8, rng_seed=1, coarse=False)
+             remaining=12, ctx_seed=8, rng_seed=1)
     @settings(max_examples=50, deadline=None)
     def test_matches_one_at_a_time_search(self, start, horizon, iterations,
-                                          terminal, remaining, ctx_seed,
-                                          rng_seed, coarse):
+                                          terminal, remaining, ctx_seed, rng_seed):
         self.assert_same(*self.both(start, horizon, iterations, terminal, remaining,
-                                    ctx_seed, rng_seed, coarse))
+                                    ctx_seed, rng_seed))
 
-    @pytest.mark.parametrize("what,start,horizon,coarse", [
+    @pytest.mark.parametrize("what,start,horizon", [
         # At horizon 1 the sweep's first action is one of the root's.
-        ("memo_hit", (0.0, 150.0, 30.0), 1, False),
-        ("shared_tail", (0.0, 150.0, 30.0), 3, True),
-        ("ineligible", EXIT_NORTH, 3, False),
+        ("memo_hit", (0.0, 150.0, 30.0), 1),
+        ("ineligible", EXIT_NORTH, 3),
     ])
-    def test_warm_up_reuses_and_denies_like_the_reference(
-        self, what, start, horizon, coarse
-    ):
+    def test_warm_up_reuses_and_denies_like_the_reference(self, what, start, horizon):
         warm_up = {}
-        got, want = self.both(start, horizon, 48, True, 12, 7, 11, coarse, warm_up)
+        got, want = self.both(start, horizon, 48, True, 12, 7, 11, warm_up)
         assert warm_up.get(what, 0) > 0
         self.assert_same(got, want)
+
+
+class TestOwnTail:
+    """Every candidate is valued as its own short path plus its own tail,
+    however close its final state lies to another candidate's."""
+
+    @staticmethod
+    def bin_of(state):
+        """The 1 m / 5-degree bin of a final state."""
+        return (round(state.north), round(state.east),
+                round(state.heading / math.radians(5.0)))
+
+    # Found by scanning make_context: two fresh candidates of this search
+    # end in one bin, and their own tails are worth different amounts.
+    def test_candidates_ending_in_one_bin_each_score_their_own_tail(self):
+        ctx_seed, start, rng_seed = 55, (1.0, 200.0, 300.0), 2
+        ctx = make_context(np.random.default_rng(ctx_seed), n_data=ctx_seed % 13,
+                           n_base=ctx_seed % 4, remaining=12)
+        state = AgentState(*start)
+        walks, tails = [], []
+        descend, tail_path = planner._descend, planner._tail_path
+
+        def walked(*args):
+            walks.append(descend(*args))
+            return walks[-1]
+
+        def tail(final, steps, context):
+            if sys._getframe(1).f_code.co_name == "evaluate":
+                tails.append(final)
+            return tail_path(final, steps, context)
+
+        with mock.patch.object(planner, "_descend", walked), \
+                mock.patch.object(planner, "_tail_path", tail):
+            plan_episode(state, ctx, PlanConfig(horizon=3, mcts_iterations=48),
+                         np.random.default_rng(rng_seed))
+        bins = [self.bin_of(final) for final in tails]
+        assert len(set(bins)) < len(bins)
+        # The root's total backs up every iteration's value in order.
+        evaluator, want = EpisodeEvaluator(ctx), 0.0
+        for actions, _ in walks:
+            steps = credited(state, actions, ctx)
+            locs = oracle_plan_locations(state, actions, 0, ctx.sensor_spacing)
+            value = evaluator.marginal(locs)[0]
+            if steps:
+                tail_locs = oracle_plan_locations(state, actions, steps,
+                                                  ctx.sensor_spacing)[len(locs):]
+                value += evaluator.marginal(tail_locs)[0]
+            want += value
+        assert walks[0][1][0].total == want
 
 
 class TestFallBack:
@@ -697,20 +722,16 @@ class TestFallBack:
                            np.random.default_rng(rng_seed))
         return res, lawnmower_path(self.START, 3, AREA, MOTION)
 
-    # Found by scanning seeds: one candidate beats the seed on its additive
-    # value, and in the second case a tail memo of 60-degree heading bins
-    # shares tails between candidates whose sweeps differ.
-    @pytest.mark.parametrize("ctx_seed,rng_seed,iterations,coarse", [
-        (8, 1, 1, False),
-        (11, 0, 48, True),
+    # Found by scanning seeds: a candidate beats the seed on its additive
+    # value, after one iteration and after a full search.
+    @pytest.mark.parametrize("ctx_seed,rng_seed,iterations", [
+        (8, 1, 1),
+        (75, 2, 48),
     ])
     def test_lost_rescore_falls_back_to_the_sweep_prefix(
-        self, ctx_seed, rng_seed, iterations, coarse
+        self, ctx_seed, rng_seed, iterations
     ):
-        key = (mock.patch.object(planner, "_quantize", coarse_quantize)
-               if coarse else contextlib.nullcontext())
-        with key:
-            res, sweep = self.plan(ctx_seed, rng_seed, iterations)
+        res, sweep = self.plan(ctx_seed, rng_seed, iterations)
         assert res.fell_back
         assert res.path == sweep
         assert res.value == res.naive_value
